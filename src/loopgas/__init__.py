@@ -18,7 +18,7 @@ from .model import (Box, ExternalConfiguration, ModelParams, PairPotential,
 from .bridge import (BridgePath, bridge_mass, log_bridge_mass, sample_bridge,
                      resample_leg, max_deviation_tail,
                      empirical_max_deviation_tail, fit_gaussian_tail_envelope)
-from .loops import (Loop, LoopConfig, OpenPath, PathSystem, interaction_energy,
+from .loops import (Loop, LoopConfig, OpenPath, interaction_energy,
                     log_weight, dumps_config, loads_config)
 from .analytic import (SeriesResult, loop_moment, closed_form_moment_2d,
                        free_gas_kernel, external_control_bound, growth_family,
@@ -36,7 +36,7 @@ __all__ = [
     "BridgePath", "bridge_mass", "log_bridge_mass", "sample_bridge",
     "resample_leg", "max_deviation_tail", "empirical_max_deviation_tail",
     "fit_gaussian_tail_envelope",
-    "Loop", "LoopConfig", "OpenPath", "PathSystem", "interaction_energy",
+    "Loop", "LoopConfig", "OpenPath", "interaction_energy",
     "log_weight", "dumps_config", "loads_config",
     "SeriesResult", "loop_moment", "closed_form_moment_2d", "free_gas_kernel",
     "external_control_bound", "growth_family", "gradient_bound_constants",

@@ -21,7 +21,8 @@ import numpy as np
 import yaml
 
 from . import __version__, mc
-from .experiments import RUNNERS, run_experiment
+from .experiments import (OPTIONS, POTENTIAL, REQUIRED, RUNNERS, SECTIONS,
+                          run_experiment, settings)
 
 EXPERIMENT_NAMES = tuple(sorted(RUNNERS))
 
@@ -50,189 +51,134 @@ def _check_keys(section, allowed, path, errors):
         errors.append("at %s: expected a mapping, got %s"
                       % (path, type(section).__name__))
         return False
-    for key in section:
-        if key not in allowed:
-            errors.append("unknown key %r at %s%s"
-                          % (key, path, _suggest(key, allowed)))
+    errors += ["unknown key %r at %s%s" % (key, path, _suggest(key, allowed))
+               for key in section if key not in allowed]
     return True
 
 
-def _num_field(section, key, path, errors, required=False, minimum=None,
-               min_exclusive=None, maximum=None, integer=False):
-    if key not in section:
-        if required:
-            errors.append("at %s.%s: required field missing" % (path, key))
-        return None
-    v = section[key]
-    ok = _is_int(v) if integer else _is_num(v)
-    if not ok:
-        errors.append("at %s.%s: expected %s, got %r"
-                      % (path, key, "an integer" if integer else "a number", v))
-        return None
-    if minimum is not None and v < minimum:
-        errors.append("at %s.%s: value %r below minimum %r" % (path, key, v, minimum))
-    if min_exclusive is not None and v <= min_exclusive:
-        errors.append("at %s.%s: value %r must exceed %r" % (path, key, v, min_exclusive))
-    if maximum is not None and v > maximum:
-        errors.append("at %s.%s: value %r above maximum %r" % (path, key, v, maximum))
-    return v
+def _check_value(f, v, at, errors):
+    """Check one value against its table entry; False when its type is wrong."""
+    if f.kind in ("int", "number"):
+        if not (_is_int(v) if f.kind == "int" else _is_num(v)):
+            errors.append("at %s: expected %s, got %r"
+                          % (at, "an integer" if f.kind == "int" else "a number", v))
+            return False
+        if f.minimum is not None and v < f.minimum:
+            errors.append("at %s: value %r below minimum %r" % (at, v, f.minimum))
+        elif f.min_exclusive is not None and v <= f.min_exclusive:
+            errors.append("at %s: value %r must exceed %r" % (at, v, f.min_exclusive))
+        elif f.maximum is not None and v > f.maximum:
+            errors.append("at %s: value %r above maximum %r" % (at, v, f.maximum))
+    elif f.kind == "bool":
+        if not isinstance(v, bool):
+            errors.append("at %s: expected a boolean" % at)
+            return False
+    elif f.kind == "str":
+        if f.choices is not None and v not in f.choices:
+            errors.append("at %s: %r is not one of %s" % (at, v, ", ".join(f.choices)))
+    elif f.kind == "numbers":
+        if not isinstance(v, list) or not all(_is_num(u) for u in v):
+            errors.append("at %s: expected a list of numbers" % at)
+            return False
+        if f.length is not None and len(v) != f.length:
+            errors.append("at %s: expected %d entries, got %d" % (at, f.length, len(v)))
+        for i, u in enumerate(v):
+            if f.max_exclusive is not None and not f.min_exclusive < u < f.max_exclusive:
+                errors.append("range violation at key %s[%d]: value %r outside "
+                              "the open interval (%g, %g)"
+                              % (at, i, u, f.min_exclusive, f.max_exclusive))
+    elif f.kind == "ints":
+        if (not isinstance(v, list)
+                or not all(_is_int(u) and (f.minimum is None or u >= f.minimum)
+                           for u in v)
+                or (f.length is not None and len(v) != f.length)):
+            errors.append("at %s: expected %s" % (at, f.what or (
+                "non-negative integers" if f.minimum == 0 else "positive integers")))
+            return False
+    elif not isinstance(v, dict if f.kind == "mapping" else list):
+        errors.append("at %s: expected a %s" % (at, f.kind))
+        return False
+    return True
 
 
-def _vector_field(section, key, path, errors, length=None, required=False):
-    if key not in section:
-        if required:
-            errors.append("at %s.%s: required field missing" % (path, key))
-        return None
-    v = section[key]
-    if not isinstance(v, list) or not all(_is_num(u) for u in v):
-        errors.append("at %s.%s: expected a list of numbers" % (path, key))
-        return None
-    if length is not None and len(v) != length:
-        errors.append("at %s.%s: expected %d entries, got %d"
-                      % (path, key, length, len(v)))
-    return v
+def _check_section(spec, section, path, errors):
+    """Check one mapping against its table; returns its well-typed entries."""
+    if not _check_keys(section, spec, path, errors):
+        return {}
+    valid = {}
+    for key, f in spec.items():
+        at = "%s.%s" % (path, key)
+        if key not in section:
+            if f.default is REQUIRED:
+                errors.append("at %s: required field missing" % at)
+        elif _check_value(f, section[key], at, errors):
+            valid[key] = section[key]
+    return valid
 
 
-_PROFILE_NAMES = ("square_well", "smooth_bump", "table")
-
-_MODEL_KEYS = ("dimension", "n_types", "beta", "fugacity", "potentials")
-_POTENTIAL_KEYS = ("types", "profile", "hard_core", "range", "height",
-                   "table_r", "table_v")
-_GEOMETRY_KEYS = ("box_half_side", "box0_half_side", "box0_center",
-                  "window_half_side", "shift")
-_SAMPLER_KEYS = ("slices_per_beta", "k_max", "move_weights",
-                 "conservative_hard_core", "audit_interval",
-                 "proposals_per_sweep", "seed", "chains")
-_EXPERIMENT_KEYS = ("name", "options")
-_EXTERNAL_KEYS = ("seed", "counts", "reach", "points")
-_OUTPUT_KEYS = ("checkpoint",)
-_TOP_KEYS = ("model", "geometry", "sampler", "experiment", "external", "output")
-
-# option names each experiment understands; anything else is rejected
-OPTION_KEYS = {
-    "free-validate": ("sweeps", "burn_in", "thin"),
-    "kernel": ("counts", "n_pairs", "burn_in", "n_snapshots", "thin",
-               "inner_per_snapshot", "apply_exclusion"),
-    "q-kernel": ("counts", "n_pairs", "n_samples"),
-    "density": ("sweeps", "burn_in", "thin"),
-    "k-tail": ("k0", "sweeps", "burn_in", "thin"),
-    "shift-invariance": ("sweeps", "burn_in", "thin"),
-    "bridge-laws": ("n_draws", "deviation_thresholds", "multiplicity",
-                    "displacement", "dirichlet_half_side", "dirichlet_draws",
-                    "ks_draws"),
-    "analytic": ("points_per_axis", "n_samples", "counts", "envelope_grid",
-                 "growth_family", "growth_grid_max"),
-    "oracle": ("n_sites", "spacing", "n_max", "inner0", "inner1"),
-    "b-condition": ("growth_family", "c", "grid_min", "grid_max", "grid_step"),
-}
+def _check_length(valid, key, n, path, errors):
+    v = valid.get(key)
+    if v is not None and n is not None and len(v) != n:
+        errors.append("at %s.%s: expected %d entries, got %d" % (path, key, n, len(v)))
 
 
-def _validate_model(model, errors):
-    if not _check_keys(model, _MODEL_KEYS, "model", errors):
-        return
-    d = _num_field(model, "dimension", "model", errors, required=True,
-                   integer=True, minimum=1, maximum=3)
-    q = _num_field(model, "n_types", "model", errors, required=True,
-                   integer=True, minimum=1)
-    _num_field(model, "beta", "model", errors, required=True, min_exclusive=0.0)
-    zs = _vector_field(model, "fugacity", "model", errors, required=True,
-                       length=q if _is_int(q) else None)
-    if zs is not None:
-        for i, z in enumerate(zs):
-            if not 0.0 < z < 1.0:
-                errors.append("range violation at key model.fugacity[%d]: "
-                              "value %r outside the open interval (0, 1)" % (i, z))
-    for p_idx, entry in enumerate(model.get("potentials", []) or []):
+def _check_cross_fields(ok, experiment_name, errors):
+    """The rules that tie one key to another; ok holds each section's well-typed keys."""
+    model = ok.get("model", {})
+    d, q = model.get("dimension"), model.get("n_types")
+    _check_length(model, "fugacity", q, "model", errors)
+    for p_idx, entry in enumerate(model.get("potentials", ())):
         path = "model.potentials[%d]" % p_idx
-        if not _check_keys(entry, _POTENTIAL_KEYS, path, errors):
-            continue
-        types = entry.get("types")
-        if (not isinstance(types, list) or len(types) != 2
-                or not all(_is_int(t) for t in types)):
-            errors.append("at %s.types: expected two type indices" % path)
-        elif _is_int(q) and not all(0 <= t < q for t in types):
+        pot = _check_section(POTENTIAL, entry, path, errors)
+        types = pot.get("types")
+        if types is not None and q is not None and not all(0 <= t < q for t in types):
             errors.append("at %s.types: indices outside [0, %d)" % (path, q))
-        profile = entry.get("profile", "square_well")
-        if profile not in _PROFILE_NAMES:
-            errors.append("at %s.profile: %r is not one of %s"
-                          % (path, profile, ", ".join(_PROFILE_NAMES)))
-        hc = _num_field(entry, "hard_core", path, errors, minimum=0.0)
-        rng_ = _num_field(entry, "range", path, errors, minimum=0.0)
-        _num_field(entry, "height", path, errors, minimum=0.0)
-        if _is_num(hc) and _is_num(rng_) and rng_ < hc:
+        hc, rng_ = pot.get("hard_core"), pot.get("range")
+        if hc is not None and rng_ is not None and rng_ < hc:
             errors.append("at %s: range %r below hard_core %r" % (path, rng_, hc))
-        if profile == "table":
+        if pot.get("profile") == "table":
             for key in ("table_r", "table_v"):
                 if key not in entry:
                     errors.append("at %s.%s: required for table profiles" % (path, key))
-    return d
-
-
-def _validate_geometry(geo, dimension, errors):
-    if not _check_keys(geo, _GEOMETRY_KEYS, "geometry", errors):
-        return
-    _num_field(geo, "box_half_side", "geometry", errors, required=True,
-               min_exclusive=0.0)
-    _num_field(geo, "box0_half_side", "geometry", errors, min_exclusive=0.0)
-    _num_field(geo, "window_half_side", "geometry", errors, min_exclusive=0.0)
-    _vector_field(geo, "box0_center", "geometry", errors, length=dimension)
-    _vector_field(geo, "shift", "geometry", errors, length=dimension)
-
-
-def _validate_sampler(sampler, errors):
-    if not _check_keys(sampler, _SAMPLER_KEYS, "sampler", errors):
-        return
-    _num_field(sampler, "slices_per_beta", "sampler", errors, integer=True, minimum=1)
-    _num_field(sampler, "k_max", "sampler", errors, integer=True, minimum=1)
-    _num_field(sampler, "audit_interval", "sampler", errors, integer=True, minimum=0)
-    _num_field(sampler, "proposals_per_sweep", "sampler", errors, integer=True, minimum=0)
-    _num_field(sampler, "seed", "sampler", errors, integer=True, minimum=0)
-    _num_field(sampler, "chains", "sampler", errors, integer=True, minimum=1)
-    mw = _vector_field(sampler, "move_weights", "sampler", errors, length=3)
+    for key in ("box0_center", "shift"):
+        _check_length(ok.get("geometry", {}), key, d, "geometry", errors)
+    mw = ok.get("sampler", {}).get("move_weights")
     if mw is not None and (any(w < 0 for w in mw) or sum(mw) <= 0):
         errors.append("at sampler.move_weights: weights must be non-negative "
                       "with a positive sum")
-    if "conservative_hard_core" in sampler and not isinstance(
-            sampler["conservative_hard_core"], bool):
-        errors.append("at sampler.conservative_hard_core: expected a boolean")
-
-
-def _validate_experiment(section, errors):
-    if not _check_keys(section, _EXPERIMENT_KEYS, "experiment", errors):
-        return
-    name = section.get("name")
-    if name is not None and name not in RUNNERS:
+    external = ok.get("external", {})
+    counts, points = external.get("counts"), external.get("points")
+    if counts is not None and q is not None and len(counts) != q:
+        errors.append("at external.counts: expected %d entries" % q)
+    if points is not None and q is not None and d is not None and not (
+            len(points) == q and all(isinstance(p, list) and all(
+                isinstance(x, list) and len(x) == d and all(map(_is_num, x))
+                for x in p) for p in points)):
+        errors.append("at external.points: expected %d lists of %d-coordinate points"
+                      % (q, d))
+    experiment = ok.get("experiment", {})
+    declared = experiment.get("name")
+    if declared is not None and declared not in EXPERIMENT_NAMES:
         errors.append("at experiment.name: %r is not an experiment%s"
-                      % (name, _suggest(name, EXPERIMENT_NAMES)))
-    options = section.get("options")
-    if options is None:
-        return
-    if not isinstance(options, dict):
-        errors.append("at experiment.options: expected a mapping")
-        return
-    if name in OPTION_KEYS:
-        _check_keys(options, OPTION_KEYS[name], "experiment.options", errors)
-
-
-def _validate_external(section, n_types, errors):
-    if not _check_keys(section, _EXTERNAL_KEYS, "external", errors):
-        return
-    _num_field(section, "seed", "external", errors, integer=True, minimum=0)
-    _num_field(section, "reach", "external", errors, minimum=0.0)
-    counts = section.get("counts")
-    if counts is not None:
-        if (not isinstance(counts, list)
-                or not all(_is_int(c) and c >= 0 for c in counts)):
-            errors.append("at external.counts: expected non-negative integers")
-        elif n_types is not None and len(counts) != n_types:
-            errors.append("at external.counts: expected %d entries" % n_types)
+                      % (declared, _suggest(declared, EXPERIMENT_NAMES)))
+    if (experiment_name is not None and declared is not None
+            and declared != experiment_name):
+        errors.append("at experiment.name: config declares %r but the "
+                      "subcommand is %r" % (declared, experiment_name))
+    name = declared if declared in EXPERIMENT_NAMES else experiment_name
+    if "options" in experiment and name in EXPERIMENT_NAMES:
+        options = _check_section(OPTIONS[name], experiment["options"],
+                                 "experiment.options", errors)
+        _check_length(options, "counts", q, "experiment.options", errors)
 
 
 def parse_config(text, experiment_name=None):
     """Parse and strictly validate a YAML config; returns the config dict.
 
-    Collects every violation (unknown key, type mismatch, range violation)
-    into a single ConfigError so a bad file is reported in one pass.
+    Keys are checked against the config table in experiments, then against
+    the rules that tie keys together.  Every violation goes into a single
+    ConfigError so a bad file is reported in one pass.  Defaults are not
+    inserted; the runners read them from the same table.
     """
     try:
         cfg = yaml.safe_load(text)
@@ -241,31 +187,12 @@ def parse_config(text, experiment_name=None):
     if not isinstance(cfg, dict):
         raise ConfigError(["config must be a mapping of sections"])
     errors = []
-    _check_keys(cfg, _TOP_KEYS, "top level", errors)
-    dimension = None
-    if "model" not in cfg:
-        errors.append("at model: required section missing")
-    else:
-        dimension = _validate_model(cfg["model"], errors)
-    if "geometry" not in cfg:
-        errors.append("at geometry: required section missing")
-    else:
-        _validate_geometry(cfg["geometry"], dimension, errors)
-    if "sampler" in cfg:
-        _validate_sampler(cfg["sampler"], errors)
-    if "experiment" in cfg:
-        _validate_experiment(cfg["experiment"], errors)
-    if "external" in cfg:
-        n_types = cfg.get("model", {}).get("n_types")
-        _validate_external(cfg["external"], n_types if _is_int(n_types) else None,
-                           errors)
-    if "output" in cfg:
-        _check_keys(cfg["output"], _OUTPUT_KEYS, "output", errors)
-    declared = cfg.get("experiment", {}).get("name") if "experiment" in cfg else None
-    if (experiment_name is not None and declared is not None
-            and declared != experiment_name):
-        errors.append("at experiment.name: config declares %r but the "
-                      "subcommand is %r" % (declared, experiment_name))
+    _check_keys(cfg, SECTIONS, "top level", errors)
+    errors += ["at %s: required section missing" % name
+               for name in ("model", "geometry") if name not in cfg]
+    ok = {name: _check_section(spec, cfg[name], name, errors)
+          for name, spec in SECTIONS.items() if name in cfg}
+    _check_cross_fields(ok, experiment_name, errors)
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -357,7 +284,7 @@ def main(argv=None):
             print("error: --seed must be non-negative", file=sys.stderr)
             return 2
         cfg.setdefault("sampler", {})["seed"] = args.seed
-    effective_seed = int(cfg.get("sampler", {}).get("seed", 0))
+    effective_seed = settings(SECTIONS["sampler"], cfg.get("sampler", {}))["seed"]
     try:
         os.makedirs(args.out, exist_ok=True)
         t0 = time.perf_counter()
@@ -375,7 +302,8 @@ def main(argv=None):
             "config": cfg,
         }
         write_summary_json(os.path.join(args.out, "summary.json"), payload)
-        if cfg.get("output", {}).get("checkpoint") and result.chain_obj is not None:
+        checkpoint = settings(SECTIONS["output"], cfg.get("output", {}))["checkpoint"]
+        if checkpoint and result.chain_obj is not None:
             mc.save_checkpoint(result.chain_obj, os.path.join(args.out, "chain.ckpt"))
     except (ValueError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

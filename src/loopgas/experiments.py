@@ -8,13 +8,146 @@ sampler section, so a fixed config yields bit-identical rows.
 
 import copy
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import stats
 
 from . import analytic, bridge, mc, oracle
-from .model import Box, ExternalConfiguration, ModelParams, PairPotential, zero_potential
+from .model import (PROFILES, Box, ExternalConfiguration, ModelParams, PairPotential,
+                    zero_potential)
+
+# -- the config table ------------------------------------------------------------
+
+REQUIRED = object()  # default of keys a config must give
+
+# One config key: kind (int, number, bool, str; lists numbers, ints; list,
+# mapping), static default (None: worked out at run time), bounds, choices.
+# ints entries obey minimum, and what names their expected shape; numbers
+# entries obey the open interval (min_exclusive, max_exclusive).
+Key = namedtuple("Key", "kind default minimum min_exclusive maximum max_exclusive "
+                 "choices length what", defaults=(None,) * 8)
+
+_SAMPLER = {f.name: f.default for f in fields(mc.SamplerOptions)}
+
+# model.potentials entries follow POTENTIAL, experiment.options OPTIONS[name]
+SECTIONS = {
+    "model": {
+        "dimension": Key("int", REQUIRED, minimum=1, maximum=3),
+        "n_types": Key("int", REQUIRED, minimum=1),
+        "beta": Key("number", REQUIRED, min_exclusive=0.0),
+        "fugacity": Key("numbers", REQUIRED, min_exclusive=0.0, max_exclusive=1.0),
+        "potentials": Key("list", ()),
+    },
+    "geometry": {
+        "box_half_side": Key("number", REQUIRED, min_exclusive=0.0),
+        "box0_half_side": Key("number", 0.5, min_exclusive=0.0),
+        "box0_center": Key("numbers"), "window_half_side": Key("number", min_exclusive=0.0),
+        "shift": Key("numbers"),
+    },
+    "sampler": {
+        "slices_per_beta": Key("int", _SAMPLER["slices_per_beta"], minimum=1),
+        "k_max": Key("int", _SAMPLER["k_max"], minimum=1),
+        "move_weights": Key("numbers", _SAMPLER["move_weights"], length=3),
+        "conservative_hard_core": Key("bool", _SAMPLER["conservative_hard_core"]),
+        "audit_interval": Key("int", _SAMPLER["audit_interval"], minimum=0),
+        "proposals_per_sweep": Key("int", _SAMPLER["proposals_per_sweep"], minimum=0),
+        "seed": Key("int", 0, minimum=0),
+        "chains": Key("int", 1, minimum=1),
+    },
+    "experiment": {"name": Key("str"), "options": Key("mapping")},
+    "external": {"seed": Key("int", 0, minimum=0), "counts": Key("ints", minimum=0),
+                 "reach": Key("number", minimum=0.0), "points": Key("list")},
+    "output": {"checkpoint": Key("bool", False)},
+}
+
+POTENTIAL = {
+    "types": Key("ints", REQUIRED, length=2, what="two type indices"),
+    "profile": Key("str", "square_well", choices=PROFILES),
+    "hard_core": Key("number", 0.0, minimum=0.0),
+    "range": Key("number", 0.0, minimum=0.0),
+    "height": Key("number", 0.0, minimum=0.0),
+    "table_r": Key("numbers"), "table_v": Key("numbers"),
+}
+
+_GROWTH = ("zero", "linear", "ceil_linear", "square", "exp_square")
+
+
+def _chain_run_keys(sweeps):
+    return {"sweeps": Key("int", sweeps, minimum=0),
+            "burn_in": Key("int", 200, minimum=0), "thin": Key("int", 2, minimum=1)}
+
+
+OPTIONS = {
+    "free-validate": _chain_run_keys(4000),
+    "kernel": {
+        "counts": Key("ints", minimum=0), "n_pairs": Key("int", 2, minimum=0),
+        "burn_in": Key("int", 100, minimum=0), "n_snapshots": Key("int", 200, minimum=0),
+        "thin": Key("int", 2, minimum=1), "inner_per_snapshot": Key("int", 2, minimum=1),
+        "apply_exclusion": Key("bool", True),
+    },
+    "q-kernel": {"counts": Key("ints", minimum=0), "n_pairs": Key("int", 2, minimum=0),
+                 "n_samples": Key("int", 2000, minimum=0)},
+    "density": _chain_run_keys(2000),
+    "k-tail": {"k0": Key("ints", (4, 9, 16), minimum=1), **_chain_run_keys(4000)},
+    "shift-invariance": _chain_run_keys(4000),
+    "bridge-laws": {
+        "n_draws": Key("int", 20000, minimum=1),
+        "deviation_thresholds": Key("numbers", (0.5, 1.0, 1.5)),
+        "multiplicity": Key("int", 1, minimum=1), "displacement": Key("number", 0.0),
+        "dirichlet_half_side": Key("number", 1.0, min_exclusive=0.0),
+        "dirichlet_draws": Key("int", 20000, minimum=1),
+        "ks_draws": Key("int", 20000, minimum=1),
+    },
+    "analytic": {
+        "points_per_axis": Key("int", 4, minimum=2), "n_samples": Key("int", 300, minimum=0),
+        "counts": Key("ints", minimum=0),
+        "envelope_grid": Key("numbers", (1.0, 2.0, 3.0, 4.0)),
+        "growth_family": Key("str", "linear", choices=_GROWTH),
+        "growth_grid_max": Key("number", 10.0),
+    },
+    "oracle": {
+        "n_sites": Key("int", 4, minimum=1), "spacing": Key("number", 1.0, min_exclusive=0.0),
+        "n_max": Key("int", 2, minimum=0),
+        "inner0": Key("ints", minimum=0), "inner1": Key("ints", minimum=0),
+    },
+    "b-condition": {
+        "growth_family": Key("str", "ceil_linear", choices=_GROWTH), "c": Key("number"),
+        "grid_min": Key("number", 1.0, minimum=1.0), "grid_max": Key("number", 10.0),
+        "grid_step": Key("number", 0.5, min_exclusive=0.0),
+    },
+}
+
+_COERCE = {"int": int, "number": float, "bool": bool,
+           "numbers": lambda v: tuple(float(u) for u in v),
+           "ints": lambda v: tuple(int(u) for u in v)}
+
+
+def settings(spec, given):
+    """given with spec's static defaults filled in and values cast to their kind.
+
+    Absent keys with a run-time default read None; absent required keys stay out.
+    """
+    out = {}
+    for key, f in spec.items():
+        value = given.get(key, f.default)
+        if value is not REQUIRED:
+            cast = _COERCE.get(f.kind)
+            out[key] = cast(value) if cast and value is not None else value
+    return out
+
+
+def _sampler(cfg):
+    return settings(SECTIONS["sampler"], cfg.get("sampler", {}))
+
+
+def _options(cfg, name):
+    return settings(OPTIONS[name], cfg.get("experiment", {}).get("options", {}))
+
+
+def _counts(opts, params):  # per-type endpoint counts, one each by default
+    return opts["counts"] if opts["counts"] is not None else (1,) * params.n_types
 
 
 @dataclass
@@ -30,71 +163,58 @@ class ExperimentResult:
 # -- config -> model objects ---------------------------------------------------
 
 
-def build_potential(entry):
-    kwargs = {
-        "profile": entry.get("profile", "square_well"),
-        "hard_core": float(entry.get("hard_core", 0.0)),
-        "range_": float(entry.get("range", 0.0)),
-        "height": float(entry.get("height", 0.0)),
-    }
-    if kwargs["profile"] == "table":
-        kwargs["table_r"] = entry.get("table_r")
-        kwargs["table_v"] = entry.get("table_v")
-    return PairPotential(**kwargs)
-
-
 def build_params(model_cfg):
-    q = int(model_cfg["n_types"])
+    model = settings(SECTIONS["model"], model_cfg)
+    q = model["n_types"]
     table = [[zero_potential() for _ in range(q)] for _ in range(q)]
-    for entry in model_cfg.get("potentials", []):
-        i, j = (int(t) for t in entry["types"])
-        pot = build_potential(entry)
+    for entry in model["potentials"]:
+        e = settings(POTENTIAL, entry)
+        pot = PairPotential(profile=e["profile"], hard_core=e["hard_core"],
+                            range_=e["range"], height=e["height"],
+                            table_r=e["table_r"], table_v=e["table_v"])
+        i, j = e["types"]
         table[i][j] = pot
         table[j][i] = pot
-    return ModelParams(
-        dimension=int(model_cfg["dimension"]),
-        n_types=q,
-        beta=float(model_cfg["beta"]),
-        fugacity=tuple(float(z) for z in model_cfg["fugacity"]),
-        potentials=table,
-    )
+    return ModelParams(dimension=model["dimension"], n_types=q, beta=model["beta"],
+                       fugacity=model["fugacity"], potentials=table)
 
 
 def build_geometry(geo_cfg, dimension):
-    box = Box((0.0,) * dimension, float(geo_cfg["box_half_side"]))
-    center0 = geo_cfg.get("box0_center", [0.0] * dimension)
-    box0 = Box(tuple(float(c) for c in center0), float(geo_cfg.get("box0_half_side", 0.5)))
+    geo = settings(SECTIONS["geometry"], geo_cfg)
+    box = Box((0.0,) * dimension, geo["box_half_side"])
+    box0 = Box(tuple(geo["box0_center"] or [0.0] * dimension), geo["box0_half_side"])
     return box, box0
 
 
+def _window(geo_cfg, box):
+    """Density-counting window: centred in the box, a third of its side by default."""
+    half = settings(SECTIONS["geometry"], geo_cfg)["window_half_side"]
+    return Box(box.center, half if half is not None else box.half_side / 3.0)
+
+
 def build_options(sampler_cfg):
-    return mc.SamplerOptions(
-        slices_per_beta=int(sampler_cfg.get("slices_per_beta", 32)),
-        k_max=int(sampler_cfg.get("k_max", 20)),
-        move_weights=tuple(sampler_cfg.get("move_weights", (4, 2, 4))),
-        conservative_hard_core=bool(sampler_cfg.get("conservative_hard_core", False)),
-        audit_interval=int(sampler_cfg.get("audit_interval", 0)),
-        proposals_per_sweep=int(sampler_cfg.get("proposals_per_sweep", 0)),
-    )
+    sampler = settings(SECTIONS["sampler"], sampler_cfg)
+    return mc.SamplerOptions(**{f.name: sampler[f.name]
+                                for f in fields(mc.SamplerOptions)})
 
 
 def build_external(cfg, box, params):
     ext_cfg = cfg.get("external")
     if not ext_cfg:
         return None
-    rng = np.random.default_rng(int(ext_cfg.get("seed", 0)))
+    ext = settings(SECTIONS["external"], ext_cfg)
+    rng = np.random.default_rng(ext["seed"])
     per_type = [np.zeros((0, box.dimension)) for _ in range(params.n_types)]
-    counts = ext_cfg.get("counts", [0] * params.n_types)
-    reach = min(float(ext_cfg.get("reach", params.max_range)), params.max_range)
-    pts_cfg = ext_cfg.get("points")
+    reach = params.max_range if ext["reach"] is None else min(ext["reach"], params.max_range)
+    pts_cfg = ext["points"]
     if pts_cfg is not None:
         per_type = [np.asarray(p, dtype=float).reshape(-1, box.dimension)
                     for p in pts_cfg]
     else:
         # seeded uniform scatter on the annulus within interaction reach
-        for j, cnt in enumerate(counts):
+        for j, cnt in enumerate(ext["counts"] or ()):
             got = []
-            while len(got) < int(cnt):
+            while len(got) < cnt:
                 u = box.center + (rng.random(box.dimension) * 2.0 - 1.0) \
                     * (box.half_side + reach)
                 if not box.contains(u) and box.euclidean_distance(u) <= reach:
@@ -108,18 +228,19 @@ def make_chain(cfg, params=None, box=None, seed=None):
     params = params or build_params(cfg["model"])
     box = box or build_geometry(cfg["geometry"], params.dimension)[0]
     opts = build_options(cfg.get("sampler", {}))
-    if seed is None:
-        seed = int(cfg.get("sampler", {}).get("seed", 0))
+    seed = _sampler(cfg)["seed"] if seed is None else seed
     external = build_external(cfg, box, params)
     return mc.Chain(params, box, external=external, options=opts, seed=seed)
 
 
-def _opt(cfg, key, default):
-    return cfg.get("experiment", {}).get("options", {}).get(key, default)
-
-
-def _seed(cfg):
-    return int(cfg.get("sampler", {}).get("seed", 0))
+def _burned_in_chain(cfg, name):
+    """Model, boxes, chain after its burn-in, and options of a chain experiment."""
+    params = build_params(cfg["model"])
+    box, box0 = build_geometry(cfg["geometry"], params.dimension)
+    chain = make_chain(cfg, params=params, box=box)
+    opts = _options(cfg, name)
+    chain.run(opts["burn_in"])
+    return params, box, box0, chain, opts
 
 
 # -- reusable Monte Carlo validation pieces -------------------------------------
@@ -217,29 +338,26 @@ def random_endpoint_pairs(box0, counts, n_pairs, rng):
 
 
 def exp_bridge_laws(cfg):
-    opts = cfg.get("experiment", {}).get("options", {})
-    rng = np.random.default_rng(_seed(cfg))
+    opts = _options(cfg, "bridge-laws")
+    sampler = _sampler(cfg)
+    rng = np.random.default_rng(sampler["seed"])
     beta = float(cfg["model"]["beta"])
-    S = int(cfg.get("sampler", {}).get("slices_per_beta", 32))
-    n_draws = int(opts.get("n_draws", 20000))
-    a_values = [float(a) for a in opts.get("deviation_thresholds", (0.5, 1.0, 1.5))]
-    k = int(opts.get("multiplicity", 1))
-    rows = skorohod_rows(a_values, k, float(opts.get("displacement", 0.0)),
-                         beta, S, n_draws, rng)
+    S = sampler["slices_per_beta"]
+    rows = skorohod_rows(opts["deviation_thresholds"], opts["multiplicity"],
+                         opts["displacement"], beta, S, opts["n_draws"], rng)
     # Dirichlet trace cross-check in one dimension
-    L = float(opts.get("dirichlet_half_side", 1.0))
-    est, se = dirichlet_trace_mc(L, beta, S, int(opts.get("dirichlet_draws", 20000)), rng)
+    L = opts["dirichlet_half_side"]
+    est, se = dirichlet_trace_mc(L, beta, S, opts["dirichlet_draws"], rng)
     target = analytic.dirichlet_interval_trace(L, beta)
     rows.append({"check": "dirichlet_trace", "parameter": L, "value": est,
                  "target": target, "std_error": se,
                  "pass": abs(est - target) <= 4.0 * max(se, 1e-12)})
     # marginal law at an interior grid time (Kolmogorov-Smirnov)
-    kk = max(2, k)
-    n_ks = int(opts.get("ks_draws", 20000))
+    kk = max(2, opts["multiplicity"])
     t_frac = 0.5
-    draws = np.empty(n_ks)
+    draws = np.empty(opts["ks_draws"])
     disp = 0.7
-    for i in range(n_ks):
+    for i in range(opts["ks_draws"]):
         p = bridge.sample_bridge([0.0], [disp], kk, 4, beta, rng)
         draws[i] = p.samples[p.samples.shape[0] // 2, 0]
     tt = t_frac * kk * beta
@@ -252,23 +370,15 @@ def exp_bridge_laws(cfg):
     return ExperimentResult(
         "bridge-laws",
         ["check", "parameter", "value", "target", "std_error", "pass"],
-        rows, {"n_draws": n_draws, "slices_per_beta": S}, verdict)
+        rows, {"n_draws": opts["n_draws"], "slices_per_beta": S}, verdict)
 
 
 def exp_free_validate(cfg):
-    params = build_params(cfg["model"])
-    if not params.is_free():
+    if not build_params(cfg["model"]).is_free():
         raise ValueError("free-validate requires an interaction-free model")
-    box, _ = build_geometry(cfg["geometry"], params.dimension)
-    chain = make_chain(cfg, params=params, box=box)
-    opts = cfg.get("experiment", {}).get("options", {})
-    burn = int(opts.get("burn_in", 200))
-    sweeps = int(opts.get("sweeps", 4000))
-    thin = int(opts.get("thin", 2))
-    window = Box(box.center, float(cfg["geometry"].get("window_half_side",
-                                                       box.half_side / 3.0)))
-    chain.run(burn)
-    est = mc.estimate_density(chain, window, sweeps, thin=thin)
+    params, box, _, chain, opts = _burned_in_chain(cfg, "free-validate")
+    est = mc.estimate_density(chain, _window(cfg["geometry"], box), opts["sweeps"],
+                              thin=opts["thin"])
     rows = []
     ok = True
     for j, z in enumerate(params.fugacity):
@@ -307,76 +417,64 @@ def exp_free_validate(cfg):
     return ExperimentResult(
         "free-validate",
         ["check", "parameter", "value", "target", "std_error", "pass"],
-        rows, {"sweeps": sweeps, "burn_in": burn, "window_volume": est.window_volume},
+        rows, {"sweeps": opts["sweeps"], "burn_in": opts["burn_in"],
+               "window_volume": est.window_volume},
         "pass" if ok else "fail", chain_obj=chain)
 
 
+_KERNEL_COLUMNS = ["pair_index", "counts", "value", "std_error",
+                   "truncation_bound", "n_samples", "status"]
+
+
+def _kernel_row(i, counts, est):
+    return {"pair_index": i, "counts": "/".join(str(c) for c in counts),
+            "value": est.value, "std_error": est.std_error,
+            "truncation_bound": est.truncation_bound,
+            "n_samples": est.n_samples, "status": est.status}
+
+
 def exp_kernel(cfg):
-    params = build_params(cfg["model"])
-    box, box0 = build_geometry(cfg["geometry"], params.dimension)
-    chain = make_chain(cfg, params=params, box=box)
-    opts = cfg.get("experiment", {}).get("options", {})
-    rng = np.random.default_rng(_seed(cfg) + 1)
-    counts = [int(c) for c in opts.get("counts", [1] * params.n_types)]
-    pairs = random_endpoint_pairs(box0, counts, int(opts.get("n_pairs", 2)), rng)
-    chain.run(int(opts.get("burn_in", 100)))
-    apply_excl = bool(opts.get("apply_exclusion", True))
+    params, _, box0, chain, opts = _burned_in_chain(cfg, "kernel")
+    rng = np.random.default_rng(_sampler(cfg)["seed"] + 1)
+    counts = _counts(opts, params)
+    pairs = random_endpoint_pairs(box0, counts, opts["n_pairs"], rng)
     rows = []
     for i, (starts, ends) in enumerate(pairs):
         est = mc.estimate_rdm_kernel(
             chain, starts, ends, box0,
-            n_snapshots=int(opts.get("n_snapshots", 200)),
-            thin=int(opts.get("thin", 2)),
-            inner_per_snapshot=int(opts.get("inner_per_snapshot", 2)),
-            apply_exclusion=apply_excl)
-        rows.append({"pair_index": i, "counts": "/".join(str(c) for c in counts),
-                     "value": est.value, "std_error": est.std_error,
-                     "truncation_bound": est.truncation_bound,
-                     "n_samples": est.n_samples, "status": est.status})
+            n_snapshots=opts["n_snapshots"], thin=opts["thin"],
+            inner_per_snapshot=opts["inner_per_snapshot"],
+            apply_exclusion=opts["apply_exclusion"])
+        rows.append(_kernel_row(i, counts, est))
     return ExperimentResult(
-        "kernel",
-        ["pair_index", "counts", "value", "std_error", "truncation_bound",
-         "n_samples", "status"],
-        rows, {"apply_exclusion": apply_excl, "box0_half_side": box0.half_side},
+        "kernel", _KERNEL_COLUMNS, rows,
+        {"apply_exclusion": opts["apply_exclusion"], "box0_half_side": box0.half_side},
         chain_obj=chain)
 
 
 def exp_q_kernel(cfg):
     params = build_params(cfg["model"])
     _, box0 = build_geometry(cfg["geometry"], params.dimension)
-    opts = cfg.get("experiment", {}).get("options", {})
-    rng = np.random.default_rng(_seed(cfg) + 2)
-    counts = [int(c) for c in opts.get("counts", [1] * params.n_types)]
-    pairs = random_endpoint_pairs(box0, counts, int(opts.get("n_pairs", 2)), rng)
-    sampler = cfg.get("sampler", {})
+    opts = _options(cfg, "q-kernel")
+    sampler = _sampler(cfg)
+    rng = np.random.default_rng(sampler["seed"] + 2)
+    counts = _counts(opts, params)
+    pairs = random_endpoint_pairs(box0, counts, opts["n_pairs"], rng)
     rows = []
     for i, (starts, ends) in enumerate(pairs):
         est = mc.estimate_reference_kernel(
             starts, ends, params, box0,
-            k_max=int(sampler.get("k_max", 20)),
-            S=int(sampler.get("slices_per_beta", 32)),
-            n_samples=int(opts.get("n_samples", 2000)), rng=rng)
-        rows.append({"pair_index": i, "counts": "/".join(str(c) for c in counts),
-                     "value": est.value, "std_error": est.std_error,
-                     "truncation_bound": est.truncation_bound,
-                     "n_samples": est.n_samples, "status": est.status})
-    return ExperimentResult(
-        "q-kernel",
-        ["pair_index", "counts", "value", "std_error", "truncation_bound",
-         "n_samples", "status"],
-        rows, {"box0_half_side": box0.half_side})
+            k_max=sampler["k_max"], S=sampler["slices_per_beta"],
+            n_samples=opts["n_samples"], rng=rng)
+        rows.append(_kernel_row(i, counts, est))
+    return ExperimentResult("q-kernel", _KERNEL_COLUMNS, rows,
+                            {"box0_half_side": box0.half_side})
 
 
 def exp_density(cfg):
-    params = build_params(cfg["model"])
-    box, _ = build_geometry(cfg["geometry"], params.dimension)
-    chain = make_chain(cfg, params=params, box=box)
-    opts = cfg.get("experiment", {}).get("options", {})
-    window = Box(box.center, float(cfg["geometry"].get("window_half_side",
-                                                       box.half_side / 3.0)))
-    chain.run(int(opts.get("burn_in", 200)))
-    est = mc.estimate_density(chain, window, int(opts.get("sweeps", 2000)),
-                              thin=int(opts.get("thin", 2)))
+    params, box, _, chain, opts = _burned_in_chain(cfg, "density")
+    est = mc.estimate_density(chain, _window(cfg["geometry"], box), opts["sweeps"],
+                              thin=opts["thin"])
     rows = []
     for j in range(params.n_types):
         rows.append({"kind": "anchor_density", "index": j,
@@ -392,15 +490,9 @@ def exp_density(cfg):
 
 
 def exp_k_tail(cfg):
-    params = build_params(cfg["model"])
-    box, box0 = build_geometry(cfg["geometry"], params.dimension)
-    chain = make_chain(cfg, params=params, box=box)
-    opts = cfg.get("experiment", {}).get("options", {})
-    k0_list = [int(k) for k in opts.get("k0", (4, 9, 16))]
-    chain.run(int(opts.get("burn_in", 200)))
-    tails = mc.estimate_multiplicity_tail(chain, box0, k0_list,
-                                          int(opts.get("sweeps", 4000)),
-                                          thin=int(opts.get("thin", 2)))
+    params, _, box0, chain, opts = _burned_in_chain(cfg, "k-tail")
+    tails = mc.estimate_multiplicity_tail(chain, box0, opts["k0"], opts["sweeps"],
+                                          thin=opts["thin"])
     rows = []
     ok = True
     for t in tails:
@@ -416,15 +508,11 @@ def exp_k_tail(cfg):
 
 
 def exp_shift_invariance(cfg):
-    params = build_params(cfg["model"])
-    box, box0 = build_geometry(cfg["geometry"], params.dimension)
-    chain = make_chain(cfg, params=params, box=box)
-    opts = cfg.get("experiment", {}).get("options", {})
-    shift = [float(s) for s in cfg["geometry"].get("shift", [1.0] + [0.0] * (params.dimension - 1))]
-    chain.run(int(opts.get("burn_in", 200)))
-    rep = mc.shift_invariance_probe(chain, box0, shift,
-                                    int(opts.get("sweeps", 4000)),
-                                    thin=int(opts.get("thin", 2)))
+    params, _, box0, chain, opts = _burned_in_chain(cfg, "shift-invariance")
+    shift = (settings(SECTIONS["geometry"], cfg["geometry"])["shift"]
+             or (1.0,) + (0.0,) * (params.dimension - 1))
+    rep = mc.shift_invariance_probe(chain, box0, shift, opts["sweeps"],
+                                    thin=opts["thin"])
     rows = []
     for j in range(params.n_types):
         rows.append({"kind": "anchor_density", "index": j,
@@ -446,8 +534,9 @@ def exp_shift_invariance(cfg):
 def exp_analytic(cfg):
     params = build_params(cfg["model"])
     _, box0 = build_geometry(cfg["geometry"], params.dimension)
-    opts = cfg.get("experiment", {}).get("options", {})
-    rng = np.random.default_rng(_seed(cfg) + 3)
+    opts = _options(cfg, "analytic")
+    sampler = _sampler(cfg)
+    rng = np.random.default_rng(sampler["seed"] + 3)
     beta = params.beta
     rows = []
     ok = True
@@ -465,23 +554,21 @@ def exp_analytic(cfg):
     # squared-kernel integrability bound against the numeric double integral
     hs = analytic.q_square_integral_bound(box0, params)
     numeric = numeric_q_square_integral(
-        box0, params, points_per_axis=int(opts.get("points_per_axis", 4)),
-        n_samples=int(opts.get("n_samples", 300)),
-        k_max=int(cfg.get("sampler", {}).get("k_max", 20)), rng=rng)
+        box0, params, points_per_axis=opts["points_per_axis"],
+        n_samples=opts["n_samples"], k_max=sampler["k_max"], rng=rng)
     good = hs > numeric
     ok = ok and good
     rows.append({"name": "hs_bound_vs_numeric", "value": hs,
                  "reference": numeric, "deviation": numeric - hs})
     # gradient-bound constants at the configured path counts
-    counts = [int(c) for c in opts.get("counts", [1] * params.n_types)]
-    a_grid = [float(a) for a in opts.get("envelope_grid", (1.0, 2.0, 3.0, 4.0))]
     tail_fit = bridge.fit_gaussian_tail_envelope(
-        params, box0, int(cfg.get("sampler", {}).get("k_max", 20)) // 2 or 1, a_grid)
+        params, box0, sampler["k_max"] // 2 or 1, opts["envelope_grid"])
     c = analytic.suggested_growth_constant(params, box0)
-    family = analytic.growth_family(opts.get("growth_family", "linear"), params.n_types)
+    family = analytic.growth_family(opts["growth_family"], params.n_types)
     b_val, b_arg, _, _ = analytic.external_control_bound(
-        family, c, params, np.arange(1.0, float(opts.get("growth_grid_max", 10.0)) + 0.5, 0.5))
-    g = analytic.gradient_bound_constants(counts, box0, params, tail_fit, b_val)
+        family, c, params, np.arange(1.0, opts["growth_grid_max"] + 0.5, 0.5))
+    g = analytic.gradient_bound_constants(_counts(opts, params), box0, params,
+                                          tail_fit, b_val)
     for label, val in (("gradient_same_object", g.same_object),
                        ("gradient_cross_type", g.cross_type),
                        ("gradient_background", g.background),
@@ -509,11 +596,9 @@ def exp_analytic(cfg):
 
 def exp_oracle(cfg):
     params = build_params(cfg["model"])
-    opts = cfg.get("experiment", {}).get("options", {})
-    n_sites = int(opts.get("n_sites", 4))
-    spacing = float(opts.get("spacing", 1.0))
-    n_max = opts.get("n_max", 2)
-    lm = oracle.line_lattice(n_sites, spacing, params, n_max,
+    opts = _options(cfg, "oracle")
+    n_sites, n_max = opts["n_sites"], opts["n_max"]
+    lm = oracle.line_lattice(n_sites, opts["spacing"], params, n_max,
                              dimension=params.dimension)
     table = oracle.partition_functions(lm)
     rows = [{"record": "sector", "key": "/".join(str(n) for n in nbar),
@@ -526,10 +611,9 @@ def exp_oracle(cfg):
     rows.append({"record": "trace_deviation", "key": "", "value": trace_dev})
     min_eig_R = float(np.linalg.eigvalsh((R + R.T) / 2.0)[0])
     rows.append({"record": "min_density_eigenvalue", "key": "", "value": min_eig_R})
-    inner0 = opts.get("inner0", list(range(n_sites - 1)))
-    inner1 = opts.get("inner1", list(range(max(1, n_sites - 2))))
-    dev = oracle.check_compatibility(lm, [int(i) for i in inner0],
-                                     [int(i) for i in inner1])
+    inner0 = opts["inner0"] if opts["inner0"] is not None else range(n_sites - 1)
+    inner1 = opts["inner1"] if opts["inner1"] is not None else range(max(1, n_sites - 2))
+    dev = oracle.check_compatibility(lm, list(inner0), list(inner1))
     rows.append({"record": "compatibility_deviation", "key": "", "value": dev})
     ok = dev < 1e-12 and trace_dev < 1e-12 and min_eig_R > -1e-10
     return ExperimentResult(
@@ -540,13 +624,10 @@ def exp_oracle(cfg):
 def exp_b_condition(cfg):
     params = build_params(cfg["model"])
     _, box0 = build_geometry(cfg["geometry"], params.dimension)
-    opts = cfg.get("experiment", {}).get("options", {})
-    family = analytic.growth_family(opts.get("growth_family", "ceil_linear"),
-                                    params.n_types)
-    c = float(opts.get("c", analytic.suggested_growth_constant(params, box0)))
-    grid = np.arange(float(opts.get("grid_min", 1.0)),
-                     float(opts.get("grid_max", 10.0)) + 1e-9,
-                     float(opts.get("grid_step", 0.5)))
+    opts = _options(cfg, "b-condition")
+    family = analytic.growth_family(opts["growth_family"], params.n_types)
+    c = opts["c"] if opts["c"] is not None else analytic.suggested_growth_constant(params, box0)
+    grid = np.arange(opts["grid_min"], opts["grid_max"] + 1e-9, opts["grid_step"])
     sup, arg, values, edge = analytic.external_control_bound(family, c, params, grid)
     rows = [{"L": float(L), "value": float(v)} for L, v in zip(grid, values)]
     return ExperimentResult(
@@ -579,12 +660,12 @@ def run_experiment(name, cfg):
     """
     if name not in RUNNERS:
         raise ValueError("unknown experiment %r" % (name,))
-    n_chains = max(1, int(cfg.get("sampler", {}).get("chains", 1)))
-    base_seed = int(cfg.get("sampler", {}).get("seed", 0))
+    sampler = _sampler(cfg)
+    n_chains = max(1, sampler["chains"])
     results = []
     for i in range(n_chains):
         sub = copy.deepcopy(cfg)
-        sub.setdefault("sampler", {})["seed"] = base_seed + 1009 * i
+        sub.setdefault("sampler", {})["seed"] = sampler["seed"] + 1009 * i
         results.append(RUNNERS[name](sub))
     rows = [{"chain": i, **row}
             for i, res in enumerate(results) for row in res.rows]

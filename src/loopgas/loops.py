@@ -66,19 +66,6 @@ class OpenPath:
         return self.path.samples
 
 
-class PathSystem:
-    """Open paths matched start-to-end by a permutation within each type.
-
-    permutations[j] is a tuple sigma with path l of type j running from
-    start point l to end point sigma(l); it is kept for bookkeeping by the
-    kernel estimators.
-    """
-
-    def __init__(self, paths, permutations):
-        self.paths = list(paths)
-        self.permutations = {int(j): tuple(p) for j, p in permutations.items()}
-
-
 class LoopConfig:
     """Mutable family of loops in a box, with optional external points."""
 
@@ -88,17 +75,11 @@ class LoopConfig:
         self.loops = list(loops) if loops else []
         self.external = external
 
-    def loops_of_type(self, j):
-        return [lp for lp in self.loops if lp.type_index == j]
-
     def type_counts(self, n_types):
         counts = [0] * n_types
         for lp in self.loops:
             counts[lp.type_index] += 1
         return counts
-
-    def n_loops(self):
-        return len(self.loops)
 
 
 def total_multiplicity(objects, type_index):

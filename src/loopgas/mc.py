@@ -11,6 +11,7 @@ sampled grid.
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import permutations, product as iproduct
 
@@ -41,6 +42,39 @@ class MoveStats:
         return self.accepted / self.proposed if self.proposed else 0.0
 
 
+# -- acceptance ratios, shared with the enumerable twin (surrogate) ---------------
+
+
+def insert_log_ratio(k, log_z, log_mass, dh, log_choices, n_after):
+    """Log acceptance ratio for inserting a loop of multiplicity k.
+
+    log_mass: log closed-bridge mass at its anchor; dh: energy it adds;
+    log_choices: log size of the insertion proposal (types x volume x k_max);
+    n_after: loop count after insertion.  Deleting that loop from n loops is
+    the exact negative, with n_after = n.
+    """
+    return (k * log_z - math.log(k) + log_mass - dh + log_choices
+            - math.log(n_after))
+
+
+def merge_log_ratio(k1, k2, log_g, dh, n_pairs, n_after):
+    """Log acceptance ratio for merging loops of multiplicity k1 and k2.
+
+    log_g: log mass of the new connecting legs minus the closing legs they
+    replace; n_pairs: ordered same-type pairs chosen from; n_after: loop count
+    after the merge.  Splitting a k-loop after leg m, from n loops, is
+    -merge_log_ratio(m, k - m, -log_g, -dh, pairs after the split, n).
+    """
+    k = k1 + k2
+    return (math.log(k1 * k2 / k) + log_g - dh + math.log(n_pairs)
+            - math.log(n_after * (k - 1)))
+
+
+def metropolis(log_ratio, rng):
+    """Accept with probability min(1, exp(log_ratio)); draws only if log_ratio < 0."""
+    return log_ratio >= 0 or rng.random() < math.exp(log_ratio)
+
+
 class Chain:
     """One Markov chain over loop configurations.
 
@@ -62,7 +96,7 @@ class Chain:
         self._h = 0.0
         w = np.asarray(self.opts.move_weights, dtype=float)
         self._move_cdf = np.cumsum(w) / np.sum(w)
-        self._log_volume = math.log(box.volume)
+        self._log_choices = math.log(params.n_types * box.volume * self.opts.k_max)
 
     # -- cached quantities ---------------------------------------------------
 
@@ -102,13 +136,11 @@ class Chain:
         st.proposed += 1
         rng = self.rng
         params = self.params
-        q = params.n_types
-        k_max = self.opts.k_max
         n = len(self.config.loops)
         if rng.random() < 0.5:
             # insertion
-            j = int(rng.integers(q))
-            k = int(rng.integers(1, k_max + 1))
+            j = int(rng.integers(params.n_types))
+            k = int(rng.integers(1, self.opts.k_max + 1))
             c = np.asarray(self.box.center)
             x = c + (rng.random(self.box.dimension) * 2.0 - 1.0) * self.box.half_side
             path = sample_bridge(x, x, k, self.opts.slices_per_beta,
@@ -119,11 +151,9 @@ class Chain:
             dh = self._delta_energy([loop])
             if math.isinf(dh):
                 return False
-            log_ratio = (k * math.log(params.fugacity[j]) - math.log(k)
-                         + log_bridge_mass(x, x, k, params.beta) - dh
-                         + math.log(q) + self._log_volume + math.log(k_max)
-                         - math.log(n + 1))
-            if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
+            if metropolis(insert_log_ratio(k, math.log(params.fugacity[j]),
+                                           log_bridge_mass(x, x, k, params.beta),
+                                           dh, self._log_choices, n + 1), rng):
                 self.config.loops.append(loop)
                 self._h += dh
                 st.accepted += 1
@@ -137,11 +167,9 @@ class Chain:
         dh = self._delta_energy([loop], exclude=[loop])
         k, j = loop.k, loop.type_index
         x = loop.anchor
-        log_ratio = (-k * math.log(params.fugacity[j]) + math.log(k)
-                     - log_bridge_mass(x, x, k, params.beta) + dh
-                     - math.log(q) - self._log_volume - math.log(k_max)
-                     + math.log(n))
-        if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
+        if metropolis(-insert_log_ratio(k, math.log(params.fugacity[j]),
+                                        log_bridge_mass(x, x, k, params.beta),
+                                        dh, self._log_choices, n), rng):
             self.config.loops.pop(idx)
             self._h -= dh
             st.accepted += 1
@@ -166,8 +194,7 @@ class Chain:
         e_new = self._delta_energy([new], exclude=[old])
         if math.isinf(e_new):
             return False
-        log_ratio = -(e_new - e_old)
-        if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
+        if metropolis(-(e_new - e_old), rng):
             self.config.loops[idx] = new
             self._h += e_new - e_old
             st.accepted += 1
@@ -237,10 +264,8 @@ class Chain:
             return False
         log_g = (self._log_leg_gauss(uA, x2) + self._log_leg_gauss(uB, x1)
                  - self._log_leg_gauss(uA, x1) - self._log_leg_gauss(uB, x2))
-        n_after = len(self.config.loops) - 1
-        log_ratio = (math.log(k1 * k2 / k) + log_g - (e_new - e_old)
-                     + math.log(n_pairs) - math.log(n_after * (k - 1)))
-        if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
+        if metropolis(merge_log_ratio(k1, k2, log_g, e_new - e_old, n_pairs,
+                                      len(self.config.loops) - 1), rng):
             self.config.loops.remove(A)
             self.config.loops.remove(B)
             self.config.loops.append(merged)
@@ -285,9 +310,8 @@ class Chain:
         counts = self.config.type_counts(self.params.n_types)
         counts[old.type_index] += 1
         n_pairs_after = sum(c * (c - 1) for c in counts)
-        log_ratio = (math.log(k / (m * (k - m))) + log_g - (e_new - e_old)
-                     + math.log(n * (k - 1)) - math.log(n_pairs_after))
-        if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
+        if metropolis(-merge_log_ratio(m, k - m, -log_g, -(e_new - e_old),
+                                       n_pairs_after, n), rng):
             self.config.loops.pop(idx)
             self.config.loops.extend([loop1, loop2])
             self._h += e_new - e_old
@@ -332,15 +356,23 @@ _CKPT_TAG = "loopgas-checkpoint 1"
 
 
 def save_checkpoint(chain, path):
-    """Write sweeps, RNG state, and the configuration for bit-exact restart."""
+    """Write sweeps, RNG state, and the configuration for bit-exact restart.
+
+    Written beside path and moved over it once complete, so a crash
+    mid-write leaves the previous checkpoint intact.
+    """
     state = {
         "sweeps": chain.sweeps_done,
         "rng": chain.rng.bit_generator.state,
     }
-    with open(path, "w") as fh:
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "w") as fh:
         fh.write(_CKPT_TAG + "\n")
         fh.write(json.dumps(state) + "\n")
         fh.write(lps.dumps_config(chain.config))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path, params, options=None):
@@ -573,6 +605,32 @@ class DensityEstimate:
     warning: str = ""
 
 
+def _window_margin(box, window):
+    """Max-norm gap between the window's outer edge and the box boundary."""
+    offset = max(abs(np.asarray(window.center) - np.asarray(box.center)))
+    return box.half_side - (offset + window.half_side)
+
+
+def _window_snapshots(chain, windows, n_sweeps, thin):
+    """Snapshot the chain every thin sweeps: per window, snapshot and type the
+    anchor counts and multiplicity sums, and per window a histogram k -> loops.
+    """
+    n_snap = n_sweeps // thin
+    shape = (len(windows), n_snap, chain.params.n_types)
+    counts = np.zeros(shape)
+    k_sums = np.zeros(shape)
+    hists = [{} for _ in windows]
+    for i in range(n_snap):
+        chain.run(thin)
+        for lp in chain.config.loops:
+            for w, window in enumerate(windows):
+                if window.contains(lp.anchor):
+                    counts[w, i, lp.type_index] += 1
+                    k_sums[w, i, lp.type_index] += lp.k
+                    hists[w][lp.k] = hists[w].get(lp.k, 0) + 1
+    return counts, k_sums, hists
+
+
 def estimate_density(chain, window, n_sweeps, thin=1, n_batches=16):
     """Anchor density per type in a window, with multiplicity histogram.
 
@@ -580,31 +638,17 @@ def estimate_density(chain, window, n_sweeps, thin=1, n_batches=16):
     picks up boundary suppression; that is reported as a warning flag on
     the result rather than an error.
     """
-    margin = chain.box.half_side - (max(abs(np.asarray(window.center)
-                                            - np.asarray(chain.box.center)))
-                                    + window.half_side)
+    margin = _window_margin(chain.box, window)
     warning = ""
     if margin < chain.params.max_range:
         warning = ("window margin %.3g below interaction range %.3g; "
                    "boundary suppression may bias the estimate"
                    % (margin, chain.params.max_range))
-    q = chain.params.n_types
-    n_snap = n_sweeps // thin
-    counts = np.zeros((n_snap, q))
-    hist = {}
-    for i in range(n_snap):
-        chain.run(thin)
-        for lp in chain.config.loops:
-            if window.contains(lp.anchor):
-                counts[i, lp.type_index] += 1
-                hist[lp.k] = hist.get(lp.k, 0) + 1
+    counts, _, hists = _window_snapshots(chain, [window], n_sweeps, thin)
     vol = window.volume
-    vals, ses = [], []
-    for j in range(q):
-        v, se = batch_means(counts[:, j] / vol, n_batches)
-        vals.append(v)
-        ses.append(se)
-    return DensityEstimate(vals, ses, hist, n_snap, vol, warning)
+    vals, ses = map(list, zip(*[batch_means(counts[0, :, j] / vol, n_batches)
+                                for j in range(chain.params.n_types)]))
+    return DensityEstimate(vals, ses, hists[0], counts.shape[1], vol, warning)
 
 
 @dataclass
@@ -618,23 +662,10 @@ class TailEstimate:
 def estimate_multiplicity_tail(chain, box0, k0_list, n_sweeps, thin=1,
                                n_batches=16):
     """P(some type's total multiplicity among box0-anchored loops >= k0)."""
-    q = chain.params.n_types
-    n_snap = n_sweeps // thin
-    indicators = np.zeros((n_snap, len(k0_list)))
-    for i in range(n_snap):
-        chain.run(thin)
-        K = np.zeros(q)
-        for lp in chain.config.loops:
-            if box0.contains(lp.anchor):
-                K[lp.type_index] += lp.k
-        top = K.max() if q else 0.0
-        for c, k0 in enumerate(k0_list):
-            indicators[i, c] = 1.0 if top >= k0 else 0.0
-    out = []
-    for c, k0 in enumerate(k0_list):
-        p, se = batch_means(indicators[:, c], n_batches)
-        out.append(TailEstimate(int(k0), p, se, n_snap))
-    return out
+    _, k_sums, _ = _window_snapshots(chain, [box0], n_sweeps, thin)
+    top = k_sums[0].max(axis=1)
+    return [TailEstimate(int(k0), *batch_means(np.where(top >= k0, 1.0, 0.0), n_batches),
+                         top.size) for k0 in k0_list]
 
 
 @dataclass
@@ -664,31 +695,17 @@ def shift_invariance_probe(chain, box0, shift, n_sweeps, thin=1, n_batches=16,
     shifted = box0.shifted(shift)
     need = params.max_range + 3.0 * math.sqrt(params.beta)
     for w in (box0, shifted):
-        margin = box.half_side - (max(abs(np.asarray(w.center)
-                                          - np.asarray(box.center)))
-                                  + w.half_side)
+        margin = _window_margin(box, w)
         if margin < need:
             raise ValueError("window margin %.3g below range plus thermal length %.3g"
                              % (margin, need))
-    q = params.n_types
-    n_snap = n_sweeps // thin
-    base = np.zeros((n_snap, q))
-    shif = np.zeros((n_snap, q))
-    hist_b, hist_s = {}, {}
-    for i in range(n_snap):
-        chain.run(thin)
-        for lp in chain.config.loops:
-            if box0.contains(lp.anchor):
-                base[i, lp.type_index] += 1
-                hist_b[lp.k] = hist_b.get(lp.k, 0) + 1
-            if shifted.contains(lp.anchor):
-                shif[i, lp.type_index] += 1
-                hist_s[lp.k] = hist_s.get(lp.k, 0) + 1
+    (base, shif), _, (hist_b, hist_s) = _window_snapshots(chain, [box0, shifted],
+                                                          n_sweeps, thin)
     vol = box0.volume
     dens_b, dens_s, dses = [], [], []
     worst = 0.0
     ok = True
-    for j in range(q):
+    for j in range(params.n_types):
         vb, _ = batch_means(base[:, j] / vol, n_batches)
         vs, _ = batch_means(shif[:, j] / vol, n_batches)
         _, se_d = batch_means((base[:, j] - shif[:, j]) / vol, n_batches)

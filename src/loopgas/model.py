@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-_PROFILES = ("square_well", "smooth_bump", "table")
+PROFILES = ("square_well", "smooth_bump", "table")
 
 
 class PairPotential:
@@ -37,7 +37,7 @@ class PairPotential:
 
     def __init__(self, profile="square_well", hard_core=0.0, range_=1.0,
                  height=1.0, table_r=None, table_v=None):
-        if profile not in _PROFILES:
+        if profile not in PROFILES:
             raise ValueError("unknown potential profile %r" % (profile,))
         if hard_core < 0:
             raise ValueError("hard_core must be >= 0")

@@ -6,12 +6,12 @@ the Gaussian kernel of one grid slice, evaluated on the site set and left
 unnormalised.  Interior points of freshly proposed legs are drawn from the
 exact sequential conditionals (matrix powers of the step kernel), so every
 proposal density is available in closed form and the full state space of at
-most max_loops loops can be enumerated.  The acceptance ratios copy the
-continuum formulas verbatim: multiplicity factors, skeleton leg masses,
-selection counts, energy differences.  Flux and occupancy tests against the
-enumerated invariant law therefore exercise exactly the bookkeeping the
-continuum chain relies on, with the interaction energy evaluated by the
-production energy code on the embedded piecewise-linear paths.
+most max_loops loops can be enumerated.  Acceptance runs through the
+continuum chain's own functions (mc.insert_log_ratio, mc.merge_log_ratio,
+mc.metropolis) fed with the twin's multiplicities, leg masses, selection
+counts and energy differences, so flux and occupancy tests against the
+enumerated invariant law exercise the formulas the continuum chain runs on,
+with the energy from the production code on the embedded paths.
 """
 
 import itertools
@@ -20,6 +20,7 @@ from collections import Counter, namedtuple
 
 import numpy as np
 
+from . import mc
 from .bridge import BridgePath
 from .loops import Loop, interaction_energy
 
@@ -109,9 +110,6 @@ class DiscreteLoopGas:
 
     # -- update families, continuum ratio structure ------------------------------
 
-    def _accept(self, log_ratio):
-        return log_ratio >= 0 or self.rng.random() < math.exp(log_ratio)
-
     def step_insert_delete(self):
         rng = self.rng
         z = self.params.fugacity[0]
@@ -127,11 +125,9 @@ class DiscreteLoopGas:
             h_new = self.config_energy(self.state + [dl])
             if math.isinf(h_new):
                 return False
-            log_ratio = (k * math.log(z) - math.log(k)
-                         + math.log(self.Mpow[r][a, a]) - (h_new - h_old)
-                         + math.log(self.n_sites * self.k_max)
-                         - math.log(n + 1))
-            if self._accept(log_ratio):
+            if mc.metropolis(mc.insert_log_ratio(
+                    k, math.log(z), math.log(self.Mpow[r][a, a]), h_new - h_old,
+                    math.log(self.n_sites * self.k_max), n + 1), rng):
                 self.state.append(dl)
                 return True
             return False
@@ -142,11 +138,9 @@ class DiscreteLoopGas:
         h_old = self.config_energy(self.state)
         h_new = self.config_energy(self.state[:idx] + self.state[idx + 1:])
         r = dl.k * self.S
-        log_ratio = (-dl.k * math.log(z) + math.log(dl.k)
-                     - math.log(self.Mpow[r][dl.sites[0], dl.sites[0]])
-                     - (h_new - h_old)
-                     - math.log(self.n_sites * self.k_max) + math.log(n))
-        if self._accept(log_ratio):
+        if mc.metropolis(-mc.insert_log_ratio(
+                dl.k, math.log(z), math.log(self.Mpow[r][dl.sites[0], dl.sites[0]]),
+                h_old - h_new, math.log(self.n_sites * self.k_max), n), rng):
             self.state.pop(idx)
             return True
         return False
@@ -171,7 +165,7 @@ class DiscreteLoopGas:
         h_new = self.config_energy(self.state[:idx] + [new] + self.state[idx + 1:])
         if math.isinf(h_new):
             return False
-        if self._accept(-(h_new - h_old)):
+        if mc.metropolis(-(h_new - h_old), rng):
             self.state[idx] = new
             return True
         return False
@@ -212,9 +206,8 @@ class DiscreteLoopGas:
             return False
         log_g = (self.leg_log_mass(uA, x2) + self.leg_log_mass(uB, x1)
                  - self.leg_log_mass(uA, x1) - self.leg_log_mass(uB, x2))
-        log_ratio = (math.log(k1 * k2 / k) + log_g - (h_new - h_old)
-                     + math.log(n_pairs) - math.log((n - 1) * (k - 1)))
-        if self._accept(log_ratio):
+        if mc.metropolis(mc.merge_log_ratio(k1, k2, log_g, h_new - h_old,
+                                            n_pairs, n - 1), rng):
             self.state = rest + [merged]
             return True
         return False
@@ -249,10 +242,8 @@ class DiscreteLoopGas:
             return False
         log_g = (self.leg_log_mass(sm1, x1) + self.leg_log_mass(sk1, u)
                  - self.leg_log_mass(sm1, u) - self.leg_log_mass(sk1, x1))
-        n_pairs_after = (n + 1) * n
-        log_ratio = (math.log(k / (m * (k - m))) + log_g - (h_new - h_old)
-                     + math.log(n * (k - 1)) - math.log(n_pairs_after))
-        if self._accept(log_ratio):
+        if mc.metropolis(-mc.merge_log_ratio(m, k - m, -log_g, -(h_new - h_old),
+                                             (n + 1) * n, n), rng):
             self.state = rest + [loop1, loop2]
             return True
         return False

@@ -1,10 +1,15 @@
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
+import yaml
 
-from loopgas import cli, mc
+from loopgas import cli, experiments, mc
+
+SCHEMA_DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
 
 MINIMAL = """
 model:
@@ -148,6 +153,44 @@ geometry:
         assert errs == ["config must be a mapping of sections"]
 
 
+def documented_defaults():
+    """Heading -> {key: default cell} for every key table in the schema doc."""
+    tables, heading = {}, None
+    for line in SCHEMA_DOC.read_text().splitlines():
+        if line.startswith("#"):
+            heading = line.lstrip("#").split()[0]
+        elif line.startswith("| `"):
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            for key in re.findall(r"`([^`]+)`", cells[0]):
+                tables.setdefault(heading, {})[key] = cells[-1]
+    return tables
+
+
+def documented_value(cell):
+    """A default cell read back: REQUIRED, a `literal`, or None for prose."""
+    if cell == "required":
+        return experiments.REQUIRED
+    if cell.startswith("`"):
+        return yaml.safe_load(cell.split("`")[1])
+    return None
+
+
+class TestSchemaDoc:
+    def test_doc_lists_the_table(self):
+        table = {**experiments.SECTIONS, "potentials": experiments.POTENTIAL,
+                 **experiments.OPTIONS}
+        doc = documented_defaults()
+        assert set(doc) == set(table)
+        for heading, spec in table.items():
+            assert set(doc[heading]) == set(spec), heading
+            for key, f in spec.items():
+                static = list(f.default) if isinstance(f.default, tuple) else f.default
+                assert documented_value(doc[heading][key]) == static, (heading, key)
+
+    def test_every_experiment_has_an_options_table(self):
+        assert set(experiments.OPTIONS) == set(experiments.RUNNERS)
+
+
 class TestCells:
     def test_csv_cells(self):
         assert cli._csv_cell(True) == "true"
@@ -178,6 +221,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "model.fugacity[0]" in err
+
+    @pytest.mark.parametrize("config,key", [
+        (DENSITY.replace("thin: 2", "thin: 0"), "experiment.options.thin"),
+        (MINIMAL.replace("geometry:", "  potentials: 5\ngeometry:"),
+         "model.potentials"),
+        (DENSITY + "external:\n  points: [[{x: 1}]]\n", "external.points"),
+    ], ids=["zero-thin", "scalar-potentials", "non-numeric-points"])
+    def test_bad_values_reported_not_raised(self, tmp_path, capsys, config, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(config)
+        code = cli.main(["density", "--config", str(path),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err
 
     def test_out_default(self):
         args = cli.build_arg_parser().parse_args(

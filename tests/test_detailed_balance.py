@@ -1,17 +1,21 @@
 """Reversibility checks for the update families on the enumerable twin.
 
-The discrete gas shares the continuum acceptance formulas, so a flux
-imbalance here would flag a bookkeeping error in the proposal densities or
-selection counts.  Each trial starts from an exact stationary draw, applies
-one move of a single family, and records the transition; stationarity plus
-reversibility force matched counts across each unordered state pair.
+The discrete gas accepts its moves through the continuum chain's own ratio
+functions (mc.insert_log_ratio, mc.merge_log_ratio, mc.metropolis), so a flux
+imbalance here would flag an error in the production formulas or in the
+proposal densities and selection counts fed to them.  Each trial starts from
+an exact stationary draw, applies one move of a single family, and records
+the transition; stationarity plus reversibility force matched counts across
+each unordered state pair.
 """
 
-import numpy as np
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
-from loopgas import surrogate
+from loopgas import mc, surrogate
 from loopgas.model import ModelParams, PairPotential, zero_potential
 
 POSITIONS = [0.0, 0.6]
@@ -62,6 +66,51 @@ class TestFluxBalance:
     def test_interacting_model(self, family):
         p = flux_p_value(WELL, family, seed=FAMILIES.index(family) + 40)
         assert p > 0.01
+
+
+finite = st.floats(-30.0, 30.0, allow_nan=False)
+
+
+class TestSharedRatios:
+    @given(k=st.integers(1, 40), log_z=st.floats(-10.0, -1e-6), log_mass=finite,
+           dh=finite, log_choices=st.floats(0.0, 30.0), n=st.integers(0, 500))
+    def test_insert_then_delete_cancels(self, k, log_z, log_mass, dh,
+                                        log_choices, n):
+        # insert into n loops, then delete the same loop from the n + 1
+        forward = mc.insert_log_ratio(k, log_z, log_mass, dh, log_choices, n + 1)
+        reverse = -mc.insert_log_ratio(k, log_z, log_mass, dh, log_choices, n + 1)
+        assert forward + reverse == 0.0
+
+    @given(k1=st.integers(1, 20), k2=st.integers(1, 20), log_g=finite, dh=finite,
+           counts=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+           j=st.integers(0, 3))
+    def test_merge_then_split_cancels(self, k1, k2, log_g, dh, counts, j):
+        j %= len(counts)
+        counts[j] += 2  # the merged pair is of type j
+        pairs = sum(c * (c - 1) for c in counts)
+        forward = mc.merge_log_ratio(k1, k2, log_g, dh, pairs, sum(counts) - 1)
+        # split the merged loop after leg m = k1, as the chain counts it: the
+        # state the merge left, and its pair count with the split's extra loop
+        merged = list(counts)
+        merged[j] -= 1
+        split = list(merged)
+        split[j] += 1
+        k, m = k1 + k2, k1
+        log_g_split, dh_split = -log_g, -dh
+        reverse = -mc.merge_log_ratio(m, k - m, -log_g_split, -dh_split,
+                                      sum(c * (c - 1) for c in split), sum(merged))
+        assert abs(forward + reverse) <= 1e-12 * max(1.0, abs(forward))
+
+    def test_balance_tests_see_a_broken_merge_ratio(self, monkeypatch):
+        # dropping the multiplicity factor log(k1 k2 / k) from the shared
+        # function must unbalance the twin's merge/split flux
+        assert flux_p_value(WELL, "merge_split", seed=11, n_trials=10000) > 0.01
+        shared = mc.merge_log_ratio
+        monkeypatch.setattr(
+            mc, "merge_log_ratio",
+            lambda k1, k2, log_g, dh, n_pairs, n_after:
+            shared(k1, k2, log_g, dh, n_pairs, n_after) - math.log(k1 * k2 / (k1 + k2)))
+        assert flux_p_value(WELL, "merge_split", seed=11, n_trials=10000) < 1e-3
 
 
 class TestLawStructure:

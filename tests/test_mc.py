@@ -129,6 +129,25 @@ class TestCheckpointing:
         for la, lb in zip(a.config.loops, b.config.loops):
             assert np.array_equal(la.samples, lb.samples)
 
+    def test_crash_mid_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        params = well_params()
+        opts = mc.SamplerOptions(slices_per_beta=4, k_max=6)
+        chain = make_chain(params, half_side=3.0, seed=5, slices_per_beta=4, k_max=6)
+        chain.run(10)
+        path = str(tmp_path / "state.ckpt")
+        mc.save_checkpoint(chain, path)
+        chain.run(5)
+
+        def fail_mid_write(config):
+            raise OSError("device full")
+
+        monkeypatch.setattr(lps, "dumps_config", fail_mid_write)
+        with pytest.raises(OSError, match="device full"):
+            mc.save_checkpoint(chain, path)
+        monkeypatch.undo()
+        back = mc.load_checkpoint(path, params, options=opts)
+        assert back.sweeps_done == 10
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_text("not a checkpoint\n{}\n")
