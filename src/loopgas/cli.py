@@ -170,6 +170,12 @@ def _check_cross_fields(ok, experiment_name, errors):
         options = _check_section(OPTIONS[name], experiment["options"],
                                  "experiment.options", errors)
         _check_length(options, "counts", q, "experiment.options", errors)
+        if name == "oracle":
+            n_sites = options.get("n_sites", OPTIONS[name]["n_sites"].default)
+            for key in ("inner0", "inner1"):
+                if any(s >= n_sites for s in options.get(key) or ()):
+                    errors.append("at experiment.options.%s: site indices outside "
+                                  "[0, %d)" % (key, n_sites))
 
 
 def parse_config(text, experiment_name=None):

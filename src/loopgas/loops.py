@@ -14,44 +14,69 @@ multiplicities, and h the equal-time pair interaction energy.
 
 import io
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .bridge import BridgePath
 
 
-class Loop:
-    """Closed path of duration k*beta with a particle type."""
+class _Legged:
+    """Shared by Loop and OpenPath: a typed path and its leg geometry.
+
+    The wrapped path is never mutated (moves build new objects), so each
+    object computes its leg geometry once, on first use; the free gas never
+    asks for it.
+    """
 
     def __init__(self, type_index, path):
-        if not np.array_equal(path.samples[0], path.samples[-1]):
-            raise ValueError("loop path must return to its starting point")
         self.type_index = int(type_index)
         self.path = path
 
     @property
     def k(self):
         return self.path.k
-
-    @property
-    def anchor(self):
-        return self.path.samples[0]
 
     @property
     def samples(self):
         return self.path.samples
 
+    @cached_property
+    def leg_mids(self):
+        """Quadrature nodes of each leg, shape (k, S, d)."""
+        return self.path.leg_midpoints()
 
-class OpenPath:
-    """Open path of duration k*beta with a particle type."""
+    @cached_property
+    def leg_nodes(self):
+        """Grid samples bounding each leg, shape (k, S+1, d): a read-only view."""
+        s = self.path.samples
+        S = self.path.slices_per_beta
+        return np.lib.stride_tricks.as_strided(
+            s, shape=(self.k, S + 1, s.shape[1]),
+            strides=(S * s.strides[0],) + s.strides, writeable=False)
+
+    @cached_property
+    def leg_bounds(self):
+        """Per-leg bounding boxes of the nodes, (lo, hi), each of shape (k, d)."""
+        nodes = self.leg_nodes
+        return nodes.min(axis=1), nodes.max(axis=1)
+
+
+class Loop(_Legged):
+    """Closed path of duration k*beta with a particle type."""
 
     def __init__(self, type_index, path):
-        self.type_index = int(type_index)
-        self.path = path
+        if not np.array_equal(path.samples[0], path.samples[-1]):
+            raise ValueError("loop path must return to its starting point")
+        super().__init__(type_index, path)
 
     @property
-    def k(self):
-        return self.path.k
+    def anchor(self):
+        return self.path.samples[0]
+
+
+class OpenPath(_Legged):
+    """Open path of duration k*beta with a particle type."""
 
     @property
     def start(self):
@@ -60,10 +85,6 @@ class OpenPath:
     @property
     def end(self):
         return self.path.samples[-1]
-
-    @property
-    def samples(self):
-        return self.path.samples
 
 
 class LoopConfig:
@@ -126,31 +147,140 @@ def confined_to_box(objects, box):
 # equal local times, integrated over [0, beta] by the midpoint rule on the
 # shared S-grid.  All unordered leg pairs count, including pairs of legs of
 # the same object (m != m'), never a leg with itself.
+#
+# Every sum runs over explicit leg pairs, each row of one leg array against
+# the same row of the other.  Conditioning objects are stacked per type in a
+# LegTable, and a conditioning leg is visited only when its bounding box
+# comes within max(range, hard_core) of the target leg's box on every axis.
+# That filter is exact: midpoints and segments lie in the box of their
+# nodes, V = 0 for r >= range, and the box gap bounds every computed
+# distance from below (rounding is monotone).  The small widening of the
+# reach keeps that true for the segment gap, which rounds to either side.
+
+_MIXED_SLICES = "mixed slice counts in one energy evaluation"
+_REACH_SLACK = 1e-9  # relative widening of the reach; far above rounding
 
 
-class _Bundle:
-    """Per-object view used by the energy kernels: midpoints and segments."""
+def _geometry(obj):
+    """An object's stacked leg arrays: midpoints, nodes, box corners lo, hi."""
+    return (obj.leg_mids, obj.leg_nodes) + obj.leg_bounds
 
-    __slots__ = ("type_index", "mids", "segs")
 
-    def __init__(self, obj):
-        self.type_index = obj.type_index
-        self.mids = obj.path.leg_midpoints()
-        S = obj.path.slices_per_beta
-        k = obj.path.k
-        idx = np.arange(k)[:, None] * S + np.arange(S + 1)[None, :]
-        self.segs = obj.path.samples[idx]
+class _TypeLegs:
+    """The legs of the objects of one type, stacked in family order.
+
+    legs holds the stacked arrays of _geometry; start[i] is the first row
+    of objects[i] and start[-1] the row count.
+    """
+
+    __slots__ = ("objects", "start", "legs")
+
+    def __init__(self, objects):
+        self.objects = list(objects)
+        self.start = np.cumsum([0] + [o.k for o in self.objects])
+        self.legs = tuple(np.concatenate(parts)
+                          for parts in zip(*map(_geometry, self.objects)))
+
+    def rows(self, obj):
+        i = self.objects.index(obj)
+        return self.start[i], self.start[i + 1]
+
+    def replace(self, old, new):
+        i = self.objects.index(old)
+        for arr, part in zip(self.legs, _geometry(new)):
+            arr[self.start[i]:self.start[i + 1]] = part
+        self.objects[i] = new
+
+    def remove(self, obj):
+        i = self.objects.index(obj)
+        a, b = self.start[i], self.start[i + 1]
+        self.legs = tuple(np.concatenate([arr[:a], arr[b:]]) for arr in self.legs)
+        del self.objects[i]
+        self.start = np.concatenate([self.start[:i], self.start[i + 1:] - (b - a)])
+
+    def append(self, obj):
+        self.legs = tuple(np.concatenate([arr, part])
+                          for arr, part in zip(self.legs, _geometry(obj)))
+        self.objects.append(obj)
+        self.start = np.append(self.start, self.start[-1] + obj.k)
+
+
+class LegTable:
+    """The legs of a family of loops and paths, stacked per type.
+
+    Iterating gives the family's objects in order.  A chain keeps one for
+    its configuration and splices it as moves are accepted; excluding()
+    gives a view without some objects' legs, sharing the arrays, for the
+    energy of a move against the rest of the configuration.
+    """
+
+    def __init__(self, objects):
+        self.objects = list(objects)
+        self.left_out = ()
+        if len({o.path.slices_per_beta for o in self.objects}) > 1:
+            raise ValueError(_MIXED_SLICES)
+        by_type = {}
+        for o in self.objects:
+            by_type.setdefault(o.type_index, []).append(o)
+        self.types = {j: _TypeLegs(objs) for j, objs in by_type.items()}
+
+    def __len__(self):
+        return len(self.objects) - len(self.left_out)
+
+    def __iter__(self):
+        out = {id(o) for o in self.left_out}
+        return (o for o in self.objects if id(o) not in out)
+
+    def excluding(self, objects):
+        if not objects:
+            return self
+        view = object.__new__(LegTable)
+        view.__dict__.update(self.__dict__, left_out=tuple(objects))
+        return view
+
+    def replace(self, old, new):
+        """Put new, of old's type and multiplicity, in old's place."""
+        self.objects[self.objects.index(old)] = new
+        self.types[old.type_index].replace(old, new)
+
+    def splice(self, removed, added):
+        """Drop the removed objects and append the added ones, in order."""
+        for o in removed:
+            self.objects.remove(o)
+            self.types[o.type_index].remove(o)
+        for o in added:
+            self.objects.append(o)
+            if o.type_index in self.types:
+                self.types[o.type_index].append(o)
+            else:
+                self.types[o.type_index] = _TypeLegs([o])
+
+    def pairs_near(self, obj, j, reach):
+        """(obj's leg, type-j row) pairs whose boxes come within reach.
+
+        Rows of left-out objects are dropped.
+        """
+        T = self.types[j]
+        _, _, lo, hi = T.legs
+        olo, ohi = obj.leg_bounds
+        near = ((lo - ohi[:, None] < reach) & (olo[:, None] - hi < reach)).all(axis=-1)
+        for o in self.left_out:
+            if o.type_index == j:
+                a, b = T.rows(o)
+                near[:, a:b] = False
+        return np.nonzero(near)
 
 
 def _min_segment_gap_sq(segsA, segsB):
     """Smallest squared distance between equal-time linear segments.
 
-    segs arrays have shape (k, S+1, d).  For slice i the two paths move
-    linearly between their grid samples, so their difference is linear in the
-    local time; minimise the quadratic |d0 + t (d1 - d0)|^2 over t in [0, 1].
+    segs arrays have shape (P, S+1, d), row p of one against row p of the
+    other.  For slice i the two paths move linearly between their grid
+    samples, so their difference is linear in the local time; minimise the
+    quadratic |d0 + t (d1 - d0)|^2 over t in [0, 1].
     """
-    d0 = segsA[:, None, :-1, :] - segsB[None, :, :-1, :]
-    d1 = segsA[:, None, 1:, :] - segsB[None, :, 1:, :]
+    d0 = segsA[:, :-1, :] - segsB[:, :-1, :]
+    d1 = segsA[:, 1:, :] - segsB[:, 1:, :]
     v = d1 - d0
     vv = np.sum(v * v, axis=-1)
     t = np.zeros_like(vv)
@@ -160,37 +290,20 @@ def _min_segment_gap_sq(segsA, segsB):
     return np.sum(gap * gap, axis=-1)
 
 
-def _leg_pair_values(pot, midsA, midsB, segsA=None, segsB=None):
-    """Potential values on all leg pairs and slices, shape (kA, kB, S)."""
-    diff = midsA[:, None, :, :] - midsB[None, :, :, :]
+def _pair_energy(pot, a, ia, b, ib, dt, conservative):
+    """Energy of the leg pairs (row ia[p] of a, row ib[p] of b).
+
+    a and b are stacked leg arrays as from _geometry; pairs come in the
+    order given, which fixes the summation order.
+    """
+    diff = a[0][ia] - b[0][ib]
     r = np.sqrt(np.sum(diff * diff, axis=-1))
     vals = pot.evaluate(r)
-    if segsA is not None and pot.hard_core > 0:
-        close = _min_segment_gap_sq(segsA, segsB) < pot.hard_core ** 2
+    if conservative and pot.hard_core > 0:
+        close = _min_segment_gap_sq(a[1][ia], b[1][ib]) < pot.hard_core ** 2
         if np.any(close):
             vals = np.where(close, np.inf, vals)
-    return vals
-
-
-def _pair_energy(pot, A, B, dt, conservative):
-    sA = A.segs if conservative else None
-    sB = B.segs if conservative else None
-    vals = _leg_pair_values(pot, A.mids, B.mids, sA, sB)
     total = float(np.sum(vals))
-    if math.isinf(total) or math.isnan(total):
-        return math.inf
-    return total * dt
-
-
-def _self_energy(pot, A, dt, conservative):
-    k = A.mids.shape[0]
-    if k < 2:
-        return 0.0
-    sA = A.segs if conservative else None
-    vals = _leg_pair_values(pot, A.mids, A.mids, sA, sA)
-    iu = np.triu_indices(k, 1)
-    picked = vals[iu[0], iu[1], :]
-    total = float(np.sum(picked))
     if math.isinf(total) or math.isnan(total):
         return math.inf
     return total * dt
@@ -199,7 +312,7 @@ def _self_energy(pot, A, dt, conservative):
 def _external_energy(pot, A, points, dt):
     if points.size == 0:
         return 0.0
-    diff = A.mids[:, :, None, :] - points[None, None, :, :]
+    diff = A.leg_mids[:, :, None, :] - points[None, None, :, :]
     r = np.sqrt(np.sum(diff * diff, axis=-1))
     vals = pot.evaluate(r)
     total = float(np.sum(vals))
@@ -218,55 +331,53 @@ def interaction_energy(target, params, conditioning=None, external=None,
     Energy internal to the conditioning is deliberately not counted.  Returns
     +inf when any hard core is violated at a quadrature node (and, with
     conservative=True, anywhere along the straight segments between nodes).
+    conditioning is a LegTable or any iterable of loops and paths, which is
+    stacked into one.
     """
     if not target:
         return 0.0
     S = target[0].path.slices_per_beta
+    if any(o.path.slices_per_beta != S for o in target):
+        raise ValueError(_MIXED_SLICES)
     dt = params.beta / S
     P = params.potentials
-    bundles = [_Bundle(o) for o in target]
-    if any(b.mids.shape[1] != S for b in bundles):
-        raise ValueError("mixed slice counts in one energy evaluation")
     total = 0.0
-    for i, A in enumerate(bundles):
+    for i, A in enumerate(target):
+        a = _geometry(A)
         pot = P[A.type_index][A.type_index]
-        if not pot.is_zero():
-            total += _self_energy(pot, A, dt, conservative)
+        if not pot.is_zero() and A.k > 1:
+            ia, ib = np.triu_indices(A.k, 1)
+            total += _pair_energy(pot, a, ia, a, ib, dt, conservative)
             if math.isinf(total):
                 return math.inf
-        for B in bundles[i + 1:]:
+        for B in target[i + 1:]:
             pot = P[A.type_index][B.type_index]
             if pot.is_zero():
                 continue
-            total += _pair_energy(pot, A, B, dt, conservative)
+            ia, ib = np.indices((A.k, B.k)).reshape(2, -1)
+            total += _pair_energy(pot, a, ia, _geometry(B), ib, dt, conservative)
             if math.isinf(total):
                 return math.inf
     if conditioning:
-        # stack the conditioning legs per type: the cross energy is a plain
-        # sum over leg pairs, so one broadcast per type is equivalent
-        stacked = {}
-        for o in conditioning:
-            b = _Bundle(o)
-            if b.mids.shape[1] != S:
-                raise ValueError("mixed slice counts in one energy evaluation")
-            stacked.setdefault(b.type_index, []).append(b)
-        groups = []
-        for tj, bs in stacked.items():
-            grp = _Bundle.__new__(_Bundle)
-            grp.type_index = tj
-            grp.mids = np.concatenate([b.mids for b in bs])
-            grp.segs = np.concatenate([b.segs for b in bs])
-            groups.append(grp)
-        for A in bundles:
-            for B in groups:
-                pot = P[A.type_index][B.type_index]
+        if not isinstance(conditioning, LegTable):
+            conditioning = LegTable(conditioning)
+        if any(T.legs[0].shape[1] != S for T in conditioning.types.values()):
+            raise ValueError(_MIXED_SLICES)
+        for A in target:
+            a = _geometry(A)
+            for j, T in conditioning.types.items():
+                pot = P[A.type_index][j]
                 if pot.is_zero():
                     continue
-                total += _pair_energy(pot, A, B, dt, conservative)
+                reach = max(pot.range, pot.hard_core) * (1.0 + _REACH_SLACK)
+                ia, ib = conditioning.pairs_near(A, j, reach)
+                if ia.size == 0:
+                    continue
+                total += _pair_energy(pot, a, ia, T.legs, ib, dt, conservative)
                 if math.isinf(total):
                     return math.inf
     if external is not None and not external.is_empty():
-        for A in bundles:
+        for A in target:
             for jp in range(len(external.points)):
                 pot = P[A.type_index][jp]
                 if pot.is_zero():

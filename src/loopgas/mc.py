@@ -20,7 +20,7 @@ import numpy as np
 from . import loops as lps
 from .bridge import (BridgePath, bridge_mass, log_bridge_mass, resample_leg,
                      sample_bridge)
-from .loops import Loop, LoopConfig, OpenPath, interaction_energy
+from .loops import LegTable, Loop, LoopConfig, OpenPath, interaction_energy
 
 
 @dataclass
@@ -70,6 +70,12 @@ def merge_log_ratio(k1, k2, log_g, dh, n_pairs, n_after):
             - math.log(n_after * (k - 1)))
 
 
+def move_cdf(move_weights):
+    """Cumulative probabilities of picking insert/delete, merge/split, redraw."""
+    w = np.asarray(move_weights, dtype=float)
+    return np.cumsum(w) / np.sum(w)
+
+
 def metropolis(log_ratio, rng):
     """Accept with probability min(1, exp(log_ratio)); draws only if log_ratio < 0."""
     return log_ratio >= 0 or rng.random() < math.exp(log_ratio)
@@ -94,8 +100,8 @@ class Chain:
         self.stats = {"insert_delete": MoveStats(), "merge_split": MoveStats(),
                       "redraw": MoveStats()}
         self._h = 0.0
-        w = np.asarray(self.opts.move_weights, dtype=float)
-        self._move_cdf = np.cumsum(w) / np.sum(w)
+        self._table = None  # leg tables of config.loops, built by the first energy call
+        self._move_cdf = move_cdf(self.opts.move_weights)
         self._log_choices = math.log(params.n_types * box.volume * self.opts.k_max)
 
     # -- cached quantities ---------------------------------------------------
@@ -116,16 +122,36 @@ class Chain:
         self._h = h
         return drift
 
-    def _others(self, exclude):
-        ids = {id(o) for o in exclude}
-        return [lp for lp in self.config.loops if id(lp) not in ids]
+    def _legs(self):
+        """Per-type leg tables of config.loops, in list order.
+
+        Moves keep them in step through _replace and _splice; a list changed
+        from outside (assigned, appended to, or a new config) differs from
+        the table's copy and is stacked afresh.
+        """
+        if self._table is None or self._table.objects != self.config.loops:
+            self._table = LegTable(self.config.loops)
+        return self._table
+
+    def _replace(self, idx, new):
+        old = self.config.loops[idx]
+        self.config.loops[idx] = new
+        if self._table is not None:
+            self._table.replace(old, new)
+
+    def _splice(self, removed, added):
+        for o in removed:
+            self.config.loops.remove(o)
+        self.config.loops.extend(added)
+        if self._table is not None:
+            self._table.splice(removed, added)
 
     def _delta_energy(self, target, exclude=()):
         if self.params.is_free() and (self.config.external is None
                                       or self.config.external.is_empty()):
             return 0.0
         return interaction_energy(list(target), self.params,
-                                  conditioning=self._others(exclude),
+                                  conditioning=self._legs().excluding(exclude),
                                   external=self.config.external,
                                   conservative=self.opts.conservative_hard_core)
 
@@ -154,7 +180,7 @@ class Chain:
             if metropolis(insert_log_ratio(k, math.log(params.fugacity[j]),
                                            log_bridge_mass(x, x, k, params.beta),
                                            dh, self._log_choices, n + 1), rng):
-                self.config.loops.append(loop)
+                self._splice((), (loop,))
                 self._h += dh
                 st.accepted += 1
                 return True
@@ -170,7 +196,7 @@ class Chain:
         if metropolis(-insert_log_ratio(k, math.log(params.fugacity[j]),
                                         log_bridge_mass(x, x, k, params.beta),
                                         dh, self._log_choices, n), rng):
-            self.config.loops.pop(idx)
+            self._splice((loop,), ())
             self._h -= dh
             st.accepted += 1
             return True
@@ -195,7 +221,7 @@ class Chain:
         if math.isinf(e_new):
             return False
         if metropolis(-(e_new - e_old), rng):
-            self.config.loops[idx] = new
+            self._replace(idx, new)
             self._h += e_new - e_old
             st.accepted += 1
             return True
@@ -266,9 +292,7 @@ class Chain:
                  - self._log_leg_gauss(uA, x1) - self._log_leg_gauss(uB, x2))
         if metropolis(merge_log_ratio(k1, k2, log_g, e_new - e_old, n_pairs,
                                       len(self.config.loops) - 1), rng):
-            self.config.loops.remove(A)
-            self.config.loops.remove(B)
-            self.config.loops.append(merged)
+            self._splice((A, B), (merged,))
             self._h += e_new - e_old
             return True
         return False
@@ -312,8 +336,7 @@ class Chain:
         n_pairs_after = sum(c * (c - 1) for c in counts)
         if metropolis(-merge_log_ratio(m, k - m, -log_g, -(e_new - e_old),
                                        n_pairs_after, n), rng):
-            self.config.loops.pop(idx)
-            self.config.loops.extend([loop1, loop2])
+            self._splice((old,), (loop1, loop2))
             self._h += e_new - e_old
             return True
         return False
@@ -565,6 +588,8 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
         if not bg_ok:
             vals[snap] = 0.0
             continue
+        if not free:
+            background = LegTable(background)
         acc = 0.0
         for _ in range(inner_per_snapshot):
             for combo in combos:

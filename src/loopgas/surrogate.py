@@ -58,6 +58,8 @@ class DiscreteLoopGas:
             self.Mpow.append(self.Mpow[-1] @ self.M)
         self.state = []
         self._energy_cache = {}
+        # the continuum chain's default family weights, wiggle for redraw
+        self._move_cdf = mc.move_cdf(mc.SamplerOptions().move_weights)
 
     # -- loop values and weights ----------------------------------------------
 
@@ -261,9 +263,9 @@ class DiscreteLoopGas:
 
     def step(self):
         r = self.rng.random()
-        if r < 0.4:
+        if r < self._move_cdf[0]:
             return self.step_insert_delete()
-        if r < 0.6:
+        if r < self._move_cdf[1]:
             return self.step_merge_split()
         return self.step_wiggle()
 

@@ -222,16 +222,19 @@ class TestMain:
         assert err.startswith("config error:")
         assert "model.fugacity[0]" in err
 
-    @pytest.mark.parametrize("config,key", [
-        (DENSITY.replace("thin: 2", "thin: 0"), "experiment.options.thin"),
-        (MINIMAL.replace("geometry:", "  potentials: 5\ngeometry:"),
+    @pytest.mark.parametrize("command,config,key", [
+        ("density", DENSITY.replace("thin: 2", "thin: 0"), "experiment.options.thin"),
+        ("density", MINIMAL.replace("geometry:", "  potentials: 5\ngeometry:"),
          "model.potentials"),
-        (DENSITY + "external:\n  points: [[{x: 1}]]\n", "external.points"),
-    ], ids=["zero-thin", "scalar-potentials", "non-numeric-points"])
-    def test_bad_values_reported_not_raised(self, tmp_path, capsys, config, key):
+        ("density", DENSITY + "external:\n  points: [[{x: 1}]]\n", "external.points"),
+        ("oracle", MINIMAL + "experiment:\n  options: {n_sites: 3, inner0: [0, 7], "
+         "inner1: [7]}\n", "experiment.options.inner0"),
+    ], ids=["zero-thin", "scalar-potentials", "non-numeric-points",
+            "oracle-site-past-lattice"])
+    def test_bad_values_reported_not_raised(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "bad.yaml"
         path.write_text(config)
-        code = cli.main(["density", "--config", str(path),
+        code = cli.main([command, "--config", str(path),
                          "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopgas import loops as lps
 from loopgas.bridge import BridgePath, sample_bridge
-from loopgas.model import (Box, ExternalConfiguration, ModelParams,
+from loopgas.model import (PROFILES, Box, ExternalConfiguration, ModelParams,
                            PairPotential, zero_potential)
 
 BETA = 1.0
@@ -158,6 +158,119 @@ class TestInteractionEnergy:
         b = [still_loop((0.5, 0.0), 1, 8)]
         with pytest.raises(ValueError):
             lps.interaction_energy(a, m, conditioning=b)
+
+
+def brute_force_energy(target, params, conditioning, conservative):
+    """Unfiltered equal-time pair sum, one leg pair at a time.
+
+    Every unordered pair of target legs and every (target leg, conditioning
+    leg) pair is evaluated, with the program's distance and segment-gap
+    arithmetic per slice and no range filter.
+    """
+    def legs(objs):
+        out = []
+        for o in objs:
+            s, S = o.samples, o.path.slices_per_beta
+            for m in range(o.k):
+                nodes = s[m * S: (m + 1) * S + 1]
+                out.append((o.type_index, 0.5 * (nodes[:-1] + nodes[1:]), nodes))
+        return out
+
+    def segment_gap_sq(na, nb):
+        best = math.inf
+        for i in range(na.shape[0] - 1):
+            d0, d1 = na[i] - nb[i], na[i + 1] - nb[i + 1]
+            v = d1 - d0
+            vv = float(np.sum(v * v))
+            t = min(max(-float(np.sum(d0 * v)) / vv, 0.0), 1.0) if vv > 0 else 0.0
+            gap = d0 + t * v
+            best = min(best, float(np.sum(gap * gap)))
+        return best
+
+    tl, cl = legs(target), legs(conditioning)
+    pairs = [(a, b) for i, a in enumerate(tl) for b in tl[i + 1:]]
+    pairs += [(a, b) for a in tl for b in cl]
+    dt = params.beta / target[0].path.slices_per_beta
+    total = 0.0
+    for (ta, ma, na), (tb, mb, nb) in pairs:
+        pot = params.potentials[ta][tb]
+        if conservative and pot.hard_core > 0 \
+                and segment_gap_sq(na, nb) < pot.hard_core ** 2:
+            return math.inf
+        d = ma - mb
+        total += float(np.sum(pot.evaluate(np.sqrt(np.sum(d * d, axis=-1))))) * dt
+    return total
+
+
+def profile_potential(profile, hard_core, range_):
+    if profile == "table":
+        return PairPotential(profile="table", hard_core=hard_core, range_=range_,
+                             table_r=np.linspace(hard_core, range_, 5),
+                             table_v=[1.0, 0.7, 0.4, 0.15, 0.0])
+    return PairPotential(profile=profile, hard_core=hard_core, range_=range_,
+                         height=1.3)
+
+
+class TestRangeFilter:
+    """The cross energy skips legs beyond reach; it must equal the full sum."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(PROFILES), st.booleans(),
+           st.sampled_from([0.0, 0.25]), st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.5]),
+           st.booleans())
+    def test_matches_unfiltered_sum(self, seed, profile, conservative, core, factor,
+                                    still):
+        g = np.random.default_rng(seed)
+        S = 4
+        ranges = {(0, 0): 0.8, (0, 1): 0.5, (1, 1): 1.1}
+        pots = {key: profile_potential(profile, core * r, r) for key, r in ranges.items()}
+        table = [[pots[(0, 0)], pots[(0, 1)]], [pots[(0, 1)], pots[(1, 1)]]]
+        params = ModelParams(2, 2, BETA, (0.5, 0.5), table)
+
+        def random_object(anchor, still=False):
+            j, k = int(g.integers(2)), int(g.integers(1, 4))
+            if still:  # every sample at the anchor: its box is a point
+                samples = np.tile(anchor, (k * S + 1, 1))
+                return lps.Loop(j, BridgePath(samples, k, S, BETA))
+            if g.random() < 0.5:
+                return lps.Loop(j, sample_bridge(anchor, anchor, k, S, BETA, g))
+            end = anchor + g.normal(size=2)
+            return lps.OpenPath(j, sample_bridge(anchor, end, k, S, BETA, g))
+
+        def moved(obj, shift):
+            p = obj.path
+            path = BridgePath(p.samples + shift, p.k, p.slices_per_beta, p.beta)
+            return type(obj)(obj.type_index, path)
+
+        conditioning = [random_object(g.uniform(-2.0, 2.0, 2), still)]
+        conditioning += [random_object(g.uniform(-2.0, 2.0, 2))
+                         for _ in range(int(g.integers(0, 6)))]
+        # the target's box sits factor * reach to the right of the first
+        # conditioning object's box: inside, at the edge of or beyond reach;
+        # for still objects the boxes are points, so the gap is their distance
+        near, base = conditioning[0], random_object(np.zeros(2), still)
+        pot = table[base.type_index][near.type_index]
+        reach = max(pot.range, pot.hard_core)
+        lo_c, hi_c = near.samples.min(axis=0), near.samples.max(axis=0)
+        lo_t = base.samples.min(axis=0)
+        shift = np.array([hi_c[0] - lo_t[0] + factor * reach, lo_c[1] - lo_t[1]])
+        target = [moved(base, shift)]
+        if g.random() < 0.5:
+            target.append(random_object(g.uniform(-2.0, 2.0, 2)))
+        want = brute_force_energy(target, params, conditioning, conservative)
+        # a stacked table with one more object, left out by excluding()
+        extra = random_object(g.uniform(-2.0, 2.0, 2))
+        at = int(g.integers(len(conditioning) + 1))
+        stacked = lps.LegTable(conditioning[:at] + [extra] + conditioning[at:])
+        view = stacked.excluding([extra])
+        assert list(view) == conditioning
+        for cond in (conditioning, view):
+            got = lps.interaction_energy(target, params, conditioning=cond,
+                                         conservative=conservative)
+            if math.isinf(want):
+                assert got == math.inf
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestLogWeight:

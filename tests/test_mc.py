@@ -7,8 +7,8 @@ from scipy import stats
 from loopgas import analytic, mc
 from loopgas import loops as lps
 from loopgas.bridge import bridge_mass, sample_bridge
-from loopgas.model import (Box, ModelParams, PairPotential, empty_external,
-                           zero_potential)
+from loopgas.model import (Box, ExternalConfiguration, ModelParams, PairPotential,
+                           empty_external, zero_potential)
 
 
 def free_params(z=0.5, d=2, beta=1.0):
@@ -28,6 +28,54 @@ def core_params(z=0.5, core=0.3, beta=1.0):
 def make_chain(params, half_side=4.0, seed=0, **opts):
     box = Box((0.0,) * params.dimension, half_side)
     return mc.Chain(params, box, options=mc.SamplerOptions(**opts), seed=seed)
+
+
+WELL = PairPotential(range_=1.0, height=0.7)
+BUMP_CORE = PairPotential(profile="smooth_bump", hard_core=0.15, range_=1.0, height=1.5)
+TABLE = PairPotential(profile="table", range_=1.0, table_r=[0.0, 0.3, 0.6, 1.0],
+                      table_v=[1.2, 0.8, 0.3, 0.0])
+
+
+def dense_gas(potentials):
+    q = len(potentials)
+    return ModelParams(2, q, 1.0, (0.8,) * q, potentials)
+
+
+# chains whose energy cache must match a from-scratch audit after every sweep
+DRIFT_SETUPS = {
+    "square-well": (dense_gas([[WELL]]), {}),
+    "bump-core-conservative": (dense_gas([[BUMP_CORE]]), {"conservative_hard_core": True}),
+    "table": (dense_gas([[TABLE]]), {}),
+    "external-points": (dense_gas([[WELL]]),
+                        {"external": [[[4.1, 0.5], [-1.0, -4.2], [0.0, 4.05]]]}),
+    "two-types": (dense_gas([[WELL, BUMP_CORE], [BUMP_CORE, TABLE]]), {}),
+}
+
+
+def drift_chain(setup, seed):
+    params, extra = DRIFT_SETUPS[setup]
+    box = Box((0.0, 0.0), 4.0)
+    external = None
+    if "external" in extra:
+        external = ExternalConfiguration(box, extra["external"], params.max_range)
+    conservative = extra.get("conservative_hard_core", False)
+    opts = mc.SamplerOptions(slices_per_beta=4, k_max=4,
+                             conservative_hard_core=conservative)
+    return mc.Chain(params, box, external=external, options=opts, seed=seed)
+
+
+def assert_tables_follow(chain):
+    """The chain's leg tables equal a fresh stacking of its loop list."""
+    table, fresh = chain._legs(), lps.LegTable(chain.config.loops)
+    assert table.objects == fresh.objects
+    for j in set(table.types) | set(fresh.types):
+        if j not in fresh.types:
+            assert table.types[j].start[-1] == 0
+            continue
+        got, want = table.types[j], fresh.types[j]
+        assert got.objects == want.objects
+        assert np.array_equal(got.start, want.start)
+        assert all(np.array_equal(a, b) for a, b in zip(got.legs, want.legs))
 
 
 class TestChainBasics:
@@ -110,6 +158,40 @@ class TestChainBasics:
         chi2 = float(np.sum((obs - exp) ** 2 / exp))
         p = 1.0 - stats.chi2.cdf(chi2, df=2)
         assert p > 0.01
+
+
+class TestEnergyCache:
+    @pytest.mark.parametrize("setup", list(DRIFT_SETUPS))
+    def test_cache_and_tables_follow_every_change(self, setup, tmp_path):
+        def sweeps(chain, n):
+            for _ in range(n):
+                chain.sweep()
+                assert chain.audit(tol=1e-10) <= 1e-10
+                assert_tables_follow(chain)
+
+        chain = drift_chain(setup, seed=3)
+        sweeps(chain, 25)
+        donor = drift_chain(setup, seed=4)
+        donor.run(20)
+        assert donor.config.loops
+        # the list is replaced, then appended to, from outside the chain;
+        # audit(tol=inf) re-seeds the cached energy as a caller must
+        chain.config.loops = list(donor.config.loops[1:])
+        chain.audit(tol=math.inf)
+        sweeps(chain, 10)
+        chain.config.loops.append(donor.config.loops[0])
+        chain.audit(tol=math.inf)
+        if math.isinf(chain.energy):  # the newcomer overlaps a hard core
+            chain.config.loops.pop()
+            chain.audit(tol=math.inf)
+        sweeps(chain, 10)
+        path = tmp_path / "state.ckpt"
+        mc.save_checkpoint(chain, str(path))
+        back = mc.load_checkpoint(str(path), chain.params, options=chain.opts)
+        sweeps(back, 10)
+        chain.config = back.config
+        chain.audit(tol=math.inf)
+        sweeps(chain, 5)
 
 
 class TestCheckpointing:
