@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 from .model import (Box, ExternalConfiguration, ModelParams, PairPotential,
                     empty_external, validate_params, zero_potential)
 from .bridge import (BridgePath, bridge_mass, log_bridge_mass, sample_bridge,
-                     resample_leg, max_deviation_tail,
+                     sample_bridges, resample_leg, max_deviation_tail,
                      empirical_max_deviation_tail, fit_gaussian_tail_envelope)
 from .loops import (Loop, LoopConfig, OpenPath, interaction_energy,
                     log_weight, dumps_config, loads_config)
@@ -34,7 +34,7 @@ __all__ = [
     "Box", "ExternalConfiguration", "ModelParams", "PairPotential",
     "empty_external", "validate_params", "zero_potential",
     "BridgePath", "bridge_mass", "log_bridge_mass", "sample_bridge",
-    "resample_leg", "max_deviation_tail", "empirical_max_deviation_tail",
+    "sample_bridges", "resample_leg", "max_deviation_tail", "empirical_max_deviation_tail",
     "fit_gaussian_tail_envelope",
     "Loop", "LoopConfig", "OpenPath", "interaction_energy",
     "log_weight", "dumps_config", "loads_config",

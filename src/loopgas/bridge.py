@@ -1,13 +1,17 @@
 """Brownian bridges of duration k*beta and their deviation laws.
 
 Paths are sampled on the uniform grid t_i = i*beta/S, i = 0..k*S, by
-recursive midpoint bisection, which is exact in law at every grid time.
+midpoint bisection, exact in law at every grid time, one depth level at a
+time over a batch of paths (a single path is a batch of one).  A batch of n
+uses the Generator's normals as n single draws in a row would, each path in
+the order of a depth-first walk that takes the right half first.
 The path measure used throughout is the non-normalised bridge measure whose
 total mass is the free transition kernel (2*pi*beta*k)^(-d/2) *
 exp(-|x-y|^2 / (2*k*beta)); sampling always uses the normalised law and the
 mass is carried separately as a weight.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,13 +64,6 @@ class BridgePath:
     def dimension(self):
         return self.samples.shape[1]
 
-    @property
-    def duration(self):
-        return self.k * self.beta
-
-    def grid_times(self):
-        return np.arange(self.samples.shape[0]) * (self.beta / self.slices_per_beta)
-
     def whole_step_points(self):
         """Positions at times m*beta, m = 0..k (the leg endpoints)."""
         return self.samples[:: self.slices_per_beta]
@@ -82,46 +79,59 @@ class BridgePath:
         return mids.reshape(self.k, self.slices_per_beta, self.dimension)
 
 
-def _fill_bisection(samples, times, lo, hi, rng):
-    """Recursively sample interior grid points of a bridge, exactly in law.
-
-    samples[lo] and samples[hi] must already be set.  The midpoint index is
-    Gaussian with the linear-interpolation mean and per-coordinate variance
-    (t_m - t_a)(t_b - t_m)/(t_b - t_a).
+@functools.lru_cache(maxsize=256)
+def _plan(lo, hi, dt):
+    """Per depth level of the bisection of (lo, hi): interval ends a, b and
+    midpoints m; each midpoint's noise slot in the depth-first walk that takes
+    the right half first (right child: parent's slot + 1, left child: parent's
+    slot + b - m); interpolation weights and standard deviations from i*dt.
     """
-    stack = [(lo, hi)]
-    while stack:
-        a, b = stack.pop()
-        if b - a < 2:
-            continue
+    levels, nodes = [], [(lo, hi, 0)]
+    while nodes:
+        a, b, slot = map(np.array, zip(*nodes))
         m = (a + b) // 2
-        ta, tm, tb = times[a], times[m], times[b]
-        w = (tm - ta) / (tb - ta)
-        mean = (1.0 - w) * samples[a] + w * samples[b]
-        var = (tm - ta) * (tb - tm) / (tb - ta)
-        samples[m] = mean + math.sqrt(var) * rng.standard_normal(samples.shape[1])
-        stack.append((a, m))
-        stack.append((m, b))
+        ta, tm, tb = a * dt, m * dt, b * dt
+        w = ((tm - ta) / (tb - ta))[:, None]
+        levels.append((a, m, b, slot, 1.0 - w, w,
+                       np.sqrt((tm - ta) * (tb - tm) / (tb - ta))[:, None]))
+        nodes = [c for ai, mi, bi, si in zip(a, m, b, slot)
+                 for c in ((mi, bi, si + 1), (ai, mi, si + bi - mi)) if c[1] - c[0] >= 2]
+    return tuple(levels)
+
+
+def _bisect(samples, lo, hi, dt, rng):
+    """Fill samples[:, lo+1:hi] of an (n, grid, d) batch whose columns lo, hi are set.
+
+    A midpoint is Gaussian around the interpolation of its interval's ends
+    with per-coordinate variance (t_m - t_a)(t_b - t_m)/(t_b - t_a); one
+    standard_normal call draws the whole batch's noise.
+    """
+    if hi - lo >= 2:
+        noise = rng.standard_normal((samples.shape[0], hi - lo - 1, samples.shape[2]))
+        for a, m, b, slot, wa, wb, sd in _plan(lo, hi, dt):
+            samples[:, m] = wa * samples[:, a] + wb * samples[:, b] + sd * noise[:, slot]
+
+
+def sample_bridges(x, y, k, S, beta, rng):
+    """Draw bridges from x[i] to y[i], shape (n, d), of duration k*beta.
+
+    Returns samples of shape (n, k*S + 1, d) on the grid i*beta/S, exact in
+    law: at time t, Gaussian around the interpolated mean with variance
+    t*(k*beta - t)/(k*beta) per coordinate.  Row i equals the i-th of n
+    successive sample_bridge calls on the same Generator, bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    if k < 1 or S < 1:
+        raise ValueError("k and S must be positive integers")
+    samples = np.empty((x.shape[0], k * S + 1, x.shape[1]))
+    samples[:, 0], samples[:, -1] = x, y
+    _bisect(samples, 0, k * S, beta / S, rng)
+    return samples
 
 
 def sample_bridge(x, y, k, S, beta, rng):
-    """Draw a bridge from x to y of duration k*beta on the S-per-beta grid.
-
-    Returns a BridgePath whose grid marginals follow the exact bridge law:
-    at time t, Gaussian around the interpolated mean with per-coordinate
-    variance t*(k*beta - t)/(k*beta).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if k < 1 or S < 1:
-        raise ValueError("k and S must be positive integers")
-    n = k * S
-    d = x.size
-    samples = np.empty((n + 1, d))
-    samples[0] = x
-    samples[n] = y
-    times = np.arange(n + 1) * (beta / S)
-    _fill_bisection(samples, times, 0, n, rng)
+    """Draw one bridge from x to y of duration k*beta: sample_bridges for a batch of one."""
+    samples = sample_bridges([np.ravel(x)], [np.ravel(y)], k, S, beta, rng)[0]
     return BridgePath(samples=samples, k=k, slices_per_beta=S, beta=beta)
 
 
@@ -131,10 +141,8 @@ def resample_leg(path, m, rng):
     Returns a new BridgePath; the input is not modified.
     """
     S = path.slices_per_beta
-    lo, hi = m * S, (m + 1) * S
     samples = path.samples.copy()
-    times = np.arange(path.samples.shape[0]) * (path.beta / S)
-    _fill_bisection(samples, times, lo, hi, rng)
+    _bisect(samples[None], m * S, (m + 1) * S, path.beta / S, rng)
     return BridgePath(samples=samples, k=path.k, slices_per_beta=S, beta=path.beta)
 
 
@@ -228,25 +236,20 @@ def path_stay_probability(samples_1d, lo, hi, tau_slice):
     Product over consecutive grid pairs of the exact conditional two-barrier
     stay probability.  This removes the discretisation bias a bare
     grid-membership test would have: excursions between grid times are
-    accounted for in law.
+    accounted for in law.  Leading axes before the grid axis are a batch.
     """
     s = np.asarray(samples_1d, dtype=float)
-    if np.any((s <= lo) | (s >= hi)):
-        return 0.0
-    probs = slice_stay_probability(lo, hi, s[:-1], s[1:], tau_slice)
-    return float(np.prod(probs))
+    inside = np.all((s > lo) & (s < hi), axis=-1)
+    probs = slice_stay_probability(lo, hi, s[..., :-1], s[..., 1:], tau_slice)
+    out = np.where(inside, np.prod(probs, axis=-1), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def box_stay_probability(samples, box, tau_slice):
-    """Per-coordinate product of interval survival for a d-dim path skeleton."""
-    total = 1.0
-    for i in range(samples.shape[1]):
-        c = box.center[i]
-        total *= path_stay_probability(samples[:, i], c - box.half_side,
-                                       c + box.half_side, tau_slice)
-        if total == 0.0:
-            break
-    return total
+    """Per-coordinate product of interval survival for (..., grid, d) skeletons."""
+    return math.prod(path_stay_probability(samples[..., i], c - box.half_side,
+                                           c + box.half_side, tau_slice)
+                     for i, c in enumerate(box.center))
 
 
 def empirical_max_deviation_tail(a, k, displacement, beta, S, n_draws, rng):
@@ -257,16 +260,10 @@ def empirical_max_deviation_tail(a, k, displacement, beta, S, n_draws, rng):
     first leg, so the estimate is unbiased for the continuum law at any S.
     Returns (estimate, standard_error).
     """
-    vals = np.empty(n_draws)
-    tau = beta / S
-    for i in range(n_draws):
-        path = sample_bridge([0.0], [float(displacement)], k, S, beta, rng)
-        first_leg = path.samples[: S + 1, 0]
-        stay = path_stay_probability(first_leg, -a, a, tau)
-        vals[i] = 1.0 - stay
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_draws))
-    return est, se
+    paths = sample_bridges(np.zeros((n_draws, 1)), np.full((n_draws, 1), float(displacement)),
+                           k, S, beta, rng)
+    vals = 1.0 - path_stay_probability(paths[:, : S + 1, 0], -a, a, beta / S)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_draws))
 
 
 def fit_gaussian_tail_envelope(params, box, k_max, a_grid):

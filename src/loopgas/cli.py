@@ -22,7 +22,7 @@ import yaml
 
 from . import __version__, mc
 from .experiments import (OPTIONS, POTENTIAL, REQUIRED, RUNNERS, SECTIONS,
-                          run_experiment, settings)
+                          oracle_windows, run_experiment, settings)
 
 EXPERIMENT_NAMES = tuple(sorted(RUNNERS))
 
@@ -171,11 +171,15 @@ def _check_cross_fields(ok, experiment_name, errors):
                                  "experiment.options", errors)
         _check_length(options, "counts", q, "experiment.options", errors)
         if name == "oracle":
-            n_sites = options.get("n_sites", OPTIONS[name]["n_sites"].default)
-            for key in ("inner0", "inner1"):
-                if any(s >= n_sites for s in options.get(key) or ()):
+            opts = settings(OPTIONS[name], options)
+            inner0, inner1 = oracle_windows(opts)
+            for key, sites in (("inner0", inner0), ("inner1", inner1)):
+                if any(s >= opts["n_sites"] for s in sites):
                     errors.append("at experiment.options.%s: site indices outside "
-                                  "[0, %d)" % (key, n_sites))
+                                  "[0, %d)" % (key, opts["n_sites"]))
+            if not set(inner1) <= set(inner0):
+                errors.append("at experiment.options.inner1: %s not inside inner0 %s "
+                              "(absent windows default from n_sites)" % (inner1, inner0))
 
 
 def parse_config(text, experiment_name=None):

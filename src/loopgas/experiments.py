@@ -354,12 +354,8 @@ def exp_bridge_laws(cfg):
                  "pass": abs(est - target) <= 4.0 * max(se, 1e-12)})
     # marginal law at an interior grid time (Kolmogorov-Smirnov)
     kk = max(2, opts["multiplicity"])
-    t_frac = 0.5
-    draws = np.empty(opts["ks_draws"])
-    disp = 0.7
-    for i in range(opts["ks_draws"]):
-        p = bridge.sample_bridge([0.0], [disp], kk, 4, beta, rng)
-        draws[i] = p.samples[p.samples.shape[0] // 2, 0]
+    t_frac, disp, starts = 0.5, 0.7, np.zeros((opts["ks_draws"], 1))
+    draws = bridge.sample_bridges(starts, starts + disp, kk, 4, beta, rng)[:, 2 * kk, 0]
     tt = t_frac * kk * beta
     mean = disp * t_frac
     sd = math.sqrt(tt * (kk * beta - tt) / (kk * beta))
@@ -594,6 +590,13 @@ def exp_analytic(cfg):
         {"growth_constant": c}, "pass" if ok else "fail")
 
 
+def oracle_windows(opts):
+    """The oracle's outer and inner site windows, absent ones defaulted from n_sites."""
+    n = opts["n_sites"]
+    return (list(range(n - 1) if opts["inner0"] is None else opts["inner0"]),
+            list(range(max(1, n - 2)) if opts["inner1"] is None else opts["inner1"]))
+
+
 def exp_oracle(cfg):
     params = build_params(cfg["model"])
     opts = _options(cfg, "oracle")
@@ -611,9 +614,7 @@ def exp_oracle(cfg):
     rows.append({"record": "trace_deviation", "key": "", "value": trace_dev})
     min_eig_R = float(np.linalg.eigvalsh((R + R.T) / 2.0)[0])
     rows.append({"record": "min_density_eigenvalue", "key": "", "value": min_eig_R})
-    inner0 = opts["inner0"] if opts["inner0"] is not None else range(n_sites - 1)
-    inner1 = opts["inner1"] if opts["inner1"] is not None else range(max(1, n_sites - 2))
-    dev = oracle.check_compatibility(lm, list(inner0), list(inner1))
+    dev = oracle.check_compatibility(lm, *oracle_windows(opts))
     rows.append({"record": "compatibility_deviation", "key": "", "value": dev})
     ok = dev < 1e-12 and trace_dev < 1e-12 and min_eig_R > -1e-10
     return ExperimentResult(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import loops as lps
 from .bridge import (BridgePath, bridge_mass, log_bridge_mass, resample_leg,
-                     sample_bridge)
+                     sample_bridge, sample_bridges)
 from .loops import LegTable, Loop, LoopConfig, OpenPath, interaction_energy
 
 
@@ -68,6 +68,11 @@ def merge_log_ratio(k1, k2, log_g, dh, n_pairs, n_after):
     k = k1 + k2
     return (math.log(k1 * k2 / k) + log_g - dh + math.log(n_pairs)
             - math.log(n_after * (k - 1)))
+
+
+def leg_swap_log_ratio(log_mass, p, q, r, s):
+    """log_g of merge_log_ratio: log mass of legs p->s, q->r over legs p->r, q->s."""
+    return log_mass(p, s) + log_mass(q, r) - log_mass(p, r) - log_mass(q, s)
 
 
 def move_cdf(move_weights):
@@ -270,15 +275,13 @@ class Chain:
         if k > self.opts.k_max:
             return False
         x1, x2 = A.anchor, B.anchor
-        uA = A.samples[(k1 - 1) * S]
-        uB = B.samples[(k2 - 1) * S]
-        conn1 = sample_bridge(uA, x2, 1, S, beta, rng)
-        conn2 = sample_bridge(uB, x1, 1, S, beta, rng)
+        uA, uB = A.samples[(k1 - 1) * S], B.samples[(k2 - 1) * S]
+        conn1, conn2 = sample_bridges([uA, uB], [x2, x1], 1, S, beta, rng)
         samples = np.concatenate([
             A.samples[: (k1 - 1) * S + 1],
-            conn1.samples[1:],
+            conn1[1:],
             B.samples[1: (k2 - 1) * S + 1],
-            conn2.samples[1:],
+            conn2[1:],
         ])
         path = BridgePath(samples=samples, k=k, slices_per_beta=S, beta=beta)
         merged = Loop(A.type_index, path)
@@ -288,8 +291,7 @@ class Chain:
         e_new = self._delta_energy([merged], exclude=[A, B])
         if math.isinf(e_new):
             return False
-        log_g = (self._log_leg_gauss(uA, x2) + self._log_leg_gauss(uB, x1)
-                 - self._log_leg_gauss(uA, x1) - self._log_leg_gauss(uB, x2))
+        log_g = leg_swap_log_ratio(self._log_leg_gauss, uA, uB, x1, x2)
         if metropolis(merge_log_ratio(k1, k2, log_g, e_new - e_old, n_pairs,
                                       len(self.config.loops) - 1), rng):
             self._splice((A, B), (merged,))
@@ -312,10 +314,10 @@ class Chain:
         m = int(rng.integers(1, k))
         x1 = old.anchor
         u = old.samples[m * S]
-        close1 = sample_bridge(old.samples[(m - 1) * S], x1, 1, S, beta, rng)
-        close2 = sample_bridge(old.samples[(k - 1) * S], u, 1, S, beta, rng)
-        s1 = np.concatenate([old.samples[: (m - 1) * S + 1], close1.samples[1:]])
-        s2 = np.concatenate([old.samples[m * S: (k - 1) * S + 1], close2.samples[1:]])
+        um, uk = old.samples[(m - 1) * S], old.samples[(k - 1) * S]
+        close1, close2 = sample_bridges([um, uk], [x1, u], 1, S, beta, rng)
+        s1 = np.concatenate([old.samples[: (m - 1) * S + 1], close1[1:]])
+        s2 = np.concatenate([old.samples[m * S: (k - 1) * S + 1], close2[1:]])
         loop1 = Loop(old.type_index,
                      BridgePath(samples=s1, k=m, slices_per_beta=S, beta=beta))
         loop2 = Loop(old.type_index,
@@ -326,10 +328,7 @@ class Chain:
         e_new = self._delta_energy([loop1, loop2], exclude=[old])
         if math.isinf(e_new):
             return False
-        log_g = (self._log_leg_gauss(old.samples[(m - 1) * S], x1)
-                 + self._log_leg_gauss(old.samples[(k - 1) * S], u)
-                 - self._log_leg_gauss(old.samples[(m - 1) * S], u)
-                 - self._log_leg_gauss(old.samples[(k - 1) * S], x1))
+        log_g = leg_swap_log_ratio(self._log_leg_gauss, um, uk, u, x1)
         # ordered same-type pairs after the split
         counts = self.config.type_counts(self.params.n_types)
         counts[old.type_index] += 1

@@ -206,8 +206,7 @@ class DiscreteLoopGas:
         h_new = self.config_energy(rest + [merged])
         if math.isinf(h_new):
             return False
-        log_g = (self.leg_log_mass(uA, x2) + self.leg_log_mass(uB, x1)
-                 - self.leg_log_mass(uA, x1) - self.leg_log_mass(uB, x2))
+        log_g = mc.leg_swap_log_ratio(self.leg_log_mass, uA, uB, x1, x2)
         if mc.metropolis(mc.merge_log_ratio(k1, k2, log_g, h_new - h_old,
                                             n_pairs, n - 1), rng):
             self.state = rest + [merged]
@@ -242,8 +241,7 @@ class DiscreteLoopGas:
         h_new = self.config_energy(rest + [loop1, loop2])
         if math.isinf(h_new):
             return False
-        log_g = (self.leg_log_mass(sm1, x1) + self.leg_log_mass(sk1, u)
-                 - self.leg_log_mass(sm1, u) - self.leg_log_mass(sk1, x1))
+        log_g = mc.leg_swap_log_ratio(self.leg_log_mass, sm1, sk1, u, x1)
         if mc.metropolis(-mc.merge_log_ratio(m, k - m, -log_g, -(h_new - h_old),
                                              (n + 1) * n, n), rng):
             self.state = rest + [loop1, loop2]

@@ -106,6 +106,81 @@ class TestSampleBridge:
         assert not np.array_equal(q.samples[5:8], p.samples[5:8])
 
 
+def stack_walk(samples, times, lo, hi, rng):
+    """The depth-first bisection the batched sampler replaced, kept as reference.
+
+    Pops the right half of each interval first and draws one standard normal
+    vector per midpoint; the batched sampler must reproduce it bit for bit.
+    """
+    stack = [(lo, hi)]
+    while stack:
+        a, b = stack.pop()
+        if b - a < 2:
+            continue
+        m = (a + b) // 2
+        ta, tm, tb = times[a], times[m], times[b]
+        w = (tm - ta) / (tb - ta)
+        mean = (1.0 - w) * samples[a] + w * samples[b]
+        var = (tm - ta) * (tb - tm) / (tb - ta)
+        samples[m] = mean + math.sqrt(var) * rng.standard_normal(samples.shape[1])
+        stack.append((a, m))
+        stack.append((m, b))
+
+
+def stack_walk_bridge(x, y, k, S, beta, rng):
+    n = k * S
+    samples = np.empty((n + 1, x.size))
+    samples[0], samples[n] = x, y
+    stack_walk(samples, np.arange(n + 1) * (beta / S), 0, n, rng)
+    return samples
+
+
+GRIDS = [(k, S, d) for S in (1, 2, 3, 4, 7, 16) for k in range(1, 6) for d in (1, 2, 3)]
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("k,S,d", GRIDS)
+    def test_batch_is_successive_single_draws(self, k, S, d):
+        beta, n = 0.7, 4
+        ends = rng(100 + 10 * k + d).normal(size=(2, n, d))
+        g_batch, g_single, g_ref = rng(k * S * d), rng(k * S * d), rng(k * S * d)
+        batch = bridge.sample_bridges(ends[0], ends[1], k, S, beta, g_batch)
+        assert batch.shape == (n, k * S + 1, d)
+        for i in range(n):
+            single = bridge.sample_bridge(ends[0, i], ends[1, i], k, S, beta, g_single)
+            ref = stack_walk_bridge(ends[0, i], ends[1, i], k, S, beta, g_ref)
+            assert np.array_equal(batch[i], single.samples)
+            assert np.array_equal(batch[i], ref)
+        assert g_batch.bit_generator.state == g_single.bit_generator.state
+        assert g_batch.bit_generator.state == g_ref.bit_generator.state
+
+    @pytest.mark.parametrize("k,S,d", GRIDS)
+    def test_resample_leg_matches_stack_walk(self, k, S, d):
+        beta = 0.7
+        path = bridge.sample_bridge(np.zeros(d), np.ones(d), k, S, beta, rng(1))
+        times = np.arange(k * S + 1) * (beta / S)
+        g_new, g_ref = rng(2), rng(2)
+        for m in range(k):
+            got = bridge.resample_leg(path, m, g_new)
+            want = path.samples.copy()
+            stack_walk(want, times, m * S, (m + 1) * S, g_ref)
+            assert np.array_equal(got.samples, want)
+            assert g_new.bit_generator.state == g_ref.bit_generator.state
+
+    def test_batched_stay_probabilities_match_rows(self):
+        S, tau = 8, 1.0 / 8
+        paths = bridge.sample_bridges(np.zeros((50, 2)), np.zeros((50, 2)), 2, S, 1.0,
+                                      rng(11))
+        box = Box((0.1, -0.2), 0.9)
+        got = bridge.path_stay_probability(paths[:, :, 0], -0.8, 1.0, tau)
+        want = [bridge.path_stay_probability(p[:, 0], -0.8, 1.0, tau) for p in paths]
+        assert np.array_equal(got, want)
+        got = bridge.box_stay_probability(paths, box, tau)
+        want = [bridge.box_stay_probability(p, box, tau) for p in paths]
+        assert np.array_equal(got, want)
+        assert 0.0 < np.count_nonzero(got) < len(got)  # both branches are covered
+
+
 class TestDeviationTail:
     def test_skorohod_value_frozen(self):
         got = bridge.max_deviation_tail(1.0, 1, 0.0, 1.0)

@@ -229,8 +229,13 @@ class TestMain:
         ("density", DENSITY + "external:\n  points: [[{x: 1}]]\n", "external.points"),
         ("oracle", MINIMAL + "experiment:\n  options: {n_sites: 3, inner0: [0, 7], "
          "inner1: [7]}\n", "experiment.options.inner0"),
+        ("oracle", MINIMAL + "experiment:\n  options: {n_sites: 3, inner0: [0], "
+         "inner1: [2]}\n", "experiment.options.inner1"),
+        ("oracle", MINIMAL + "experiment:\n  options: {n_sites: 1}\n",
+         "experiment.options.inner1"),
     ], ids=["zero-thin", "scalar-potentials", "non-numeric-points",
-            "oracle-site-past-lattice"])
+            "oracle-site-past-lattice", "oracle-inner-not-nested",
+            "oracle-default-windows-not-nested"])
     def test_bad_values_reported_not_raised(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "bad.yaml"
         path.write_text(config)

@@ -1,4 +1,5 @@
-"""Fixed-seed trajectory fingerprints of the chain and its discrete twin.
+"""Fixed-seed trajectory fingerprints of the chain, its discrete twin and
+the batched bridge callers.
 
 Each fingerprint is a hash of dumps_config after a fixed run plus the
 accept counts per move family (for the twin: its final state and accepted
@@ -9,7 +10,9 @@ in CHANGES.md and pin the new values.
 
 import hashlib
 
-from loopgas import mc, surrogate
+import numpy as np
+
+from loopgas import bridge, cli, experiments, mc, surrogate
 from loopgas import loops as lps
 from loopgas.model import Box, ModelParams, PairPotential, zero_potential
 
@@ -51,3 +54,34 @@ def test_discrete_twin():
     assert surrogate.canonical(gas.state) == (
         surrogate.DiscreteLoop(k=2, sites=(1, 0, 1, 1)),)
     assert accepted == 8129
+
+
+def test_deviation_tail_stream():
+    # one batched draw of 3000 bridges through the first-leg survival product
+    got = bridge.empirical_max_deviation_tail(1.0, 3, 0.4, 1.0, 7, 3000,
+                                              np.random.default_rng(5))
+    assert got == (0.5788124682464019, 0.007873057960439266)
+
+
+BRIDGE_LAWS = """
+model: {dimension: 1, n_types: 1, beta: 1.0, fugacity: [0.5]}
+geometry: {box_half_side: 1.0}
+sampler: {slices_per_beta: 8, seed: 7}
+experiment:
+  name: bridge-laws
+  options: {n_draws: 400, deviation_thresholds: [0.5, 1.0], multiplicity: 2,
+            displacement: 0.3, dirichlet_half_side: 1.0, dirichlet_draws: 300,
+            ks_draws: 500}
+"""
+
+
+def test_bridge_laws_rows():
+    # deviation tails, Dirichlet trace and the KS marginal from one stream
+    result = experiments.run_experiment("bridge-laws", cli.parse_config(BRIDGE_LAWS))
+    assert [(r["check"], r["parameter"], float(r["value"]), r["std_error"])
+            for r in result.rows] == [
+        ("first_leg_deviation", 0.5, 0.9838499469417356, 0.0035912287169940034),
+        ("first_leg_deviation", 1.0, 0.49469084638946326, 0.021868234511605567),
+        ("dirichlet_trace", 1.0, 0.28802964619977683, 0.01959656774881343),
+        ("marginal_ks", 1.0, 0.10229581958565948, 0.0),
+    ]
