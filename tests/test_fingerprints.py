@@ -1,5 +1,5 @@
-"""Fixed-seed trajectory fingerprints of the chain, its discrete twin and
-the batched bridge callers.
+"""Fixed-seed trajectory fingerprints of the chain, its discrete twin, the
+batched bridge callers and the kernel estimators.
 
 Each fingerprint is a hash of dumps_config after a fixed run plus the
 accept counts per move family (for the twin: its final state and accepted
@@ -46,6 +46,13 @@ def test_widom_rowlinson_chain():
         "7eb3000129e0ef20 insert_delete=555/4917 merge_split=133/2541 redraw=4700/5110")
 
 
+def test_free_gas_chain():
+    # criterion 8's free set-up at S = 4: every insertion has dh = 0
+    params = ModelParams(2, 1, 1.0, (0.5,), [[zero_potential()]])
+    assert run_chain(params, 5.0, 27) == (
+        "cd0ebb44902c802b insert_delete=155/1383 merge_split=70/679 redraw=1260/1334")
+
+
 def test_discrete_twin():
     well = ModelParams(1, 1, 1.0, (0.4,),
                        [[PairPotential(profile="square_well", range_=0.8, height=1.2)]])
@@ -85,3 +92,34 @@ def test_bridge_laws_rows():
         ("dirichlet_trace", 1.0, 0.28802964619977683, 0.01959656774881343),
         ("marginal_ks", 1.0, 0.10229581958565948, 0.0),
     ]
+
+
+def test_reference_kernel():
+    # two types, three legs: multiplicity draws, bridges and box0 exclusion
+    params = ModelParams(2, 2, 1.0, (0.5, 0.4), [[zero_potential()] * 2] * 2)
+    starts = [[[0.6, 0.1], [-0.7, 0.3]], [[0.2, -0.8]]]
+    ends = [[[0.5, -0.4], [-0.3, 0.9]], [[-0.6, -0.7]]]
+    est = mc.estimate_reference_kernel(starts, ends, params, Box((0.0, 0.0), 0.5),
+                                       k_max=6, S=4, n_samples=200,
+                                       rng=np.random.default_rng(9))
+    assert (est.value, est.std_error) == (0.0005616570113467473, 2.0200158956217166e-05)
+
+
+def test_rdm_kernel():
+    # a square-well background from fixed loops, moved by merge/split and
+    # redraw only, under a two-leg inner family
+    well = ModelParams(2, 1, 1.0, (0.5,), [[PairPotential(range_=0.8, height=0.8)]])
+    chain = mc.Chain(well, Box((0.0, 0.0), 3.0), seed=4,
+                     options=mc.SamplerOptions(slices_per_beta=4, k_max=6,
+                                               move_weights=(0, 2, 4)))
+    rng = np.random.default_rng(2)
+    for x in [(1.2, 0.3), (-1.0, 1.1), (0.4, -1.3), (-0.9, -0.8)]:
+        x = np.array(x)
+        chain.config.loops.append(lps.Loop(0, bridge.sample_bridge(x, x, 2, 4, 1.0, rng)))
+    chain._h = lps.interaction_energy(chain.config.loops, well)
+    est = mc.estimate_rdm_kernel(chain, [[[0.3, 0.2], [-0.2, -0.1]]],
+                                 [[[0.1, -0.3], [-0.4, 0.2]]], Box((0.0, 0.0), 0.5),
+                                 n_snapshots=32, thin=1, inner_per_snapshot=2)
+    assert (est.value, est.std_error) == (0.0029404346595762825, 0.0003849203284521759)
+    assert fingerprint(chain) == (
+        "6ad33ac2a05baf4e insert_delete=0/0 merge_split=32/164 redraw=304/348")
