@@ -81,22 +81,29 @@ class BridgePath:
 
 @functools.lru_cache(maxsize=256)
 def _plan(lo, hi, dt):
-    """Per depth level of the bisection of (lo, hi): interval ends a, b and
-    midpoints m; each midpoint's noise slot in the depth-first walk that takes
-    the right half first (right child: parent's slot + 1, left child: parent's
-    slot + b - m); interpolation weights and standard deviations from i*dt.
+    """The bisection of (lo, hi) level by level, from the grid times i*dt.
+
+    Returns (slots, sd, levels).  slots lists the noise slot of every
+    midpoint, level after level: its place in the depth-first walk that
+    takes the right half first (right child: parent's slot + 1, left child:
+    parent's slot + b - m).  sd, shape (slots, 1, 1), holds their standard
+    deviations in the same order.  Per level: the midpoints m, their
+    interval ends a then b in one index array, the weights 1 - w then w of
+    those ends, shape (2L, 1, 1), and the level's rows of slots.
     """
-    levels, nodes = [], [(lo, hi, 0)]
+    levels, slots, sds, nodes = [], [], [], [(lo, hi, 0)]
     while nodes:
         a, b, slot = map(np.array, zip(*nodes))
         m = (a + b) // 2
         ta, tm, tb = a * dt, m * dt, b * dt
-        w = ((tm - ta) / (tb - ta))[:, None]
-        levels.append((a, m, b, slot, 1.0 - w, w,
-                       np.sqrt((tm - ta) * (tb - tm) / (tb - ta))[:, None]))
+        w = (tm - ta) / (tb - ta)
+        levels.append((m, np.concatenate([a, b]), np.concatenate([1.0 - w, w])[:, None, None],
+                       slice(len(slots), len(slots) + m.size)))
+        slots.extend(slot)
+        sds.extend(np.sqrt((tm - ta) * (tb - tm) / (tb - ta)))
         nodes = [c for ai, mi, bi, si in zip(a, m, b, slot)
                  for c in ((mi, bi, si + 1), (ai, mi, si + bi - mi)) if c[1] - c[0] >= 2]
-    return tuple(levels)
+    return np.array(slots), np.array(sds)[:, None, None], tuple(levels)
 
 
 def _bisect(samples, lo, hi, dt, rng):
@@ -104,12 +111,17 @@ def _bisect(samples, lo, hi, dt, rng):
 
     A midpoint is Gaussian around the interpolation of its interval's ends
     with per-coordinate variance (t_m - t_a)(t_b - t_m)/(t_b - t_a); one
-    standard_normal call draws the whole batch's noise.
+    standard_normal call draws the whole batch's noise, scaled in one
+    multiply.  Each level computes (wa*a + wb*b) + sd*z on a grid-major view.
     """
     if hi - lo >= 2:
+        slots, sd, levels = _plan(lo, hi, dt)
+        grid = samples.transpose(1, 0, 2)
         noise = rng.standard_normal((samples.shape[0], hi - lo - 1, samples.shape[2]))
-        for a, m, b, slot, wa, wb, sd in _plan(lo, hi, dt):
-            samples[:, m] = wa * samples[:, a] + wb * samples[:, b] + sd * noise[:, slot]
+        noise = noise.transpose(1, 0, 2)[slots] * sd
+        for m, ends, w, rows in levels:
+            part = w * grid[ends]
+            grid[m] = part[: m.size] + part[m.size:] + noise[rows]
 
 
 def sample_bridges(x, y, k, S, beta, rng):
@@ -131,7 +143,7 @@ def sample_bridges(x, y, k, S, beta, rng):
 
 def sample_bridge(x, y, k, S, beta, rng):
     """Draw one bridge from x to y of duration k*beta: sample_bridges for a batch of one."""
-    samples = sample_bridges([np.ravel(x)], [np.ravel(y)], k, S, beta, rng)[0]
+    samples = sample_bridges(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), k, S, beta, rng)[0]
     return BridgePath(samples=samples, k=k, slices_per_beta=S, beta=beta)
 
 

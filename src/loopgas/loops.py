@@ -66,7 +66,7 @@ class Loop(_Legged):
     """Closed path of duration k*beta with a particle type."""
 
     def __init__(self, type_index, path):
-        if not np.array_equal(path.samples[0], path.samples[-1]):
+        if path.samples[0].tolist() != path.samples[-1].tolist():
             raise ValueError("loop path must return to its starting point")
         super().__init__(type_index, path)
 
@@ -134,10 +134,8 @@ def confined_to_box(objects, box):
     This is the discrete-time stand-in for continuous confinement; excursions
     between grid times are not detected.
     """
-    for obj in objects:
-        if not np.all(box.contains(obj.samples)):
-            return False
-    return True
+    center = np.asarray(box.center)
+    return all(np.abs(obj.samples - center).max() <= box.half_side for obj in objects)
 
 
 # --- equal-time pair energy -------------------------------------------------

@@ -108,6 +108,11 @@ class Chain:
         self._table = None  # leg tables of config.loops, built by the first energy call
         self._move_cdf = move_cdf(self.opts.move_weights)
         self._log_choices = math.log(params.n_types * box.volume * self.opts.k_max)
+        # log closed-bridge mass of a k-loop by k: log_bridge_mass(x, x, k, beta)
+        # is the same double at every anchor x
+        origin = np.zeros(box.dimension)
+        self._log_loop_mass = [log_bridge_mass(origin, origin, k, params.beta)
+                               for k in range(1, self.opts.k_max + 1)]
 
     # -- cached quantities ---------------------------------------------------
 
@@ -183,7 +188,7 @@ class Chain:
             if math.isinf(dh):
                 return False
             if metropolis(insert_log_ratio(k, math.log(params.fugacity[j]),
-                                           log_bridge_mass(x, x, k, params.beta),
+                                           self._log_loop_mass[k - 1],
                                            dh, self._log_choices, n + 1), rng):
                 self._splice((), (loop,))
                 self._h += dh
@@ -197,9 +202,10 @@ class Chain:
         loop = self.config.loops[idx]
         dh = self._delta_energy([loop], exclude=[loop])
         k, j = loop.k, loop.type_index
-        x = loop.anchor
-        if metropolis(-insert_log_ratio(k, math.log(params.fugacity[j]),
-                                        log_bridge_mass(x, x, k, params.beta),
+        # a loop placed from outside may exceed the chain's k_max
+        log_mass = (self._log_loop_mass[k - 1] if k <= self.opts.k_max
+                    else log_bridge_mass(loop.anchor, loop.anchor, k, params.beta))
+        if metropolis(-insert_log_ratio(k, math.log(params.fugacity[j]), log_mass,
                                         dh, self._log_choices, n), rng):
             self._splice((loop,), ())
             self._h -= dh
@@ -441,9 +447,10 @@ class KernelEstimate:
 def _endpoint_tables(starts, ends, params, k_max):
     """Per type: permutations and per-leg multiplicity weight tables.
 
-    weights[j][(l, t)] is the vector over k = 1..k_max of z^k times the
-    bridge mass from start l to end t of type j; its sum is the exact leg
-    weight and its normalisation is the importance law for k.
+    weights[j][(l, t)] is (W, cdf): W sums over k = 1..k_max the terms z^k
+    times the bridge mass from start l to end t of type j, the exact leg
+    weight; cdf is the cumulative importance law for k, the terms over W,
+    normalised as Generator.choice normalises its p.
     """
     tables = []
     all_perms = []
@@ -457,7 +464,9 @@ def _endpoint_tables(starts, ends, params, k_max):
                 w = np.array([params.fugacity[j] ** k
                               * bridge_mass(xs[l], ys[t], k, params.beta)
                               for k in range(1, k_max + 1)])
-                table[(l, t)] = w
+                W = float(np.sum(w))
+                cdf = (w / W).cumsum() if W > 0.0 else np.ones(1)  # never drawn from
+                table[(l, t)] = W, cdf / cdf[-1]
         tables.append(table)
         all_perms.append(list(permutations(range(n))))
     return tables, all_perms
@@ -469,6 +478,8 @@ def _sample_path_product(tables, all_perms, combo, starts, ends, params, S,
 
     Returns (paths, log_weight_product) where the weight product is the exact
     sum over multiplicities per leg (the sampled k is importance-corrected).
+    k is drawn by inverse CDF from one uniform: the draw and the stream of
+    rng.choice(k_max, p=terms / W), bit for bit.
     """
     paths = []
     weight = 1.0
@@ -476,12 +487,10 @@ def _sample_path_product(tables, all_perms, combo, starts, ends, params, S,
         xs = np.asarray(starts[j], dtype=float)
         ys = np.asarray(ends[j], dtype=float)
         for l, t in enumerate(sigma):
-            w = tables[j][(l, t)]
-            W = float(np.sum(w))
+            W, cdf = tables[j][(l, t)]
             if W <= 0.0:
                 return None, 0.0
-            pk = w / W
-            k = 1 + int(rng.choice(len(pk), p=pk))
+            k = 1 + int(cdf.searchsorted(rng.random(), side="right"))
             path = sample_bridge(xs[l], ys[t], k, S, params.beta, rng)
             paths.append(OpenPath(j, path))
             weight *= W

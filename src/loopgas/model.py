@@ -93,7 +93,7 @@ class PairPotential:
         return out
 
     def _estimate_derivative_bounds(self, n=2049):
-        """Sup of |V|, |V'|, |V''| on the open finite region, by sampling.
+        """Sup of |V| and |V'| on the open finite region, by sampling.
 
         Finite differences on a dense interior grid.  Jumps at the support
         edges (square well) are deliberately not captured; the square well is
@@ -101,17 +101,15 @@ class PairPotential:
         """
         lo, hi = self.hard_core, self.range
         if hi <= lo:
-            return (0.0, 0.0, 0.0)
+            return (0.0, 0.0)
         pad = (hi - lo) * 1e-6
         rs = np.linspace(lo + pad, hi - pad, n)
         vals = self._finite_profile(rs)
         step = rs[1] - rs[0]
         d1 = np.gradient(vals, step)
-        d2 = np.gradient(d1, step)
         # trim one point at each edge where one-sided differences are noisy
         return (float(np.max(np.abs(vals))),
-                float(np.max(np.abs(d1[1:-1]))),
-                float(np.max(np.abs(d2[2:-2]))))
+                float(np.max(np.abs(d1[1:-1]))))
 
     @property
     def sup_value(self):
@@ -120,10 +118,6 @@ class PairPotential:
     @property
     def sup_gradient(self):
         return self._derivative_bounds[1]
-
-    @property
-    def sup_curvature(self):
-        return self._derivative_bounds[2]
 
     def is_zero(self):
         return self.hard_core == 0.0 and (self.range == 0.0 or self.sup_value == 0.0)
