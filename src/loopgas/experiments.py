@@ -519,11 +519,13 @@ def exp_shift_invariance(cfg):
         rows.append({"kind": "multiplicity_count", "index": int(k),
                      "base_value": float(rep.histogram_base.get(k, 0)),
                      "shifted_value": float(rep.histogram_shifted.get(k, 0)),
-                     "diff_std_error": 0.0})
+                     "diff_std_error": rep.histogram_diff_std_errors[k]})
     return ExperimentResult(
         "shift-invariance",
         ["kind", "index", "base_value", "shifted_value", "diff_std_error"],
-        rows, {"shift": shift, "max_sigma": rep.max_sigma, "note": rep.note},
+        rows, {"shift": shift, "max_sigma": rep.max_sigma,
+               "max_density_sigma": rep.density_sigma,
+               "max_histogram_sigma": rep.histogram_sigma, "note": rep.note},
         "pass" if rep.consistent else "fail", chain_obj=chain)
 
 

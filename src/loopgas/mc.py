@@ -646,7 +646,8 @@ def _window_margin(box, window):
 
 def _window_snapshots(chain, windows, n_sweeps, thin):
     """Snapshot the chain every thin sweeps: per window, snapshot and type the
-    anchor counts and multiplicity sums, and per window a histogram k -> loops.
+    anchor counts and multiplicity sums, and per window a histogram k ->
+    per-snapshot counts of k-loops.
     """
     n_snap = n_sweeps // thin
     shape = (len(windows), n_snap, chain.params.n_types)
@@ -660,8 +661,15 @@ def _window_snapshots(chain, windows, n_sweeps, thin):
                 if window.contains(lp.anchor):
                     counts[w, i, lp.type_index] += 1
                     k_sums[w, i, lp.type_index] += lp.k
-                    hists[w][lp.k] = hists[w].get(lp.k, 0) + 1
+                    if lp.k not in hists[w]:
+                        hists[w][lp.k] = np.zeros(n_snap)
+                    hists[w][lp.k][i] += 1
     return counts, k_sums, hists
+
+
+def _pooled(hist):
+    """Histogram k -> loops over all snapshots."""
+    return {k: int(per_snap.sum()) for k, per_snap in hist.items()}
 
 
 def estimate_density(chain, window, n_sweeps, thin=1, n_batches=16):
@@ -681,7 +689,7 @@ def estimate_density(chain, window, n_sweeps, thin=1, n_batches=16):
     vol = window.volume
     vals, ses = map(list, zip(*[batch_means(counts[0, :, j] / vol, n_batches)
                                 for j in range(chain.params.n_types)]))
-    return DensityEstimate(vals, ses, hists[0], counts.shape[1], vol, warning)
+    return DensityEstimate(vals, ses, _pooled(hists[0]), counts.shape[1], vol, warning)
 
 
 @dataclass
@@ -701,6 +709,25 @@ def estimate_multiplicity_tail(chain, box0, k0_list, n_sweeps, thin=1,
                          top.size) for k0 in k0_list]
 
 
+def histogram_gaps(hist_a, hist_b, n_batches=16, min_pooled=25):
+    """Per multiplicity k, the gap between two windows' counts of k-loops.
+
+    hist_a and hist_b map k to per-snapshot counts taken at the same
+    snapshots.  Returns k -> (sigma, se): se is the batch-means standard
+    error of the mean per-snapshot count difference, so it holds for
+    correlated snapshots, and sigma is that mean over se in absolute value,
+    or None when the two windows pool fewer than min_pooled k-loops or se
+    is 0.
+    """
+    gaps = {}
+    for k in sorted(set(hist_a) | set(hist_b)):
+        a, b = hist_a.get(k, 0.0), hist_b.get(k, 0.0)
+        mean, se = batch_means(a - b, n_batches)
+        thick = np.sum(a) + np.sum(b) >= min_pooled and se > 0
+        gaps[k] = (abs(mean) / se if thick else None, se)
+    return gaps
+
+
 @dataclass
 class ProbeReport:
     densities_base: list
@@ -708,8 +735,11 @@ class ProbeReport:
     diff_std_errors: list
     histogram_base: dict
     histogram_shifted: dict
+    histogram_diff_std_errors: dict  # k -> standard error of the pooled count gap
     consistent: bool
-    max_sigma: float
+    max_sigma: float  # the larger of the two below
+    density_sigma: float
+    histogram_sigma: float
     note: str = ("empirical consistency check between congruent windows; "
                  "agreement supports translation invariance but proves nothing")
 
@@ -720,8 +750,10 @@ def shift_invariance_probe(chain, box0, shift, n_sweeps, thin=1, n_batches=16,
 
     Densities per type and multiplicity histograms are accumulated in both
     windows from the same trajectory; differences are judged against their
-    joint batch-means errors.  Raises when either window crowds the boundary
-    closer than the interaction range plus three thermal lengths.
+    joint batch-means errors: per type for the densities, per multiplicity
+    bin with at least 25 pooled loops for the histograms (histogram_gaps).
+    Raises when either window crowds the boundary closer than the
+    interaction range plus three thermal lengths.
     """
     params = chain.params
     box = chain.box
@@ -736,8 +768,7 @@ def shift_invariance_probe(chain, box0, shift, n_sweeps, thin=1, n_batches=16,
                                                           n_sweeps, thin)
     vol = box0.volume
     dens_b, dens_s, dses = [], [], []
-    worst = 0.0
-    ok = True
+    dens_worst = 0.0
     for j in range(params.n_types):
         vb, _ = batch_means(base[:, j] / vol, n_batches)
         vs, _ = batch_means(shif[:, j] / vol, n_batches)
@@ -746,21 +777,10 @@ def shift_invariance_probe(chain, box0, shift, n_sweeps, thin=1, n_batches=16,
         dens_s.append(vs)
         dses.append(se_d)
         if se_d > 0:
-            worst = max(worst, abs(vb - vs) / se_d)
-            if abs(vb - vs) > sigma_level * se_d:
-                ok = False
-    # histogram comparison on bins with enough pooled mass
-    total_b = sum(hist_b.values()) or 1
-    total_s = sum(hist_s.values()) or 1
-    for k in sorted(set(hist_b) | set(hist_s)):
-        nb, ns = hist_b.get(k, 0), hist_s.get(k, 0)
-        if nb + ns < 25:
-            continue
-        fb, fs = nb / total_b, ns / total_s
-        # crude binomial errors; snapshots decorrelate within batches
-        se = math.sqrt(fb * (1 - fb) / total_b + fs * (1 - fs) / total_s)
-        if se > 0:
-            worst = max(worst, abs(fb - fs) / (sigma_level * se) * sigma_level)
-            if abs(fb - fs) > sigma_level * se:
-                ok = False
-    return ProbeReport(dens_b, dens_s, dses, hist_b, hist_s, ok, worst)
+            dens_worst = max(dens_worst, abs(vb - vs) / se_d)
+    gaps = histogram_gaps(hist_b, hist_s, n_batches)
+    hist_worst = max([g for g, _ in gaps.values() if g is not None], default=0.0)
+    worst = max(dens_worst, hist_worst)
+    return ProbeReport(dens_b, dens_s, dses, _pooled(hist_b), _pooled(hist_s),
+                       {k: base.shape[0] * se for k, (_, se) in gaps.items()},
+                       worst <= sigma_level, worst, dens_worst, hist_worst)

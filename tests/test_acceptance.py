@@ -239,8 +239,10 @@ def test_criterion_09_window_shift_consistency(record_criterion):
                                     2000, thin=2)
     ok = rep.consistent
     record_criterion(9, ok, "two-type exclusion gas, congruent windows at "
-                     "shift (1.5, 0): max density gap %.2f sigma (limit 3); "
-                     "consistency check only, not a proof" % rep.max_sigma)
+                     "shift (1.5, 0): max density gap %.2f sigma, max "
+                     "multiplicity-bin gap %.2f sigma (limit 3); consistency "
+                     "check only, not a proof"
+                     % (rep.density_sigma, rep.histogram_sigma))
     assert ok
 
 

@@ -402,3 +402,55 @@ class TestBatchMeans:
     def test_short_input_flagged_infinite(self):
         mean, se = mc.batch_means([1.0, 2.0], 16)
         assert mean == 1.5 and se == math.inf
+
+
+def ar1(rng, n_series, n, phi):
+    """Rows of unit-innovation AR(1) series, started in their stationary law."""
+    out = np.empty((n_series, n))
+    out[:, 0] = rng.standard_normal(n_series) / math.sqrt(1.0 - phi * phi)
+    for i in range(1, n):
+        out[:, i] = phi * out[:, i - 1] + rng.standard_normal(n_series)
+    return out
+
+
+class TestHistogramGaps:
+    # criterion 9's snapshot count; correlation time (1 + phi)/(1 - phi) = 9
+    N_SNAP, PHI, MEAN = 1000, 0.8, 4.0
+
+    def counts(self, rng, n_series):
+        return self.MEAN + ar1(rng, n_series, self.N_SNAP, self.PHI)
+
+    def test_false_flags_near_nominal_under_correlated_null(self):
+        rng = np.random.default_rng(3)
+        reps, bins = 500, 2
+        a = self.counts(rng, reps * bins).reshape(reps, bins, -1)
+        b = self.counts(rng, reps * bins).reshape(reps, bins, -1)
+        flags = naive = 0
+        for ra, rb in zip(a, b):
+            gaps = mc.histogram_gaps(dict(enumerate(ra, 1)), dict(enumerate(rb, 1)))
+            flags += sum(sigma > 3.0 for sigma, _ in gaps.values())
+            diff = ra - rb
+            iid_se = diff.std(axis=1, ddof=1) / math.sqrt(self.N_SNAP)
+            naive += int(np.sum(np.abs(diff.mean(axis=1)) > 3.0 * iid_se))
+        # 16 batches: P(|t_15| > 3) = 0.009; errors that treat snapshots as
+        # independent flag these correlated series far more often
+        assert flags / (reps * bins) < 0.02
+        assert naive / (reps * bins) > 0.2
+
+    def test_shift_in_one_bin_is_flagged(self):
+        rng = np.random.default_rng(4)
+        a, b = self.counts(rng, 3), self.counts(rng, 3)
+        a[1] += 1.6  # about 7 standard errors of the mean difference
+        gaps = mc.histogram_gaps(dict(enumerate(a, 1)), dict(enumerate(b, 1)))
+        assert gaps[2][0] > 3.0
+        assert gaps[1][0] < 3.0 and gaps[3][0] < 3.0
+        assert gaps[2][1] == mc.batch_means(a[1] - b[1])[1]
+
+    def test_thin_and_one_sided_bins(self):
+        n = self.N_SNAP
+        sparse = np.zeros(n)
+        sparse[::100] = 1.0  # 10 loops per window
+        gaps = mc.histogram_gaps({1: sparse, 2: np.ones(n)}, {1: sparse[::-1].copy()})
+        assert gaps[1][0] is None  # fewer than 25 pooled loops
+        assert gaps[2] == (None, 0.0)  # a constant gap has no error to judge it by
+        assert set(gaps) == {1, 2}
