@@ -7,6 +7,16 @@ families drive it: insertion/deletion of whole loops, merge/split of two
 same-type loops into one of combined multiplicity (the permutation-cycle
 move), and redrawing single legs.  Confinement to the box is enforced on the
 sampled grid.
+
+An insertion draws its Metropolis uniform u before its path
+(accept_insertion).  Every pair potential is non-negative, so the energy dh
+a new loop adds is >= 0, and the insertion ratio with dh = 0 bounds the
+acceptance probability from above.  u >= exp(bound) rejects at once, with
+no path drawn; otherwise the path is drawn and the same u is tested against
+exp(bound - dh).  Since dh >= 0, a loop is accepted with probability
+min(1, exp(bound - dh)) exactly as by the plain test, so the chain's law is
+unchanged; only the random stream differs.  This is the early rejection of
+Solonen et al., Bayesian Analysis 7, 715 (2012).
 """
 
 import json
@@ -81,9 +91,31 @@ def move_cdf(move_weights):
     return np.cumsum(w) / np.sum(w)
 
 
-def metropolis(log_ratio, rng):
-    """Accept with probability min(1, exp(log_ratio)); draws only if log_ratio < 0."""
-    return log_ratio >= 0 or rng.random() < math.exp(log_ratio)
+def metropolis(log_ratio, rng, u=None):
+    """Accept with probability min(1, exp(log_ratio)); draws only if log_ratio < 0.
+
+    u: a uniform drawn beforehand, tested in place of a fresh draw.
+    """
+    return log_ratio >= 0 or (rng.random() if u is None else u) < math.exp(log_ratio)
+
+
+def accept_insertion(log_bound, propose, rng):
+    """Metropolis test of an insertion that draws its uniform before the path.
+
+    log_bound is insert_log_ratio(..., dh=0, ...).  propose() draws the new
+    object and returns (obj, dh), with obj None when it is ruled out (as
+    outside the box).  The uniform u is drawn first, when log_bound < 0, and
+    u >= exp(log_bound) rejects without calling propose; otherwise the same
+    u is tested against exp(log_bound - dh).  Returns (obj, dh) if accepted,
+    else None.
+    """
+    u = rng.random() if log_bound < 0 else None
+    if u is not None and u >= math.exp(log_bound):
+        return None
+    obj, dh = propose()
+    if obj is None or math.isinf(dh) or not metropolis(log_bound - dh, rng, u):
+        return None
+    return obj, dh
 
 
 class Chain:
@@ -174,27 +206,30 @@ class Chain:
         params = self.params
         n = len(self.config.loops)
         if rng.random() < 0.5:
-            # insertion
+            # insertion: type, multiplicity and anchor, then the uniform and
+            # only then the path (accept_insertion), as in the discrete twin
             j = int(rng.integers(params.n_types))
             k = int(rng.integers(1, self.opts.k_max + 1))
             c = np.asarray(self.box.center)
             x = c + (rng.random(self.box.dimension) * 2.0 - 1.0) * self.box.half_side
-            path = sample_bridge(x, x, k, self.opts.slices_per_beta,
-                                 params.beta, rng)
-            loop = Loop(j, path)
-            if not lps.confined_to_box([loop], self.box):
+
+            def propose():
+                loop = Loop(j, sample_bridge(x, x, k, self.opts.slices_per_beta,
+                                             params.beta, rng))
+                if not lps.confined_to_box([loop], self.box):
+                    return None, 0.0
+                return loop, self._delta_energy([loop])
+
+            accepted = accept_insertion(
+                insert_log_ratio(k, math.log(params.fugacity[j]), self._log_loop_mass[k - 1],
+                                 0.0, self._log_choices, n + 1), propose, rng)
+            if accepted is None:
                 return False
-            dh = self._delta_energy([loop])
-            if math.isinf(dh):
-                return False
-            if metropolis(insert_log_ratio(k, math.log(params.fugacity[j]),
-                                           self._log_loop_mass[k - 1],
-                                           dh, self._log_choices, n + 1), rng):
-                self._splice((), (loop,))
-                self._h += dh
-                st.accepted += 1
-                return True
-            return False
+            loop, dh = accepted
+            self._splice((), (loop,))
+            self._h += dh
+            st.accepted += 1
+            return True
         # deletion
         if n == 0:
             return False
@@ -347,7 +382,8 @@ class Chain:
         return False
 
     def _log_leg_gauss(self, u, v):
-        d = float(np.sum((np.asarray(u) - np.asarray(v)) ** 2))
+        # the same sum, term by term in coordinate order, as np.sum((u - v) ** 2)
+        d = sum((a - b) * (a - b) for a, b in zip(u.tolist(), v.tolist()))
         return -d / (2.0 * self.params.beta)
 
     # -- driving -------------------------------------------------------------

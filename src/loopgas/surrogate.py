@@ -7,11 +7,12 @@ unnormalised.  Interior points of freshly proposed legs are drawn from the
 exact sequential conditionals (matrix powers of the step kernel), so every
 proposal density is available in closed form and the full state space of at
 most max_loops loops can be enumerated.  Acceptance runs through the
-continuum chain's own functions (mc.insert_log_ratio, mc.merge_log_ratio,
-mc.metropolis) fed with the twin's multiplicities, leg masses, selection
-counts and energy differences, so flux and occupancy tests against the
-enumerated invariant law exercise the formulas the continuum chain runs on,
-with the energy from the production code on the embedded paths.
+continuum chain's own functions (mc.insert_log_ratio, mc.accept_insertion,
+mc.merge_log_ratio, mc.metropolis) fed with the twin's multiplicities, leg
+masses, selection counts and energy differences, so flux and occupancy tests
+against the enumerated invariant law exercise the formulas the continuum
+chain runs on, with the energy from the production code on the embedded
+paths.
 """
 
 import itertools
@@ -122,17 +123,19 @@ class DiscreteLoopGas:
             a = int(rng.integers(self.n_sites))
             k = int(rng.integers(1, self.k_max + 1))
             r = k * self.S
-            dl = DiscreteLoop(k, (a,) + self.sample_interior(a, a, r))
-            h_old = self.config_energy(self.state)
-            h_new = self.config_energy(self.state + [dl])
-            if math.isinf(h_new):
+
+            def propose():
+                dl = DiscreteLoop(k, (a,) + self.sample_interior(a, a, r))
+                h_new = self.config_energy(self.state + [dl])
+                return dl, h_new - self.config_energy(self.state)
+
+            accepted = mc.accept_insertion(mc.insert_log_ratio(
+                k, math.log(z), math.log(self.Mpow[r][a, a]), 0.0,
+                math.log(self.n_sites * self.k_max), n + 1), propose, rng)
+            if accepted is None:
                 return False
-            if mc.metropolis(mc.insert_log_ratio(
-                    k, math.log(z), math.log(self.Mpow[r][a, a]), h_new - h_old,
-                    math.log(self.n_sites * self.k_max), n + 1), rng):
-                self.state.append(dl)
-                return True
-            return False
+            self.state.append(accepted[0])
+            return True
         if n == 0:
             return False
         idx = int(rng.integers(n))

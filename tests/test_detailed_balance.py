@@ -1,7 +1,8 @@
 """Reversibility checks for the update families on the enumerable twin.
 
 The discrete gas accepts its moves through the continuum chain's own ratio
-functions (mc.insert_log_ratio, mc.merge_log_ratio, mc.metropolis), so a flux
+functions (mc.insert_log_ratio, mc.accept_insertion, mc.merge_log_ratio,
+mc.metropolis), so a flux
 imbalance here would flag an error in the production formulas or in the
 proposal densities and selection counts fed to them.  Each trial starts from
 an exact stationary draw, applies one move of a single family, and records
@@ -111,6 +112,20 @@ class TestSharedRatios:
             lambda k1, k2, log_g, dh, n_pairs, n_after:
             shared(k1, k2, log_g, dh, n_pairs, n_after) - math.log(k1 * k2 / (k1 + k2)))
         assert flux_p_value(WELL, "merge_split", seed=11, n_trials=10000) < 1e-3
+
+    def test_balance_tests_see_an_insertion_that_skips_the_energy(self, monkeypatch):
+        # accepting on the draw-first bound alone, without testing the same
+        # uniform against exp(bound - dh), must unbalance insert/delete
+        assert flux_p_value(WELL, "insert_delete", seed=12) > 0.01
+
+        def bound_only(log_bound, propose, rng):
+            if log_bound < 0 and rng.random() >= math.exp(log_bound):
+                return None
+            obj, dh = propose()
+            return None if obj is None or math.isinf(dh) else (obj, dh)
+
+        monkeypatch.setattr(mc, "accept_insertion", bound_only)
+        assert flux_p_value(WELL, "insert_delete", seed=12) < 1e-3
 
 
 class TestLawStructure:

@@ -273,6 +273,67 @@ class TestRangeFilter:
                 assert abs(got - want) <= 1e-12 * abs(want)
 
 
+# nodes >= 0 whose cubic spline undershoots zero between 0.3 and 0.6
+DIPPING_TABLE = dict(profile="table", table_r=[0.0, 0.15, 0.3, 0.6, 0.8, 1.0],
+                     table_v=[2.0, 1.0, 0.0, 0.0, 1.5, 0.0])
+
+
+class TestNonNegativeEnergy:
+    """Every energy the chain's insertion adds is >= 0 or +inf.
+
+    The chain's draw-first insertion test (mc.accept_insertion) is exact
+    only because of this.
+    """
+
+    def test_dipping_table_spline_goes_negative(self):
+        pot = PairPotential(range_=1.0, **DIPPING_TABLE)
+        rs = np.linspace(0.0, 1.0, 2001)
+        assert np.nanmin(pot._spline(rs)) < 0.0
+        assert np.min(pot.evaluate(rs)) >= 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(PROFILES + ("dipping",)),
+           st.booleans(), st.sampled_from([0.0, 0.2]), st.booleans())
+    def test_energy_never_negative(self, seed, profile, conservative, core, still):
+        g = np.random.default_rng(seed)
+        S, box = 4, Box((0.0, 0.0), 1.5)
+        if profile == "dipping":
+            pots = [PairPotential(hard_core=core, range_=1.0,
+                                  **dict(DIPPING_TABLE, table_r=np.linspace(core, 1.0, 6)))]
+        else:
+            pots = [profile_potential(profile, core * r, r) for r in (0.8, 0.5, 1.0)]
+        a, b, c = (pots * 3)[:3]
+        params = ModelParams(2, 2, BETA, (0.5, 0.5), [[a, b], [b, c]])
+        R = params.max_range
+
+        def random_object():
+            j, k = int(g.integers(2)), int(g.integers(1, 4))
+            x = g.uniform(-1.5, 1.5, 2)
+            if g.random() < 0.5:
+                return lps.Loop(j, sample_bridge(x, x, k, S, BETA, g))
+            return lps.OpenPath(j, sample_bridge(x, x + g.normal(0.0, 0.4, 2), k, S,
+                                                 BETA, g))
+
+        # external points just outside the box's right and top edges
+        external = ExternalConfiguration(
+            box, [[[1.5 + g.uniform(0.01, R), g.uniform(-1.5, 1.5)]
+                   for _ in range(int(g.integers(0, 4)))] for _ in range(2)], R)
+        conditioning = [random_object() for _ in range(int(g.integers(0, 8)))]
+        target = [random_object() for _ in range(int(g.integers(1, 3)))]
+        if still:  # two one-leg loops that never move, at any distance in range
+            x = g.uniform(-1.0, 1.0, 2)
+            angle = g.uniform(0.0, 2.0 * math.pi)
+            y = x + g.uniform(0.0, R) * np.array([math.cos(angle), math.sin(angle)])
+            conditioning = [lps.Loop(int(g.integers(2)), BridgePath(np.tile(x, (S + 1, 1)),
+                                                                    1, S, BETA))]
+            target = [lps.Loop(int(g.integers(2)), BridgePath(np.tile(y, (S + 1, 1)),
+                                                              1, S, BETA))]
+        for cond in (conditioning, lps.LegTable(conditioning)):
+            h = lps.interaction_energy(target, params, conditioning=cond,
+                                       external=external, conservative=conservative)
+            assert h >= 0.0  # +inf included; a NaN fails
+
+
 class TestLogWeight:
     def test_empty_configuration(self):
         assert lps.log_weight(config([]), free_one_type()) == 0.0
