@@ -97,7 +97,8 @@ def _plan(lo, hi, dt):
         m = (a + b) // 2
         ta, tm, tb = a * dt, m * dt, b * dt
         w = (tm - ta) / (tb - ta)
-        levels.append((m, np.concatenate([a, b]), np.concatenate([1.0 - w, w])[:, None, None],
+        levels.append((m, np.concatenate([a, b]),
+                       np.concatenate([1.0 - w, w])[:, None, None],
                        slice(len(slots), len(slots) + m.size)))
         slots.extend(slot)
         sds.extend(np.sqrt((tm - ta) * (tb - tm) / (tb - ta)))
@@ -143,7 +144,8 @@ def sample_bridges(x, y, k, S, beta, rng):
 
 def sample_bridge(x, y, k, S, beta, rng):
     """Draw one bridge from x to y of duration k*beta: sample_bridges for a batch of one."""
-    samples = sample_bridges(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), k, S, beta, rng)[0]
+    samples = sample_bridges(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)),
+                             k, S, beta, rng)[0]
     return BridgePath(samples=samples, k=k, slices_per_beta=S, beta=beta)
 
 
