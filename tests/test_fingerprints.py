@@ -105,9 +105,9 @@ def test_reference_kernel():
     assert (est.value, est.std_error) == (0.0005616570113467473, 2.0200158956217166e-05)
 
 
-def test_rdm_kernel():
+def well_background_chain():
     # a square-well background from fixed loops, moved by merge/split and
-    # redraw only, under a two-leg inner family
+    # redraw only
     well = ModelParams(2, 1, 1.0, (0.5,), [[PairPotential(range_=0.8, height=0.8)]])
     chain = mc.Chain(well, Box((0.0, 0.0), 3.0), seed=4,
                      options=mc.SamplerOptions(slices_per_beta=4, k_max=6,
@@ -117,9 +117,27 @@ def test_rdm_kernel():
         x = np.array(x)
         chain.config.loops.append(lps.Loop(0, bridge.sample_bridge(x, x, 2, 4, 1.0, rng)))
     chain._h = lps.interaction_energy(chain.config.loops, well)
+    return chain
+
+
+def rdm_kernel(chain, inner):
+    # a two-leg inner family against the background chain
     est = mc.estimate_rdm_kernel(chain, [[[0.3, 0.2], [-0.2, -0.1]]],
                                  [[[0.1, -0.3], [-0.4, 0.2]]], Box((0.0, 0.0), 0.5),
-                                 n_snapshots=32, thin=1, inner_per_snapshot=2)
-    assert (est.value, est.std_error) == (0.0029404346595762825, 0.0003849203284521759)
+                                 n_snapshots=32, thin=1, inner_per_snapshot=inner)
+    return est.value, est.std_error
+
+
+def test_rdm_kernel():
+    chain = well_background_chain()
+    assert rdm_kernel(chain, 2) == (0.0029404346595762825, 0.0003849203284521759)
     assert fingerprint(chain) == (
         "6ad33ac2a05baf4e insert_delete=0/0 merge_split=32/164 redraw=304/348")
+
+
+def test_rdm_kernel_single_inner_draw():
+    # one inner draw per snapshot: the stream of one leg at a time
+    chain = well_background_chain()
+    assert rdm_kernel(chain, 1) == (0.0033263130868359733, 0.00040123696560000275)
+    assert fingerprint(chain) == (
+        "21229567813aaccb insert_delete=0/0 merge_split=49/171 redraw=298/341")
