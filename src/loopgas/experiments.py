@@ -252,18 +252,15 @@ def dirichlet_trace_mc(half_side, beta, S, n_draws, rng, dimension=1):
     Samples k=1 loop anchors uniformly, weights by the closed-loop mass times
     the exact probability (image series per slice) that the continuous bridge
     stays in the box; the expectation equals the Dirichlet spectral trace.
+    All anchors are drawn first, then all loops in one sample_bridges call.
     Returns (estimate, standard_error).
     """
     L = float(half_side)
     box = Box((0.0,) * dimension, L)
-    vol = box.volume
-    tau = beta / S
-    vals = np.empty(n_draws)
-    for i in range(n_draws):
-        x = (rng.random(dimension) * 2.0 - 1.0) * L
-        path = bridge.sample_bridge(x, x, 1, S, beta, rng)
-        stay = bridge.box_stay_probability(path.samples, box, tau)
-        vals[i] = vol * bridge.bridge_mass(x, x, 1, beta) * stay
+    x = (rng.random((n_draws, dimension)) * 2.0 - 1.0) * L
+    paths = bridge.sample_bridges(x, x, 1, S, beta, rng)
+    mass = (2.0 * math.pi * beta) ** (-0.5 * dimension)  # bridge_mass(x, x, 1, beta)
+    vals = box.volume * mass * bridge.box_stay_probability(paths, box, beta / S)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_draws))
     return est, se

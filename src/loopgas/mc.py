@@ -481,15 +481,15 @@ class KernelEstimate:
 
 
 def _endpoint_tables(starts, ends, params, k_max):
-    """Per type: permutations and per-leg multiplicity weight tables.
+    """Per-type multiplicity weight tables of the legs, and the permutation combos.
 
-    weights[j][(l, t)] is (W, cdf): W sums over k = 1..k_max the terms z^k
-    times the bridge mass from start l to end t of type j, the exact leg
-    weight; cdf is the cumulative importance law for k, the terms over W,
-    normalised as Generator.choice normalises its p.
+    tables[j][(l, t)] is (W, cdf, x, y) for the leg from start x = l to end
+    y = t of type j: W sums over k = 1..k_max the terms z^k times the bridge
+    mass, the exact leg weight; cdf is the cumulative importance law for k,
+    the terms over W, normalised as Generator.choice normalises its p.
+    combos holds every choice of one permutation per type.
     """
-    tables = []
-    all_perms = []
+    tables, perms = [], []
     for j in range(params.n_types):
         xs = np.asarray(starts[j], dtype=float)
         ys = np.asarray(ends[j], dtype=float)
@@ -502,35 +502,54 @@ def _endpoint_tables(starts, ends, params, k_max):
                               for k in range(1, k_max + 1)])
                 W = float(np.sum(w))
                 cdf = (w / W).cumsum() if W > 0.0 else np.ones(1)  # never drawn from
-                table[(l, t)] = W, cdf / cdf[-1]
+                table[(l, t)] = W, cdf / cdf[-1], xs[l], ys[t]
         tables.append(table)
-        all_perms.append(list(permutations(range(n))))
-    return tables, all_perms
+        perms.append(permutations(range(n)))
+    return tables, list(iproduct(*perms))
 
 
-def _sample_path_product(tables, all_perms, combo, starts, ends, params, S,
-                         k_max, rng):
-    """Draw one path per leg for a fixed permutation combo.
+def _sample_terms(tables, combo, params, S, n, rng, box0=None, box=None):
+    """Draw n terms of one permutation combo, each with one path per leg.
 
-    Returns (paths, log_weight_product) where the weight product is the exact
-    sum over multiplicities per leg (the sampled k is importance-corrected).
-    k is drawn by inverse CDF from one uniform: the draw and the stream of
-    rng.choice(k_max, p=terms / W), bit for bit.
+    Legs go in combo order.  Per leg, one rng.random(n) gives the n
+    multiplicities by inverse CDF, the draw of rng.choice(k_max, p=terms / W),
+    and then one sample_bridges call per distinct k, in increasing k, draws
+    the paths.  With n = 1 that is one uniform and one bridge per leg, leg
+    after leg: the stream of drawing one term at a time.  A leg with W <= 0
+    ends the draw before its uniforms, and no term survives.
+
+    Returns (weight, ok, paths).  Every term carries weight = prod W over its
+    legs (the sampled k is importance-corrected).  ok marks the terms whose
+    paths all lie in box on the grid (if given) and avoid box0 at their
+    interior whole-beta times (if given), one max-abs reduce per k group
+    each.  paths(i) gives term i's OpenPaths in leg order.
     """
-    paths = []
-    weight = 1.0
+    weight, ok, legs = 1.0, np.ones(n, dtype=bool), []
     for j, sigma in enumerate(combo):
-        xs = np.asarray(starts[j], dtype=float)
-        ys = np.asarray(ends[j], dtype=float)
         for l, t in enumerate(sigma):
-            W, cdf = tables[j][(l, t)]
+            W, cdf, x0, y0 = tables[j][(l, t)]
             if W <= 0.0:
-                return None, 0.0
-            k = 1 + int(cdf.searchsorted(rng.random(), side="right"))
-            path = sample_bridge(xs[l], ys[t], k, S, params.beta, rng)
-            paths.append(OpenPath(j, path))
+                return 0.0, np.zeros(n, dtype=bool), None
+            ks = 1 + cdf.searchsorted(rng.random(n), side="right")
+            groups = {}
+            for k in np.unique(ks).tolist():
+                rows = np.flatnonzero(ks == k)
+                x, y = (np.broadcast_to(p, (rows.size, p.size)) for p in (x0, y0))
+                groups[k] = batch = sample_bridges(x, y, k, S, params.beta, rng)
+                if box is not None:
+                    ok[rows] &= (np.abs(batch - box.center).max(axis=(1, 2))
+                                 <= box.half_side)
+                if box0 is not None:
+                    ok[rows] &= (np.abs(batch[:, S:-1:S] - box0.center).max(axis=2)
+                                 > box0.half_side).all(axis=1)
+            legs.append((j, ks, groups))
             weight *= W
-    return paths, weight
+
+    def paths(i):  # row of term i in its k group: earlier terms with that k
+        return [OpenPath(j, BridgePath(groups[ks[i]][np.count_nonzero(ks[:i] == ks[i])],
+                                       int(ks[i]), S, params.beta))
+                for j, ks, groups in legs]
+    return weight, ok, paths
 
 
 def _truncation_bound_paths(starts, params, k_max, n_combos):
@@ -565,26 +584,18 @@ def estimate_reference_kernel(starts, ends, params, box0, k_max=20, S=32,
     carries sum_k z^k (bridge mass), and sampled bridges are accepted only
     when they avoid box0 at their interior whole-beta times.  No interaction
     and no background enter.  Mismatched per-type endpoint counts give the
-    exact zero estimate.
+    exact zero estimate.  Each combo draws its n_samples terms in one batch
+    (_sample_terms), combo after combo.
     """
     if rng is None:
         rng = np.random.default_rng()
     if not _counts_match(starts, ends):
         return KernelEstimate(0.0, 0.0, 0, 0.0, meta={"reason": "cardinality mismatch"})
-    tables, all_perms = _endpoint_tables(starts, ends, params, k_max)
-    combos = list(iproduct(*all_perms))
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        total = 0.0
-        for combo in combos:
-            paths, weight = _sample_path_product(tables, all_perms, combo,
-                                                 starts, ends, params, S,
-                                                 k_max, rng)
-            if paths is None:
-                continue
-            if lps.avoids_box_at_step_times(paths, box0):
-                total += weight
-        vals[i] = total
+    tables, combos = _endpoint_tables(starts, ends, params, k_max)
+    vals = np.zeros(n_samples)
+    for combo in combos:
+        weight, ok, _ = _sample_terms(tables, combo, params, S, n_samples, rng, box0)
+        vals[ok] += weight
     value, se = batch_means(vals, n_batches)
     tb = _truncation_bound_paths(starts, params, k_max, len(combos))
     return KernelEstimate(value, se, n_samples, tb,
@@ -602,7 +613,9 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
     the per-leg mass weights, and bridges sampled from the exact bridge law.
     Each term carries confinement, the exclusion indicators on box0 (paths,
     background anchors, and background whole-step visits), and the Boltzmann
-    factor of the path energy given background and external points.
+    factor of the path energy given background and external points.  Per
+    snapshot each combo draws its inner_per_snapshot terms in one batch
+    (_sample_terms), which keeps the stream of one term at a time at n = 1.
 
     With apply_exclusion=False the box0 indicators are skipped; this
     diagnostic mode turns the estimator into the plain reduced-kernel of the
@@ -618,8 +631,7 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
                          "unless the model is free")
     if not _counts_match(starts, ends):
         return KernelEstimate(0.0, 0.0, 0, 0.0, meta={"reason": "cardinality mismatch"})
-    tables, all_perms = _endpoint_tables(starts, ends, params, k_max)
-    combos = list(iproduct(*all_perms))
+    tables, combos = _endpoint_tables(starts, ends, params, k_max)
     ext = chain.config.external
     vals = np.empty(n_snapshots)
     for snap in range(n_snapshots):
@@ -635,25 +647,14 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
         if not free:
             background = LegTable(background)
         acc = 0.0
-        for _ in range(inner_per_snapshot):
-            for combo in combos:
-                paths, weight = _sample_path_product(tables, all_perms, combo,
-                                                     starts, ends, params, S,
-                                                     k_max, rng)
-                if paths is None:
-                    continue
-                if not lps.confined_to_box(paths, chain.box):
-                    continue
-                if apply_exclusion and not lps.avoids_box_at_step_times(paths, box0):
-                    continue
-                if free:
-                    h = 0.0
-                else:
-                    h = interaction_energy(paths, params, conditioning=background,
-                                           external=ext,
-                                           conservative=chain.opts.conservative_hard_core)
-                    if math.isinf(h):
-                        continue
+        for combo in combos:
+            weight, ok, paths = _sample_terms(
+                tables, combo, params, S, inner_per_snapshot, rng,
+                box0 if apply_exclusion else None, chain.box)
+            for i in np.flatnonzero(ok):
+                h = 0.0 if free else interaction_energy(
+                    paths(i), params, conditioning=background, external=ext,
+                    conservative=chain.opts.conservative_hard_core)
                 acc += weight * math.exp(-h)
         vals[snap] = acc / inner_per_snapshot
     value, se = batch_means(vals, n_batches)

@@ -70,6 +70,13 @@ def test_deviation_tail_stream():
     assert got == (0.5788124682464019, 0.007873057960439266)
 
 
+def test_dirichlet_trace():
+    # all anchors, then all loops in one batch, through the d = 2 stay product
+    got = experiments.dirichlet_trace_mc(1.0, 1.0, 8, 300, np.random.default_rng(3),
+                                         dimension=2)
+    assert got == (0.08267513532712578, 0.01031373933444619)
+
+
 BRIDGE_LAWS = """
 model: {dimension: 1, n_types: 1, beta: 1.0, fugacity: [0.5]}
 geometry: {box_half_side: 1.0}
@@ -89,8 +96,8 @@ def test_bridge_laws_rows():
             for r in result.rows] == [
         ("first_leg_deviation", 0.5, 0.9838499469417356, 0.0035912287169940034),
         ("first_leg_deviation", 1.0, 0.49469084638946326, 0.021868234511605567),
-        ("dirichlet_trace", 1.0, 0.28802964619977683, 0.01959656774881343),
-        ("marginal_ks", 1.0, 0.10229581958565948, 0.0),
+        ("dirichlet_trace", 1.0, 0.31590986912590674, 0.0199429602975616),
+        ("marginal_ks", 1.0, 0.3886827947724849, 0.0),
     ]
 
 
@@ -102,7 +109,7 @@ def test_reference_kernel():
     est = mc.estimate_reference_kernel(starts, ends, params, Box((0.0, 0.0), 0.5),
                                        k_max=6, S=4, n_samples=200,
                                        rng=np.random.default_rng(9))
-    assert (est.value, est.std_error) == (0.0005616570113467473, 2.0200158956217166e-05)
+    assert (est.value, est.std_error) == (0.0005876747358451168, 1.978960442758039e-05)
 
 
 def well_background_chain():
@@ -130,9 +137,9 @@ def rdm_kernel(chain, inner):
 
 def test_rdm_kernel():
     chain = well_background_chain()
-    assert rdm_kernel(chain, 2) == (0.0029404346595762825, 0.0003849203284521759)
+    assert rdm_kernel(chain, 2) == (0.003362311020351522, 0.0004089580002876205)
     assert fingerprint(chain) == (
-        "6ad33ac2a05baf4e insert_delete=0/0 merge_split=32/164 redraw=304/348")
+        "933eeea5e61435a4 insert_delete=0/0 merge_split=31/153 redraw=315/359")
 
 
 def test_rdm_kernel_single_inner_draw():
