@@ -552,23 +552,29 @@ def _sample_terms(tables, combo, params, S, n, rng, box0=None, box=None):
     return weight, ok, paths
 
 
-def _truncation_bound_paths(starts, params, k_max, n_combos):
+def _truncation_bound(tables, combos, params, k_max):
     """Bound on the weight missed by the multiplicity cutoff.
 
-    Per leg the missing mass is at most (2 pi beta)^(-d/2) z^(K+1)/(1-z);
-    summed over legs and multiplied by the number of permutation combos.
+    A type-j leg in d dimensions misses at most
+    delta = (2 pi beta)^(-d/2) z_j^(K+1)/(1-z_j) of its full weight, so a
+    combo misses at most prod (W_l + delta_l) - prod W_l, that is
+    sum_l delta_l prod_{m<l} W_m prod_{m>l} (W_m + delta_m), summed leg by
+    leg in nested form; a single leg gives delta exactly.  The bound adds
+    this over the combos.
     """
     bound = 0.0
-    for j, xs in enumerate(starts):
-        xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            continue
-        d = xs.shape[1]
-        z = params.fugacity[j]
-        per_leg = (2.0 * math.pi * params.beta) ** (-0.5 * d) \
-            * z ** (k_max + 1) / (1.0 - z)
-        bound += xs.shape[0] * per_leg
-    return bound * max(1, n_combos)
+    for combo in combos:
+        missed, head = 0.0, 1.0  # over the legs so far: the bound and prod W
+        for j, sigma in enumerate(combo):
+            z = params.fugacity[j]
+            for l, t in enumerate(sigma):
+                W, _, x, _ = tables[j][(l, t)]
+                delta = (2.0 * math.pi * params.beta) ** (-0.5 * x.size) \
+                    * z ** (k_max + 1) / (1.0 - z)
+                missed = missed * (W + delta) + head * delta
+                head *= W
+        bound += missed
+    return bound
 
 
 def _counts_match(starts, ends):
@@ -597,7 +603,7 @@ def estimate_reference_kernel(starts, ends, params, box0, k_max=20, S=32,
         weight, ok, _ = _sample_terms(tables, combo, params, S, n_samples, rng, box0)
         vals[ok] += weight
     value, se = batch_means(vals, n_batches)
-    tb = _truncation_bound_paths(starts, params, k_max, len(combos))
+    tb = _truncation_bound(tables, combos, params, k_max)
     return KernelEstimate(value, se, n_samples, tb,
                           meta={"k_max": k_max, "S": S})
 
@@ -659,7 +665,7 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
         vals[snap] = acc / inner_per_snapshot
     value, se = batch_means(vals, n_batches)
     status = "ok" if n_snapshots >= n_batches else "insufficient_samples"
-    tb = _truncation_bound_paths(starts, params, k_max, len(combos))
+    tb = _truncation_bound(tables, combos, params, k_max)
     return KernelEstimate(value, se, n_snapshots, tb, status,
                           meta={"k_max": k_max, "S": S,
                                 "box": chain.box.half_side})

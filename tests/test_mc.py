@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -305,6 +306,48 @@ class TestReferenceKernel:
         est = mc.estimate_reference_kernel(xs, ys, params, Box((0.0, 0.0), 0.5))
         assert (est.value, est.std_error) == (0.0, 0.0)
         assert est.meta["reason"] == "cardinality mismatch"
+
+
+class TestTruncationBound:
+    # one free type, d = 2, exclusion off: the cutoff's gap is the
+    # permanent of closed-form kernels less that of the truncated sums
+    XS = np.array([[0.0, 0.0], [0.05, 0.0], [0.0, 0.03]])
+    YS = np.array([[0.02, 0.01], [0.04, -0.02], [0.01, 0.0]])
+
+    def gap_and_bound(self, beta, z, k_max, n_legs):
+        xs, ys = self.XS[:n_legs], self.YS[:n_legs]
+
+        def permanent(**series):
+            return sum(math.prod(analytic.free_gas_kernel(xs[l], ys[s[l]], z, beta,
+                                                          **series).value
+                                 for l in range(n_legs))
+                       for s in itertools.permutations(range(n_legs)))
+
+        est = mc.estimate_reference_kernel([xs], [ys], free_params(z=z, beta=beta),
+                                           Box((9.0, 9.0), 0.5), k_max=k_max, S=1,
+                                           n_samples=0)
+        return permanent() - permanent(k_max=k_max), est.truncation_bound
+
+    @pytest.mark.parametrize("beta, z, k_max", [(0.05, 0.5, 2), (0.05, 0.9, 1)])
+    def test_covers_three_legs_with_weights_above_one(self, beta, z, k_max):
+        # a per-leg bound times the combo count gave 14.32 and 464 here
+        gap, bound = self.gap_and_bound(beta, z, k_max, 3)
+        assert gap > 16.7 if z == 0.5 else gap > 2175.0
+        assert gap <= bound
+
+    @pytest.mark.parametrize("n_legs", [1, 2, 3])
+    def test_covers_gap_on_a_grid(self, n_legs):
+        for beta in (0.05, 0.3, 1.0):
+            for z in (0.3, 0.5, 0.9):
+                for k_max in (1, 2, 4):
+                    gap, bound = self.gap_and_bound(beta, z, k_max, n_legs)
+                    assert 0.0 < gap <= bound
+
+    def test_single_leg_is_the_series_remainder(self):
+        for beta, z, k_max in ((0.05, 0.5, 2), (1.0, 0.9, 4)):
+            _, bound = self.gap_and_bound(beta, z, k_max, 1)
+            assert bound == analytic.free_gas_kernel(self.XS[0], self.YS[0], z, beta,
+                                                     k_max=k_max).tail_bound
 
 
 class TestRdmKernel:
