@@ -603,8 +603,9 @@ def estimate_reference_kernel(starts, ends, params, box0, k_max=20, S=32,
         weight, ok, _ = _sample_terms(tables, combo, params, S, n_samples, rng, box0)
         vals[ok] += weight
     value, se = batch_means(vals, n_batches)
+    status = "ok" if n_samples >= n_batches else "insufficient_samples"
     tb = _truncation_bound(tables, combos, params, k_max)
-    return KernelEstimate(value, se, n_samples, tb,
+    return KernelEstimate(value, se, n_samples, tb, status,
                           meta={"k_max": k_max, "S": S})
 
 

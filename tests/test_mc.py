@@ -299,6 +299,26 @@ class TestReferenceKernel:
         gap = abs(a.value - b.value)
         assert gap <= 4.0 * math.hypot(a.std_error, b.std_error) + 1e-12
 
+    def test_status_needs_a_sample_per_batch(self):
+        params = free_params(z=0.5)
+        xs, ys = [np.array([[0.0, 0.0]])], [np.array([[0.6, 0.0]])]
+        box0 = Box((0.3, 0.0), 0.5)
+        thin = mc.estimate_reference_kernel(xs, ys, params, box0, k_max=8, S=2,
+                                            n_samples=8, rng=np.random.default_rng(6))
+        assert (thin.status, thin.std_error) == ("insufficient_samples", math.inf)
+        full = mc.estimate_reference_kernel(xs, ys, params, box0, k_max=8, S=2,
+                                            n_samples=16, rng=np.random.default_rng(6))
+        assert full.status == "ok" and math.isfinite(full.std_error)
+
+    def test_no_samples_draws_nothing(self):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        est = mc.estimate_reference_kernel([np.array([[0.0, 0.0]])],
+                                           [np.array([[0.6, 0.0]])], free_params(),
+                                           Box((0.3, 0.0), 0.5), n_samples=0, rng=rng)
+        assert (est.value, est.status) == (0.0, "insufficient_samples")
+        assert rng.bit_generator.state == state
+
     def test_mismatched_cardinalities_zero(self):
         params = free_params(z=0.5)
         xs = [np.array([[0.0, 0.0], [1.0, 0.0]])]
