@@ -1,8 +1,9 @@
 import copy
 
+import numpy as np
 import pytest
 
-from loopgas import experiments
+from loopgas import analytic, experiments
 
 
 def free_cfg(z=0.4, half=4.0, box0=1.0, seed=3, **sampler):
@@ -71,6 +72,13 @@ class TestClosedFormExperiments:
 
 
 class TestSamplerExperiments:
+    def test_dirichlet_trace_on_the_square(self):
+        # the stay probability is a product over coordinates of batched
+        # interval survivals; the trace on the square is the 1-d trace squared
+        est, se = experiments.dirichlet_trace_mc(1.0, 1.0, 8, 20000,
+                                                 np.random.default_rng(8), dimension=2)
+        assert abs(est - analytic.dirichlet_box_trace(1.0, 1.0, 2)) <= 4.0 * se
+
     def test_bridge_laws_pass(self):
         cfg = free_cfg(seed=2, slices_per_beta=8)
         cfg = with_options(cfg, "bridge-laws", n_draws=3000,

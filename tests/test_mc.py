@@ -299,6 +299,41 @@ class TestReferenceKernel:
         gap = abs(a.value - b.value)
         assert gap <= 4.0 * math.hypot(a.std_error, b.std_error) + 1e-12
 
+    def test_exclusion_matches_gaussian_rectangle_law(self):
+        # k <= 3 legs from x to y avoid box0 at times m = 1..k-1 with the
+        # probability that a Gaussian vector (per coordinate, the bridge
+        # covariance min(s, t) - s t / k) misses the rectangle; by
+        # inclusion-exclusion over the points inside: 0.73022 (k = 2) and
+        # 0.63427 (k = 3)
+        x, y, h = np.array([0.1, 0.0]), np.array([-0.2, 0.1]), 0.5
+
+        def avoids(k):
+            m = np.arange(1, k)
+            cov = np.minimum.outer(m, m) - np.outer(m, m) / k
+            p = 0.0
+            for inside in itertools.chain.from_iterable(
+                    itertools.combinations(range(k - 1), r) for r in range(k)):
+                both = 1.0
+                for c in range(2) if inside else ():
+                    law = stats.multivariate_normal(
+                        x[c] + (y[c] - x[c]) * m[list(inside)] / k,
+                        cov[np.ix_(inside, inside)])
+                    both *= law.cdf(np.full(len(inside), h),
+                                    lower_limit=np.full(len(inside), -h))
+                p += (-1) ** len(inside) * both
+            return p
+
+        terms = {k: 0.5 ** k * bridge_mass(x, y, k, 1.0) for k in (1, 2, 3)}
+        exact = sum(w * avoids(k) for k, w in terms.items())
+        assert abs(avoids(2) - 0.73022) < 1e-5 and abs(avoids(3) - 0.63427) < 1e-5
+        assert abs(exact - 0.0940017) < 1e-7
+        n = 100000
+        est = mc.estimate_reference_kernel([x[None]], [y[None]], free_params(z=0.5),
+                                           Box((0.0, 0.0), h), k_max=3, S=4,
+                                           n_samples=n, rng=np.random.default_rng(11))
+        W = sum(terms.values())
+        assert abs(est.value - exact) <= 4.0 * math.sqrt(exact * (W - exact) / n)
+
     def test_status_needs_a_sample_per_batch(self):
         params = free_params(z=0.5)
         xs, ys = [np.array([[0.0, 0.0]])], [np.array([[0.6, 0.0]])]
