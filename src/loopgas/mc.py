@@ -17,6 +17,11 @@ exp(bound - dh).  Since dh >= 0, a loop is accepted with probability
 min(1, exp(bound - dh)) exactly as by the plain test, so the chain's law is
 unchanged; only the random stream differs.  This is the early rejection of
 Solonen et al., Bayesian Analysis 7, 715 (2012).
+
+The kernel estimators draw the terms of a permutation combo as one batch
+(_sample_terms): leg by leg, the multiplicities of all terms, then one
+bridge batch per multiplicity.  A batch of one term draws as one term at a
+time did, so runs with one inner draw per snapshot keep their stream.
 """
 
 import json
