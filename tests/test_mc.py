@@ -383,12 +383,13 @@ class TestTruncationBound:
                                            n_samples=0)
         return permanent() - permanent(k_max=k_max), est.truncation_bound
 
-    @pytest.mark.parametrize("beta, z, k_max", [(0.05, 0.5, 2), (0.05, 0.9, 1)])
-    def test_covers_three_legs_with_weights_above_one(self, beta, z, k_max):
+    @pytest.mark.parametrize("beta, z, k_max, gap", [(0.05, 0.5, 2, 16.758),
+                                                     (0.05, 0.9, 1, 2175.9)])
+    def test_covers_three_legs_with_weights_above_one(self, beta, z, k_max, gap):
         # a per-leg bound times the combo count gave 14.32 and 464 here
-        gap, bound = self.gap_and_bound(beta, z, k_max, 3)
-        assert gap > 16.7 if z == 0.5 else gap > 2175.0
-        assert gap <= bound
+        got, bound = self.gap_and_bound(beta, z, k_max, 3)
+        assert got == pytest.approx(gap, rel=1e-4)
+        assert got <= bound
 
     @pytest.mark.parametrize("n_legs", [1, 2, 3])
     def test_covers_gap_on_a_grid(self, n_legs):
