@@ -364,8 +364,9 @@ class TestReferenceKernel:
 
 
 class TestTruncationBound:
-    # one free type, d = 2, exclusion off: the cutoff's gap is the
-    # permanent of closed-form kernels less that of the truncated sums
+    # one free type, d = 2: the cutoff's gap is the permanent of
+    # closed-form kernels less that of the truncated sums; the bound comes
+    # from the estimator with no samples drawn
     XS = np.array([[0.0, 0.0], [0.05, 0.0], [0.0, 0.03]])
     YS = np.array([[0.02, 0.01], [0.04, -0.02], [0.01, 0.0]])
 
