@@ -87,6 +87,21 @@ class OpenPath(_Legged):
         return self.path.samples[-1]
 
 
+def splice(objects, removed, added):
+    """Apply a move to a list of objects in place.
+
+    One object for one, of its type and multiplicity (a leg redraw), takes
+    the other's place; otherwise the removed objects go and the added ones
+    are appended in order.
+    """
+    if len(removed) == len(added) == 1:
+        objects[objects.index(removed[0])] = added[0]
+        return
+    for o in removed:
+        objects.remove(o)
+    objects.extend(added)
+
+
 class LoopConfig:
     """Mutable family of loops in a box, with optional external points."""
 
@@ -236,18 +251,15 @@ class LegTable:
         view.__dict__.update(self.__dict__, left_out=tuple(objects))
         return view
 
-    def replace(self, old, new):
-        """Put new, of old's type and multiplicity, in old's place."""
-        self.objects[self.objects.index(old)] = new
-        self.types[old.type_index].replace(old, new)
-
     def splice(self, removed, added):
-        """Drop the removed objects and append the added ones, in order."""
+        """Apply a move to the family, in the order splice() gives the list."""
+        splice(self.objects, removed, added)
+        if len(removed) == len(added) == 1:
+            self.types[removed[0].type_index].replace(removed[0], added[0])
+            return
         for o in removed:
-            self.objects.remove(o)
             self.types[o.type_index].remove(o)
         for o in added:
-            self.objects.append(o)
             if o.type_index in self.types:
                 self.types[o.type_index].append(o)
             else:

@@ -127,8 +127,12 @@ class Chain:
     """One Markov chain over loop configurations.
 
     All randomness flows through the chain's numpy Generator, so a seed fixes
-    the trajectory bit for bit.
+    the trajectory bit for bit.  Deletion, redraw, merge and split share one
+    Metropolis test (_try); every accepted move, insertion included, changes
+    the loop list, the leg tables and the energy cache through _commit.
     """
+
+    _h = 0.0  # the energy cache: reseeded by audit, moved only by _commit
 
     def __init__(self, params, box, external=None, options=None, seed=None, rng=None):
         self.params = params
@@ -141,7 +145,6 @@ class Chain:
         self.sweeps_done = 0
         self.stats = {"insert_delete": MoveStats(), "merge_split": MoveStats(),
                       "redraw": MoveStats()}
-        self._h = 0.0
         self._table = None  # leg tables of config.loops, built by the first energy call
         self._move_cdf = move_cdf(self.opts.move_weights)
         self._log_choices = math.log(params.n_types * box.volume * self.opts.k_max)
@@ -172,26 +175,23 @@ class Chain:
     def _legs(self):
         """Per-type leg tables of config.loops, in list order.
 
-        Moves keep them in step through _replace and _splice; a list changed
-        from outside (assigned, appended to, or a new config) differs from
-        the table's copy and is stacked afresh.
+        _commit keeps them in step; a list changed from outside (assigned,
+        appended to, or a new config) differs from the table's copy and is
+        stacked afresh.
         """
         if self._table is None or self._table.objects != self.config.loops:
             self._table = LegTable(self.config.loops)
         return self._table
 
-    def _replace(self, idx, new):
-        old = self.config.loops[idx]
-        self.config.loops[idx] = new
-        if self._table is not None:
-            self._table.replace(old, new)
+    def _commit(self, removed, added, dh):
+        """Apply an accepted move to the loop list, the leg tables and the energy.
 
-    def _splice(self, removed, added):
-        for o in removed:
-            self.config.loops.remove(o)
-        self.config.loops.extend(added)
+        dh is the energy the move adds; lps.splice gives the list order.
+        """
+        lps.splice(self.config.loops, removed, added)
         if self._table is not None:
             self._table.splice(removed, added)
+        self._h += dh
 
     def _delta_energy(self, target, exclude=()):
         if self.params.is_free() and (self.config.external is None
@@ -201,6 +201,26 @@ class Chain:
                                   conditioning=self._legs().excluding(exclude),
                                   external=self.config.external,
                                   conservative=self.opts.conservative_hard_core)
+
+    def _try(self, removed, added, log_ratio):
+        """Metropolis test of replacing the loops removed by added; commits if accepted.
+
+        added must lie in the box, and its energy against the rest must be
+        finite; log_ratio(dh) is the move's log acceptance ratio for the energy
+        change dh.  The energies leave removed out; with nothing added (a
+        deletion) neither the box nor a new energy is evaluated.
+        """
+        if added and not lps.confined_to_box(added, self.box):
+            return False
+        e_old = self._delta_energy(removed, exclude=removed)
+        e_new = self._delta_energy(added, exclude=removed) if added else 0.0
+        if math.isinf(e_new):
+            return False
+        dh = e_new - e_old
+        if not metropolis(log_ratio(dh), self.rng):
+            return False
+        self._commit(removed, added, dh)
+        return True
 
     # -- update families -----------------------------------------------------
 
@@ -231,27 +251,21 @@ class Chain:
             if accepted is None:
                 return False
             loop, dh = accepted
-            self._splice((), (loop,))
-            self._h += dh
-            st.accepted += 1
-            return True
-        # deletion
-        if n == 0:
-            return False
-        idx = int(rng.integers(n))
-        loop = self.config.loops[idx]
-        dh = self._delta_energy([loop], exclude=[loop])
-        k, j = loop.k, loop.type_index
-        # a loop placed from outside may exceed the chain's k_max
-        log_mass = (self._log_loop_mass[k - 1] if k <= self.opts.k_max
-                    else log_bridge_mass(loop.anchor, loop.anchor, k, params.beta))
-        if metropolis(-insert_log_ratio(k, math.log(params.fugacity[j]), log_mass,
-                                        dh, self._log_choices, n), rng):
-            self._splice((loop,), ())
-            self._h -= dh
-            st.accepted += 1
-            return True
-        return False
+            self._commit((), (loop,), dh)
+        else:
+            # deletion: the exact reverse, so -dh is the energy the loop carries
+            if n == 0:
+                return False
+            loop = self.config.loops[int(rng.integers(n))]
+            k, j = loop.k, loop.type_index
+            # a loop placed from outside may exceed the chain's k_max
+            log_mass = (self._log_loop_mass[k - 1] if k <= self.opts.k_max
+                        else log_bridge_mass(loop.anchor, loop.anchor, k, params.beta))
+            if not self._try((loop,), (), lambda dh: -insert_log_ratio(
+                    k, math.log(params.fugacity[j]), log_mass, -dh, self._log_choices, n)):
+                return False
+        st.accepted += 1
+        return True
 
     def step_redraw(self):
         st = self.stats["redraw"]
@@ -260,23 +274,12 @@ class Chain:
         n = len(self.config.loops)
         if n == 0:
             return False
-        idx = int(rng.integers(n))
-        old = self.config.loops[idx]
-        m = int(rng.integers(old.k))
-        new_path = resample_leg(old.path, m, rng)
-        new = Loop(old.type_index, new_path)
-        if not lps.confined_to_box([new], self.box):
+        old = self.config.loops[int(rng.integers(n))]
+        new = Loop(old.type_index, resample_leg(old.path, int(rng.integers(old.k)), rng))
+        if not self._try((old,), (new,), lambda dh: -dh):
             return False
-        e_old = self._delta_energy([old], exclude=[old])
-        e_new = self._delta_energy([new], exclude=[old])
-        if math.isinf(e_new):
-            return False
-        if metropolis(-(e_new - e_old), rng):
-            self._replace(idx, new)
-            self._h += e_new - e_old
-            st.accepted += 1
-            return True
-        return False
+        st.accepted += 1
+        return True
 
     def _ordered_pair_count(self):
         counts = self.config.type_counts(self.params.n_types)
@@ -329,21 +332,12 @@ class Chain:
             B.samples[1: (k2 - 1) * S + 1],
             conn2[1:],
         ])
-        path = BridgePath(samples=samples, k=k, slices_per_beta=S, beta=beta)
-        merged = Loop(A.type_index, path)
-        if not lps.confined_to_box([merged], self.box):
-            return False
-        e_old = self._delta_energy([A, B], exclude=[A, B])
-        e_new = self._delta_energy([merged], exclude=[A, B])
-        if math.isinf(e_new):
-            return False
+        merged = Loop(A.type_index,
+                      BridgePath(samples=samples, k=k, slices_per_beta=S, beta=beta))
         log_g = leg_swap_log_ratio(self._log_leg_gauss, uA, uB, x1, x2)
-        if metropolis(merge_log_ratio(k1, k2, log_g, e_new - e_old, n_pairs,
-                                      len(self.config.loops) - 1), rng):
-            self._splice((A, B), (merged,))
-            self._h += e_new - e_old
-            return True
-        return False
+        n_after = len(self.config.loops) - 1
+        return self._try((A, B), (merged,), lambda dh: merge_log_ratio(
+            k1, k2, log_g, dh, n_pairs, n_after))
 
     def _try_split(self):
         rng = self.rng
@@ -352,8 +346,7 @@ class Chain:
         n = len(self.config.loops)
         if n == 0:
             return False
-        idx = int(rng.integers(n))
-        old = self.config.loops[idx]
+        old = self.config.loops[int(rng.integers(n))]
         k = old.k
         if k < 2:
             return False
@@ -368,23 +361,12 @@ class Chain:
                      BridgePath(samples=s1, k=m, slices_per_beta=S, beta=beta))
         loop2 = Loop(old.type_index,
                      BridgePath(samples=s2, k=k - m, slices_per_beta=S, beta=beta))
-        if not lps.confined_to_box([loop1, loop2], self.box):
-            return False
-        e_old = self._delta_energy([old], exclude=[old])
-        e_new = self._delta_energy([loop1, loop2], exclude=[old])
-        if math.isinf(e_new):
-            return False
         log_g = leg_swap_log_ratio(self._log_leg_gauss, um, uk, u, x1)
-        # ordered same-type pairs after the split
-        counts = self.config.type_counts(self.params.n_types)
-        counts[old.type_index] += 1
-        n_pairs_after = sum(c * (c - 1) for c in counts)
-        if metropolis(-merge_log_ratio(m, k - m, -log_g, -(e_new - e_old),
-                                       n_pairs_after, n), rng):
-            self._splice((old,), (loop1, loop2))
-            self._h += e_new - e_old
-            return True
-        return False
+        # ordered same-type pairs after the split: one more loop of old's type
+        n_pairs, counts = self._ordered_pair_count()
+        n_pairs_after = n_pairs + 2 * counts[old.type_index]
+        return self._try((old,), (loop1, loop2), lambda dh: -merge_log_ratio(
+            m, k - m, -log_g, -dh, n_pairs_after, n))
 
     def _log_leg_gauss(self, u, v):
         # the same sum, term by term in coordinate order, as np.sum((u - v) ** 2)
@@ -455,8 +437,7 @@ def load_checkpoint(path, params, options=None):
     chain.config = config
     chain.sweeps_done = state["sweeps"]
     chain.rng.bit_generator.state = state["rng"]
-    chain._h = interaction_energy(config.loops, params, external=config.external,
-                                  conservative=chain.opts.conservative_hard_core)
+    chain.audit(tol=math.inf)  # seeds the energy cache
     return chain
 
 
