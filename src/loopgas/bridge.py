@@ -64,20 +64,6 @@ class BridgePath:
     def dimension(self):
         return self.samples.shape[1]
 
-    def whole_step_points(self):
-        """Positions at times m*beta, m = 0..k (the leg endpoints)."""
-        return self.samples[:: self.slices_per_beta]
-
-    def leg_midpoints(self):
-        """Segment midpoints grouped per leg, shape (k, S, d).
-
-        Row m holds the midpoints of the S grid segments covering
-        [m*beta, (m+1)*beta]; these are the quadrature nodes for the
-        equal-time pair energy.
-        """
-        mids = 0.5 * (self.samples[:-1] + self.samples[1:])
-        return mids.reshape(self.k, self.slices_per_beta, self.dimension)
-
 
 @functools.lru_cache(maxsize=256)
 def _plan(lo, hi, dt):

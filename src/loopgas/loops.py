@@ -41,10 +41,21 @@ class _Legged:
     def samples(self):
         return self.path.samples
 
+    @property
+    def step_points(self):
+        """Positions at times m*beta, m = 0..k (the leg endpoints)."""
+        return self.path.samples[:: self.path.slices_per_beta]
+
     @cached_property
     def leg_mids(self):
-        """Quadrature nodes of each leg, shape (k, S, d)."""
-        return self.path.leg_midpoints()
+        """Quadrature nodes of each leg, shape (k, S, d).
+
+        Row m holds the midpoints of the S grid segments covering
+        [m*beta, (m+1)*beta].
+        """
+        s = self.path.samples
+        mids = 0.5 * (s[:-1] + s[1:])
+        return mids.reshape(self.k, self.path.slices_per_beta, s.shape[1])
 
     @cached_property
     def leg_nodes(self):
@@ -137,7 +148,7 @@ def avoids_box_at_step_times(objects, box):
     for obj in objects:
         if obj.k < 2:
             continue
-        interior = obj.path.whole_step_points()[1:-1]
+        interior = obj.step_points[1:-1]
         if np.any(box.contains(interior)):
             return False
     return True
