@@ -140,8 +140,13 @@ def _check_cross_fields(ok, experiment_name, errors):
             for key in ("table_r", "table_v"):
                 if key not in entry:
                     errors.append("at %s.%s: required for table profiles" % (path, key))
+    geometry = ok.get("geometry", {})
     for key in ("box0_center", "shift"):
-        _check_length(ok.get("geometry", {}), key, d, "geometry", errors)
+        _check_length(geometry, key, d, "geometry", errors)
+    c0, half = geometry.get("box0_center"), geometry.get("box_half_side")
+    if c0 is not None and half is not None and any(abs(x) > half for x in c0):
+        errors.append("at geometry.box0_center: %s outside the box [-%r, %r]^d"
+                      % (c0, half, half))
     mw = ok.get("sampler", {}).get("move_weights")
     if mw is not None and (any(w < 0 for w in mw) or sum(mw) <= 0):
         errors.append("at sampler.move_weights: weights must be non-negative "

@@ -233,9 +233,11 @@ class TestMain:
          "inner1: [2]}\n", "experiment.options.inner1"),
         ("oracle", MINIMAL + "experiment:\n  options: {n_sites: 1}\n",
          "experiment.options.inner1"),
+        ("q-kernel", MINIMAL.replace("5.0", "2.0\n  box0_center: [5.0, 0.0]"),
+         "geometry.box0_center"),
     ], ids=["zero-thin", "scalar-potentials", "non-numeric-points",
             "oracle-site-past-lattice", "oracle-inner-not-nested",
-            "oracle-default-windows-not-nested"])
+            "oracle-default-windows-not-nested", "box0-outside-box"])
     def test_bad_values_reported_not_raised(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "bad.yaml"
         path.write_text(config)
