@@ -60,10 +60,6 @@ class BridgePath:
     slices_per_beta: int
     beta: float
 
-    @property
-    def dimension(self):
-        return self.samples.shape[1]
-
 
 @functools.lru_cache(maxsize=256)
 def _plan(lo, hi, dt):
