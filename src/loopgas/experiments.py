@@ -382,31 +382,22 @@ def exp_free_validate(cfg):
         rows.append({"check": "anchor_density", "parameter": float(j),
                      "value": est.per_type[j], "target": target,
                      "std_error": est.std_errors[j], "pass": good})
-    # multiplicity histogram against z^k / (k (2 pi beta k)^(d/2))
-    k_max = chain.opts.k_max
+    # per-snapshot counts of k-loops against p_k N, N the snapshot's loop
+    # count and p_k proportional to z^k / (k (2 pi beta k)^(d/2)), by batch means
     weights = np.array([
         sum(z ** k / (k * (2.0 * math.pi * params.beta * k) ** (0.5 * params.dimension))
-            for z in params.fugacity) for k in range(1, k_max + 1)])
-    probs = weights / weights.sum()
-    counts = np.array([est.histogram.get(k, 0) for k in range(1, k_max + 1)], dtype=float)
-    n_tot = counts.sum()
-    p_hist = 0.0
-    if n_tot >= 100:
-        # lump bins with tiny expectation to keep the chi-square valid
-        exp_cnt = probs * n_tot
-        keep = exp_cnt >= 5.0
-        obs = np.append(counts[keep], counts[~keep].sum())
-        expc = np.append(exp_cnt[keep], exp_cnt[~keep].sum())
-        if expc[-1] == 0.0:
-            obs, expc = obs[:-1], expc[:-1]
-        # snapshots are correlated, so this is a coarse consistency check
-        chi2 = float(np.sum((obs - expc) ** 2 / expc))
-        p_hist = float(stats.chi2.sf(chi2, len(obs) - 1))
-        good = p_hist > 0.01
-        ok = ok and good
-        rows.append({"check": "multiplicity_histogram", "parameter": float(n_tot),
-                     "value": p_hist, "target": 0.01, "std_error": 0.0,
-                     "pass": good})
+            for z in params.fugacity) for k in range(1, chain.opts.k_max + 1)])
+    hist = est.snapshot_histogram
+    n = sum(hist.values())
+    expected = {k: p * n for k, p in enumerate(weights / weights.sum(), 1)}
+    for k, (sigma, se) in mc.histogram_gaps(hist, expected).items():
+        if sigma is not None:
+            good = sigma <= 3.0
+            ok = ok and good
+            rows.append({"check": "multiplicity_count", "parameter": float(k),
+                         "value": float(np.mean(hist.get(k, 0.0))),
+                         "target": float(np.mean(expected[k])), "std_error": se,
+                         "pass": good})
     return ExperimentResult(
         "free-validate",
         ["check", "parameter", "value", "target", "std_error", "pass"],
@@ -472,9 +463,9 @@ def exp_density(cfg):
     for j in range(params.n_types):
         rows.append({"kind": "anchor_density", "index": j,
                      "value": est.per_type[j], "std_error": est.std_errors[j]})
-    for k in sorted(est.histogram):
+    for k, count in sorted(est.histogram.items()):
         rows.append({"kind": "multiplicity_count", "index": int(k),
-                     "value": float(est.histogram[k]), "std_error": 0.0})
+                     "value": float(count), "std_error": 0.0})
     return ExperimentResult(
         "density", ["kind", "index", "value", "std_error"], rows,
         {"n_snapshots": est.n_snapshots, "window_volume": est.window_volume,

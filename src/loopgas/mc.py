@@ -662,10 +662,15 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
 class DensityEstimate:
     per_type: list
     std_errors: list
-    histogram: dict
+    snapshot_histogram: dict  # k -> per-snapshot counts of k-loops
     n_snapshots: int
     window_volume: float
     warning: str = ""
+
+    @property
+    def histogram(self):
+        """k -> k-loops over all snapshots."""
+        return _pooled(self.snapshot_histogram)
 
 
 def _window_margin(box, window):
@@ -719,7 +724,7 @@ def estimate_density(chain, window, n_sweeps, thin=1, n_batches=16):
     vol = window.volume
     vals, ses = map(list, zip(*[batch_means(counts[0, :, j] / vol, n_batches)
                                 for j in range(chain.params.n_types)]))
-    return DensityEstimate(vals, ses, _pooled(hists[0]), counts.shape[1], vol, warning)
+    return DensityEstimate(vals, ses, hists[0], counts.shape[1], vol, warning)
 
 
 @dataclass

@@ -317,8 +317,8 @@ experiment:
         assert "window margin" in capsys.readouterr().err
 
     def test_failing_verdict_exit_one(self, tmp_path, capsys):
-        # window equal to the whole box: boundary clipping skews the
-        # multiplicity law, so the built-in consistency check must fail
+        # window equal to the whole box: confinement clips loops near the
+        # wall and lowers the anchor density, so the built-in check must fail
         cfg = tmp_path / "f.yaml"
         cfg.write_text("""
 model:
