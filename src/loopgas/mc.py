@@ -90,6 +90,25 @@ def leg_swap_log_ratio(log_mass, p, q, r, s):
     return log_mass(p, s) + log_mass(q, r) - log_mass(p, r) - log_mass(q, s)
 
 
+def ordered_pair_count(counts):
+    """Ordered pairs of distinct same-type loops, from the loop count of each type."""
+    return sum(c * (c - 1) for c in counts)
+
+
+def pick_ordered_pair(r, counts):
+    """The r-th ordered pair of distinct same-type loops, as (type, a, b).
+
+    a and b are the places of the two loops among that type's loops; r
+    uniform on range(ordered_pair_count(counts)) makes the pair uniform.
+    """
+    for j, c in enumerate(counts):
+        if r < c * (c - 1):
+            a, b = divmod(r, c - 1)
+            return j, a, b + (b >= a)
+        r -= c * (c - 1)
+    raise ValueError("pair index out of range")
+
+
 def move_cdf(move_weights):
     """Cumulative probabilities of picking insert/delete, merge/split, redraw."""
     w = np.asarray(move_weights, dtype=float)
@@ -281,25 +300,6 @@ class Chain:
         st.accepted += 1
         return True
 
-    def _ordered_pair_count(self):
-        counts = self.config.type_counts(self.params.n_types)
-        return sum(c * (c - 1) for c in counts), counts
-
-    def _pick_ordered_pair(self, n_pairs, counts):
-        """Uniform ordered pair of distinct same-type loops."""
-        r = int(self.rng.integers(n_pairs))
-        for j, c in enumerate(counts):
-            block = c * (c - 1)
-            if r < block:
-                of_type = [lp for lp in self.config.loops if lp.type_index == j]
-                a = r // (c - 1)
-                b = r % (c - 1)
-                if b >= a:
-                    b += 1
-                return of_type[a], of_type[b]
-            r -= block
-        raise AssertionError("pair selection out of range")
-
     def step_merge_split(self):
         st = self.stats["merge_split"]
         st.proposed += 1
@@ -315,10 +315,13 @@ class Chain:
         rng = self.rng
         S = self.opts.slices_per_beta
         beta = self.params.beta
-        n_pairs, counts = self._ordered_pair_count()
+        counts = self.config.type_counts(self.params.n_types)
+        n_pairs = ordered_pair_count(counts)
         if n_pairs == 0:
             return False
-        A, B = self._pick_ordered_pair(n_pairs, counts)
+        j, a, b = pick_ordered_pair(int(rng.integers(n_pairs)), counts)
+        of_type = [lp for lp in self.config.loops if lp.type_index == j]
+        A, B = of_type[a], of_type[b]
         k1, k2 = A.k, B.k
         k = k1 + k2
         if k > self.opts.k_max:
@@ -363,10 +366,11 @@ class Chain:
                      BridgePath(samples=s2, k=k - m, slices_per_beta=S, beta=beta))
         log_g = leg_swap_log_ratio(self._log_leg_gauss, um, uk, u, x1)
         # ordered same-type pairs after the split: one more loop of old's type
-        n_pairs, counts = self._ordered_pair_count()
-        n_pairs_after = n_pairs + 2 * counts[old.type_index]
+        counts = self.config.type_counts(self.params.n_types)
+        counts[old.type_index] += 1
+        n_pairs = ordered_pair_count(counts)
         return self._try((old,), (loop1, loop2), lambda dh: -merge_log_ratio(
-            m, k - m, -log_g, -dh, n_pairs_after, n))
+            m, k - m, -log_g, -dh, n_pairs, n))
 
     def _log_leg_gauss(self, u, v):
         # the same sum, term by term in coordinate order, as np.sum((u - v) ** 2)

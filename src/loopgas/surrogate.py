@@ -6,13 +6,16 @@ the Gaussian kernel of one grid slice, evaluated on the site set and left
 unnormalised.  Interior points of freshly proposed legs are drawn from the
 exact sequential conditionals (matrix powers of the step kernel), so every
 proposal density is available in closed form and the full state space of at
-most max_loops loops can be enumerated.  Acceptance runs through the
-continuum chain's own functions (mc.insert_log_ratio, mc.accept_insertion,
-mc.merge_log_ratio, mc.metropolis) fed with the twin's multiplicities, leg
-masses, selection counts and energy differences, so flux and occupancy tests
-against the enumerated invariant law exercise the formulas the continuum
-chain runs on, with the energy from the production code on the embedded
-paths.
+most max_loops loops can be enumerated.  The moves run on the continuum
+chain's own pieces, fed with the twin's multiplicities, leg masses and energy
+differences: the family is picked through mc.move_cdf, merge pairs through
+mc.ordered_pair_count and mc.pick_ordered_pair (one type, so counts [n]),
+ratios through mc.insert_log_ratio and mc.merge_log_ratio.  Insertion is
+tested by mc.accept_insertion; deletion, wiggle, merge and split share one
+Metropolis test and commit (_try), which keeps the list order of the chain's
+loops.splice.  So flux and occupancy tests against the enumerated invariant
+law exercise the formulas the continuum chain runs on, with the energy from
+the production code on the embedded paths.
 """
 
 import itertools
@@ -26,6 +29,9 @@ from .bridge import BridgePath
 from .loops import Loop, interaction_energy
 
 DiscreteLoop = namedtuple("DiscreteLoop", ["k", "sites"])
+
+# update families in the order of mc.move_cdf; wiggle is the chain's leg redraw
+FAMILIES = ("insert_delete", "merge_split", "wiggle")
 
 MAX_STATES = 200000
 
@@ -113,9 +119,29 @@ class DiscreteLoopGas:
 
     # -- update families, continuum ratio structure ------------------------------
 
+    def _try(self, drop, added, log_ratio):
+        """Metropolis test of replacing the loops at places drop by added; commits if accepted.
+
+        The list order is that of loops.splice, applied by place since equal
+        loops compare equal: one loop for one keeps its place; otherwise the
+        dropped loops go and the added ones are appended.  log_ratio(dh) is
+        the move's log acceptance ratio for the energy change dh.
+        """
+        if len(drop) == len(added) == 1:
+            new = list(self.state)
+            new[drop[0]] = added[0]
+        else:
+            new = [dl for i, dl in enumerate(self.state) if i not in drop] + list(added)
+        dh = self.config_energy(new) - self.config_energy(self.state)
+        if math.isinf(dh) or not mc.metropolis(log_ratio(dh), self.rng):
+            return False
+        self.state = new
+        return True
+
     def step_insert_delete(self):
         rng = self.rng
-        z = self.params.fugacity[0]
+        log_z = math.log(self.params.fugacity[0])
+        log_choices = math.log(self.n_sites * self.k_max)
         n = len(self.state)
         if rng.random() < 0.5:
             if n >= self.max_loops:
@@ -130,8 +156,8 @@ class DiscreteLoopGas:
                 return dl, h_new - self.config_energy(self.state)
 
             accepted = mc.accept_insertion(mc.insert_log_ratio(
-                k, math.log(z), math.log(self.Mpow[r][a, a]), 0.0,
-                math.log(self.n_sites * self.k_max), n + 1), propose, rng)
+                k, log_z, math.log(self.Mpow[r][a, a]), 0.0, log_choices, n + 1),
+                propose, rng)
             if accepted is None:
                 return False
             self.state.append(accepted[0])
@@ -140,15 +166,9 @@ class DiscreteLoopGas:
             return False
         idx = int(rng.integers(n))
         dl = self.state[idx]
-        h_old = self.config_energy(self.state)
-        h_new = self.config_energy(self.state[:idx] + self.state[idx + 1:])
-        r = dl.k * self.S
-        if mc.metropolis(-mc.insert_log_ratio(
-                dl.k, math.log(z), math.log(self.Mpow[r][dl.sites[0], dl.sites[0]]),
-                h_old - h_new, math.log(self.n_sites * self.k_max), n), rng):
-            self.state.pop(idx)
-            return True
-        return False
+        log_mass = math.log(self.Mpow[dl.k * self.S][dl.sites[0], dl.sites[0]])
+        return self._try((idx,), (), lambda dh: -mc.insert_log_ratio(
+            dl.k, log_z, log_mass, -dh, log_choices, n))
 
     def step_wiggle(self):
         rng = self.rng
@@ -159,21 +179,11 @@ class DiscreteLoopGas:
         dl = self.state[idx]
         S = self.S
         m = int(rng.integers(dl.k))
-        total = dl.k * S
         u = dl.sites[m * S]
-        v = dl.sites[((m + 1) * S) % total]
-        interior = self.sample_interior(u, v, S)
+        v = dl.sites[((m + 1) * S) % (dl.k * S)]
         sites = list(dl.sites)
-        sites[m * S + 1: m * S + S] = list(interior)
-        new = DiscreteLoop(dl.k, tuple(sites))
-        h_old = self.config_energy(self.state)
-        h_new = self.config_energy(self.state[:idx] + [new] + self.state[idx + 1:])
-        if math.isinf(h_new):
-            return False
-        if mc.metropolis(-(h_new - h_old), rng):
-            self.state[idx] = new
-            return True
-        return False
+        sites[m * S + 1: m * S + S] = self.sample_interior(u, v, S)
+        return self._try((idx,), (DiscreteLoop(dl.k, tuple(sites)),), lambda dh: -dh)
 
     def step_merge_split(self):
         if self.rng.random() < 0.5:
@@ -184,37 +194,24 @@ class DiscreteLoopGas:
         rng = self.rng
         S = self.S
         n = len(self.state)
-        n_pairs = n * (n - 1)
+        n_pairs = mc.ordered_pair_count([n])
         if n_pairs == 0:
             return False
-        r = int(rng.integers(n_pairs))
-        ia = r // (n - 1)
-        ib = r % (n - 1)
-        if ib >= ia:
-            ib += 1
+        _, ia, ib = mc.pick_ordered_pair(int(rng.integers(n_pairs)), [n])
         A, B = self.state[ia], self.state[ib]
         k1, k2 = A.k, B.k
-        k = k1 + k2
-        if k > self.k_max:
+        if k1 + k2 > self.k_max:
             return False
         x1, x2 = A.sites[0], B.sites[0]
         uA = A.sites[(k1 - 1) * S]
         uB = B.sites[(k2 - 1) * S]
         conn1 = self.sample_interior(uA, x2, S)
         conn2 = self.sample_interior(uB, x1, S)
-        merged = DiscreteLoop(k, A.sites[: (k1 - 1) * S + 1] + conn1
+        merged = DiscreteLoop(k1 + k2, A.sites[: (k1 - 1) * S + 1] + conn1
                               + (x2,) + B.sites[1: (k2 - 1) * S + 1] + conn2)
-        rest = [dl for i, dl in enumerate(self.state) if i not in (ia, ib)]
-        h_old = self.config_energy(self.state)
-        h_new = self.config_energy(rest + [merged])
-        if math.isinf(h_new):
-            return False
         log_g = mc.leg_swap_log_ratio(self.leg_log_mass, uA, uB, x1, x2)
-        if mc.metropolis(mc.merge_log_ratio(k1, k2, log_g, h_new - h_old,
-                                            n_pairs, n - 1), rng):
-            self.state = rest + [merged]
-            return True
-        return False
+        return self._try((ia, ib), (merged,), lambda dh: mc.merge_log_ratio(
+            k1, k2, log_g, dh, n_pairs, n - 1))
 
     def _try_split(self):
         rng = self.rng
@@ -225,12 +222,9 @@ class DiscreteLoopGas:
         idx = int(rng.integers(n))
         old = self.state[idx]
         k = old.k
-        if k < 2:
-            return False
-        if n + 1 > self.max_loops:
+        if k < 2 or n + 1 > self.max_loops:
             return False
         m = int(rng.integers(1, k))
-        total = k * S
         x1 = old.sites[0]
         u = old.sites[m * S]
         sm1 = old.sites[(m - 1) * S]
@@ -239,36 +233,21 @@ class DiscreteLoopGas:
         close2 = self.sample_interior(sk1, u, S)
         loop1 = DiscreteLoop(m, old.sites[: (m - 1) * S + 1] + close1)
         loop2 = DiscreteLoop(k - m, old.sites[m * S: (k - 1) * S + 1] + close2)
-        rest = self.state[:idx] + self.state[idx + 1:]
-        h_old = self.config_energy(self.state)
-        h_new = self.config_energy(rest + [loop1, loop2])
-        if math.isinf(h_new):
-            return False
         log_g = mc.leg_swap_log_ratio(self.leg_log_mass, sm1, sk1, u, x1)
-        if mc.metropolis(-mc.merge_log_ratio(m, k - m, -log_g, -(h_new - h_old),
-                                             (n + 1) * n, n), rng):
-            self.state = rest + [loop1, loop2]
-            return True
-        return False
-
-    _FAMILIES = ("insert_delete", "merge_split", "wiggle")
+        n_pairs = mc.ordered_pair_count([n + 1])
+        return self._try((idx,), (loop1, loop2), lambda dh: -mc.merge_log_ratio(
+            m, k - m, -log_g, -dh, n_pairs, n))
 
     def step_family(self, family):
-        if family == "insert_delete":
-            return self.step_insert_delete()
-        if family == "merge_split":
-            return self.step_merge_split()
-        if family == "wiggle":
-            return self.step_wiggle()
-        raise ValueError("unknown update family %r" % (family,))
+        if family not in FAMILIES:
+            raise ValueError("unknown update family %r" % (family,))
+        return getattr(self, "step_" + family)()
 
     def step(self):
+        """One update of a family picked through move_cdf, as the chain picks it."""
         r = self.rng.random()
-        if r < self._move_cdf[0]:
-            return self.step_insert_delete()
-        if r < self._move_cdf[1]:
-            return self.step_merge_split()
-        return self.step_wiggle()
+        return self.step_family(
+            FAMILIES[int(np.searchsorted(self._move_cdf[:-1], r, side="right"))])
 
     # -- exact enumeration --------------------------------------------------------
 

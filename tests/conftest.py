@@ -2,10 +2,15 @@
 
 Acceptance tests record one line per criterion through the record_criterion
 fixture; the terminal summary prints them after the run so the pass/fail
-status of every criterion is visible in one block.
+status of every criterion is visible in one block.  The flux_p_value fixture
+is the stationary flux-balance test on the enumerable twin, shared by
+criterion 7 and the detailed-balance tests.
 """
 
 import pytest
+from scipy import stats
+
+from loopgas import surrogate
 
 _ACCEPTANCE_LINES = {}
 
@@ -18,6 +23,43 @@ def record_criterion():
         label = "criterion %2d%s" % (number, (" (%s)" % suffix) if suffix else "")
         _ACCEPTANCE_LINES[key] = "%s [%s] %s" % (label, status, detail)
     return rec
+
+
+def _flux_p_value(params, family, seed, n_trials=3000, positions=(0.0, 0.6)):
+    """p-value of matched transition counts under one family's moves.
+
+    Each trial starts the twin from an exact stationary draw and applies one
+    move of the family; stationarity plus reversibility force matched counts
+    across each unordered state pair, judged by a chi-square over the pairs
+    with at least 8 transitions.  NaN when no pair has that many.
+    """
+    gas = surrogate.DiscreteLoopGas(list(positions), params, seed=seed)
+    law = gas.enumerate_states()
+    counts = {}
+    for _ in range(n_trials):
+        gas.state = list(gas.sample_state(law))
+        before = surrogate.canonical(gas.state)
+        gas.step_family(family)
+        after = surrogate.canonical(gas.state)
+        if before != after:
+            counts[(before, after)] = counts.get((before, after), 0) + 1
+    chi2, df = 0.0, 0
+    seen = set()
+    for (a, b), n_ab in counts.items():
+        if (b, a) in seen:
+            continue
+        seen.add((a, b))
+        n_ba = counts.get((b, a), 0)
+        total = n_ab + n_ba
+        if total >= 8:
+            chi2 += (n_ab - n_ba) ** 2 / total
+            df += 1
+    return 1.0 - stats.chi2.cdf(chi2, df=df) if df else float("nan")
+
+
+@pytest.fixture
+def flux_p_value():
+    return _flux_p_value
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

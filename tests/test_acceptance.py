@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from loopgas import analytic, bridge, experiments, mc, oracle, surrogate
 from loopgas.model import Box, ModelParams, PairPotential, zero_potential
@@ -171,37 +170,13 @@ def test_criterion_06_multiplicity_tail_bounds(record_criterion):
     assert ok
 
 
-def test_criterion_07_update_flux_balance(record_criterion):
+def test_criterion_07_update_flux_balance(record_criterion, flux_p_value):
     well = ModelParams(1, 1, 1.0, (0.4,),
                        [[PairPotential(range_=0.8, height=1.2)]])
     parts, ok = [], True
-    for i, family in enumerate(("insert_delete", "merge_split", "wiggle")):
-        gas = surrogate.DiscreteLoopGas([0.0, 0.6], well, seed=40 + i)
-        law = gas.enumerate_states()
-        counts = {}
-        for _ in range(3000):
-            start = gas.sample_state(law)
-            gas.state = list(start)
-            before = surrogate.canonical(gas.state)
-            gas.step_family(family)
-            after = surrogate.canonical(gas.state)
-            if before != after:
-                counts[(before, after)] = counts.get((before, after), 0) + 1
-        chi2, df = 0.0, 0
-        seen = set()
-        for (a, b), n_ab in counts.items():
-            if (a, b) in seen or (b, a) in seen:
-                continue
-            seen.add((a, b))
-            n_ba = counts.get((b, a), 0)
-            total = n_ab + n_ba
-            if total < 8:
-                continue
-            chi2 += (n_ab - n_ba) ** 2 / total
-            df += 1
-        p = 1.0 - stats.chi2.cdf(chi2, df=df)
-        good = df > 0 and p > 0.01
-        ok = ok and good
+    for i, family in enumerate(surrogate.FAMILIES):
+        p = flux_p_value(well, family, seed=40 + i)
+        ok = ok and p > 0.01
         parts.append("%s p=%.3f" % (family, p))
     record_criterion(7, ok, "stationary flux balance on the enumerable "
                      "twin, p > 0.01 per family; " + "; ".join(parts))

@@ -1,13 +1,15 @@
 """Reversibility checks for the update families on the enumerable twin.
 
-The discrete gas accepts its moves through the continuum chain's own ratio
-functions (mc.insert_log_ratio, mc.accept_insertion, mc.merge_log_ratio,
-mc.metropolis), so a flux
-imbalance here would flag an error in the production formulas or in the
-proposal densities and selection counts fed to them.  Each trial starts from
-an exact stationary draw, applies one move of a single family, and records
-the transition; stationarity plus reversibility force matched counts across
-each unordered state pair.
+The discrete gas picks merge pairs with the continuum chain's own
+mc.ordered_pair_count and mc.pick_ordered_pair and accepts its moves through
+the chain's ratio functions (mc.insert_log_ratio, mc.merge_log_ratio),
+mc.accept_insertion for insertions and one Metropolis test and commit
+(DiscreteLoopGas._try) for the rest, so a flux imbalance here would flag an
+error in the production formulas, in the pair selection or in the proposal
+densities fed to them.  Each trial of the flux_p_value fixture (conftest)
+starts from an exact stationary draw, applies one move of a single family,
+and records the transition; stationarity plus reversibility force matched
+counts across each unordered state pair.
 """
 
 import math
@@ -17,54 +19,24 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from loopgas import mc, surrogate
+from loopgas.surrogate import FAMILIES
 from loopgas.model import ModelParams, PairPotential, zero_potential
 
-POSITIONS = [0.0, 0.6]
+POSITIONS = [0.0, 0.6]  # the sites of the flux_p_value fixture
 
 FREE = ModelParams(1, 1, 1.0, (0.4,), [[zero_potential()]])
 WELL = ModelParams(1, 1, 1.0, (0.4,),
                    [[PairPotential(profile="square_well", range_=0.8,
                                    height=1.2)]])
 
-FAMILIES = ("insert_delete", "merge_split", "wiggle")
-
-
-def flux_p_value(params, family, seed, n_trials=3000):
-    gas = surrogate.DiscreteLoopGas(POSITIONS, params, seed=seed)
-    law = gas.enumerate_states()
-    counts = {}
-    for _ in range(n_trials):
-        start = gas.sample_state(law)
-        gas.state = list(start)
-        before = surrogate.canonical(gas.state)
-        gas.step_family(family)
-        after = surrogate.canonical(gas.state)
-        if before != after:
-            counts[(before, after)] = counts.get((before, after), 0) + 1
-    chi2, df = 0.0, 0
-    seen = set()
-    for (a, b), n_ab in counts.items():
-        if (a, b) in seen or (b, a) in seen:
-            continue
-        seen.add((a, b))
-        n_ba = counts.get((b, a), 0)
-        total = n_ab + n_ba
-        if total < 8:
-            continue
-        chi2 += (n_ab - n_ba) ** 2 / total
-        df += 1
-    assert df > 0, "no state pair collected enough transitions"
-    return 1.0 - stats.chi2.cdf(chi2, df=df)
-
-
 class TestFluxBalance:
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_free_model(self, family):
+    def test_free_model(self, family, flux_p_value):
         p = flux_p_value(FREE, family, seed=FAMILIES.index(family) + 10)
         assert p > 0.01
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_interacting_model(self, family):
+    def test_interacting_model(self, family, flux_p_value):
         p = flux_p_value(WELL, family, seed=FAMILIES.index(family) + 40)
         assert p > 0.01
 
@@ -102,7 +74,7 @@ class TestSharedRatios:
                                       sum(c * (c - 1) for c in split), sum(merged))
         assert abs(forward + reverse) <= 1e-12 * max(1.0, abs(forward))
 
-    def test_balance_tests_see_a_broken_merge_ratio(self, monkeypatch):
+    def test_balance_tests_see_a_broken_merge_ratio(self, monkeypatch, flux_p_value):
         # dropping the multiplicity factor log(k1 k2 / k) from the shared
         # function must unbalance the twin's merge/split flux
         assert flux_p_value(WELL, "merge_split", seed=11, n_trials=10000) > 0.01
@@ -113,7 +85,8 @@ class TestSharedRatios:
             shared(k1, k2, log_g, dh, n_pairs, n_after) - math.log(k1 * k2 / (k1 + k2)))
         assert flux_p_value(WELL, "merge_split", seed=11, n_trials=10000) < 1e-3
 
-    def test_balance_tests_see_an_insertion_that_skips_the_energy(self, monkeypatch):
+    def test_balance_tests_see_an_insertion_that_skips_the_energy(self, monkeypatch,
+                                                                  flux_p_value):
         # accepting on the draw-first bound alone, without testing the same
         # uniform against exp(bound - dh), must unbalance insert/delete
         assert flux_p_value(WELL, "insert_delete", seed=12) > 0.01
@@ -126,6 +99,28 @@ class TestSharedRatios:
 
         monkeypatch.setattr(mc, "accept_insertion", bound_only)
         assert flux_p_value(WELL, "insert_delete", seed=12) < 1e-3
+
+
+    @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    def test_pair_index_names_each_ordered_pair_once(self, counts):
+        picks = [mc.pick_ordered_pair(r, counts)
+                 for r in range(mc.ordered_pair_count(counts))]
+        assert sorted(picks) == [(j, a, b) for j, c in enumerate(counts)
+                                 for a in range(c) for b in range(c) if a != b]
+
+    def test_balance_tests_see_a_biased_pair_selection(self, monkeypatch, flux_p_value):
+        # a pick that always puts the earlier loop first must unbalance the
+        # twin's merge/split flux: the twin merges through the chain's own
+        # mc.pick_ordered_pair
+        assert flux_p_value(WELL, "merge_split", seed=11, n_trials=10000) > 0.01
+        shared = mc.pick_ordered_pair
+
+        def earlier_first(r, counts):
+            j, a, b = shared(r, counts)
+            return j, min(a, b), max(a, b)
+
+        monkeypatch.setattr(mc, "pick_ordered_pair", earlier_first)
+        assert flux_p_value(WELL, "merge_split", seed=11, n_trials=10000) < 1e-3
 
 
 class TestLawStructure:
