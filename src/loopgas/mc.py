@@ -153,13 +153,11 @@ class Chain:
 
     _h = 0.0  # the energy cache: reseeded by audit, moved only by _commit
 
-    def __init__(self, params, box, external=None, options=None, seed=None, rng=None):
+    def __init__(self, params, box, external=None, options=None, seed=None):
         self.params = params
         self.box = box
         self.opts = options or SamplerOptions()
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        self.rng = rng
+        self.rng = np.random.default_rng(seed)
         self.config = LoopConfig(box, self.opts.slices_per_beta, [], external)
         self.sweeps_done = 0
         self.stats = {"insert_delete": MoveStats(), "merge_split": MoveStats(),

@@ -47,7 +47,7 @@ class DiscreteLoopGas:
     """
 
     def __init__(self, positions, params, slices_per_beta=2, k_max=2,
-                 max_loops=2, seed=None, rng=None):
+                 max_loops=2, seed=None):
         if params.n_types != 1 or params.dimension != 1:
             raise ValueError("the discrete twin is single-type and one-dimensional")
         self.positions = np.asarray(positions, dtype=float)
@@ -56,7 +56,7 @@ class DiscreteLoopGas:
         self.k_max = int(k_max)
         self.max_loops = int(max_loops)
         self.n_sites = self.positions.size
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
         delta = params.beta / self.S
         diff = self.positions[:, None] - self.positions[None, :]
         self.M = np.exp(-diff * diff / (2.0 * delta))
