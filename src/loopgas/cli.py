@@ -127,9 +127,11 @@ def _check_cross_fields(ok, experiment_name, errors):
     model = ok.get("model", {})
     d, q = model.get("dimension"), model.get("n_types")
     _check_length(model, "fugacity", q, "model", errors)
+    max_range = 0.0
     for p_idx, entry in enumerate(model.get("potentials", ())):
         path = "model.potentials[%d]" % p_idx
         pot = _check_section(POTENTIAL, entry, path, errors)
+        max_range = max(max_range, pot.get("range", 0.0))
         types = pot.get("types")
         if types is not None and q is not None and not all(0 <= t < q for t in types):
             errors.append("at %s.types: indices outside [0, %d)" % (path, q))
@@ -155,6 +157,11 @@ def _check_cross_fields(ok, experiment_name, errors):
     counts, points = external.get("counts"), external.get("points")
     if counts is not None and q is not None and len(counts) != q:
         errors.append("at external.counts: expected %d entries" % q)
+    reach = min(external.get("reach", max_range), max_range)
+    if counts is not None and any(counts) and points is None and reach <= 0:
+        # the points are scattered within reach of the box: none can be drawn
+        errors.append("at external.counts: points need a positive reach, but "
+                      "min(external.reach, largest potential range) is %r" % reach)
     if points is not None and q is not None and d is not None and not (
             len(points) == q and all(isinstance(p, list) and all(
                 isinstance(x, list) and len(x) == d and all(map(_is_num, x))
@@ -175,6 +182,11 @@ def _check_cross_fields(ok, experiment_name, errors):
         options = _check_section(OPTIONS[name], experiment["options"],
                                  "experiment.options", errors)
         _check_length(options, "counts", q, "experiment.options", errors)
+        if name == "b-condition":
+            opts = settings(OPTIONS[name], options)
+            if opts["grid_max"] < opts["grid_min"]:
+                errors.append("at experiment.options.grid_max: %r below grid_min %r, "
+                              "so the L grid is empty" % (opts["grid_max"], opts["grid_min"]))
         if name == "oracle":
             opts = settings(OPTIONS[name], options)
             inner0, inner1 = oracle_windows(opts)

@@ -105,7 +105,7 @@ OPTIONS = {
         "counts": Key("ints", minimum=0),
         "envelope_grid": Key("numbers", (1.0, 2.0, 3.0, 4.0)),
         "growth_family": Key("str", "linear", choices=_GROWTH),
-        "growth_grid_max": Key("number", 10.0),
+        "growth_grid_max": Key("number", 10.0, minimum=1.0),
     },
     "oracle": {
         "n_sites": Key("int", 4, minimum=1), "spacing": Key("number", 1.0, min_exclusive=0.0),

@@ -144,6 +144,19 @@ geometry:
         errs = errors_of(MINIMAL + "sampler:\n  move_weights: [1, -2, 1]\n")
         assert any("move_weights" in e for e in errs)
 
+    def test_external_counts_need_a_positive_reach(self):
+        # the points are scattered within reach of the box; with no reach
+        # there is nowhere to put them
+        well = MINIMAL.replace("geometry:", "  potentials:\n    - {types: [0, 0], "
+                               "range: 0.3, height: 1.0}\ngeometry:")
+        for text in (MINIMAL + "external:\n  counts: [2]\n",
+                     well + "external:\n  counts: [2]\n  reach: 0.0\n"):
+            assert any("external.counts" in e and "positive reach" in e
+                       for e in errors_of(text))
+        cli.parse_config(well + "external:\n  counts: [2]\n")
+        cli.parse_config(MINIMAL + "external:\n  counts: [0]\n")
+        cli.parse_config(MINIMAL + "external:\n  counts: [2]\n  points: [[[6.0, 0.0]]]\n")
+
     def test_invalid_yaml(self):
         errs = errors_of("model: [unclosed\n  beta: 1.0\n")
         assert any("not valid YAML" in e for e in errs)
@@ -235,9 +248,13 @@ class TestMain:
          "experiment.options.inner1"),
         ("q-kernel", MINIMAL.replace("5.0", "2.0\n  box0_center: [5.0, 0.0]"),
          "geometry.box0_center"),
+        ("b-condition", B_CONDITION + "    grid_max: 0.5\n", "experiment.options.grid_max"),
+        ("analytic", MINIMAL + "experiment:\n  options: {growth_grid_max: 0.4}\n",
+         "experiment.options.growth_grid_max"),
     ], ids=["zero-thin", "scalar-potentials", "non-numeric-points",
             "oracle-site-past-lattice", "oracle-inner-not-nested",
-            "oracle-default-windows-not-nested", "box0-outside-box"])
+            "oracle-default-windows-not-nested", "box0-outside-box",
+            "empty-b-condition-grid", "empty-growth-grid"])
     def test_bad_values_reported_not_raised(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "bad.yaml"
         path.write_text(config)
