@@ -187,6 +187,16 @@ def build_hamiltonian(lm, n_bar, ext_points=None):
     return H, states
 
 
+def _sectors(lm, ext_points=None):
+    """(n_bar, H, states, weight) per occupation sector, weight = prod_j z_j^n_j."""
+    for n_bar in itertools.product(*[range(m + 1) for m in lm.n_max]):
+        H, states = build_hamiltonian(lm, n_bar, ext_points)
+        weight = 1.0
+        for z_j, n_j in zip(lm.params.fugacity, n_bar):
+            weight *= z_j ** n_j
+        yield n_bar, H, states, weight
+
+
 @dataclass
 class SectorTable:
     """Sector traces and the grand-canonical sum over the truncated space."""
@@ -210,8 +220,7 @@ def partition_functions(lm, ext_points=None):
     sectors = {}
     grand = 0.0
     min_eig = math.inf
-    for n_bar in itertools.product(*[range(m + 1) for m in lm.n_max]):
-        H, states = build_hamiltonian(lm, n_bar, ext_points)
+    for n_bar, H, states, weight in _sectors(lm, ext_points):
         if len(states) == 0:
             sectors[n_bar] = 0.0
             continue
@@ -219,9 +228,6 @@ def partition_functions(lm, ext_points=None):
         min_eig = min(min_eig, float(evals[0]))
         tr = float(np.sum(np.exp(-beta * evals)))
         sectors[n_bar] = tr
-        weight = 1.0
-        for j in range(q):
-            weight *= z[j] ** n_bar[j]
         grand += weight * tr
     biggest = max(sectors.values()) if sectors else 0.0
     note = biggest * sum(z[j] ** (lm.n_max[j] + 1) / (1.0 - z[j]) for j in range(q))
@@ -235,21 +241,15 @@ def density_matrix(lm, ext_points=None):
     divided by the grand sum.  Returns (R, states) with states the full
     concatenated basis.
     """
-    q = lm.params.n_types
     beta = lm.params.beta
-    z = lm.params.fugacity
     blocks = []
     all_states = []
     norm = 0.0
-    for n_bar in itertools.product(*[range(m + 1) for m in lm.n_max]):
-        H, states = build_hamiltonian(lm, n_bar, ext_points)
+    for _, H, states, weight in _sectors(lm, ext_points):
         if len(states) == 0:
             continue
         evals, vecs = np.linalg.eigh(H)
         G = vecs @ np.diag(np.exp(-beta * evals)) @ vecs.T
-        weight = 1.0
-        for j in range(q):
-            weight *= z[j] ** n_bar[j]
         blocks.append(weight * G)
         all_states.extend(states)
         norm += weight * float(np.trace(G))
