@@ -18,6 +18,7 @@ law exercise the formulas the continuum chain runs on, with the energy from
 the production code on the embedded paths.
 """
 
+import bisect
 import itertools
 import math
 from collections import Counter, namedtuple
@@ -65,8 +66,9 @@ class DiscreteLoopGas:
             self.Mpow.append(self.Mpow[-1] @ self.M)
         self.state = []
         self._energy_cache = {}
-        # the continuum chain's default family weights, wiggle for redraw
-        self._move_cdf = mc.move_cdf(mc.SamplerOptions().move_weights)
+        # bounds between the families at the continuum chain's default
+        # weights, wiggle for redraw; past the last bound, wiggle
+        self._move_cdf = mc.move_cdf(mc.SamplerOptions().move_weights)[:-1].tolist()
 
     # -- loop values and weights ----------------------------------------------
 
@@ -246,8 +248,7 @@ class DiscreteLoopGas:
     def step(self):
         """One update of a family picked through move_cdf, as the chain picks it."""
         r = self.rng.random()
-        return self.step_family(
-            FAMILIES[int(np.searchsorted(self._move_cdf[:-1], r, side="right"))])
+        return self.step_family(FAMILIES[bisect.bisect_right(self._move_cdf, r)])
 
     # -- exact enumeration --------------------------------------------------------
 

@@ -25,15 +25,16 @@ def record_criterion():
     return rec
 
 
-def _flux_p_value(params, family, seed, n_trials=3000, positions=(0.0, 0.6)):
+def _flux_p_value(params, family, seed, n_trials=3000):
     """p-value of matched transition counts under one family's moves.
 
-    Each trial starts the twin from an exact stationary draw and applies one
-    move of the family; stationarity plus reversibility force matched counts
-    across each unordered state pair, judged by a chi-square over the pairs
-    with at least 8 transitions.  NaN when no pair has that many.
+    The twin has sites 0.0 and 0.6.  Each trial starts it from an exact
+    stationary draw and applies one move of the family; stationarity plus
+    reversibility force matched counts across each unordered state pair,
+    judged by a chi-square over the pairs with at least 8 transitions.  NaN
+    when no pair has that many.
     """
-    gas = surrogate.DiscreteLoopGas(list(positions), params, seed=seed)
+    gas = surrogate.DiscreteLoopGas([0.0, 0.6], params, seed=seed)
     law = gas.enumerate_states()
     counts = {}
     for _ in range(n_trials):

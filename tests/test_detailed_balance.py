@@ -22,7 +22,7 @@ from loopgas import mc, surrogate
 from loopgas.surrogate import FAMILIES
 from loopgas.model import ModelParams, PairPotential, zero_potential
 
-POSITIONS = [0.0, 0.6]  # the sites of the flux_p_value fixture
+POSITIONS = [0.0, 0.6]  # as in the flux_p_value fixture
 
 FREE = ModelParams(1, 1, 1.0, (0.4,), [[zero_potential()]])
 WELL = ModelParams(1, 1, 1.0, (0.4,),
@@ -99,7 +99,6 @@ class TestSharedRatios:
 
         monkeypatch.setattr(mc, "accept_insertion", bound_only)
         assert flux_p_value(WELL, "insert_delete", seed=12) < 1e-3
-
 
     @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=4))
     def test_pair_index_names_each_ordered_pair_once(self, counts):
