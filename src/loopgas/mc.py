@@ -148,9 +148,13 @@ class Chain:
     All randomness flows through the chain's numpy Generator, so a seed fixes
     the trajectory bit for bit.  Deletion, redraw, merge and split share one
     Metropolis test (_try); every accepted move, insertion included, changes
-    the loop list, the leg tables and the energy cache through _commit.
+    the loop list, the leg tables and the energy cache through _commit.  The
+    draws of paths, anchors and leg masses and the energy change sit in small
+    methods, which the enumerable twin (surrogate) overrides for a site grid.
     """
 
+    FAMILIES = ("insert_delete", "merge_split", "redraw")  # the order of move_cdf
+    max_loops = math.inf  # no proposal leaves more loops; the twin caps its space
     _h = 0.0  # the energy cache: reseeded by audit, moved only by _commit
 
     def __init__(self, params, box, external=None, options=None, seed=None):
@@ -160,16 +164,15 @@ class Chain:
         self.rng = np.random.default_rng(seed)
         self.config = LoopConfig(box, self.opts.slices_per_beta, [], external)
         self.sweeps_done = 0
-        self.stats = {"insert_delete": MoveStats(), "merge_split": MoveStats(),
-                      "redraw": MoveStats()}
+        self.stats = {name: MoveStats() for name in self.FAMILIES}
         self._table = None  # leg tables of config.loops, built by the first energy call
         self._move_cdf = move_cdf(self.opts.move_weights)
         self._log_choices = math.log(params.n_types * box.volume * self.opts.k_max)
         # log closed-bridge mass of a k-loop by k: log_bridge_mass(x, x, k, beta)
         # is the same double at every anchor x
         origin = np.zeros(box.dimension)
-        self._log_loop_mass = [log_bridge_mass(origin, origin, k, params.beta)
-                               for k in range(1, self.opts.k_max + 1)]
+        self._log_masses = [log_bridge_mass(origin, origin, k, params.beta)
+                            for k in range(1, self.opts.k_max + 1)]
 
     # -- cached quantities ---------------------------------------------------
 
@@ -219,6 +222,16 @@ class Chain:
                                   external=self.config.external,
                                   conservative=self.opts.conservative_hard_core)
 
+    def _energy_change(self, removed, added):
+        """Energy that replacing the loops removed by added adds.
+
+        Both energies are taken against the rest of the configuration, with
+        removed left out; an empty side costs no energy call.
+        """
+        e_old = self._delta_energy(removed, exclude=removed) if removed else 0.0
+        e_new = self._delta_energy(added, exclude=removed) if added else 0.0
+        return e_new - e_old
+
     def _try(self, removed, added, log_ratio):
         """Metropolis test of replacing the loops removed by added; commits if accepted.
 
@@ -229,15 +242,48 @@ class Chain:
         """
         if added and not lps.confined_to_box(added, self.box):
             return False
-        e_old = self._delta_energy(removed, exclude=removed)
-        e_new = self._delta_energy(added, exclude=removed) if added else 0.0
-        if math.isinf(e_new):
-            return False
-        dh = e_new - e_old
-        if not metropolis(log_ratio(dh), self.rng):
+        dh = self._energy_change(removed, added)
+        if math.isinf(dh) or not metropolis(log_ratio(dh), self.rng):
             return False
         self._commit(removed, added, dh)
         return True
+
+    # -- proposal draws and leg masses ------------------------------------------
+
+    def _draw_insertion(self):
+        """Type, multiplicity and anchor of an insertion: uniform on its choices."""
+        rng = self.rng
+        j = int(rng.integers(self.params.n_types))
+        k = int(rng.integers(1, self.opts.k_max + 1))
+        c = np.asarray(self.box.center)
+        return j, k, c + (rng.random(self.box.dimension) * 2.0 - 1.0) * self.box.half_side
+
+    def _loop_log_mass(self, x, k):
+        """log closed-bridge mass of a k-loop anchored at x."""
+        if k <= self.opts.k_max:
+            return self._log_masses[k - 1]
+        # a loop placed from outside may exceed the chain's k_max
+        return log_bridge_mass(x, x, k, self.params.beta)
+
+    def _closed_path(self, x, k):
+        """A k-loop path anchored at x, drawn from the closed-bridge law."""
+        return sample_bridge(x, x, k, self.opts.slices_per_beta, self.params.beta,
+                             self.rng)
+
+    def _redraw_leg(self, path, m):
+        """path with leg m drawn afresh between its ends."""
+        return resample_leg(path, m, self.rng)
+
+    def _draw_legs(self, starts, ends):
+        """One-leg bridges from starts[i] to ends[i], as grid samples."""
+        return sample_bridges(starts, ends, 1, self.opts.slices_per_beta,
+                              self.params.beta, self.rng)
+
+    def _log_leg_gauss(self, u, v):
+        """log mass of a one-leg bridge from u to v, up to a constant that cancels."""
+        # the same sum, term by term in coordinate order, as np.sum((u - v) ** 2)
+        d = sum((a - b) * (a - b) for a, b in zip(u.tolist(), v.tolist()))
+        return -d / (2.0 * self.params.beta)
 
     # -- update families -----------------------------------------------------
 
@@ -249,21 +295,19 @@ class Chain:
         n = len(self.config.loops)
         if rng.random() < 0.5:
             # insertion: type, multiplicity and anchor, then the uniform and
-            # only then the path (accept_insertion), as in the discrete twin
-            j = int(rng.integers(params.n_types))
-            k = int(rng.integers(1, self.opts.k_max + 1))
-            c = np.asarray(self.box.center)
-            x = c + (rng.random(self.box.dimension) * 2.0 - 1.0) * self.box.half_side
+            # only then the path (accept_insertion)
+            if n >= self.max_loops:
+                return False
+            j, k, x = self._draw_insertion()
 
             def propose():
-                loop = Loop(j, sample_bridge(x, x, k, self.opts.slices_per_beta,
-                                             params.beta, rng))
+                loop = Loop(j, self._closed_path(x, k))
                 if not lps.confined_to_box([loop], self.box):
                     return None, 0.0
-                return loop, self._delta_energy([loop])
+                return loop, self._energy_change((), (loop,))
 
             accepted = accept_insertion(
-                insert_log_ratio(k, math.log(params.fugacity[j]), self._log_loop_mass[k - 1],
+                insert_log_ratio(k, math.log(params.fugacity[j]), self._loop_log_mass(x, k),
                                  0.0, self._log_choices, n + 1), propose, rng)
             if accepted is None:
                 return False
@@ -275,9 +319,7 @@ class Chain:
                 return False
             loop = self.config.loops[int(rng.integers(n))]
             k, j = loop.k, loop.type_index
-            # a loop placed from outside may exceed the chain's k_max
-            log_mass = (self._log_loop_mass[k - 1] if k <= self.opts.k_max
-                        else log_bridge_mass(loop.anchor, loop.anchor, k, params.beta))
+            log_mass = self._loop_log_mass(loop.anchor, k)
             if not self._try((loop,), (), lambda dh: -insert_log_ratio(
                     k, math.log(params.fugacity[j]), log_mass, -dh, self._log_choices, n)):
                 return False
@@ -292,7 +334,7 @@ class Chain:
         if n == 0:
             return False
         old = self.config.loops[int(rng.integers(n))]
-        new = Loop(old.type_index, resample_leg(old.path, int(rng.integers(old.k)), rng))
+        new = Loop(old.type_index, self._redraw_leg(old.path, int(rng.integers(old.k))))
         if not self._try((old,), (new,), lambda dh: -dh):
             return False
         st.accepted += 1
@@ -326,7 +368,7 @@ class Chain:
             return False
         x1, x2 = A.anchor, B.anchor
         uA, uB = A.samples[(k1 - 1) * S], B.samples[(k2 - 1) * S]
-        conn1, conn2 = sample_bridges([uA, uB], [x2, x1], 1, S, beta, rng)
+        conn1, conn2 = self._draw_legs([uA, uB], [x2, x1])
         samples = np.concatenate([
             A.samples[: (k1 - 1) * S + 1],
             conn1[1:],
@@ -349,13 +391,13 @@ class Chain:
             return False
         old = self.config.loops[int(rng.integers(n))]
         k = old.k
-        if k < 2:
+        if k < 2 or n >= self.max_loops:
             return False
         m = int(rng.integers(1, k))
         x1 = old.anchor
         u = old.samples[m * S]
         um, uk = old.samples[(m - 1) * S], old.samples[(k - 1) * S]
-        close1, close2 = sample_bridges([um, uk], [x1, u], 1, S, beta, rng)
+        close1, close2 = self._draw_legs([um, uk], [x1, u])
         s1 = np.concatenate([old.samples[: (m - 1) * S + 1], close1[1:]])
         s2 = np.concatenate([old.samples[m * S: (k - 1) * S + 1], close2[1:]])
         loop1 = Loop(old.type_index,
@@ -370,12 +412,13 @@ class Chain:
         return self._try((old,), (loop1, loop2), lambda dh: -merge_log_ratio(
             m, k - m, -log_g, -dh, n_pairs, n))
 
-    def _log_leg_gauss(self, u, v):
-        # the same sum, term by term in coordinate order, as np.sum((u - v) ** 2)
-        d = sum((a - b) * (a - b) for a, b in zip(u.tolist(), v.tolist()))
-        return -d / (2.0 * self.params.beta)
-
     # -- driving -------------------------------------------------------------
+
+    def step_family(self, family):
+        """One update of the named family."""
+        if family not in self.FAMILIES:
+            raise ValueError("unknown update family %r" % (family,))
+        return getattr(self, "step_" + family)()
 
     def step(self):
         r = self.rng.random()

@@ -6,19 +6,18 @@ the Gaussian kernel of one grid slice, evaluated on the site set and left
 unnormalised.  Interior points of freshly proposed legs are drawn from the
 exact sequential conditionals (matrix powers of the step kernel), so every
 proposal density is available in closed form and the full state space of at
-most max_loops loops can be enumerated.  The moves run on the continuum
-chain's own pieces, fed with the twin's multiplicities, leg masses and energy
-differences: the family is picked through mc.move_cdf, merge pairs through
-mc.ordered_pair_count and mc.pick_ordered_pair (one type, so counts [n]),
-ratios through mc.insert_log_ratio and mc.merge_log_ratio.  Insertion is
-tested by mc.accept_insertion; deletion, wiggle, merge and split share one
-Metropolis test and commit (_try), which keeps the list order of the chain's
-loops.splice.  So flux and occupancy tests against the enumerated invariant
-law exercise the formulas the continuum chain runs on, with the energy from
-the production code on the embedded paths.
+most max_loops loops can be enumerated.
+
+The twin is an mc.Chain whose loops are Loop objects on the site positions.
+It overrides only what differs on the grid: the insertion draw (site, then
+multiplicity), the path and leg draws, the loop and leg masses fed to the
+ratios, and the energy change, which is the difference of cached
+whole-configuration energies from the production code on the embedded
+paths.  Every move, its family pick, its caps and cut points, its ratio and
+its acceptance test are the chain's own code, so flux and occupancy tests
+against the enumerated invariant law check what the continuum chain runs.
 """
 
-import bisect
 import itertools
 import math
 from collections import Counter, namedtuple
@@ -27,17 +26,15 @@ import numpy as np
 
 from . import mc
 from .bridge import BridgePath
-from .loops import Loop, interaction_energy
+from .loops import Loop, interaction_energy, splice
+from .model import Box
 
 DiscreteLoop = namedtuple("DiscreteLoop", ["k", "sites"])
-
-# update families in the order of mc.move_cdf; wiggle is the chain's leg redraw
-FAMILIES = ("insert_delete", "merge_split", "wiggle")
 
 MAX_STATES = 200000
 
 
-class DiscreteLoopGas:
+class DiscreteLoopGas(mc.Chain):
     """Loop gas on a finite 1-d site set with enumerable state space.
 
     The state is a list of DiscreteLoop(k, sites) with sites a length-k*S
@@ -52,32 +49,53 @@ class DiscreteLoopGas:
         if params.n_types != 1 or params.dimension != 1:
             raise ValueError("the discrete twin is single-type and one-dimensional")
         self.positions = np.asarray(positions, dtype=float)
-        self.params = params
-        self.S = int(slices_per_beta)
-        self.k_max = int(k_max)
+        self._site = {x: i for i, x in enumerate(self.positions.tolist())}
+        if len(self._site) != self.positions.size:
+            raise ValueError("the twin's site positions must be distinct")
+        lo, hi = self.positions.min(), self.positions.max()
+        # a box holding every site, so no path leaves it
+        super().__init__(params, Box(((lo + hi) / 2.0,), (hi - lo) / 2.0 + 1.0),
+                         options=mc.SamplerOptions(slices_per_beta=slices_per_beta,
+                                                   k_max=k_max), seed=seed)
+        self.S = self.opts.slices_per_beta
+        self.k_max = self.opts.k_max
         self.max_loops = int(max_loops)
         self.n_sites = self.positions.size
-        self.rng = np.random.default_rng(seed)
+        self._log_choices = math.log(self.n_sites * self.k_max)
         delta = params.beta / self.S
         diff = self.positions[:, None] - self.positions[None, :]
         self.M = np.exp(-diff * diff / (2.0 * delta))
         self.Mpow = [np.eye(self.n_sites)]
         for _ in range(self.k_max * self.S):
             self.Mpow.append(self.Mpow[-1] @ self.M)
-        self.state = []
         self._energy_cache = {}
-        # bounds between the families at the continuum chain's default
-        # weights, wiggle for redraw; past the last bound, wiggle
-        self._move_cdf = mc.move_cdf(mc.SamplerOptions().move_weights)[:-1].tolist()
 
-    # -- loop values and weights ----------------------------------------------
+    # -- loops as site words ------------------------------------------------------
 
-    def _to_loop(self, dl):
-        idx = list(dl.sites) + [dl.sites[0]]
-        samples = self.positions[idx].reshape(-1, 1)
-        return Loop(0, BridgePath(samples=samples, k=dl.k,
-                                  slices_per_beta=self.S,
-                                  beta=self.params.beta))
+    def _sites(self, samples):
+        return tuple(map(self._site.__getitem__, samples[:, 0].tolist()))
+
+    def _samples(self, sites):
+        return self.positions[list(sites)].reshape(-1, 1)
+
+    def _path(self, k, sites):
+        """The BridgePath through the positions of sites, k*S + 1 of them."""
+        return BridgePath(samples=self._samples(sites), k=k, slices_per_beta=self.S,
+                          beta=self.params.beta)
+
+    def _word(self, loop):
+        return DiscreteLoop(loop.k, self._sites(loop.samples[:-1]))
+
+    def _loop(self, dl):
+        return Loop(0, self._path(dl.k, dl.sites + dl.sites[:1]))
+
+    @property
+    def state(self):
+        return [self._word(lp) for lp in self.config.loops]
+
+    @state.setter
+    def state(self, words):
+        self.config.loops = [self._loop(dl) for dl in words]
 
     def loop_log_weight(self, dl):
         """log of z^k / k times the product of step factors around the loop."""
@@ -88,16 +106,16 @@ class DiscreteLoopGas:
             out += math.log(self.M[dl.sites[t], dl.sites[(t + 1) % n]])
         return out
 
-    def config_energy(self, state):
-        key = canonical(state)
+    def config_energy(self, loops):
+        """Energy of a list of loops, cached by the multiset of their paths."""
+        key = canonical(lp.samples.tobytes() for lp in loops)
         cached = self._energy_cache.get(key)
         if cached is None:
-            cached = interaction_energy([self._to_loop(dl) for dl in state],
-                                        self.params)
-            self._energy_cache[key] = cached
+            cached = self._energy_cache[key] = interaction_energy(list(loops),
+                                                                  self.params)
         return cached
 
-    # -- exact discrete bridges -------------------------------------------------
+    # -- the chain's draws on the grid ----------------------------------------------
 
     def sample_interior(self, u, v, r):
         """Interior sites of an r-step bridge from u to v, exact in law.
@@ -116,139 +134,36 @@ class DiscreteLoopGas:
             sites.append(prev)
         return tuple(sites)
 
-    def leg_log_mass(self, u, v):
-        return math.log(self.Mpow[self.S][u, v])
+    def _draw_insertion(self):
+        a = int(self.rng.integers(self.n_sites))
+        return 0, int(self.rng.integers(1, self.k_max + 1)), self.positions[a:a + 1]
 
-    # -- update families, continuum ratio structure ------------------------------
+    def _loop_log_mass(self, x, k):
+        a = self._site[x[0]]
+        return math.log(self.Mpow[k * self.S][a, a])
 
-    def _try(self, drop, added, log_ratio):
-        """Metropolis test of replacing the loops at places drop by added; commits if accepted.
+    def _closed_path(self, x, k):
+        a = self._site[x[0]]
+        return self._path(k, (a,) + self.sample_interior(a, a, k * self.S) + (a,))
 
-        The list order is that of loops.splice, applied by place since equal
-        loops compare equal: one loop for one keeps its place; otherwise the
-        dropped loops go and the added ones are appended.  log_ratio(dh) is
-        the move's log acceptance ratio for the energy change dh.
-        """
-        if len(drop) == len(added) == 1:
-            new = list(self.state)
-            new[drop[0]] = added[0]
-        else:
-            new = [dl for i, dl in enumerate(self.state) if i not in drop] + list(added)
-        dh = self.config_energy(new) - self.config_energy(self.state)
-        if math.isinf(dh) or not mc.metropolis(log_ratio(dh), self.rng):
-            return False
-        self.state = new
-        return True
-
-    def step_insert_delete(self):
-        rng = self.rng
-        log_z = math.log(self.params.fugacity[0])
-        log_choices = math.log(self.n_sites * self.k_max)
-        n = len(self.state)
-        if rng.random() < 0.5:
-            if n >= self.max_loops:
-                return False
-            a = int(rng.integers(self.n_sites))
-            k = int(rng.integers(1, self.k_max + 1))
-            r = k * self.S
-
-            def propose():
-                dl = DiscreteLoop(k, (a,) + self.sample_interior(a, a, r))
-                h_new = self.config_energy(self.state + [dl])
-                return dl, h_new - self.config_energy(self.state)
-
-            accepted = mc.accept_insertion(mc.insert_log_ratio(
-                k, log_z, math.log(self.Mpow[r][a, a]), 0.0, log_choices, n + 1),
-                propose, rng)
-            if accepted is None:
-                return False
-            self.state.append(accepted[0])
-            return True
-        if n == 0:
-            return False
-        idx = int(rng.integers(n))
-        dl = self.state[idx]
-        log_mass = math.log(self.Mpow[dl.k * self.S][dl.sites[0], dl.sites[0]])
-        return self._try((idx,), (), lambda dh: -mc.insert_log_ratio(
-            dl.k, log_z, log_mass, -dh, log_choices, n))
-
-    def step_wiggle(self):
-        rng = self.rng
-        n = len(self.state)
-        if n == 0:
-            return False
-        idx = int(rng.integers(n))
-        dl = self.state[idx]
+    def _redraw_leg(self, path, m):
         S = self.S
-        m = int(rng.integers(dl.k))
-        u = dl.sites[m * S]
-        v = dl.sites[((m + 1) * S) % (dl.k * S)]
-        sites = list(dl.sites)
-        sites[m * S + 1: m * S + S] = self.sample_interior(u, v, S)
-        return self._try((idx,), (DiscreteLoop(dl.k, tuple(sites)),), lambda dh: -dh)
+        sites = list(self._sites(path.samples))
+        sites[m * S + 1: (m + 1) * S] = self.sample_interior(sites[m * S],
+                                                             sites[(m + 1) * S], S)
+        return self._path(path.k, sites)
 
-    def step_merge_split(self):
-        if self.rng.random() < 0.5:
-            return self._try_merge()
-        return self._try_split()
+    def _draw_legs(self, starts, ends):
+        return [self._samples((u,) + self.sample_interior(u, v, self.S) + (v,))
+                for u, v in zip(self._sites(np.array(starts)), self._sites(np.array(ends)))]
 
-    def _try_merge(self):
-        rng = self.rng
-        S = self.S
-        n = len(self.state)
-        n_pairs = mc.ordered_pair_count([n])
-        if n_pairs == 0:
-            return False
-        _, ia, ib = mc.pick_ordered_pair(int(rng.integers(n_pairs)), [n])
-        A, B = self.state[ia], self.state[ib]
-        k1, k2 = A.k, B.k
-        if k1 + k2 > self.k_max:
-            return False
-        x1, x2 = A.sites[0], B.sites[0]
-        uA = A.sites[(k1 - 1) * S]
-        uB = B.sites[(k2 - 1) * S]
-        conn1 = self.sample_interior(uA, x2, S)
-        conn2 = self.sample_interior(uB, x1, S)
-        merged = DiscreteLoop(k1 + k2, A.sites[: (k1 - 1) * S + 1] + conn1
-                              + (x2,) + B.sites[1: (k2 - 1) * S + 1] + conn2)
-        log_g = mc.leg_swap_log_ratio(self.leg_log_mass, uA, uB, x1, x2)
-        return self._try((ia, ib), (merged,), lambda dh: mc.merge_log_ratio(
-            k1, k2, log_g, dh, n_pairs, n - 1))
+    def _log_leg_gauss(self, u, v):
+        return math.log(self.Mpow[self.S][self._site[u[0]], self._site[v[0]]])
 
-    def _try_split(self):
-        rng = self.rng
-        S = self.S
-        n = len(self.state)
-        if n == 0:
-            return False
-        idx = int(rng.integers(n))
-        old = self.state[idx]
-        k = old.k
-        if k < 2 or n + 1 > self.max_loops:
-            return False
-        m = int(rng.integers(1, k))
-        x1 = old.sites[0]
-        u = old.sites[m * S]
-        sm1 = old.sites[(m - 1) * S]
-        sk1 = old.sites[(k - 1) * S]
-        close1 = self.sample_interior(sm1, x1, S)
-        close2 = self.sample_interior(sk1, u, S)
-        loop1 = DiscreteLoop(m, old.sites[: (m - 1) * S + 1] + close1)
-        loop2 = DiscreteLoop(k - m, old.sites[m * S: (k - 1) * S + 1] + close2)
-        log_g = mc.leg_swap_log_ratio(self.leg_log_mass, sm1, sk1, u, x1)
-        n_pairs = mc.ordered_pair_count([n + 1])
-        return self._try((idx,), (loop1, loop2), lambda dh: -mc.merge_log_ratio(
-            m, k - m, -log_g, -dh, n_pairs, n))
-
-    def step_family(self, family):
-        if family not in FAMILIES:
-            raise ValueError("unknown update family %r" % (family,))
-        return getattr(self, "step_" + family)()
-
-    def step(self):
-        """One update of a family picked through move_cdf, as the chain picks it."""
-        r = self.rng.random()
-        return self.step_family(FAMILIES[bisect.bisect_right(self._move_cdf, r)])
+    def _energy_change(self, removed, added):
+        new = list(self.config.loops)
+        splice(new, removed, added)
+        return self.config_energy(new) - self.config_energy(self.config.loops)
 
     # -- exact enumeration --------------------------------------------------------
 
@@ -276,7 +191,7 @@ class DiscreteLoopGas:
                 n_states += 1
                 if n_states > MAX_STATES:
                     raise ValueError("state space too large to enumerate")
-                h = self.config_energy(list(combo))
+                h = self.config_energy([self._loop(dl) for dl in combo])
                 if math.isinf(h):
                     continue
                 lw = -h

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from loopgas import analytic, bridge, experiments, mc, oracle, surrogate
+from loopgas import analytic, bridge, experiments, mc, oracle
 from loopgas.model import Box, ModelParams, PairPotential, zero_potential
 
 BOX_UNIT = Box((0.0, 0.0), 0.5)
@@ -174,7 +174,7 @@ def test_criterion_07_update_flux_balance(record_criterion, flux_p_value):
     well = ModelParams(1, 1, 1.0, (0.4,),
                        [[PairPotential(range_=0.8, height=1.2)]])
     parts, ok = [], True
-    for i, family in enumerate(surrogate.FAMILIES):
+    for i, family in enumerate(mc.Chain.FAMILIES):
         p = flux_p_value(well, family, seed=40 + i)
         ok = ok and p > 0.01
         parts.append("%s p=%.3f" % (family, p))

@@ -1,15 +1,14 @@
 """Reversibility checks for the update families on the enumerable twin.
 
-The discrete gas picks merge pairs with the continuum chain's own
-mc.ordered_pair_count and mc.pick_ordered_pair and accepts its moves through
-the chain's ratio functions (mc.insert_log_ratio, mc.merge_log_ratio),
-mc.accept_insertion for insertions and one Metropolis test and commit
-(DiscreteLoopGas._try) for the rest, so a flux imbalance here would flag an
-error in the production formulas, in the pair selection or in the proposal
-densities fed to them.  Each trial of the flux_p_value fixture (conftest)
-starts from an exact stationary draw, applies one move of a single family,
-and records the transition; stationarity plus reversibility force matched
-counts across each unordered state pair.
+The discrete gas is an mc.Chain that overrides only its draws, its leg and
+loop masses and its energy change, so its moves run the chain's own
+step_insert_delete, _try_merge, _try_split, step_redraw and _try, with
+the chain's pair selection, ratio functions and acceptance tests.  A flux
+imbalance here would flag an error in the production move code or in the
+proposal densities fed to it.  Each trial of the flux_p_value fixture
+(conftest) starts from an exact stationary draw, applies one move of a
+single family, and records the transition; stationarity plus reversibility
+force matched counts across each unordered state pair.
 """
 
 import math
@@ -19,7 +18,6 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from loopgas import mc, surrogate
-from loopgas.surrogate import FAMILIES
 from loopgas.model import ModelParams, PairPotential, zero_potential
 
 POSITIONS = [0.0, 0.6]  # as in the flux_p_value fixture
@@ -28,6 +26,16 @@ FREE = ModelParams(1, 1, 1.0, (0.4,), [[zero_potential()]])
 WELL = ModelParams(1, 1, 1.0, (0.4,),
                    [[PairPotential(profile="square_well", range_=0.8,
                                    height=1.2)]])
+FAMILIES = mc.Chain.FAMILIES
+
+
+@pytest.mark.parametrize("name", [
+    "step", "step_family", "step_insert_delete", "step_merge_split", "step_redraw",
+    "_try", "_try_merge", "_try_split", "_commit"])
+def test_twin_runs_the_chain_moves(name):
+    # the twin overrides draws and masses only, never a move or its test
+    assert getattr(surrogate.DiscreteLoopGas, name) is getattr(mc.Chain, name)
+
 
 class TestFluxBalance:
     @pytest.mark.parametrize("family", FAMILIES)
