@@ -58,7 +58,7 @@ def _flux_p_value(params, family, seed, n_trials=3000):
     return 1.0 - stats.chi2.cdf(chi2, df=df) if df else float("nan")
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def flux_p_value():
     return _flux_p_value
 
