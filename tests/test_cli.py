@@ -251,10 +251,18 @@ class TestMain:
         ("b-condition", B_CONDITION + "    grid_max: 0.5\n", "experiment.options.grid_max"),
         ("analytic", MINIMAL + "experiment:\n  options: {growth_grid_max: 0.4}\n",
          "experiment.options.growth_grid_max"),
+        ("free-validate", MINIMAL + "experiment:\n  options: {sweeps: 0}\n",
+         "experiment.options.sweeps"),
+        ("k-tail", MINIMAL + "experiment:\n  options: {sweeps: 31, thin: 2}\n",
+         "experiment.options.sweeps"),
+        ("shift-invariance", MINIMAL + "experiment:\n  options: {sweeps: 0}\n",
+         "experiment.options.sweeps"),
     ], ids=["zero-thin", "scalar-potentials", "non-numeric-points",
             "oracle-site-past-lattice", "oracle-inner-not-nested",
             "oracle-default-windows-not-nested", "box0-outside-box",
-            "empty-b-condition-grid", "empty-growth-grid"])
+            "empty-b-condition-grid", "empty-growth-grid",
+            "free-validate-no-snapshots", "k-tail-15-snapshots",
+            "shift-invariance-no-snapshots"])
     def test_bad_values_reported_not_raised(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "bad.yaml"
         path.write_text(config)
@@ -325,7 +333,7 @@ sampler:
 experiment:
   name: shift-invariance
   options:
-    sweeps: 16
+    sweeps: 32
     burn_in: 4
 """)
         code = cli.main(["shift-invariance", "--config", str(cfg),
