@@ -330,12 +330,20 @@ def _pair_energy(pot, a, ia, b, ib, dt, conservative):
     return total * dt
 
 
-def _external_energy(pot, A, points, dt):
+def _external_energy(pot, A, points, dt, conservative):
+    """Energy of A's legs against static points, each point a path that stays put."""
     if points.size == 0:
         return 0.0
     diff = A.leg_mids[:, :, None, :] - points[None, None, :, :]
     r = np.sqrt(np.sum(diff * diff, axis=-1))
     vals = pot.evaluate(r)
+    if conservative and pot.hard_core > 0:
+        # every (leg, point) pair, the point held at each of the leg's nodes
+        shape = (A.k, points.shape[0]) + A.leg_nodes.shape[1:]
+        legs = np.broadcast_to(A.leg_nodes[:, None], shape).reshape(-1, *shape[2:])
+        still = np.broadcast_to(points[None, :, None], shape).reshape(legs.shape)
+        if np.any(_min_segment_gap_sq(legs, still) < pot.hard_core ** 2):
+            return math.inf
     total = float(np.sum(vals))
     if math.isinf(total) or math.isnan(total):
         return math.inf
@@ -403,7 +411,7 @@ def interaction_energy(target, params, conditioning=None, external=None,
                 pot = P[A.type_index][jp]
                 if pot.is_zero():
                     continue
-                total += _external_energy(pot, A, external.points[jp], dt)
+                total += _external_energy(pot, A, external.points[jp], dt, conservative)
                 if math.isinf(total):
                     return math.inf
     return total

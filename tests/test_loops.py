@@ -146,6 +146,21 @@ class TestInteractionEnergy:
         h = lps.interaction_energy(target, m, external=ext)
         assert abs(h - BETA) < 1e-12  # distance 0.6 inside the well everywhere
 
+    def test_conservative_hard_core_sees_external_points(self):
+        # the straight segment passes 0.07 from the point, its midpoint 0.455
+        m = one_type(square_well(0.0, 0.1, hard_core=0.1))
+        box = Box((0.0, 0.0), 1.0)
+        target = [lps.OpenPath(0, BridgePath(np.array([[-0.5, 0.95], [0.5, 0.95]]),
+                                             1, 1, BETA))]
+        point = np.array([[0.45, 1.02]])
+        ext = ExternalConfiguration(box, [point], max_range=0.1)
+        as_path = [lps.OpenPath(0, BridgePath(np.tile(point, (2, 1)), 1, 1, BETA))]
+        for conservative, want in ((True, math.inf), (False, 0.0)):
+            assert lps.interaction_energy(target, m, conditioning=as_path,
+                                          conservative=conservative) == want
+            assert lps.interaction_energy(target, m, external=ext,
+                                          conservative=conservative) == want
+
     def test_same_object_legs_interact(self):
         # two legs of one loop sitting on top of each other: k=2 still loop
         m = one_type(square_well(1.0, 1.0))
