@@ -21,9 +21,6 @@ class SeriesResult:
     n_terms: int
     tail_bound: float
 
-    def __float__(self):
-        return self.value
-
 
 def loop_moment(order, z, beta, d, tol=1e-12, max_terms=100000):
     """sum_{k>=1} z^k k^order (2*pi*beta*k)^(-d/2), truncation certified.

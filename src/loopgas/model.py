@@ -122,14 +122,6 @@ class PairPotential:
     def is_zero(self):
         return self.hard_core == 0.0 and (self.range == 0.0 or self.sup_value == 0.0)
 
-    def to_dict(self):
-        d = {"profile": self.profile, "hard_core": self.hard_core,
-             "range": self.range, "height": self.height}
-        if self.profile == "table":
-            d["table_r"] = [float(x) for x in self._spline.x]
-            d["table_v"] = [float(x) for x in self._spline(self._spline.x)]
-        return d
-
 
 def zero_potential():
     return PairPotential(profile="square_well", hard_core=0.0, range_=0.0, height=0.0)
@@ -168,9 +160,6 @@ class ModelParams:
 
     def is_free(self):
         return all(p.is_zero() for row in self.potentials for p in row)
-
-    def has_hard_core(self):
-        return any(p.hard_core > 0 for row in self.potentials for p in row)
 
 
 def validate_params(m):

@@ -102,17 +102,8 @@ def _diagonal_energy(lm, state, ext_points=None):
             if math.isinf(v):
                 return math.inf
             total += 0.5 * nj * (nj - 1) * v
-        for b in range(a + 1, len(occupied)):
-            j2, s2, nj2 = occupied[b]
-            if j2 == j and s2 == s:
-                continue
-            if j2 == j and s2 != s:
-                r = lm.site_distance(s, s2)
-            elif s2 == s:
-                r = 0.0
-            else:
-                r = lm.site_distance(s, s2)
-            v = P[j][j2].evaluate(r)
+        for j2, s2, nj2 in occupied[a + 1:]:
+            v = P[j][j2].evaluate(lm.site_distance(s, s2))
             if math.isinf(v):
                 return math.inf
             total += nj * nj2 * v

@@ -73,19 +73,12 @@ class TestPairPotential:
         assert not square_well(1.0, 1.0).is_zero()
         assert not square_well(0.0, 0.5, hard_core=0.5).is_zero()
 
-    def test_to_dict_round_trip(self):
-        p = square_well(1.5, 0.8, hard_core=0.2)
-        q = PairPotential(profile=p.profile, hard_core=p.to_dict()["hard_core"],
-                          range_=p.to_dict()["range"], height=p.to_dict()["height"])
-        assert q.evaluate(0.5) == p.evaluate(0.5)
-
 
 class TestModelParams:
     def test_valid_free_gas(self):
         m = free_params()
         assert validate_params(m) == []
         assert m.is_free()
-        assert not m.has_hard_core()
         assert m.max_range == 0.0
 
     def test_fugacity_boundary_rejected(self):
@@ -109,7 +102,6 @@ class TestModelParams:
         hard = square_well(0.0, 0.3, hard_core=0.3)
         m = ModelParams(2, 2, 1.0, (0.5, 0.5),
                         [[zero_potential(), hard], [hard, zero_potential()]])
-        assert m.has_hard_core()
         assert not m.is_free()
         assert m.max_range == 0.3
 
