@@ -9,14 +9,15 @@ move), and redrawing single legs.  Confinement to the box is enforced on the
 sampled grid.
 
 An insertion draws its Metropolis uniform u before its path
-(accept_insertion).  Every pair potential is non-negative, so the energy dh
+(step_insert_delete).  Every pair potential is non-negative, so the energy dh
 a new loop adds is >= 0, and the insertion ratio with dh = 0 bounds the
 acceptance probability from above.  u >= exp(bound) rejects at once, with
 no path drawn; otherwise the path is drawn and the same u is tested against
 exp(bound - dh).  Since dh >= 0, a loop is accepted with probability
 min(1, exp(bound - dh)) exactly as by the plain test, so the chain's law is
-unchanged; only the random stream differs.  This is the early rejection of
-Solonen et al., Bayesian Analysis 7, 715 (2012).
+unchanged; only the random stream differs.  The path and u then go through
+the same test as every other move (Chain._try).  This is the early
+rejection of Solonen et al., Bayesian Analysis 7, 715 (2012).
 
 The kernel estimators draw the terms of a permutation combo as one batch
 (_sample_terms): leg by leg, the multiplicities of all terms, then one
@@ -123,34 +124,16 @@ def metropolis(log_ratio, rng, u=None):
     return log_ratio >= 0 or (rng.random() if u is None else u) < math.exp(log_ratio)
 
 
-def accept_insertion(log_bound, propose, rng):
-    """Metropolis test of an insertion that draws its uniform before the path.
-
-    log_bound is insert_log_ratio(..., dh=0, ...).  propose() draws the new
-    object and returns (obj, dh), with obj None when it is ruled out (as
-    outside the box).  The uniform u is drawn first, when log_bound < 0, and
-    u >= exp(log_bound) rejects without calling propose; otherwise the same
-    u is tested against exp(log_bound - dh).  Returns (obj, dh) if accepted,
-    else None.
-    """
-    u = rng.random() if log_bound < 0 else None
-    if u is not None and u >= math.exp(log_bound):
-        return None
-    obj, dh = propose()
-    if obj is None or math.isinf(dh) or not metropolis(log_bound - dh, rng, u):
-        return None
-    return obj, dh
-
-
 class Chain:
     """One Markov chain over loop configurations.
 
     All randomness flows through the chain's numpy Generator, so a seed fixes
-    the trajectory bit for bit.  Deletion, redraw, merge and split share one
-    Metropolis test (_try); every accepted move, insertion included, changes
-    the loop list, the leg tables and the energy cache through _commit.  The
-    draws of paths, anchors and leg masses and the energy change sit in small
-    methods, which the enumerable twin (surrogate) overrides for a site grid.
+    the trajectory bit for bit.  Every move, insertion included, goes through
+    one Metropolis test (_try), and every accepted move changes the loop
+    list, the leg tables and the energy cache through _commit.  The draws of
+    paths, anchors and leg masses, the energy change and the box test sit in
+    small methods, which the enumerable twin (surrogate) overrides for a site
+    grid.
     """
 
     FAMILIES = ("insert_delete", "merge_split", "redraw")  # the order of move_cdf
@@ -232,18 +215,25 @@ class Chain:
         e_new = self._delta_energy(added, exclude=removed) if added else 0.0
         return e_new - e_old
 
-    def _try(self, removed, added, log_ratio):
+    def _confined(self, objects):
+        """Whether every object lies in the box at every grid time."""
+        return lps.confined_to_box(objects, self.box)
+
+    def _try(self, removed, added, log_ratio, u=None):
         """Metropolis test of replacing the loops removed by added; commits if accepted.
 
-        added must lie in the box, and its energy against the rest must be
-        finite; log_ratio(dh) is the move's log acceptance ratio for the energy
-        change dh.  The energies leave removed out; with nothing added (a
-        deletion) neither the box nor a new energy is evaluated.
+        Every move of every family is accepted here.  added must lie in the
+        box (_confined), and its energy against the rest must be finite;
+        log_ratio(dh) is the move's log acceptance ratio for the energy change
+        dh.  The energies leave removed out; with nothing added (a deletion)
+        neither the box nor a new energy is evaluated.  u is a uniform drawn
+        beforehand (an insertion's, see the module docstring), passed on to
+        metropolis.
         """
-        if added and not lps.confined_to_box(added, self.box):
+        if added and not self._confined(added):
             return False
         dh = self._energy_change(removed, added)
-        if math.isinf(dh) or not metropolis(log_ratio(dh), self.rng):
+        if math.isinf(dh) or not metropolis(log_ratio(dh), self.rng, u):
             return False
         self._commit(removed, added, dh)
         return True
@@ -295,24 +285,17 @@ class Chain:
         n = len(self.config.loops)
         if rng.random() < 0.5:
             # insertion: type, multiplicity and anchor, then the uniform and
-            # only then the path (accept_insertion)
+            # only then the path
             if n >= self.max_loops:
                 return False
             j, k, x = self._draw_insertion()
-
-            def propose():
-                loop = Loop(j, self._closed_path(x, k))
-                if not lps.confined_to_box([loop], self.box):
-                    return None, 0.0
-                return loop, self._energy_change((), (loop,))
-
-            accepted = accept_insertion(
-                insert_log_ratio(k, math.log(params.fugacity[j]), self._loop_log_mass(x, k),
-                                 0.0, self._log_choices, n + 1), propose, rng)
-            if accepted is None:
+            bound = insert_log_ratio(k, math.log(params.fugacity[j]), self._loop_log_mass(x, k),
+                                     0.0, self._log_choices, n + 1)
+            u = rng.random() if bound < 0 else None
+            if u is not None and u >= math.exp(bound):
                 return False
-            loop, dh = accepted
-            self._commit((), (loop,), dh)
+            if not self._try((), (Loop(j, self._closed_path(x, k)),), lambda dh: bound - dh, u):
+                return False
         else:
             # deletion: the exact reverse, so -dh is the energy the loop carries
             if n == 0:

@@ -160,6 +160,9 @@ class DiscreteLoopGas(mc.Chain):
     def _log_leg_gauss(self, u, v):
         return math.log(self.Mpow[self.S][self._site[u[0]], self._site[v[0]]])
 
+    def _confined(self, objects):
+        return True  # the box holds every site
+
     def _energy_change(self, removed, added):
         new = list(self.config.loops)
         splice(new, removed, added)

@@ -1,9 +1,10 @@
 """Reversibility checks for the update families on the enumerable twin.
 
 The discrete gas is an mc.Chain that overrides only its draws, its leg and
-loop masses and its energy change, so its moves run the chain's own
-step_insert_delete, _try_merge, _try_split, step_redraw and _try, with
-the chain's pair selection, ratio functions and acceptance tests.  A flux
+loop masses, its energy change and its box test, so its moves run the
+chain's own step_insert_delete, _try_merge, _try_split and step_redraw,
+with the chain's pair selection and ratio functions, and every move is
+accepted by the chain's one Metropolis test, Chain._try.  A flux
 imbalance here would flag an error in the production move code or in the
 proposal densities fed to it.  Each trial of the flux_p_value fixture
 (conftest) starts from an exact stationary draw, applies one move of a
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from loopgas import loops as lps
 from loopgas import mc, surrogate
 from loopgas.model import ModelParams, PairPotential, zero_potential
 
@@ -98,17 +100,14 @@ class TestSharedRatios:
 
     def test_balance_tests_see_an_insertion_that_skips_the_energy(self, monkeypatch,
                                                                   flux_p_value):
-        # accepting on the draw-first bound alone, without testing the same
-        # uniform against exp(bound - dh), must unbalance insert/delete
+        # accepting an insertion on the draw-first bound alone, as if the new
+        # loop added no energy, must unbalance insert/delete
         assert flux_p_value(WELL, "insert_delete", seed=12) > 0.01
-
-        def bound_only(log_bound, propose, rng):
-            if log_bound < 0 and rng.random() >= math.exp(log_bound):
-                return None
-            obj, dh = propose()
-            return None if obj is None or math.isinf(dh) else (obj, dh)
-
-        monkeypatch.setattr(mc, "accept_insertion", bound_only)
+        energy_change = surrogate.DiscreteLoopGas._energy_change
+        monkeypatch.setattr(
+            surrogate.DiscreteLoopGas, "_energy_change",
+            lambda self, removed, added:
+            energy_change(self, removed, added) if removed else 0.0)
         assert flux_p_value(WELL, "insert_delete", seed=12) < 1e-3
 
     @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=4))
@@ -155,6 +154,15 @@ class TestLawStructure:
                            [zero_potential(), zero_potential()]])
         with pytest.raises(ValueError, match="single-type"):
             surrogate.DiscreteLoopGas(POSITIONS, two)
+
+    def test_twin_skips_the_box_test(self, monkeypatch):
+        # the twin's box holds every site, so no move may pay for the test
+        def never(objects, box):
+            raise AssertionError("the twin tested its box")
+
+        monkeypatch.setattr(lps, "confined_to_box", never)
+        gas = surrogate.DiscreteLoopGas(POSITIONS, WELL, seed=5)
+        assert sum(bool(gas.step()) for _ in range(2000)) > 0
 
 
 class TestErgodicOccupancy:

@@ -296,7 +296,8 @@ DIPPING_TABLE = dict(profile="table", table_r=[0.0, 0.15, 0.3, 0.6, 0.8, 1.0],
 class TestNonNegativeEnergy:
     """Every energy the chain's insertion adds is >= 0 or +inf.
 
-    The chain's draw-first insertion test (mc.accept_insertion) is exact
+    The chain's draw-first insertion test (mc.Chain.step_insert_delete,
+    which rejects on the dh = 0 bound before the path is drawn) is exact
     only because of this.
     """
 
