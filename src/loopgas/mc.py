@@ -455,12 +455,21 @@ def save_checkpoint(chain, path):
 
 
 def load_checkpoint(path, params, options=None):
+    """Resume the chain saved at path on the slices_per_beta it was saved with.
+
+    options naming another slices_per_beta are refused: the loops would mix grids.
+    """
     with open(path) as fh:
         tag = fh.readline().strip()
         if tag != _CKPT_TAG:
             raise ValueError("unrecognised checkpoint header")
         state = json.loads(fh.readline())
         config = lps.loads_config(fh.read(), max_range=params.max_range)
+    if options is None:
+        options = SamplerOptions(slices_per_beta=config.slices_per_beta)
+    elif options.slices_per_beta != config.slices_per_beta:
+        raise ValueError("checkpoint has slices_per_beta %d, options ask for %d"
+                         % (config.slices_per_beta, options.slices_per_beta))
     chain = Chain(params, config.box, external=config.external, options=options)
     chain.config = config
     chain.sweeps_done = state["sweeps"]

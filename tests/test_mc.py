@@ -225,6 +225,20 @@ class TestCheckpointing:
         back = mc.load_checkpoint(path, params, options=opts)
         assert back.sweeps_done == 10
 
+    def test_resumes_on_the_saved_grid(self, tmp_path):
+        params = free_params()
+        chain = make_chain(params, half_side=4.0, seed=3, slices_per_beta=2, k_max=4)
+        chain.run(10)
+        path = str(tmp_path / "state.ckpt")
+        mc.save_checkpoint(chain, path)
+        back = mc.load_checkpoint(path, params)
+        back.run(20)
+        assert {lp.path.slices_per_beta for lp in back.config.loops} == {2}
+        mc.save_checkpoint(back, path)
+        assert mc.load_checkpoint(path, params).sweeps_done == 30
+        with pytest.raises(ValueError, match="slices_per_beta"):
+            mc.load_checkpoint(path, params, options=mc.SamplerOptions(slices_per_beta=4))
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_text("not a checkpoint\n{}\n")
