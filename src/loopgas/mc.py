@@ -197,8 +197,7 @@ class Chain:
         self._h += dh
 
     def _delta_energy(self, target, exclude=()):
-        if self.params.is_free() and (self.config.external is None
-                                      or self.config.external.is_empty()):
+        if self.params.is_free():  # every potential is zero, external points' too
             return 0.0
         return interaction_energy(list(target), self.params,
                                   conditioning=self._legs().excluding(exclude),
