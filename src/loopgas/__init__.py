@@ -14,7 +14,7 @@ detailed-balance tests.
 __version__ = "0.1.0"
 
 from .model import (Box, ExternalConfiguration, ModelParams, PairPotential,
-                    empty_external, validate_params, zero_potential)
+                    validate_params, zero_potential)
 from .bridge import (BridgePath, bridge_mass, log_bridge_mass, sample_bridge,
                      sample_bridges, resample_leg, max_deviation_tail,
                      empirical_max_deviation_tail, fit_gaussian_tail_envelope)
@@ -32,7 +32,7 @@ from .mc import (Chain, SamplerOptions, KernelEstimate, batch_means,
 
 __all__ = [
     "Box", "ExternalConfiguration", "ModelParams", "PairPotential",
-    "empty_external", "validate_params", "zero_potential",
+    "validate_params", "zero_potential",
     "BridgePath", "bridge_mass", "log_bridge_mass", "sample_bridge",
     "sample_bridges", "resample_leg", "max_deviation_tail", "empirical_max_deviation_tail",
     "fit_gaussian_tail_envelope",

@@ -54,9 +54,6 @@ class MoveStats:
     proposed: int = 0
     accepted: int = 0
 
-    def rate(self):
-        return self.accepted / self.proposed if self.proposed else 0.0
-
 
 # -- acceptance ratios, shared with the enumerable twin (surrogate) ---------------
 

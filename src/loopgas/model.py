@@ -261,13 +261,5 @@ class ExternalConfiguration:
                         "external point of type %d is beyond interaction range of the box" % j)
             self.points.append(arr)
 
-    @property
-    def n_types(self):
-        return len(self.points)
-
     def is_empty(self):
         return all(p.size == 0 for p in self.points)
-
-
-def empty_external(box, n_types):
-    return ExternalConfiguration(box, [np.zeros((0, box.dimension))] * n_types, 0.0)

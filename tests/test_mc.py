@@ -9,7 +9,7 @@ from loopgas import analytic, mc
 from loopgas import loops as lps
 from loopgas.bridge import bridge_mass, sample_bridge
 from loopgas.model import (Box, ExternalConfiguration, ModelParams, PairPotential,
-                           empty_external, zero_potential)
+                           zero_potential)
 
 
 def free_params(z=0.5, d=2, beta=1.0):

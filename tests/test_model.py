@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from loopgas.model import (Box, ExternalConfiguration, ModelParams,
-                           PairPotential, empty_external, validate_params,
-                           zero_potential)
+                           PairPotential, validate_params, zero_potential)
 
 
 def square_well(height=1.0, range_=1.0, hard_core=0.0):
@@ -143,7 +142,6 @@ class TestExternalConfiguration:
     def test_annulus_membership(self):
         box = Box((0.0, 0.0), 1.0)
         good = ExternalConfiguration(box, [np.array([[1.5, 0.0]])], max_range=1.0)
-        assert good.n_types == 1
         assert not good.is_empty()
 
     def test_point_inside_rejected(self):
@@ -158,6 +156,4 @@ class TestExternalConfiguration:
 
     def test_empty_external(self):
         box = Box((0.0, 0.0), 1.0)
-        ext = empty_external(box, 2)
-        assert ext.is_empty()
-        assert ext.n_types == 2
+        assert ExternalConfiguration(box, [np.zeros((0, 2))] * 2, 0.0).is_empty()
