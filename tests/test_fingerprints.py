@@ -14,7 +14,8 @@ import numpy as np
 
 from loopgas import bridge, cli, experiments, mc, surrogate
 from loopgas import loops as lps
-from loopgas.model import Box, ModelParams, PairPotential, zero_potential
+from loopgas.model import (Box, ExternalConfiguration, ModelParams, PairPotential,
+                           zero_potential)
 
 
 def fingerprint(chain):
@@ -51,6 +52,23 @@ def test_free_gas_chain():
     params = ModelParams(2, 1, 1.0, (0.5,), [[zero_potential()]])
     assert run_chain(params, 5.0, 27) == (
         "31821351a588e054 insert_delete=159/1329 merge_split=73/685 redraw=1213/1334")
+
+
+def test_core_and_external_points_chain():
+    # two types with a conservative smooth-bump core between them, a square
+    # well within type 0, and external points of both types beside the box
+    bump = PairPotential(profile="smooth_bump", hard_core=0.15, range_=1.0, height=1.5)
+    well = PairPotential(range_=1.0, height=0.7)
+    params = ModelParams(2, 2, 1.0, (0.8, 0.8), [[well, bump], [bump, zero_potential()]])
+    box = Box((0.0, 0.0), 4.0)
+    external = ExternalConfiguration(box, [[[4.1, 0.5], [-1.0, -4.2]], [[0.0, 4.05]]],
+                                     params.max_range)
+    chain = mc.Chain(params, box, external=external, seed=11,
+                     options=mc.SamplerOptions(slices_per_beta=4, k_max=6,
+                                               conservative_hard_core=True))
+    chain.run(200)
+    assert fingerprint(chain) == (
+        "fa347c0a59725969 insert_delete=438/1845 merge_split=74/992 redraw=1530/1853")
 
 
 def test_discrete_twin():
