@@ -311,8 +311,8 @@ def _min_segment_gap_sq(segsA, segsB):
     return np.sum(gap * gap, axis=-1)
 
 
-def _pair_energy(pot, a, ia, b, ib, dt, conservative):
-    """Energy of the leg pairs (row ia[p] of a, row ib[p] of b).
+def _pair_values(pot, a, ia, b, ib, conservative):
+    """Potential of the leg pairs (row ia[p] of a, row ib[p] of b), inf at a core.
 
     a and b are stacked leg arrays as from _geometry; pairs come in the
     order given, which fixes the summation order.
@@ -324,10 +324,22 @@ def _pair_energy(pot, a, ia, b, ib, dt, conservative):
         close = _min_segment_gap_sq(a[1][ia], b[1][ib]) < pot.hard_core ** 2
         if np.any(close):
             vals = np.where(close, np.inf, vals)
+    return vals
+
+
+def _integrated(vals, dt):
+    """Energy of potential values on the grid: their sum times dt, inf if not finite."""
     total = float(np.sum(vals))
     if math.isinf(total) or math.isnan(total):
         return math.inf
     return total * dt
+
+
+def _record(split, A, B, e):
+    """Add a nonzero energy e between target A and partner B to split, if kept."""
+    if split is not None and e:
+        parts = split.setdefault(A, {})
+        parts[B] = parts.get(B, 0.0) + e
 
 
 def _external_energy(pot, A, points, dt, conservative):
@@ -344,14 +356,11 @@ def _external_energy(pot, A, points, dt, conservative):
         still = np.broadcast_to(points[None, :, None], shape).reshape(legs.shape)
         if np.any(_min_segment_gap_sq(legs, still) < pot.hard_core ** 2):
             return math.inf
-    total = float(np.sum(vals))
-    if math.isinf(total) or math.isnan(total):
-        return math.inf
-    return total * dt
+    return _integrated(vals, dt)
 
 
 def interaction_energy(target, params, conditioning=None, external=None,
-                       conservative=False):
+                       conservative=False, split=None):
     """Equal-time pair energy h(target | conditioning, external).
 
     Internal energy of the target objects (all unordered leg pairs, including
@@ -362,6 +371,13 @@ def interaction_energy(target, params, conditioning=None, external=None,
     conservative=True, anywhere along the straight segments between nodes).
     conditioning is a LegTable or any iterable of loops and paths, which is
     stacked into one.
+
+    split, a dict if given, receives the same energy by object pair:
+    split[A][B] for target A and B a later target or a conditioning object,
+    and split[A][A] for A's own legs among themselves and against the
+    external points.  Only nonzero entries are made, and the returned total
+    is summed as without split.  After a violated hard core the split is
+    incomplete.
     """
     if not target:
         return 0.0
@@ -376,7 +392,9 @@ def interaction_energy(target, params, conditioning=None, external=None,
         pot = P[A.type_index][A.type_index]
         if not pot.is_zero() and A.k > 1:
             ia, ib = np.triu_indices(A.k, 1)
-            total += _pair_energy(pot, a, ia, a, ib, dt, conservative)
+            e = _integrated(_pair_values(pot, a, ia, a, ib, conservative), dt)
+            total += e
+            _record(split, A, A, e)
             if math.isinf(total):
                 return math.inf
         for B in target[i + 1:]:
@@ -384,7 +402,9 @@ def interaction_energy(target, params, conditioning=None, external=None,
             if pot.is_zero():
                 continue
             ia, ib = np.indices((A.k, B.k)).reshape(2, -1)
-            total += _pair_energy(pot, a, ia, _geometry(B), ib, dt, conservative)
+            e = _integrated(_pair_values(pot, a, ia, _geometry(B), ib, conservative), dt)
+            total += e
+            _record(split, A, B, e)
             if math.isinf(total):
                 return math.inf
     if conditioning:
@@ -402,7 +422,14 @@ def interaction_energy(target, params, conditioning=None, external=None,
                 ia, ib = conditioning.pairs_near(A, j, reach)
                 if ia.size == 0:
                     continue
-                total += _pair_energy(pot, a, ia, T.legs, ib, dt, conservative)
+                vals = _pair_values(pot, a, ia, T.legs, ib, conservative)
+                e = _integrated(vals, dt)
+                total += e
+                if split is not None and e:  # per conditioning object, by row owner
+                    per = np.bincount(T.start.searchsorted(ib, side="right") - 1,
+                                      weights=vals.sum(axis=1)) * dt
+                    for o in np.flatnonzero(per).tolist():
+                        _record(split, A, T.objects[o], float(per[o]))
                 if math.isinf(total):
                     return math.inf
     if external is not None and not external.is_empty():
@@ -411,7 +438,9 @@ def interaction_energy(target, params, conditioning=None, external=None,
                 pot = P[A.type_index][jp]
                 if pot.is_zero():
                     continue
-                total += _external_energy(pot, A, external.points[jp], dt, conservative)
+                e = _external_energy(pot, A, external.points[jp], dt, conservative)
+                total += e
+                _record(split, A, A, e)
                 if math.isinf(total):
                     return math.inf
     return total

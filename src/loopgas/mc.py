@@ -19,6 +19,14 @@ unchanged; only the random stream differs.  The path and u then go through
 the same test as every other move (Chain._try).  This is the early
 rejection of Solonen et al., Bayesian Analysis 7, 715 (2012).
 
+The chain stores the energy each loop carries: its own legs' energy and its
+nonzero pair energy with each other loop (Chain._store).  A move takes the
+energy of the loops it removes from that store and evaluates only the loops
+it adds, in one energy call whose per-partner split enters the store when
+the move is accepted.  So a deletion makes no energy call and every other
+move one.  This is the per-particle energy bookkeeping of Frenkel & Smit,
+Understanding Molecular Simulation, ch. 3 and App. F.
+
 The kernel estimators draw the terms of a permutation combo as one batch
 (_sample_terms): leg by leg, the multiplicities of all terms, then one
 bridge batch per multiplicity.  A batch of one term draws as one term at a
@@ -28,7 +36,7 @@ time did, so runs with one inner draw per snapshot keep their stream.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations, product as iproduct
 
 import numpy as np
@@ -127,15 +135,19 @@ class Chain:
     All randomness flows through the chain's numpy Generator, so a seed fixes
     the trajectory bit for bit.  Every move, insertion included, goes through
     one Metropolis test (_try), and every accepted move changes the loop
-    list, the leg tables and the energy cache through _commit.  The draws of
-    paths, anchors and leg masses, the energy change and the box test sit in
-    small methods, which the enumerable twin (surrogate) overrides for a site
-    grid.
+    list, the leg tables, the carried energies (_store) and the energy cache
+    through _commit.  The leg tables and the carried energies are built on
+    demand and rebuilt when the loop list is changed from outside; a free
+    model never builds the carried energies.  The draws of paths, anchors
+    and leg masses, the energy change and the box test sit in small methods,
+    which the enumerable twin (surrogate) overrides for a site grid.
     """
 
     FAMILIES = ("insert_delete", "merge_split", "redraw")  # the order of move_cdf
     max_loops = math.inf  # no proposal leaves more loops; the twin caps its space
     _h = 0.0  # the energy cache: reseeded by audit, moved only by _commit
+    _carried = None  # the energy each loop carries (_store), moved only by _commit
+    _split = None  # _energy_change's split of the energy its added loops bring
 
     def __init__(self, params, box, external=None, options=None, seed=None):
         self.params = params
@@ -146,6 +158,7 @@ class Chain:
         self.sweeps_done = 0
         self.stats = {name: MoveStats() for name in self.FAMILIES}
         self._table = None  # leg tables of config.loops, built by the first energy call
+        self._free = params.is_free()  # every potential is zero, external points' too
         self._move_cdf = move_cdf(self.opts.move_weights)
         self._log_choices = math.log(params.n_types * box.volume * self.opts.k_max)
         # log closed-bridge mass of a k-loop by k: log_bridge_mass(x, x, k, beta)
@@ -161,54 +174,116 @@ class Chain:
         return self._h
 
     def audit(self, tol=1e-8):
-        """Recompute the energy cache from scratch and compare."""
-        h = interaction_energy(self.config.loops, self.params,
-                               external=self.config.external,
-                               conservative=self.opts.conservative_hard_core)
+        """Recompute the energy cache and the carried energies from scratch.
+
+        Raises RuntimeError when the cache, or the energy some loop carries
+        (_store), is off its recomputation by more than tol times
+        max(1, |recomputed|); otherwise reseeds both and returns the largest
+        drift.  One energy call gives both.  A free model keeps no carried
+        energies.
+        """
+        kept = None if self._stale() else self._carried
+        h, split = self._evaluate(self.config.loops)
         drift = abs(h - self._h)
         if drift > tol * max(1.0, abs(h)):
             raise RuntimeError("energy cache drift %.3e after %d sweeps"
                                % (drift, self.sweeps_done))
         self._h = h
+        if self._free:
+            return drift
+        store = _stored(self.config.loops, split)
+        if kept is not None:
+            for i, lp in enumerate(self.config.loops):
+                want, got = sum(store[lp].values()), sum(kept[lp].values())
+                d = 0.0 if got == want else abs(got - want)
+                if d > tol * max(1.0, abs(want)):
+                    raise RuntimeError("carried energy drift %.3e of loop %d after %d sweeps"
+                                       % (d, i, self.sweeps_done))
+                drift = max(drift, d)
+        self._legs()
+        self._carried = store
         return drift
+
+    def _stale(self):
+        return self._table is None or self._table.objects != self.config.loops
 
     def _legs(self):
         """Per-type leg tables of config.loops, in list order.
 
         _commit keeps them in step; a list changed from outside (assigned,
         appended to, or a new config) differs from the table's copy and is
-        stacked afresh.
+        stacked afresh, and the carried energies are dropped with it.
         """
-        if self._table is None or self._table.objects != self.config.loops:
+        if self._stale():
             self._table = LegTable(self.config.loops)
+            self._carried = None
         return self._table
 
-    def _commit(self, removed, added, dh):
-        """Apply an accepted move to the loop list, the leg tables and the energy.
+    def _store(self):
+        """The energy each loop of config.loops carries, by loop identity.
 
-        dh is the energy the move adds; lps.splice gives the list order.
+        store[A][A] is A's own energy (its legs among themselves and against
+        the external points) and store[A][B] = store[B][A] its pair energy
+        with loop B; zero energies have no entry.  Rebuilt in one energy
+        call after _legs() restacks the tables; _commit keeps it in step.
+        """
+        self._legs()
+        if self._carried is None:
+            self._carried = _stored(self.config.loops, self._evaluate(self.config.loops)[1])
+        return self._carried
+
+    def _commit(self, removed, added, dh):
+        """Apply an accepted move to the loop list, the leg tables, the carried
+        energies and the energy cache.
+
+        dh is the energy the move adds; lps.splice gives the list order.  The
+        loops removed leave the store and the added ones enter it with the
+        split _energy_change made; an energy change without one (the twin's)
+        drops the store.
         """
         lps.splice(self.config.loops, removed, added)
         if self._table is not None:
             self._table.splice(removed, added)
+        split, self._split = self._split, None
+        if split is None:
+            self._carried = None
+        elif self._carried is not None:
+            store = self._carried
+            for A in removed:
+                for B in store.pop(A):
+                    if B in store:
+                        del store[B][A]
+            store.update((A, {}) for A in added)
+            _enter(store, split)
         self._h += dh
 
-    def _delta_energy(self, target, exclude=()):
-        if self.params.is_free():  # every potential is zero, external points' too
-            return 0.0
-        return interaction_energy(list(target), self.params,
-                                  conditioning=self._legs().excluding(exclude),
+    def _evaluate(self, target, conditioning=None):
+        """Energy of target given conditioning and the external points, and its split."""
+        split = {}
+        return interaction_energy(list(target), self.params, conditioning=conditioning,
                                   external=self.config.external,
-                                  conservative=self.opts.conservative_hard_core)
+                                  conservative=self.opts.conservative_hard_core,
+                                  split=split), split
 
     def _energy_change(self, removed, added):
         """Energy that replacing the loops removed by added adds.
 
-        Both energies are taken against the rest of the configuration, with
-        removed left out; an empty side costs no energy call.
+        The loops removed take away the energy they carry (_store), a pair
+        among them counted once, so a deletion makes no energy call.  added
+        is evaluated against the rest in one call, whose split _commit
+        stores.
         """
-        e_old = self._delta_energy(removed, exclude=removed) if removed else 0.0
-        e_new = self._delta_energy(added, exclude=removed) if added else 0.0
+        if self._free:
+            return 0.0
+        store = self._store()
+        e_old = 0.0
+        for i, A in enumerate(removed):
+            for B, e in store[A].items():
+                if B not in removed[:i]:
+                    e_old += e
+        e_new, self._split = 0.0, {}
+        if added:
+            e_new, self._split = self._evaluate(added, self._table.excluding(removed))
         return e_new - e_old
 
     def _confined(self, objects):
@@ -425,13 +500,27 @@ class Chain:
         return list(self.config.loops)
 
 
+def _enter(store, split):
+    """Enter an interaction_energy split into a store of carried energies, both ways."""
+    for A, parts in split.items():
+        for B, e in parts.items():
+            store[A][B] = store[B][A] = e
+
+
+def _stored(loops, split):
+    """A store of carried energies for loops from the split of their whole energy."""
+    store = {lp: {} for lp in loops}
+    _enter(store, split)
+    return store
+
+
 # -- checkpointing -------------------------------------------------------------
 
 _CKPT_TAG = "loopgas-checkpoint 1"
 
 
 def save_checkpoint(chain, path):
-    """Write sweeps, RNG state, and the configuration for bit-exact restart.
+    """Write sweeps, RNG state, sampler options and the configuration for bit-exact restart.
 
     Written beside path and moved over it once complete, so a crash
     mid-write leaves the previous checkpoint intact.
@@ -439,6 +528,7 @@ def save_checkpoint(chain, path):
     state = {
         "sweeps": chain.sweeps_done,
         "rng": chain.rng.bit_generator.state,
+        "options": asdict(chain.opts),
     }
     tmp = os.fspath(path) + ".tmp"
     with open(tmp, "w") as fh:
@@ -450,10 +540,17 @@ def save_checkpoint(chain, path):
     os.replace(tmp, path)
 
 
-def load_checkpoint(path, params, options=None):
-    """Resume the chain saved at path on the slices_per_beta it was saved with.
+# options a resumed chain must share with the saved one, besides the grid
+_RESUME_FIELDS = ("k_max", "move_weights", "proposals_per_sweep", "conservative_hard_core")
 
-    options naming another slices_per_beta are refused: the loops would mix grids.
+
+def load_checkpoint(path, params, options=None):
+    """Resume the chain saved at path on the sampler options it was saved with.
+
+    options naming another slices_per_beta are refused, since the loops would
+    mix grids, and so are options that differ from the saved ones in a field
+    of _RESUME_FIELDS.  A checkpoint without saved options resumes on the
+    defaults and its grid.
     """
     with open(path) as fh:
         tag = fh.readline().strip()
@@ -461,16 +558,23 @@ def load_checkpoint(path, params, options=None):
             raise ValueError("unrecognised checkpoint header")
         state = json.loads(fh.readline())
         config = lps.loads_config(fh.read(), max_range=params.max_range)
+    saved = state.get("options")
+    if saved is not None:
+        saved = SamplerOptions(**dict(saved, move_weights=tuple(saved["move_weights"])))
     if options is None:
-        options = SamplerOptions(slices_per_beta=config.slices_per_beta)
+        options = saved or SamplerOptions(slices_per_beta=config.slices_per_beta)
     elif options.slices_per_beta != config.slices_per_beta:
         raise ValueError("checkpoint has slices_per_beta %d, options ask for %d"
                          % (config.slices_per_beta, options.slices_per_beta))
+    for name in _RESUME_FIELDS if saved is not None else ():
+        have, want = getattr(saved, name), getattr(options, name)
+        if have != (tuple(want) if name == "move_weights" else want):
+            raise ValueError("checkpoint has %s %r, options ask for %r" % (name, have, want))
     chain = Chain(params, config.box, external=config.external, options=options)
     chain.config = config
     chain.sweeps_done = state["sweeps"]
     chain.rng.bit_generator.state = state["rng"]
-    chain.audit(tol=math.inf)  # seeds the energy cache
+    chain.audit(tol=math.inf)  # seeds the energy cache and the carried energies
     return chain
 
 

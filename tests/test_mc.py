@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -77,6 +78,29 @@ def assert_tables_follow(chain):
         assert got.objects == want.objects
         assert np.array_equal(got.start, want.start)
         assert all(np.array_equal(a, b) for a, b in zip(got.legs, want.legs))
+
+
+def removal_energies(chain, removed, added):
+    """The energies of removed and of added against the rest, one call each."""
+    rest = [lp for lp in chain.config.loops if all(lp is not r for r in removed)]
+    kw = dict(conditioning=rest, external=chain.config.external,
+              conservative=chain.opts.conservative_hard_core)
+    return (lps.interaction_energy(list(removed), chain.params, **kw),
+            lps.interaction_energy(list(added), chain.params, **kw))
+
+
+def assert_carried_follow(chain):
+    """Every loop's stored energy equals its energy against the rest, recomputed.
+
+    The store is symmetric and holds no zero entries.
+    """
+    store = chain._carried
+    assert store is not None and set(store) == set(chain.config.loops)
+    for lp in chain.config.loops:
+        want, _ = removal_energies(chain, (lp,), ())
+        got = sum(store[lp].values())
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+        assert all(e != 0.0 and store[b][lp] == e for b, e in store[lp].items())
 
 
 class TestChainBasics:
@@ -161,6 +185,7 @@ class TestEnergyCache:
         def sweeps(chain, n):
             for _ in range(n):
                 chain.sweep()
+                assert_carried_follow(chain)
                 assert chain.audit(tol=1e-10) <= 1e-10
                 assert_tables_follow(chain)
 
@@ -187,6 +212,67 @@ class TestEnergyCache:
         chain.config = back.config
         chain.audit(tol=math.inf)
         sweeps(chain, 5)
+
+    @pytest.mark.parametrize("setup", list(DRIFT_SETUPS))
+    def test_energy_change_matches_two_calls(self, setup, monkeypatch):
+        # every proposal's dh against the energies of removed and of added,
+        # each recomputed against the rest
+        moves, pairs = set(), {"merge": 0, "split": 0}
+        energy_change = mc.Chain._energy_change
+
+        def checked(chain, removed, added):
+            e_old, e_new = removal_energies(chain, removed, added)
+            if len(removed) == 2:
+                pairs["merge"] += removed[1] in chain._store()[removed[0]]
+            dh = energy_change(chain, removed, added)
+            if len(added) == 2:
+                pairs["split"] += added[1] in chain._split.get(added[0], ())
+            if math.isinf(e_new):
+                assert dh == math.inf
+            else:
+                assert abs(dh - (e_new - e_old)) <= 1e-12 * max(1.0, e_old, e_new)
+            moves.add((len(removed), len(added)))
+            return dh
+
+        monkeypatch.setattr(mc.Chain, "_energy_change", checked)
+        drift_chain(setup, seed=5).run(20)
+        assert moves == {(0, 1), (1, 0), (1, 1), (2, 1), (1, 2)}
+        # merges of an interacting pair, splits into two interacting loops
+        assert min(pairs.values()) > 0
+
+    def test_deletion_makes_no_energy_call_and_a_redraw_one(self, monkeypatch):
+        chain = drift_chain("square-well", seed=3)
+        chain.run(5)
+        calls = []
+        energy = mc.interaction_energy
+        monkeypatch.setattr(mc, "interaction_energy",
+                            lambda *a, **kw: calls.append(1) or energy(*a, **kw))
+        old = chain.config.loops[0]
+        chain._energy_change((old,), ())
+        assert len(calls) == 0
+        chain._energy_change((old,), (lps.Loop(old.type_index, chain._redraw_leg(old.path, 0)),))
+        assert len(calls) == 1
+
+    def test_free_model_stores_nothing(self, monkeypatch):
+        chain = make_chain(free_params(), seed=2, slices_per_beta=4, k_max=4)
+        monkeypatch.setattr(mc, "interaction_energy", None)  # any call would fail
+        chain.run(20)
+        assert chain.config.loops and chain._carried is None
+
+    def test_audit_catches_a_corrupted_stored_energy(self):
+        chain = drift_chain("square-well", seed=3)
+        chain.run(10)
+        assert chain.audit(tol=1e-10) <= 1e-10
+        lp = next(lp for lp in chain.config.loops if chain._carried[lp])
+        other = next(iter(chain._carried[lp]))
+        chain._carried[lp][other] += 1e-6
+        with pytest.raises(RuntimeError, match="carried energy drift"):
+            chain.audit()
+
+
+# sampler options unlike the defaults in every field a resumed chain must share
+SAVED_OPTIONS = dict(slices_per_beta=4, k_max=6, move_weights=(0, 2, 4),
+                     conservative_hard_core=True, proposals_per_sweep=20)
 
 
 class TestCheckpointing:
@@ -238,6 +324,52 @@ class TestCheckpointing:
         assert mc.load_checkpoint(path, params).sweeps_done == 30
         with pytest.raises(ValueError, match="slices_per_beta"):
             mc.load_checkpoint(path, params, options=mc.SamplerOptions(slices_per_beta=4))
+
+    def test_resumes_on_the_saved_options(self, tmp_path):
+        opts = SAVED_OPTIONS
+        a = make_chain(core_params(), half_side=3.0, seed=8, **opts)
+        a.config.loops = [lps.Loop(0, sample_bridge(np.array(x), np.array(x), 2, 4, 1.0,
+                                                    np.random.default_rng(1)))
+                          for x in [(1.0, 0.5), (-1.2, 0.8), (0.3, -1.4)]]
+        a.audit(tol=math.inf)
+        a.run(5)
+        path = str(tmp_path / "state.ckpt")
+        mc.save_checkpoint(a, path)
+        b = mc.load_checkpoint(path, core_params())
+        assert b.opts == mc.SamplerOptions(**opts)
+        a.run(10)
+        b.run(10)
+        assert lps.dumps_config(a.config) == lps.dumps_config(b.config)
+
+    @pytest.mark.parametrize("name, value", [("k_max", 20), ("move_weights", (4, 2, 4)),
+                                             ("proposals_per_sweep", 0),
+                                             ("conservative_hard_core", False)])
+    def test_refuses_options_unlike_the_saved_ones(self, tmp_path, name, value):
+        opts = SAVED_OPTIONS
+        chain = make_chain(core_params(), half_side=3.0, seed=8, **opts)
+        chain.run(3)
+        path = str(tmp_path / "state.ckpt")
+        mc.save_checkpoint(chain, path)
+        with pytest.raises(ValueError, match=name):
+            mc.load_checkpoint(path, core_params(),
+                               options=mc.SamplerOptions(**dict(opts, **{name: value})))
+        # the same options, move weights as a list, and another audit interval
+        back = mc.load_checkpoint(path, core_params(), options=mc.SamplerOptions(
+            **dict(opts, move_weights=[0, 2, 4], audit_interval=5)))
+        assert back.sweeps_done == 3
+
+    def test_checkpoint_without_options_resumes_on_the_defaults(self, tmp_path):
+        chain = make_chain(free_params(), seed=3, slices_per_beta=2, k_max=4)
+        chain.run(5)
+        path = tmp_path / "state.ckpt"
+        mc.save_checkpoint(chain, str(path))
+        tag, state, rest = path.read_text().split("\n", 2)
+        state = json.loads(state)
+        del state["options"]
+        path.write_text("\n".join([tag, json.dumps(state), rest]))
+        back = mc.load_checkpoint(str(path), free_params())
+        assert back.opts == mc.SamplerOptions(slices_per_beta=2)
+        assert back.sweeps_done == 5
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
