@@ -520,7 +520,7 @@ _CKPT_TAG = "loopgas-checkpoint 1"
 
 
 def save_checkpoint(chain, path):
-    """Write sweeps, RNG state, sampler options and the configuration for bit-exact restart.
+    """Write sweeps, RNG state, sampler options and configuration for exact restart.
 
     Written beside path and moved over it once complete, so a crash
     mid-write leaves the previous checkpoint intact.
@@ -566,10 +566,12 @@ def load_checkpoint(path, params, options=None):
     elif options.slices_per_beta != config.slices_per_beta:
         raise ValueError("checkpoint has slices_per_beta %d, options ask for %d"
                          % (config.slices_per_beta, options.slices_per_beta))
-    for name in _RESUME_FIELDS if saved is not None else ():
-        have, want = getattr(saved, name), getattr(options, name)
-        if have != (tuple(want) if name == "move_weights" else want):
-            raise ValueError("checkpoint has %s %r, options ask for %r" % (name, have, want))
+    if saved is not None:
+        for name in _RESUME_FIELDS:
+            have, want = getattr(saved, name), getattr(options, name)
+            if have != (tuple(want) if name == "move_weights" else want):
+                raise ValueError("checkpoint has %s %r, options ask for %r"
+                                 % (name, have, want))
     chain = Chain(params, config.box, external=config.external, options=options)
     chain.config = config
     chain.sweeps_done = state["sweeps"]
