@@ -36,7 +36,7 @@ time did, so runs with one inner draw per snapshot keep their stream.
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import permutations, product as iproduct
 
 import numpy as np
@@ -180,7 +180,7 @@ class Chain:
         (_store), is off its recomputation by more than tol times
         max(1, |recomputed|); otherwise reseeds both and returns the largest
         drift.  One energy call gives both.  A free model keeps no carried
-        energies.
+        energies, and neither does a state of infinite energy (see _store).
         """
         kept = None if self._stale() else self._carried
         h, split = self._evaluate(self.config.loops)
@@ -189,9 +189,10 @@ class Chain:
             raise RuntimeError("energy cache drift %.3e after %d sweeps"
                                % (drift, self.sweeps_done))
         self._h = h
-        if self._free:
+        if self._free or math.isinf(h):
+            self._carried = None
             return drift
-        store = _stored(self.config.loops, split)
+        store = _stored(self.config.loops, h, split)
         if kept is not None:
             for i, lp in enumerate(self.config.loops):
                 want, got = sum(store[lp].values()), sum(kept[lp].values())
@@ -226,10 +227,13 @@ class Chain:
         the external points) and store[A][B] = store[B][A] its pair energy
         with loop B; zero energies have no entry.  Rebuilt in one energy
         call after _legs() restacks the tables; _commit keeps it in step.
+        Raises ValueError when the loop list violates a hard core: the
+        energy call stops at the first violation, so that state (of zero
+        weight) gets no store.
         """
         self._legs()
         if self._carried is None:
-            self._carried = _stored(self.config.loops, self._evaluate(self.config.loops)[1])
+            self._carried = _stored(self.config.loops, *self._evaluate(self.config.loops))
         return self._carried
 
     def _commit(self, removed, added, dh):
@@ -507,8 +511,10 @@ def _enter(store, split):
             store[A][B] = store[B][A] = e
 
 
-def _stored(loops, split):
-    """A store of carried energies for loops from the split of their whole energy."""
+def _stored(loops, h, split):
+    """A store of carried energies for loops from their whole energy h and its split."""
+    if math.isinf(h):
+        raise ValueError("the loops violate a hard core: a state of zero weight")
     store = {lp: {} for lp in loops}
     _enter(store, split)
     return store
@@ -540,17 +546,18 @@ def save_checkpoint(chain, path):
     os.replace(tmp, path)
 
 
-# options a resumed chain must share with the saved one, besides the grid
-_RESUME_FIELDS = ("k_max", "move_weights", "proposals_per_sweep", "conservative_hard_core")
+# options a resumed chain must share with the saved one
+_RESUME_FIELDS = ("slices_per_beta", "k_max", "move_weights", "proposals_per_sweep",
+                  "conservative_hard_core")
 
 
 def load_checkpoint(path, params, options=None):
     """Resume the chain saved at path on the sampler options it was saved with.
 
-    options naming another slices_per_beta are refused, since the loops would
-    mix grids, and so are options that differ from the saved ones in a field
-    of _RESUME_FIELDS.  A checkpoint without saved options resumes on the
-    defaults and its grid.
+    options that differ from the saved ones in a field of _RESUME_FIELDS are
+    refused; another slices_per_beta would mix grids.  A checkpoint without
+    saved options resumes on the defaults and its grid, and refuses only
+    another grid.
     """
     with open(path) as fh:
         tag = fh.readline().strip()
@@ -558,20 +565,17 @@ def load_checkpoint(path, params, options=None):
             raise ValueError("unrecognised checkpoint header")
         state = json.loads(fh.readline())
         config = lps.loads_config(fh.read(), max_range=params.max_range)
-    saved = state.get("options")
-    if saved is not None:
+    saved, shared = state.get("options"), _RESUME_FIELDS
+    if saved is None:
+        saved, shared = SamplerOptions(slices_per_beta=config.slices_per_beta), shared[:1]
+    else:
         saved = SamplerOptions(**dict(saved, move_weights=tuple(saved["move_weights"])))
-    if options is None:
-        options = saved or SamplerOptions(slices_per_beta=config.slices_per_beta)
-    elif options.slices_per_beta != config.slices_per_beta:
-        raise ValueError("checkpoint has slices_per_beta %d, options ask for %d"
-                         % (config.slices_per_beta, options.slices_per_beta))
-    if saved is not None:
-        for name in _RESUME_FIELDS:
-            have, want = getattr(saved, name), getattr(options, name)
-            if have != (tuple(want) if name == "move_weights" else want):
-                raise ValueError("checkpoint has %s %r, options ask for %r"
-                                 % (name, have, want))
+    options = options or saved
+    options = replace(options, move_weights=tuple(options.move_weights))
+    for name in shared:
+        if getattr(options, name) != getattr(saved, name):
+            raise ValueError("checkpoint has %s %r, options ask for %r"
+                             % (name, getattr(saved, name), getattr(options, name)))
     chain = Chain(params, config.box, external=config.external, options=options)
     chain.config = config
     chain.sweeps_done = state["sweeps"]

@@ -269,6 +269,19 @@ class TestEnergyCache:
         with pytest.raises(RuntimeError, match="carried energy drift"):
             chain.audit()
 
+    def test_refuses_to_store_a_state_across_a_hard_core(self):
+        # two loops set from outside on one anchor overlap the core; the
+        # energy call stops there, so a store would miss the pairs after it
+        chain = drift_chain("bump-core-conservative", seed=3)
+        rng = np.random.default_rng(1)
+        A, B, C = (lps.Loop(0, sample_bridge(np.array(x), np.array(x), 2, 4, 1.0, rng))
+                   for x in [(0.0, 0.0), (0.0, 0.0), (3.0, 3.0)])
+        chain.config.loops = [A, B, C]
+        chain.audit(tol=math.inf)
+        assert math.isinf(chain.energy) and chain._carried is None
+        with pytest.raises(ValueError, match="hard core"):
+            chain._energy_change((B,), ())
+
 
 # sampler options unlike the defaults in every field a resumed chain must share
 SAVED_OPTIONS = dict(slices_per_beta=4, k_max=6, move_weights=(0, 2, 4),
@@ -328,10 +341,11 @@ class TestCheckpointing:
     def test_resumes_on_the_saved_options(self, tmp_path):
         opts = SAVED_OPTIONS
         a = make_chain(core_params(), half_side=3.0, seed=8, **opts)
-        a.config.loops = [lps.Loop(0, sample_bridge(np.array(x), np.array(x), 2, 4, 1.0,
+        a.config.loops = [lps.Loop(0, sample_bridge(np.array(x), np.array(x), 1, 4, 1.0,
                                                     np.random.default_rng(1)))
                           for x in [(1.0, 0.5), (-1.2, 0.8), (0.3, -1.4)]]
         a.audit(tol=math.inf)
+        assert a.energy == 0.0  # clear of the core
         a.run(5)
         path = str(tmp_path / "state.ckpt")
         mc.save_checkpoint(a, path)
