@@ -14,7 +14,7 @@ multiplicities, and h the equal-time pair interaction energy.
 
 import io
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -173,13 +173,15 @@ def confined_to_box(objects, box):
 # the same object (m != m'), never a leg with itself.
 #
 # Every sum runs over explicit leg pairs, each row of one leg array against
-# the same row of the other.  Conditioning objects are stacked per type in a
-# LegTable, and a conditioning leg is visited only when its bounding box
-# comes within max(range, hard_core) of the target leg's box on every axis.
-# That filter is exact: midpoints and segments lie in the box of their
-# nodes, V = 0 for r >= range, and the box gap bounds every computed
-# distance from below (rounding is monotone).  The small widening of the
-# reach keeps that true for the segment gap, which rounds to either side.
+# the same row of the other.  Pairs of distinct objects are found one way
+# (_near_energy): the later targets, the conditioning and the external points
+# (one-leg paths that stay put) are stacked per type in a LegTable, and a leg
+# there is visited only when its bounding box comes within max(range,
+# hard_core) of the target leg's box on every axis.  That filter is exact:
+# midpoints and segments lie in the box of their nodes, V = 0 for r >= range,
+# and the box gap bounds every computed distance from below (rounding is
+# monotone).  The small widening of the reach keeps that true for the segment
+# gap, which rounds to either side.
 
 _MIXED_SLICES = "mixed slice counts in one energy evaluation"
 _REACH_SLACK = 1e-9  # relative widening of the reach; far above rounding
@@ -276,15 +278,16 @@ class LegTable:
             else:
                 self.types[o.type_index] = _TypeLegs([o])
 
-    def pairs_near(self, obj, j, reach):
+    def pairs_near(self, obj, j, reach, first=0):
         """(obj's leg, type-j row) pairs whose boxes come within reach.
 
-        Rows of left-out objects are dropped.
+        Rows of left-out objects, and rows before first, are dropped.
         """
         T = self.types[j]
         _, _, lo, hi = T.legs
         olo, ohi = obj.leg_bounds
         near = ((lo - ohi[:, None] < reach) & (olo[:, None] - hi < reach)).all(axis=-1)
+        near[:, :first] = False
         for o in self.left_out:
             if o.type_index == j:
                 a, b = T.rows(o)
@@ -342,21 +345,43 @@ def _record(split, A, B, e):
         parts[B] = parts.get(B, 0.0) + e
 
 
-def _external_energy(pot, A, points, dt, conservative):
-    """Energy of A's legs against static points, each point a path that stays put."""
-    if points.size == 0:
-        return 0.0
-    diff = A.leg_mids[:, :, None, :] - points[None, None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
-    vals = pot.evaluate(r)
-    if conservative and pot.hard_core > 0:
-        # every (leg, point) pair, the point held at each of the leg's nodes
-        shape = (A.k, points.shape[0]) + A.leg_nodes.shape[1:]
-        legs = np.broadcast_to(A.leg_nodes[:, None], shape).reshape(-1, *shape[2:])
-        still = np.broadcast_to(points[None, :, None], shape).reshape(legs.shape)
-        if np.any(_min_segment_gap_sq(legs, still) < pot.hard_core ** 2):
-            return math.inf
-    return _integrated(vals, dt)
+def _near_energy(total, A, table, P, dt, conservative, split, after=None, own=False):
+    """total plus the energy of A's legs against table's legs within reach.
+
+    Per type j of table: the pairs of pairs_near, less the first after[j]
+    type-j objects if after is given, valued by _pair_values.  Their energy
+    enters split under split[A][A] if own, else under split[A][B] by row
+    owner B.  Stops at the first infinite total.
+    """
+    a = _geometry(A)
+    for j, T in table.types.items():
+        pot = P[A.type_index][j]
+        if pot.is_zero():
+            continue
+        reach = max(pot.range, pot.hard_core) * (1.0 + _REACH_SLACK)
+        ia, ib = table.pairs_near(A, j, reach, T.start[after[j]] if after else 0)
+        if ia.size == 0:
+            continue
+        vals = _pair_values(pot, a, ia, T.legs, ib, conservative)
+        e = _integrated(vals, dt)
+        total += e
+        if own:
+            _record(split, A, A, e)
+        elif split is not None and e:  # per object, by row owner
+            per = np.bincount(T.start.searchsorted(ib, side="right") - 1,
+                              weights=vals.sum(axis=1)) * dt
+            for o in np.flatnonzero(per).tolist():
+                _record(split, A, T.objects[o], float(per[o]))
+        if math.isinf(total):
+            break
+    return total
+
+
+@lru_cache(maxsize=16)
+def _still_table(external, S, beta):
+    """The external points as one-leg paths that stay put on the S-grid, stacked."""
+    return LegTable([OpenPath(j, BridgePath(np.tile(x, (S + 1, 1)), 1, S, beta))
+                     for j, points in enumerate(external.points) for x in points])
 
 
 def interaction_energy(target, params, conditioning=None, external=None,
@@ -369,8 +394,9 @@ def interaction_energy(target, params, conditioning=None, external=None,
     Energy internal to the conditioning is deliberately not counted.  Returns
     +inf when any hard core is violated at a quadrature node (and, with
     conservative=True, anywhere along the straight segments between nodes).
-    conditioning is a LegTable or any iterable of loops and paths, which is
-    stacked into one.
+    conditioning is a LegTable or any iterable of loops and paths.  Each
+    target meets the later targets, the conditioning and the external points
+    in that order, each stacked per type (_near_energy, _still_table).
 
     split, a dict if given, receives the same energy by object pair:
     split[A][B] for target A and B a later target or a conditioning object,
@@ -384,65 +410,38 @@ def interaction_energy(target, params, conditioning=None, external=None,
     S = target[0].path.slices_per_beta
     if any(o.path.slices_per_beta != S for o in target):
         raise ValueError(_MIXED_SLICES)
+    if conditioning and not isinstance(conditioning, LegTable):
+        conditioning = LegTable(conditioning)
+    if conditioning and any(T.legs[0].shape[1] != S for T in conditioning.types.values()):
+        raise ValueError(_MIXED_SLICES)
     dt = params.beta / S
     P = params.potentials
+    later = LegTable(target) if len(target) > 1 else None
+    seen = dict.fromkeys(range(params.n_types), 0)  # targets so far, by type
     total = 0.0
-    for i, A in enumerate(target):
-        a = _geometry(A)
+    for A in target:
         pot = P[A.type_index][A.type_index]
         if not pot.is_zero() and A.k > 1:
+            a = _geometry(A)
             ia, ib = np.triu_indices(A.k, 1)
             e = _integrated(_pair_values(pot, a, ia, a, ib, conservative), dt)
             total += e
             _record(split, A, A, e)
             if math.isinf(total):
                 return math.inf
-        for B in target[i + 1:]:
-            pot = P[A.type_index][B.type_index]
-            if pot.is_zero():
-                continue
-            ia, ib = np.indices((A.k, B.k)).reshape(2, -1)
-            e = _integrated(_pair_values(pot, a, ia, _geometry(B), ib, conservative), dt)
-            total += e
-            _record(split, A, B, e)
+        seen[A.type_index] += 1
+        if later:
+            total = _near_energy(total, A, later, P, dt, conservative, split, seen)
             if math.isinf(total):
                 return math.inf
-    if conditioning:
-        if not isinstance(conditioning, LegTable):
-            conditioning = LegTable(conditioning)
-        if any(T.legs[0].shape[1] != S for T in conditioning.types.values()):
-            raise ValueError(_MIXED_SLICES)
-        for A in target:
-            a = _geometry(A)
-            for j, T in conditioning.types.items():
-                pot = P[A.type_index][j]
-                if pot.is_zero():
-                    continue
-                reach = max(pot.range, pot.hard_core) * (1.0 + _REACH_SLACK)
-                ia, ib = conditioning.pairs_near(A, j, reach)
-                if ia.size == 0:
-                    continue
-                vals = _pair_values(pot, a, ia, T.legs, ib, conservative)
-                e = _integrated(vals, dt)
-                total += e
-                if split is not None and e:  # per conditioning object, by row owner
-                    per = np.bincount(T.start.searchsorted(ib, side="right") - 1,
-                                      weights=vals.sum(axis=1)) * dt
-                    for o in np.flatnonzero(per).tolist():
-                        _record(split, A, T.objects[o], float(per[o]))
-                if math.isinf(total):
-                    return math.inf
+    others = [(conditioning, False)] if conditioning else []
     if external is not None and not external.is_empty():
+        others.append((_still_table(external, S, params.beta), True))
+    for table, own in others:
         for A in target:
-            for jp in range(len(external.points)):
-                pot = P[A.type_index][jp]
-                if pot.is_zero():
-                    continue
-                e = _external_energy(pot, A, external.points[jp], dt, conservative)
-                total += e
-                _record(split, A, A, e)
-                if math.isinf(total):
-                    return math.inf
+            total = _near_energy(total, A, table, P, dt, conservative, split, own=own)
+            if math.isinf(total):
+                return math.inf
     return total
 
 

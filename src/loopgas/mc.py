@@ -147,7 +147,6 @@ class Chain:
     max_loops = math.inf  # no proposal leaves more loops; the twin caps its space
     _h = 0.0  # the energy cache: reseeded by audit, moved only by _commit
     _carried = None  # the energy each loop carries (_store), moved only by _commit
-    _split = None  # _energy_change's split of the energy its added loops bring
 
     def __init__(self, params, box, external=None, options=None, seed=None):
         self.params = params
@@ -178,14 +177,15 @@ class Chain:
 
         Raises RuntimeError when the cache, or the energy some loop carries
         (_store), is off its recomputation by more than tol times
-        max(1, |recomputed|); otherwise reseeds both and returns the largest
-        drift.  One energy call gives both.  A free model keeps no carried
+        max(1, |recomputed|), or tol when only the recomputation is infinite;
+        otherwise reseeds both and returns the largest drift, so tol=inf only
+        reseeds.  One energy call gives both.  A free model keeps no carried
         energies, and neither does a state of infinite energy (see _store).
         """
         kept = None if self._stale() else self._carried
         h, split = self._evaluate(self.config.loops)
-        drift = abs(h - self._h)
-        if drift > tol * max(1.0, abs(h)):
+        drift = 0.0 if h == self._h else abs(h - self._h)
+        if drift > tol * (max(1.0, abs(h)) if math.isfinite(h) else 1.0):
             raise RuntimeError("energy cache drift %.3e after %d sweeps"
                                % (drift, self.sweeps_done))
         self._h = h
@@ -236,19 +236,18 @@ class Chain:
             self._carried = _stored(self.config.loops, *self._evaluate(self.config.loops))
         return self._carried
 
-    def _commit(self, removed, added, dh):
+    def _commit(self, removed, added, dh, split):
         """Apply an accepted move to the loop list, the leg tables, the carried
         energies and the energy cache.
 
-        dh is the energy the move adds; lps.splice gives the list order.  The
-        loops removed leave the store and the added ones enter it with the
-        split _energy_change made; an energy change without one (the twin's)
-        drops the store.
+        dh is the energy the move adds and split its split by loop pair, both
+        as _energy_change returns them; lps.splice gives the list order.  The
+        loops removed leave the store and the added ones enter it with split;
+        a split of None (the twin's) drops the store.
         """
         lps.splice(self.config.loops, removed, added)
         if self._table is not None:
             self._table.splice(removed, added)
-        split, self._split = self._split, None
         if split is None:
             self._carried = None
         elif self._carried is not None:
@@ -270,25 +269,26 @@ class Chain:
                                   split=split), split
 
     def _energy_change(self, removed, added):
-        """Energy that replacing the loops removed by added adds.
+        """Energy dh that replacing the loops removed by added adds, and its split.
 
         The loops removed take away the energy they carry (_store), a pair
         among them counted once, so a deletion makes no energy call.  added
-        is evaluated against the rest in one call, whose split _commit
-        stores.
+        is evaluated against the rest in one call, whose split by loop pair
+        is returned for _commit to store.  A free model keeps no store and
+        returns (0.0, None).
         """
         if self._free:
-            return 0.0
+            return 0.0, None
         store = self._store()
         e_old = 0.0
         for i, A in enumerate(removed):
             for B, e in store[A].items():
                 if B not in removed[:i]:
                     e_old += e
-        e_new, self._split = 0.0, {}
+        e_new, split = 0.0, {}
         if added:
-            e_new, self._split = self._evaluate(added, self._table.excluding(removed))
-        return e_new - e_old
+            e_new, split = self._evaluate(added, self._table.excluding(removed))
+        return e_new - e_old, split
 
     def _confined(self, objects):
         """Whether every object lies in the box at every grid time."""
@@ -307,10 +307,10 @@ class Chain:
         """
         if added and not self._confined(added):
             return False
-        dh = self._energy_change(removed, added)
+        dh, split = self._energy_change(removed, added)
         if math.isinf(dh) or not metropolis(log_ratio(dh), self.rng, u):
             return False
-        self._commit(removed, added, dh)
+        self._commit(removed, added, dh, split)
         return True
 
     # -- proposal draws and leg masses ------------------------------------------
@@ -526,7 +526,8 @@ _CKPT_TAG = "loopgas-checkpoint 1"
 
 
 def save_checkpoint(chain, path):
-    """Write sweeps, RNG state, sampler options and configuration for exact restart.
+    """Write sweeps, RNG state, sampler options, move stats and configuration
+    for exact restart.
 
     Written beside path and moved over it once complete, so a crash
     mid-write leaves the previous checkpoint intact.
@@ -535,6 +536,7 @@ def save_checkpoint(chain, path):
         "sweeps": chain.sweeps_done,
         "rng": chain.rng.bit_generator.state,
         "options": asdict(chain.opts),
+        "stats": {name: asdict(st) for name, st in chain.stats.items()},
     }
     tmp = os.fspath(path) + ".tmp"
     with open(tmp, "w") as fh:
@@ -552,7 +554,8 @@ _RESUME_FIELDS = ("slices_per_beta", "k_max", "move_weights", "proposals_per_swe
 
 
 def load_checkpoint(path, params, options=None):
-    """Resume the chain saved at path on the sampler options it was saved with.
+    """Resume the chain saved at path on the sampler options and move stats it
+    was saved with; a checkpoint without saved stats counts from zero.
 
     options that differ from the saved ones in a field of _RESUME_FIELDS are
     refused; another slices_per_beta would mix grids.  A checkpoint without
@@ -580,6 +583,7 @@ def load_checkpoint(path, params, options=None):
     chain.config = config
     chain.sweeps_done = state["sweeps"]
     chain.rng.bit_generator.state = state["rng"]
+    chain.stats.update((name, MoveStats(**st)) for name, st in state.get("stats", {}).items())
     chain.audit(tol=math.inf)  # seeds the energy cache and the carried energies
     return chain
 
@@ -739,8 +743,7 @@ def estimate_reference_kernel(starts, ends, params, box0, k_max=20, S=32,
 
 
 def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
-                        inner_per_snapshot=4, n_batches=16, apply_exclusion=True,
-                        S=None, k_max=None):
+                        inner_per_snapshot=4, n_batches=16, apply_exclusion=True):
     """Nested Monte Carlo for the reduced-kernel of the interacting gas.
 
     Outer level: configurations of the surrounding loop gas drawn from the
@@ -752,6 +755,7 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
     factor of the path energy given background and external points.  Per
     snapshot each combo draws its inner_per_snapshot terms in one batch
     (_sample_terms), which keeps the stream of one term at a time at n = 1.
+    Paths are drawn on the chain's grid, with the chain's k_max.
 
     With apply_exclusion=False the box0 indicators are skipped; this
     diagnostic mode turns the estimator into the plain reduced-kernel of the
@@ -759,12 +763,8 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
     """
     params = chain.params
     rng = chain.rng
-    S = S or chain.opts.slices_per_beta
-    k_max = k_max or chain.opts.k_max
+    S, k_max = chain.opts.slices_per_beta, chain.opts.k_max
     free = params.is_free()
-    if S != chain.opts.slices_per_beta and not free:
-        raise ValueError("path slice count must match the chain's grid "
-                         "unless the model is free")
     if not _counts_match(starts, ends):
         return KernelEstimate(0.0, 0.0, 0, 0.0, meta={"reason": "cardinality mismatch"})
     tables, combos = _endpoint_tables(starts, ends, params, k_max)
@@ -780,8 +780,7 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
         if not bg_ok:
             vals[snap] = 0.0
             continue
-        if not free:
-            background = LegTable(background)
+        table = None if free else chain._legs()  # background, stacked in list order
         acc = 0.0
         for combo in combos:
             weight, ok, paths = _sample_terms(
@@ -789,7 +788,7 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
                 box0 if apply_exclusion else None, chain.box)
             for i in np.flatnonzero(ok):
                 h = 0.0 if free else interaction_energy(
-                    paths(i), params, conditioning=background, external=ext,
+                    paths(i), params, conditioning=table, external=ext,
                     conservative=chain.opts.conservative_hard_core)
                 acc += weight * math.exp(-h)
         vals[snap] = acc / inner_per_snapshot

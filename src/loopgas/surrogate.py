@@ -166,7 +166,7 @@ class DiscreteLoopGas(mc.Chain):
     def _energy_change(self, removed, added):
         new = list(self.config.loops)
         splice(new, removed, added)
-        return self.config_energy(new) - self.config_energy(self.config.loops)
+        return self.config_energy(new) - self.config_energy(self.config.loops), None
 
     # -- exact enumeration --------------------------------------------------------
 

@@ -107,7 +107,7 @@ class TestSharedRatios:
         monkeypatch.setattr(
             surrogate.DiscreteLoopGas, "_energy_change",
             lambda self, removed, added:
-            energy_change(self, removed, added) if removed else 0.0)
+            energy_change(self, removed, added) if removed else (0.0, None))
         assert flux_p_value(WELL, "insert_delete", seed=12) < 1e-3
 
     @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=4))

@@ -226,13 +226,16 @@ def profile_potential(profile, hard_core, range_):
                          height=1.3)
 
 
+FACTORS = [0.5, 1.0 - 1e-9, 1.0, 1.5]  # box gaps in units of the reach
+
+
 class TestRangeFilter:
-    """The cross energy skips legs beyond reach; it must equal the full sum."""
+    """Every pair of distinct objects skips legs beyond reach; the energy must
+    equal the full sum."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(PROFILES), st.booleans(),
-           st.sampled_from([0.0, 0.25]), st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.5]),
-           st.booleans())
+           st.sampled_from([0.0, 0.25]), st.sampled_from(FACTORS), st.booleans())
     def test_matches_unfiltered_sum(self, seed, profile, conservative, core, factor,
                                     still):
         g = np.random.default_rng(seed)
@@ -242,8 +245,8 @@ class TestRangeFilter:
         table = [[pots[(0, 0)], pots[(0, 1)]], [pots[(0, 1)], pots[(1, 1)]]]
         params = ModelParams(2, 2, BETA, (0.5, 0.5), table)
 
-        def random_object(anchor, still=False):
-            j, k = int(g.integers(2)), int(g.integers(1, 4))
+        def random_object(anchor, still=False, k=None):
+            j, k = int(g.integers(2)), k or int(g.integers(1, 4))
             if still:  # every sample at the anchor: its box is a point
                 samples = np.tile(anchor, (k * S + 1, 1))
                 return lps.Loop(j, BridgePath(samples, k, S, BETA))
@@ -252,27 +255,40 @@ class TestRangeFilter:
             end = anchor + g.normal(size=2)
             return lps.OpenPath(j, sample_bridge(anchor, end, k, S, BETA, g))
 
-        def moved(obj, shift):
+        def beside(obj, other, factor):
+            # obj moved so that its box sits factor * reach to the right of
+            # other's box: inside, at the edge of or beyond reach; for still
+            # objects the boxes are points, so the gap is their distance
+            pot = table[obj.type_index][other.type_index]
+            reach = max(pot.range, pot.hard_core)
+            lo_o, hi_o = other.samples.min(axis=0), other.samples.max(axis=0)
+            lo = obj.samples.min(axis=0)
             p = obj.path
-            path = BridgePath(p.samples + shift, p.k, p.slices_per_beta, p.beta)
+            path = BridgePath(p.samples + [hi_o[0] - lo[0] + factor * reach, lo_o[1] - lo[1]],
+                              p.k, p.slices_per_beta, p.beta)
             return type(obj)(obj.type_index, path)
 
         conditioning = [random_object(g.uniform(-2.0, 2.0, 2), still)]
         conditioning += [random_object(g.uniform(-2.0, 2.0, 2))
                          for _ in range(int(g.integers(0, 6)))]
-        # the target's box sits factor * reach to the right of the first
-        # conditioning object's box: inside, at the edge of or beyond reach;
-        # for still objects the boxes are points, so the gap is their distance
-        near, base = conditioning[0], random_object(np.zeros(2), still)
-        pot = table[base.type_index][near.type_index]
-        reach = max(pot.range, pot.hard_core)
-        lo_c, hi_c = near.samples.min(axis=0), near.samples.max(axis=0)
-        lo_t = base.samples.min(axis=0)
-        shift = np.array([hi_c[0] - lo_t[0] + factor * reach, lo_c[1] - lo_t[1]])
-        target = [moved(base, shift)]
-        if g.random() < 0.5:
-            target.append(random_object(g.uniform(-2.0, 2.0, 2)))
-        want = brute_force_energy(target, params, conditioning, conservative)
+        # each target beside the one before it, the first beside a
+        # conditioning object
+        target = [beside(random_object(np.zeros(2), still), conditioning[0], factor)]
+        for _ in range(int(g.integers(1, 3))):
+            target.append(beside(random_object(np.zeros(2), still), target[-1],
+                                 g.choice(FACTORS)))
+        # external points, each a leg that stays put: one beside a target,
+        # the rest anywhere; the box they surround lies far off
+        external, points = None, []
+        if g.random() < 0.75:
+            points = [beside(random_object(np.zeros(2), True, k=1),
+                             target[int(g.integers(len(target)))], g.choice(FACTORS))]
+            points += [random_object(g.uniform(-2.0, 2.0, 2), True, k=1)
+                       for _ in range(int(g.integers(0, 4)))]
+            external = ExternalConfiguration(
+                Box((50.0, 50.0), 1.0), [[p.anchor for p in points if p.type_index == j]
+                                         for j in range(2)], max_range=math.inf)
+        want = brute_force_energy(target, params, conditioning + points, conservative)
         # a stacked table with one more object, left out by excluding()
         extra = random_object(g.uniform(-2.0, 2.0, 2))
         at = int(g.integers(len(conditioning) + 1))
@@ -281,11 +297,25 @@ class TestRangeFilter:
         assert list(view) == conditioning
         for cond in (conditioning, view):
             got = lps.interaction_energy(target, params, conditioning=cond,
-                                         conservative=conservative)
+                                         external=external, conservative=conservative)
             if math.isinf(want):
                 assert got == math.inf
             else:
                 assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_objects_beyond_reach_make_no_cross_pair_call(self, monkeypatch):
+        # a whole configuration whose loops and external point are all beyond
+        # each other's reach: only each loop's own legs are valued
+        m = one_type(square_well(1.0, 1.0))
+        loops = [still_loop((3.0 * i, 0.0), 2, 4) for i in range(-2, 3)]
+        ext = ExternalConfiguration(BOX, [np.array([[0.0, 9.0]])], max_range=1.0)
+        calls = []
+        pair_values = lps._pair_values
+        monkeypatch.setattr(lps, "_pair_values", lambda pot, a, ia, b, ib, c:
+                            calls.append(a is b) or pair_values(pot, a, ia, b, ib, c))
+        h = lps.interaction_energy(loops, m, external=ext)
+        assert abs(h - 5 * BETA) < 1e-12  # each loop's two legs on top of each other
+        assert calls == [True] * 5
 
 
 # nodes >= 0 whose cubic spline undershoots zero between 0.3 and 0.6

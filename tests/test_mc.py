@@ -224,15 +224,15 @@ class TestEnergyCache:
             e_old, e_new = removal_energies(chain, removed, added)
             if len(removed) == 2:
                 pairs["merge"] += removed[1] in chain._store()[removed[0]]
-            dh = energy_change(chain, removed, added)
+            dh, split = energy_change(chain, removed, added)
             if len(added) == 2:
-                pairs["split"] += added[1] in chain._split.get(added[0], ())
+                pairs["split"] += added[1] in split.get(added[0], ())
             if math.isinf(e_new):
                 assert dh == math.inf
             else:
                 assert abs(dh - (e_new - e_old)) <= 1e-12 * max(1.0, e_old, e_new)
             moves.add((len(removed), len(added)))
-            return dh
+            return dh, split
 
         monkeypatch.setattr(mc.Chain, "_energy_change", checked)
         drift_chain(setup, seed=5).run(20)
@@ -268,6 +268,19 @@ class TestEnergyCache:
         chain._carried[lp][other] += 1e-6
         with pytest.raises(RuntimeError, match="carried energy drift"):
             chain.audit()
+
+    def test_audit_catches_an_overlap_set_from_outside(self):
+        # the cache reads 0 and the recomputed energy is inf: tol * inf is
+        # inf, so the audit must not scale its tol by the recomputation
+        chain = drift_chain("bump-core-conservative", seed=3)
+        rng = np.random.default_rng(1)
+        chain.config.loops = [lps.Loop(0, sample_bridge(np.zeros(2), np.zeros(2), 2, 4, 1.0,
+                                                        rng)) for _ in range(2)]
+        with pytest.raises(RuntimeError, match="energy cache drift inf"):
+            chain.audit()
+        assert chain.energy == 0.0
+        assert chain.audit(tol=math.inf) == math.inf  # the reseed still works
+        assert math.isinf(chain.energy) and chain.audit() == 0.0
 
     def test_refuses_to_store_a_state_across_a_hard_core(self):
         # two loops set from outside on one anchor overlap the core; the
@@ -384,6 +397,23 @@ class TestCheckpointing:
         back = mc.load_checkpoint(str(path), free_params())
         assert back.opts == mc.SamplerOptions(slices_per_beta=2)
         assert back.sweeps_done == 5
+
+    def test_keeps_the_move_stats(self, tmp_path):
+        params = well_params()
+        chain = make_chain(params, half_side=3.0, seed=7, slices_per_beta=4, k_max=6)
+        chain.run(10)
+        path = tmp_path / "state.ckpt"
+        mc.save_checkpoint(chain, str(path))
+        back = mc.load_checkpoint(str(path), params)
+        assert back.stats == chain.stats
+        assert all(st.proposed > 0 for st in back.stats.values())
+        # a checkpoint written without them counts from zero
+        tag, state, rest = path.read_text().split("\n", 2)
+        state = json.loads(state)
+        del state["stats"]
+        path.write_text("\n".join([tag, json.dumps(state), rest]))
+        back = mc.load_checkpoint(str(path), params)
+        assert back.stats == {name: mc.MoveStats() for name in mc.Chain.FAMILIES}
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -565,13 +595,13 @@ class TestRdmKernel:
     def test_free_gas_diagnostic_mode_exact(self):
         params = free_params(z=0.5)
         chain = make_chain(params, half_side=10.0, seed=21,
-                           slices_per_beta=4, k_max=10)
+                           slices_per_beta=1, k_max=10)
         xs = [np.array([[0.0, 0.0]])]
         ys = [np.array([[1.0, 0.0]])]
         est = mc.estimate_rdm_kernel(chain, xs, ys, Box((0.0, 0.0), 0.5),
                                      n_snapshots=16, thin=1,
                                      inner_per_snapshot=1,
-                                     apply_exclusion=False, S=1, k_max=10)
+                                     apply_exclusion=False)
         expected = analytic.free_gas_kernel(xs[0][0], ys[0][0], 0.5, 1.0,
                                             k_max=10).value
         assert est.std_error == 0.0
