@@ -1,10 +1,14 @@
 """Brownian bridges of duration k*beta and their deviation laws.
 
 Paths are sampled on the uniform grid t_i = i*beta/S, i = 0..k*S, by
-midpoint bisection, exact in law at every grid time, one depth level at a
-time over a batch of paths (a single path is a batch of one).  A batch of n
-uses the Generator's normals as n single draws in a row would, each path in
-the order of a depth-first walk that takes the right half first.
+midpoint bisection, exact in law at every grid time, over a batch of paths
+(a single path is a batch of one).  One plan of the bisection (_plan) is
+walked two ways, picked by batch size: small batches on Python floats,
+midpoint by midpoint, and larger ones one depth level at a time in numpy.
+Both compute every midpoint with the same operations in the same order, so
+they give the same doubles.  A batch of n uses the Generator's normals as n
+single draws in a row would, each path in the order of a depth-first walk
+that takes the right half first.
 The path measure used throughout is the non-normalised bridge measure whose
 total mass is the free transition kernel (2*pi*beta*k)^(-d/2) *
 exp(-|x-y|^2 / (2*k*beta)); sampling always uses the normalised law and the
@@ -12,6 +16,7 @@ mass is carried separately as a weight.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -89,22 +94,58 @@ def _plan(lo, hi, dt):
     return np.array(slots), np.array(sds)[:, None, None], tuple(levels)
 
 
+# Batches of at most this many midpoints (paths x interior grid points) take
+# the scalar walk of _bisect; above it numpy's per-level calls cost less than
+# per-float Python.  Set from tools/bisect_walks.py (table in CHANGES.md).
+SCALAR_WALK_MAX = 24
+
+
+@functools.lru_cache(maxsize=256)
+def _flat_plan(lo, hi, dt):
+    """_plan as Python numbers, one tuple per midpoint, level after level.
+
+    Each tuple is (m, a, b, 1 - w, w, sd, slot), its grid rows counted from
+    lo, so a parent always comes before its children.
+    """
+    slots, sd, levels = _plan(lo, hi, dt)
+    flat = []
+    for m, ends, w, rows in levels:
+        L = m.size
+        flat += zip((m - lo).tolist(), (ends[:L] - lo).tolist(), (ends[L:] - lo).tolist(),
+                    w[:L, 0, 0].tolist(), w[L:, 0, 0].tolist(), sd[rows, 0, 0].tolist(),
+                    slots[rows].tolist())
+    return tuple(flat)
+
+
 def _bisect(samples, lo, hi, dt, rng):
     """Fill samples[:, lo+1:hi] of an (n, grid, d) batch whose columns lo, hi are set.
 
     A midpoint is Gaussian around the interpolation of its interval's ends
     with per-coordinate variance (t_m - t_a)(t_b - t_m)/(t_b - t_a); one
-    standard_normal call draws the whole batch's noise, scaled in one
-    multiply.  Each level computes (wa*a + wb*b) + sd*z on a grid-major view.
+    standard_normal call draws the whole batch's noise.  Every coordinate is
+    (wa*a + wb*b) + z*sd.  A batch of at most SCALAR_WALK_MAX midpoints
+    computes it on Python floats from _flat_plan, midpoint after midpoint,
+    and writes the rows back once; a larger one walks _plan level by level
+    on a grid-major view, one numpy call per step.
     """
-    if hi - lo >= 2:
-        slots, sd, levels = _plan(lo, hi, dt)
-        grid = samples.transpose(1, 0, 2)
-        noise = rng.standard_normal((samples.shape[0], hi - lo - 1, samples.shape[2]))
-        noise = noise.transpose(1, 0, 2)[slots] * sd
-        for m, ends, w, rows in levels:
-            part = w * grid[ends]
-            grid[m] = part[: m.size] + part[m.size:] + noise[rows]
+    if hi - lo < 2:
+        return
+    n, _, d = samples.shape
+    grid = samples.transpose(1, 0, 2)
+    noise = rng.standard_normal((n, hi - lo - 1, d)).transpose(1, 0, 2)
+    if n * (hi - lo - 1) <= SCALAR_WALK_MAX:
+        z = noise.reshape(hi - lo - 1, n * d).tolist()
+        first, last = grid[lo:hi + 1:hi - lo].reshape(2, n * d).tolist()
+        rows = [first] + [None] * (hi - lo - 1) + [last]
+        for m, a, b, wa, wb, sd, slot in _flat_plan(lo, hi, dt):
+            rows[m] = [wa * x + wb * y + s * sd for x, y, s in zip(rows[a], rows[b], z[slot])]
+        grid[lo + 1:hi].flat = list(itertools.chain.from_iterable(rows[1:-1]))
+        return
+    slots, sd, levels = _plan(lo, hi, dt)
+    noise = noise[slots] * sd
+    for m, ends, w, level in levels:
+        part = w * grid[ends]
+        grid[m] = part[: m.size] + part[m.size:] + noise[level]
 
 
 def sample_bridges(x, y, k, S, beta, rng):

@@ -136,25 +136,33 @@ def stack_walk_bridge(x, y, k, S, beta, rng):
 
 
 GRIDS = [(k, S, d) for S in (1, 2, 3, 4, 7, 16) for k in range(1, 6) for d in (1, 2, 3)]
+# legs of bridge.SCALAR_WALK_MAX - 1, SCALAR_WALK_MAX and SCALAR_WALK_MAX + 1
+# midpoints: a single leg just below, at and just above the scalar walk's cut-off
+CUT = bridge.SCALAR_WALK_MAX
+CUTOFF_GRIDS = [(k, S, d) for S in (CUT, CUT + 1, CUT + 2) for k in (1, 2) for d in (1, 2)]
+# a batch of 64 takes the level walk at every grid; its single draws, and the
+# batches of 1 and 2, take the scalar walk on the short grids
+BATCH_SIZES = (1, 2, 64)
 
 
 class TestBatchedSampler:
-    @pytest.mark.parametrize("k,S,d", GRIDS)
+    @pytest.mark.parametrize("k,S,d", GRIDS + CUTOFF_GRIDS)
     def test_batch_is_successive_single_draws(self, k, S, d):
-        beta, n = 0.7, 4
-        ends = rng(100 + 10 * k + d).normal(size=(2, n, d))
-        g_batch, g_single, g_ref = rng(k * S * d), rng(k * S * d), rng(k * S * d)
-        batch = bridge.sample_bridges(ends[0], ends[1], k, S, beta, g_batch)
-        assert batch.shape == (n, k * S + 1, d)
-        for i in range(n):
-            single = bridge.sample_bridge(ends[0, i], ends[1, i], k, S, beta, g_single)
-            ref = stack_walk_bridge(ends[0, i], ends[1, i], k, S, beta, g_ref)
-            assert np.array_equal(batch[i], single.samples)
-            assert np.array_equal(batch[i], ref)
-        assert g_batch.bit_generator.state == g_single.bit_generator.state
-        assert g_batch.bit_generator.state == g_ref.bit_generator.state
+        beta = 0.7
+        for n in BATCH_SIZES:
+            ends = rng(100 + 10 * k + d + n).normal(size=(2, n, d))
+            g_batch, g_single, g_ref = rng(k * S * d), rng(k * S * d), rng(k * S * d)
+            batch = bridge.sample_bridges(ends[0], ends[1], k, S, beta, g_batch)
+            assert batch.shape == (n, k * S + 1, d)
+            for i in range(n):
+                single = bridge.sample_bridge(ends[0, i], ends[1, i], k, S, beta, g_single)
+                ref = stack_walk_bridge(ends[0, i], ends[1, i], k, S, beta, g_ref)
+                assert np.array_equal(batch[i], single.samples)
+                assert np.array_equal(batch[i], ref)
+            assert g_batch.bit_generator.state == g_single.bit_generator.state
+            assert g_batch.bit_generator.state == g_ref.bit_generator.state
 
-    @pytest.mark.parametrize("k,S,d", GRIDS)
+    @pytest.mark.parametrize("k,S,d", GRIDS + CUTOFF_GRIDS)
     def test_resample_leg_matches_stack_walk(self, k, S, d):
         beta = 0.7
         path = bridge.sample_bridge(np.zeros(d), np.ones(d), k, S, beta, rng(1))
