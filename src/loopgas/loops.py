@@ -160,8 +160,10 @@ def confined_to_box(objects, box):
     This is the discrete-time stand-in for continuous confinement; excursions
     between grid times are not detected.
     """
-    center = np.asarray(box.center)
-    return all(np.abs(obj.samples - center).max() <= box.half_side for obj in objects)
+    center, half = box.center_array, box.half_side
+    if len(objects) == 1:
+        return bool(np.abs(objects[0].samples - center).max() <= half)
+    return all(np.abs(obj.samples - center).max() <= half for obj in objects)
 
 
 # --- equal-time pair energy -------------------------------------------------

@@ -37,7 +37,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from itertools import permutations, product as iproduct
+from itertools import compress, permutations, product as iproduct
 
 import numpy as np
 
@@ -320,8 +320,8 @@ class Chain:
         rng = self.rng
         j = int(rng.integers(self.params.n_types))
         k = int(rng.integers(1, self.opts.k_max + 1))
-        c = np.asarray(self.box.center)
-        return j, k, c + (rng.random(self.box.dimension) * 2.0 - 1.0) * self.box.half_side
+        return j, k, (self.box.center_array
+                      + (rng.random(self.box.dimension) * 2.0 - 1.0) * self.box.half_side)
 
     def _loop_log_mass(self, x, k):
         """log closed-bridge mass of a k-loop anchored at x."""
@@ -670,10 +670,10 @@ def _sample_terms(tables, combo, params, S, n, rng, box0=None, box=None):
                 x, y = (np.broadcast_to(p, (rows.size, p.size)) for p in (x0, y0))
                 groups[k] = batch = sample_bridges(x, y, k, S, params.beta, rng)
                 if box is not None:
-                    ok[rows] &= (np.abs(batch - box.center).max(axis=(1, 2))
+                    ok[rows] &= (np.abs(batch - box.center_array).max(axis=(1, 2))
                                  <= box.half_side)
                 if box0 is not None:
-                    ok[rows] &= (np.abs(batch[:, S:-1:S] - box0.center).max(axis=2)
+                    ok[rows] &= (np.abs(batch[:, S:-1:S] - box0.center_array).max(axis=2)
                                  > box0.half_side).all(axis=1)
             legs.append((j, ks, groups))
             weight *= W
@@ -775,7 +775,7 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
         background = chain.snapshot()
         bg_ok = True
         if apply_exclusion:
-            anchors_clear = all(not box0.contains(lp.anchor) for lp in background)
+            anchors_clear = not box0.contains(_anchors(background, params.dimension)).any()
             bg_ok = anchors_clear and lps.avoids_box_at_step_times(background, box0)
         if not bg_ok:
             vals[snap] = 0.0
@@ -817,14 +817,20 @@ class DensityEstimate:
 
 def _window_margin(box, window):
     """Max-norm gap between the window's outer edge and the box boundary."""
-    offset = max(abs(np.asarray(window.center) - np.asarray(box.center)))
+    offset = max(abs(window.center_array - box.center_array))
     return box.half_side - (offset + window.half_side)
+
+
+def _anchors(loops, d):
+    """The loops' anchors stacked, shape (len(loops), d), also with no loops."""
+    return np.array([lp.anchor for lp in loops]).reshape(-1, d)
 
 
 def _window_snapshots(chain, windows, n_sweeps, thin):
     """Snapshot the chain every thin sweeps: per window, snapshot and type the
     anchor counts and multiplicity sums, and per window a histogram k ->
-    per-snapshot counts of k-loops.
+    per-snapshot counts of k-loops.  Each snapshot stacks the anchors once
+    and tests them with one contains call per window.
     """
     n_snap = n_sweeps // thin
     shape = (len(windows), n_snap, chain.params.n_types)
@@ -833,14 +839,15 @@ def _window_snapshots(chain, windows, n_sweeps, thin):
     hists = [{} for _ in windows]
     for i in range(n_snap):
         chain.run(thin)
-        for lp in chain.config.loops:
-            for w, window in enumerate(windows):
-                if window.contains(lp.anchor):
-                    counts[w, i, lp.type_index] += 1
-                    k_sums[w, i, lp.type_index] += lp.k
-                    if lp.k not in hists[w]:
-                        hists[w][lp.k] = np.zeros(n_snap)
-                    hists[w][lp.k][i] += 1
+        loops = chain.config.loops
+        anchors = _anchors(loops, chain.params.dimension)
+        for w, window in enumerate(windows):
+            for lp in compress(loops, window.contains(anchors).tolist()):
+                counts[w, i, lp.type_index] += 1
+                k_sums[w, i, lp.type_index] += lp.k
+                if lp.k not in hists[w]:
+                    hists[w][lp.k] = np.zeros(n_snap)
+                hists[w][lp.k][i] += 1
     return counts, k_sums, hists
 
 

@@ -196,16 +196,23 @@ def validate_params(m):
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned cube: center and half side.  Membership is max-norm."""
+    """Axis-aligned cube: center and half side.  Membership is max-norm.
+
+    center_array holds the center's doubles as a read-only array, made once.
+    """
 
     center: tuple
     half_side: float
+    center_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "half_side", float(self.half_side))
         if self.half_side <= 0:
             raise ValueError("box half side must be > 0")
+        center = np.array(self.center)
+        center.flags.writeable = False
+        object.__setattr__(self, "center_array", center)
 
     @property
     def dimension(self):
@@ -218,7 +225,7 @@ class Box:
     def contains(self, points):
         """Boolean per row: all coordinates within half_side of the center."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dev = np.abs(pts - np.asarray(self.center))
+        dev = np.abs(pts - self.center_array)
         inside = np.all(dev <= self.half_side, axis=1)
         if np.asarray(points).ndim == 1:
             return bool(inside[0])
@@ -227,7 +234,7 @@ class Box:
     def euclidean_distance(self, points):
         """Euclidean distance from each point to the cube (0 inside)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        excess = np.maximum(np.abs(pts - np.asarray(self.center)) - self.half_side, 0.0)
+        excess = np.maximum(np.abs(pts - self.center_array) - self.half_side, 0.0)
         dist = np.sqrt(np.sum(excess ** 2, axis=1))
         if np.asarray(points).ndim == 1:
             return float(dist[0])

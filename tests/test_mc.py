@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import stats
 
 from loopgas import analytic, mc
 from loopgas import loops as lps
-from loopgas.bridge import bridge_mass, sample_bridge
+from loopgas.bridge import BridgePath, bridge_mass, sample_bridge
 from loopgas.model import (Box, ExternalConfiguration, ModelParams, PairPotential,
                            zero_potential)
 
@@ -673,6 +674,61 @@ class TestTailAndDensity:
                                   thin=2)
         target = analytic.closed_form_moment_2d(-1, 0.5, 1.0)
         assert abs(est.per_type[0] - target) <= 4.0 * est.std_errors[0]
+
+
+class ScriptedChain:
+    """Stands in for a chain: each run() moves to the next scripted loop list."""
+
+    def __init__(self, params, snapshots):
+        self.params = params
+        self.config = types.SimpleNamespace(loops=[])
+        self._script = iter(snapshots)
+
+    def run(self, n_sweeps):
+        self.config.loops = next(self._script)
+
+
+def per_loop_window_snapshots(chain, windows, n_sweeps, thin):
+    """_window_snapshots as one contains call per loop and window, for reference."""
+    n_snap = n_sweeps // thin
+    shape = (len(windows), n_snap, chain.params.n_types)
+    counts, k_sums, hists = np.zeros(shape), np.zeros(shape), [{} for _ in windows]
+    for i in range(n_snap):
+        chain.run(thin)
+        for lp in chain.config.loops:
+            for w, window in enumerate(windows):
+                if window.contains(lp.anchor):
+                    counts[w, i, lp.type_index] += 1
+                    k_sums[w, i, lp.type_index] += lp.k
+                    hists[w].setdefault(lp.k, np.zeros(n_snap))[i] += 1
+    return counts, k_sums, hists
+
+
+class TestWindowSnapshots:
+    def test_counts_match_a_per_loop_test(self):
+        def loop(anchor, k, j):
+            samples = np.tile(np.asarray(anchor, dtype=float), (k * 2 + 1, 1))
+            return lps.Loop(j, BridgePath(samples, k, 2, 1.0))
+
+        # overlapping windows; (1.0, 0.0) lies on A's face and (2.5, 0.0) on B's
+        windows = [Box((0.0, 0.0), 1.0), Box((1.5, 0.0), 1.0)]
+        script = [
+            [loop((0.5, 0.5), 3, 1), loop((1.0, 0.0), 1, 0), loop((1.8, 0.0), 2, 0),
+             loop((5.0, 5.0), 4, 1)],
+            [],
+            [loop((-0.5, 0.2), 2, 1), loop((2.5, 0.0), 5, 0), loop((0.2, 0.3), 1, 1)],
+        ]
+        params = ModelParams(2, 2, 1.0, (0.5, 0.5), [[zero_potential()] * 2] * 2)
+        got = mc._window_snapshots(ScriptedChain(params, script), windows, 6, 2)
+        want = per_loop_window_snapshots(ScriptedChain(params, script), windows, 6, 2)
+        for g, w in zip(got[:2], want[:2]):
+            assert np.array_equal(g, w)
+        for g, w in zip(got[2], want[2]):
+            assert list(g) == list(w)  # keys in order of first appearance
+            assert all(np.array_equal(g[k], w[k]) for k in w)
+        assert [list(h) for h in want[2]] == [[3, 1, 2], [3, 1, 2, 5]]
+        assert want[0][:, 1].sum() == 0 and want[0][0, :, 0].tolist() == [1, 0, 0]
+        assert mc._anchors([], 2).shape == (0, 2)
 
 
 class TestBatchMeans:
