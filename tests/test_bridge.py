@@ -140,8 +140,8 @@ GRIDS = [(k, S, d) for S in (1, 2, 3, 4, 7, 16) for k in range(1, 6) for d in (1
 # midpoints: a single leg just below, at and just above the scalar walk's cut-off
 CUT = bridge.SCALAR_WALK_MAX
 CUTOFF_GRIDS = [(k, S, d) for S in (CUT, CUT + 1, CUT + 2) for k in (1, 2) for d in (1, 2)]
-# a batch of 64 takes the level walk at every grid; its single draws, and the
-# batches of 1 and 2, take the scalar walk on the short grids
+# a batch of 64 takes the level walk wherever it has a midpoint; its single
+# draws, and the batches of 1 and 2, take the scalar walk on the short grids
 BATCH_SIZES = (1, 2, 64)
 
 
