@@ -3,14 +3,21 @@
 Everything here is deterministic arithmetic: geometric-tail-certified power
 series in the fugacity, and the closed-form constants that bound kernel
 norms, gradient terms, and multiplicity tails.  Monte Carlo estimates from
-the sampler are validated against these quantities.
+the sampler are validated against these quantities.  Each series stops by
+its own remainder bound: a fugacity series once it is at most TOL (or
+loop_moment's tol), a Dirichlet trace once it is below half an ulp.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import spence
+
+TOL = 1e-12  # remainder bound at which the fugacity series stop
+MAX_TERMS = 100000  # loop_moment gives up past this many terms
+HALF_ULP = 2.0 ** -54  # x * HALF_ULP is below half an ulp of any double x > 0
 
 
 @dataclass(frozen=True)
@@ -18,11 +25,10 @@ class SeriesResult:
     """Value of a truncated series with a certified bound on the remainder."""
 
     value: float
-    n_terms: int
     tail_bound: float
 
 
-def loop_moment(order, z, beta, d, tol=1e-12, max_terms=100000):
+def loop_moment(order, z, beta, d, tol=TOL):
     """sum_{k>=1} z^k k^order (2*pi*beta*k)^(-d/2), truncation certified.
 
     order -1 is the free loop intensity per unit volume; orders 0, 1, 2 enter
@@ -34,11 +40,7 @@ def loop_moment(order, z, beta, d, tol=1e-12, max_terms=100000):
     pref = (2.0 * math.pi * beta) ** (-0.5 * d)
     p = order - 0.5 * d
     total = 0.0
-    k = 0
-    while True:
-        k += 1
-        if k > max_terms:
-            raise RuntimeError("series did not certify below tolerance")
+    for k in range(1, MAX_TERMS + 1):
         t = pref * (z ** k) * (k ** p)
         total += t
         # ratio of consecutive terms is z ((k+1)/k)^p, decreasing in k for
@@ -47,7 +49,8 @@ def loop_moment(order, z, beta, d, tol=1e-12, max_terms=100000):
         if r < 1.0:
             bound = t * r / (1.0 - r)
             if bound <= tol:
-                return SeriesResult(total, k, bound)
+                return SeriesResult(total, bound)
+    raise RuntimeError("series did not certify below tolerance")
 
 
 def closed_form_moment_2d(order, z, beta):
@@ -65,52 +68,49 @@ def closed_form_moment_2d(order, z, beta):
     raise ValueError("no closed form tabulated for order %r" % (order,))
 
 
-def free_gas_kernel(x, y, z, beta, tol=1e-12, k_max=None):
+def kernel_remainder(z, beta, d, k_max):
+    """(2*pi*beta)^(-d/2) z^(K+1) / (1-z): bounds free_gas_kernel's terms k > K = k_max."""
+    return (2.0 * math.pi * beta) ** (-0.5 * d) * z ** (k_max + 1) / (1.0 - z)
+
+
+def free_gas_kernel(x, y, z, beta, k_max=None):
     """sum_{k>=1} z^k (2*pi*beta*k)^(-d/2) exp(-|x-y|^2/(2*beta*k)).
 
     The one-particle reduced-kernel of the non-interacting gas.  Truncation
-    after K terms is certified by z^(K+1) (2*pi*beta)^(-d/2) / (1-z); an
-    explicit k_max instead sums exactly that many terms and reports the same
-    certified remainder bound.
+    after K terms is certified by kernel_remainder, and stops once that is
+    at most TOL; an explicit k_max instead sums exactly that many terms and
+    reports the same certified remainder bound.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d = x.size
     sq = float(np.sum((x - y) ** 2))
-    pref = (2.0 * math.pi * beta) ** (-0.5 * d)
     total = 0.0
-    k = 0
-    while True:
-        k += 1
+    for k in itertools.count(1):
         total += (z ** k) * (2.0 * math.pi * beta * k) ** (-0.5 * d) \
             * math.exp(-sq / (2.0 * beta * k))
-        bound = pref * z ** (k + 1) / (1.0 - z)
-        if k_max is not None:
-            if k >= k_max:
-                return SeriesResult(total, k, bound)
-        elif bound <= tol:
-            return SeriesResult(total, k, bound)
+        bound = kernel_remainder(z, beta, d, k)
+        if (bound <= TOL) if k_max is None else (k >= k_max):
+            return SeriesResult(total, bound)
 
 
-def _weighted_multiplicity_series(z, beta, offset_exponent, tol=1e-12):
-    """sum_{k>=1} z^k k exp(-offset_exponent / (2*beta*k)), certified.
+def _weighted_multiplicity_series(z, beta, offset_exponent):
+    """sum_{k>=1} z^k k exp(-offset_exponent / (2*beta*k)), to a remainder of TOL.
 
     offset_exponent may be negative, in which case the exponential factor is
     largest at k = 1 and the remainder bound carries that constant.
     """
     cap = math.exp(max(0.0, -offset_exponent) / (2.0 * beta))
     total = 0.0
-    k = 0
-    while True:
-        k += 1
+    for k in itertools.count(1):
         total += (z ** k) * k * math.exp(-offset_exponent / (2.0 * beta * k))
         # sum_{j>k} j z^j in closed form
         rest = (z ** (k + 1)) * ((k + 1) * (1.0 - z) + z) / (1.0 - z) ** 2
-        if cap * rest <= tol:
-            return total, cap * rest, k
+        if cap * rest <= TOL:
+            return total
 
 
-def external_control_bound(counts, c, params, L_grid, tol=1e-12):
+def external_control_bound(counts, c, params, L_grid):
     """Supremum over L of the external-point control sum.
 
     counts(L) must return one non-negative count per type; the quantity is
@@ -130,7 +130,7 @@ def external_control_bound(counts, c, params, L_grid, tol=1e-12):
         expo = L * L - c * L
         total = 0.0
         for i, z in enumerate(params.fugacity):
-            series, _, _ = _weighted_multiplicity_series(z, params.beta, expo, tol)
+            series = _weighted_multiplicity_series(z, params.beta, expo)
             cnt = counts(float(L))[i]
             if cnt < 0:
                 raise ValueError("negative external count at L = %g" % L)
@@ -194,7 +194,7 @@ class GradientBounds:
         return self.same_object + self.cross_type + self.background + self.external
 
 
-def gradient_bound_constants(counts, box0, params, tail_fit, b_value, tol=1e-12):
+def gradient_bound_constants(counts, box0, params, tail_fit, b_value):
     """Evaluate the four gradient-bound constants for path counts `counts`.
 
     counts is the per-type number of open paths pinned in box0.  tail_fit is
@@ -210,9 +210,9 @@ def gradient_bound_constants(counts, box0, params, tail_fit, b_value, tol=1e-12)
     vbar1 = params.max_gradient
     if len(counts) != q:
         raise ValueError("need one path count per type")
-    th0 = [loop_moment(0, z, beta, d, tol).value for z in params.fugacity]
-    th1 = [loop_moment(1, z, beta, d, tol).value for z in params.fugacity]
-    th2 = [loop_moment(2, z, beta, d, tol).value for z in params.fugacity]
+    th0 = [loop_moment(0, z, beta, d).value for z in params.fugacity]
+    th1 = [loop_moment(1, z, beta, d).value for z in params.fugacity]
+    th2 = [loop_moment(2, z, beta, d).value for z in params.fugacity]
     fact = 1.0
     fact_weighted = 1.0
     for i, n in enumerate(counts):
@@ -230,7 +230,7 @@ def gradient_bound_constants(counts, box0, params, tail_fit, b_value, tol=1e-12)
     return GradientBounds(a1, a2, a3, a4)
 
 
-def multiplicity_tail_bound(k0, box0, params, tol=1e-14):
+def multiplicity_tail_bound(k0, box0, params):
     """Closed-form bound on P(some type's total multiplicity in box0 >= k0).
 
     Product over types of exp(volume * (1 + Theta_0)) times the split sum:
@@ -255,42 +255,42 @@ def multiplicity_tail_bound(k0, box0, params, tol=1e-14):
         x = v * th
         # tail of the exponential series: n > n_low
         t = x ** (n_low + 1) / math.factorial(n_low + 1)
-        n = n_low + 1
         tail = 0.0
-        while True:
+        for n in itertools.count(n_low + 2):
             tail += t
-            n += 1
             t *= x / n
             if t < 1e-18 * max(tail, 1e-300):
                 break
         term_many += tail
         # heavy single-loop intensity: k >= k_start
         heavy = 0.0
-        k = k_start
-        while True:
+        for k in itertools.count(k_start):
             add = (z ** k) / (k * (2.0 * math.pi * beta * k) ** (0.5 * d))
             heavy += add
-            r = z
-            if add * r / (1.0 - r) <= tol * 1e-3:
+            if add * z / (1.0 - z) <= 1e-17:
                 break
-            k += 1
         weights = sum(n * (v ** n) * th ** (n - 1) / math.factorial(n)
                       for n in range(1, n_low + 1))
         term_heavy += heavy * weights
     return pref * (term_many + term_heavy)
 
 
-def dirichlet_interval_trace(half_side, beta, n_terms=64):
+def dirichlet_interval_trace(half_side, beta):
     """Trace of the absorbing-boundary Gibbs kernel on (-L, L), generator -
-    half the Laplacian: sum_{n>=1} exp(-beta/2 * (n*pi/(2L))^2).
+    half the Laplacian: sum_{n>=1} exp(-c n^2), c = beta*pi^2/(8 L^2).
+
+    Stops at the first N whose tail, at most
+    exp(-c (N+1)^2) / (1 - exp(-2c (N+1))), is below half an ulp of the sum.
     """
     L = float(half_side)
+    c = 0.5 * beta * (math.pi / (2.0 * L)) ** 2
     total = 0.0
-    for n in range(1, n_terms + 1):
+    for n in itertools.count(1):
         total += math.exp(-0.5 * beta * (n * math.pi / (2.0 * L)) ** 2)
-    return total
+        if math.exp(-c * (n + 1) ** 2) <= HALF_ULP * total * -math.expm1(-2.0 * c * (n + 1)):
+            return total
 
 
-def dirichlet_box_trace(half_side, beta, d, n_terms=64):
+def dirichlet_box_trace(half_side, beta, d):
     """Product over coordinates: trace on the d-dimensional cube."""
-    return dirichlet_interval_trace(half_side, beta, n_terms) ** d
+    return dirichlet_interval_trace(half_side, beta) ** d

@@ -13,6 +13,9 @@ The path measure used throughout is the non-normalised bridge measure whose
 total mass is the free transition kernel (2*pi*beta*k)^(-d/2) *
 exp(-|x-y|^2 / (2*k*beta)); sampling always uses the normalised law and the
 mass is carried separately as a weight.
+Image series stop by their own tails: the deviation tail's at terms below
+IMAGE_TOL, a slice's stay probability after the image pairs whose rest
+h^2/tau (interval width squared over slice time) puts within half an ulp.
 """
 
 import functools
@@ -22,6 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+
+from .analytic import HALF_ULP
+
+IMAGE_TOL = 1e-14  # _alternating_image_sum stops at terms below this
 
 
 def bridge_mass(x, y, k, beta):
@@ -183,21 +190,19 @@ def resample_leg(path, m, rng):
     return BridgePath(samples=samples, k=path.k, slices_per_beta=S, beta=path.beta)
 
 
-def _alternating_image_sum(v, a, tau, tol=1e-14):
+def _alternating_image_sum(v, a, tau):
     """sum over integer l != 0 of (-1)^(l-1) exp(-(v - 2*l*a)^2 / (2*tau)).
 
-    Terms decay like a Gaussian in l; truncation below tol is certified by
-    monotonicity of the exponents once |2*l*a| exceeds |v| + a.
+    Terms decay like a Gaussian in l; truncation below IMAGE_TOL is certified
+    by monotonicity of the exponents once |2*l*a| exceeds |v| + a.
     """
     total = 0.0
     for sign in (1, -1):
-        l = sign
-        while True:
+        for l in itertools.count(sign, sign):
             term = (-1.0) ** (l - 1) * math.exp(-((v - 2.0 * l * a) ** 2) / (2.0 * tau))
             total += term
-            if abs(term) < tol and abs(2 * l * a) > abs(v) + a:
+            if abs(term) < IMAGE_TOL and abs(2 * l * a) > abs(v) + a:
                 break
-            l += sign
     return total
 
 
@@ -245,26 +250,34 @@ def max_deviation_tail(a, k, displacement, beta):
     return min(1.0, max(0.0, prefac * total / mass))
 
 
-def slice_stay_probability(lo, hi, u, v, tau, n_images=3):
+def slice_stay_probability(lo, hi, u, v, tau):
     """P(a Brownian bridge from u to v over time tau stays inside (lo, hi)).
 
     Exact image series for the two-barrier killed kernel divided by the free
-    kernel.  u, v may be arrays (elementwise).  Endpoints outside the
+    kernel, over image pairs n = 0..N: direct images +-n, reflected n and
+    -n-1.  Over the free term pair n is at most 4 exp(-2 n (n-1) r),
+    r = h^2/tau, and these bounds fall by exp(-4 n r) from n to n+1; N is the
+    least >= 1 whose dropped pairs so sum to at most HALF_ULP.  At r <= 0.1
+    the killed kernel's eigenfunction series bounds P below 1e-20, and 0 is
+    returned.  u, v may be arrays (elementwise).  Endpoints outside the
     interval give probability 0.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
     h = hi - lo
-    us = u - lo
-    vs = v - lo
+    us = np.asarray(u, dtype=float) - lo
+    vs = np.asarray(v, dtype=float) - lo
     inside = (us > 0) & (us < h) & (vs > 0) & (vs < h)
     num = np.zeros(np.broadcast(us, vs).shape)
-    for n in range(-n_images, n_images + 1):
-        num += np.exp(-((vs - us + 2.0 * n * h) ** 2) / (2.0 * tau))
+    r, N = h * h / tau, 1
+    if r <= 0.1:
+        return num
+    while 4.0 * math.exp(-2.0 * N * (N + 1) * r) > HALF_ULP * -math.expm1(-4.0 * (N + 1) * r):
+        N += 1
+    for n in range(-N - 1, N + 1):
+        if n >= -N:
+            num += np.exp(-((vs - us + 2.0 * n * h) ** 2) / (2.0 * tau))
         num -= np.exp(-((vs + us + 2.0 * n * h) ** 2) / (2.0 * tau))
     denom = np.exp(-((vs - us) ** 2) / (2.0 * tau))
-    out = np.where(inside, np.clip(num / denom, 0.0, 1.0), 0.0)
-    return out
+    return np.where(inside, np.clip(num / denom, 0.0, 1.0), 0.0)
 
 
 def path_stay_probability(samples_1d, lo, hi, tau_slice):

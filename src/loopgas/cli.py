@@ -188,12 +188,13 @@ def _check_cross_fields(ok, experiment_name, errors):
                 errors.append("at experiment.options.grid_max: %r below grid_min %r, "
                               "so the L grid is empty" % (opts["grid_max"], opts["grid_min"]))
         if name in ("free-validate", "k-tail", "shift-invariance"):
-            # fewer snapshots than mc.batch_means's 16 batches give an infinite
-            # error, and every verdict check passes on no data
+            # fewer snapshots than the estimators' mc.N_BATCHES batches give an
+            # infinite error, and every verdict check passes on no data
             opts = settings(OPTIONS[name], options)
-            if opts["sweeps"] // opts["thin"] < 16:
+            if opts["sweeps"] // opts["thin"] < mc.N_BATCHES:
                 errors.append("at experiment.options.sweeps: %r sweeps at thin %r give "
-                              "fewer than 16 snapshots" % (opts["sweeps"], opts["thin"]))
+                              "fewer than %d snapshots"
+                              % (opts["sweeps"], opts["thin"], mc.N_BATCHES))
         if name == "oracle":
             opts = settings(OPTIONS[name], options)
             inner0, inner1 = oracle_windows(opts)

@@ -72,6 +72,7 @@ POTENTIAL = {
 }
 
 _GROWTH = ("zero", "linear", "ceil_linear", "square", "exp_square")
+SIGMA_LEVEL = 4.0  # standard errors within which an estimate meets an exact target
 
 
 def _chain_run_keys(sweeps):
@@ -204,23 +205,17 @@ def build_external(cfg, box, params):
         return None
     ext = settings(SECTIONS["external"], ext_cfg)
     rng = np.random.default_rng(ext["seed"])
-    per_type = [np.zeros((0, box.dimension)) for _ in range(params.n_types)]
     reach = params.max_range if ext["reach"] is None else min(ext["reach"], params.max_range)
-    pts_cfg = ext["points"]
-    if pts_cfg is not None:
-        per_type = [np.asarray(p, dtype=float).reshape(-1, box.dimension)
-                    for p in pts_cfg]
-    else:
+    per_type = ext["points"]
+    if per_type is None:
         # seeded uniform scatter on the annulus within interaction reach
+        per_type = [[] for _ in range(params.n_types)]
         for j, cnt in enumerate(ext["counts"] or ()):
-            got = []
-            while len(got) < cnt:
+            while len(per_type[j]) < cnt:
                 u = box.center + (rng.random(box.dimension) * 2.0 - 1.0) \
                     * (box.half_side + reach)
                 if not box.contains(u) and box.euclidean_distance(u) <= reach:
-                    got.append(u)
-            if got:
-                per_type[j] = np.asarray(got)
+                    per_type[j].append(u)
     return ExternalConfiguration(box, per_type, max_range=params.max_range)
 
 
@@ -261,22 +256,19 @@ def dirichlet_trace_mc(half_side, beta, S, n_draws, rng, dimension=1):
     paths = bridge.sample_bridges(x, x, 1, S, beta, rng)
     mass = (2.0 * math.pi * beta) ** (-0.5 * dimension)  # bridge_mass(x, x, 1, beta)
     vals = box.volume * mass * bridge.box_stay_probability(paths, box, beta / S)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_draws))
-    return est, se
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_draws))
 
 
-def skorohod_rows(a_values, k, displacement, beta, S, n_draws, rng, sigma_level=4.0):
+def skorohod_rows(a_values, k, displacement, beta, S, n_draws, rng):
     """Per threshold: analytic first-leg deviation tail vs empirical MC."""
     rows = []
     for a in a_values:
         target = bridge.max_deviation_tail(a, k, displacement, beta)
         est, se = bridge.empirical_max_deviation_tail(a, k, displacement, beta,
                                                       S, n_draws, rng)
-        tol = sigma_level * max(se, 1e-12)
         rows.append({"check": "first_leg_deviation", "parameter": float(a),
                      "value": est, "target": target, "std_error": se,
-                     "pass": abs(est - target) <= tol})
+                     "pass": abs(est - target) <= SIGMA_LEVEL * max(se, 1e-12)})
     return rows
 
 
@@ -348,7 +340,7 @@ def exp_bridge_laws(cfg):
     target = analytic.dirichlet_interval_trace(L, beta)
     rows.append({"check": "dirichlet_trace", "parameter": L, "value": est,
                  "target": target, "std_error": se,
-                 "pass": abs(est - target) <= 4.0 * max(se, 1e-12)})
+                 "pass": abs(est - target) <= SIGMA_LEVEL * max(se, 1e-12)})
     # marginal law at an interior grid time (Kolmogorov-Smirnov)
     kk = max(2, opts["multiplicity"])
     t_frac, disp, starts = 0.5, 0.7, np.zeros((opts["ks_draws"], 1))
@@ -377,7 +369,7 @@ def exp_free_validate(cfg):
     for j, z in enumerate(params.fugacity):
         target = analytic.loop_moment(-1, z, params.beta, params.dimension).value
         se = max(est.std_errors[j], 1e-12)
-        good = abs(est.per_type[j] - target) <= 4.0 * se
+        good = abs(est.per_type[j] - target) <= SIGMA_LEVEL * se
         ok = ok and good
         rows.append({"check": "anchor_density", "parameter": float(j),
                      "value": est.per_type[j], "target": target,

@@ -42,9 +42,14 @@ from itertools import compress, permutations, product as iproduct
 import numpy as np
 
 from . import loops as lps
+from .analytic import kernel_remainder
 from .bridge import (BridgePath, bridge_mass, log_bridge_mass, resample_leg,
                      sample_bridge, sample_bridges)
 from .loops import LegTable, Loop, LoopConfig, OpenPath, interaction_energy
+
+N_BATCHES = 16  # batches of every estimator's batch-means error
+MIN_POOLED = 25  # loops a histogram_gaps bin must pool to be judged
+PROBE_SIGMA = 3.0  # shift_invariance_probe's consistency limit, in sigmas
 
 
 @dataclass
@@ -591,7 +596,7 @@ def load_checkpoint(path, params, options=None):
 # -- estimators ----------------------------------------------------------------
 
 
-def batch_means(values, n_batches=16):
+def batch_means(values, n_batches=N_BATCHES):
     """Mean and batch-means standard error of a 1-d sample sequence."""
     arr = np.asarray(values, dtype=float)
     n = arr.size
@@ -689,7 +694,7 @@ def _truncation_bound(tables, combos, params, k_max):
     """Bound on the weight missed by the multiplicity cutoff.
 
     A type-j leg in d dimensions misses at most
-    delta = (2 pi beta)^(-d/2) z_j^(K+1)/(1-z_j) of its full weight, so a
+    delta = analytic.kernel_remainder(z_j, beta, d, K) of its full weight, so a
     combo misses at most prod (W_l + delta_l) - prod W_l, that is
     sum_l delta_l prod_{m<l} W_m prod_{m>l} (W_m + delta_m), summed leg by
     leg in nested form; a single leg gives delta exactly.  The bound adds
@@ -699,11 +704,9 @@ def _truncation_bound(tables, combos, params, k_max):
     for combo in combos:
         missed, head = 0.0, 1.0  # over the legs so far: the bound and prod W
         for j, sigma in enumerate(combo):
-            z = params.fugacity[j]
             for l, t in enumerate(sigma):
                 W, _, x, _ = tables[j][(l, t)]
-                delta = (2.0 * math.pi * params.beta) ** (-0.5 * x.size) \
-                    * z ** (k_max + 1) / (1.0 - z)
+                delta = kernel_remainder(params.fugacity[j], params.beta, x.size, k_max)
                 missed = missed * (W + delta) + head * delta
                 head *= W
         bound += missed
@@ -716,7 +719,7 @@ def _counts_match(starts, ends):
 
 
 def estimate_reference_kernel(starts, ends, params, box0, k_max=20, S=32,
-                              n_samples=2000, n_batches=16, rng=None):
+                              n_samples=2000, rng=None):
     """Monte Carlo value of the free multiplicity-summed kernel with exclusion.
 
     Product over types of permutation sums; each matched endpoint pair
@@ -735,15 +738,15 @@ def estimate_reference_kernel(starts, ends, params, box0, k_max=20, S=32,
     for combo in combos:
         weight, ok, _ = _sample_terms(tables, combo, params, S, n_samples, rng, box0)
         vals[ok] += weight
-    value, se = batch_means(vals, n_batches)
-    status = "ok" if n_samples >= n_batches else "insufficient_samples"
+    value, se = batch_means(vals)
+    status = "ok" if n_samples >= N_BATCHES else "insufficient_samples"
     tb = _truncation_bound(tables, combos, params, k_max)
     return KernelEstimate(value, se, n_samples, tb, status,
                           meta={"k_max": k_max, "S": S})
 
 
 def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
-                        inner_per_snapshot=4, n_batches=16, apply_exclusion=True):
+                        inner_per_snapshot=4, n_batches=N_BATCHES, apply_exclusion=True):
     """Nested Monte Carlo for the reduced-kernel of the interacting gas.
 
     Outer level: configurations of the surrounding loop gas drawn from the
@@ -775,7 +778,7 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
         background = chain.snapshot()
         bg_ok = True
         if apply_exclusion:
-            anchors_clear = not box0.contains(_anchors(background, params.dimension)).any()
+            anchors_clear = not box0.contains([lp.anchor for lp in background]).any()
             bg_ok = anchors_clear and lps.avoids_box_at_step_times(background, box0)
         if not bg_ok:
             vals[snap] = 0.0
@@ -821,11 +824,6 @@ def _window_margin(box, window):
     return box.half_side - (offset + window.half_side)
 
 
-def _anchors(loops, d):
-    """The loops' anchors stacked, shape (len(loops), d), also with no loops."""
-    return np.array([lp.anchor for lp in loops]).reshape(-1, d)
-
-
 def _window_snapshots(chain, windows, n_sweeps, thin):
     """Snapshot the chain every thin sweeps: per window, snapshot and type the
     anchor counts and multiplicity sums, and per window a histogram k ->
@@ -840,7 +838,7 @@ def _window_snapshots(chain, windows, n_sweeps, thin):
     for i in range(n_snap):
         chain.run(thin)
         loops = chain.config.loops
-        anchors = _anchors(loops, chain.params.dimension)
+        anchors = np.array([lp.anchor for lp in loops])
         for w, window in enumerate(windows):
             for lp in compress(loops, window.contains(anchors).tolist()):
                 counts[w, i, lp.type_index] += 1
@@ -856,7 +854,7 @@ def _pooled(hist):
     return {k: int(per_snap.sum()) for k, per_snap in hist.items()}
 
 
-def estimate_density(chain, window, n_sweeps, thin=1, n_batches=16):
+def estimate_density(chain, window, n_sweeps, thin=1):
     """Anchor density per type in a window, with multiplicity histogram.
 
     A window that crowds the home box closer than the interaction range
@@ -871,7 +869,7 @@ def estimate_density(chain, window, n_sweeps, thin=1, n_batches=16):
                    % (margin, chain.params.max_range))
     counts, _, hists = _window_snapshots(chain, [window], n_sweeps, thin)
     vol = window.volume
-    vals, ses = map(list, zip(*[batch_means(counts[0, :, j] / vol, n_batches)
+    vals, ses = map(list, zip(*[batch_means(counts[0, :, j] / vol)
                                 for j in range(chain.params.n_types)]))
     return DensityEstimate(vals, ses, hists[0], counts.shape[1], vol, warning)
 
@@ -884,30 +882,29 @@ class TailEstimate:
     n_snapshots: int
 
 
-def estimate_multiplicity_tail(chain, box0, k0_list, n_sweeps, thin=1,
-                               n_batches=16):
+def estimate_multiplicity_tail(chain, box0, k0_list, n_sweeps, thin=1):
     """P(some type's total multiplicity among box0-anchored loops >= k0)."""
     _, k_sums, _ = _window_snapshots(chain, [box0], n_sweeps, thin)
     top = k_sums[0].max(axis=1)
-    return [TailEstimate(int(k0), *batch_means(np.where(top >= k0, 1.0, 0.0), n_batches),
+    return [TailEstimate(int(k0), *batch_means(np.where(top >= k0, 1.0, 0.0)),
                          top.size) for k0 in k0_list]
 
 
-def histogram_gaps(hist_a, hist_b, n_batches=16, min_pooled=25):
+def histogram_gaps(hist_a, hist_b):
     """Per multiplicity k, the gap between two windows' counts of k-loops.
 
     hist_a and hist_b map k to per-snapshot counts taken at the same
     snapshots.  Returns k -> (sigma, se): se is the batch-means standard
     error of the mean per-snapshot count difference, so it holds for
     correlated snapshots, and sigma is that mean over se in absolute value,
-    or None when the two windows pool fewer than min_pooled k-loops or se
+    or None when the two windows pool fewer than MIN_POOLED k-loops or se
     is 0.
     """
     gaps = {}
     for k in sorted(set(hist_a) | set(hist_b)):
         a, b = hist_a.get(k, 0.0), hist_b.get(k, 0.0)
-        mean, se = batch_means(a - b, n_batches)
-        thick = np.sum(a) + np.sum(b) >= min_pooled and se > 0
+        mean, se = batch_means(a - b)
+        thick = np.sum(a) + np.sum(b) >= MIN_POOLED and se > 0
         gaps[k] = (abs(mean) / se if thick else None, se)
     return gaps
 
@@ -928,14 +925,14 @@ class ProbeReport:
                  "agreement supports translation invariance but proves nothing")
 
 
-def shift_invariance_probe(chain, box0, shift, n_sweeps, thin=1, n_batches=16,
-                           sigma_level=3.0):
+def shift_invariance_probe(chain, box0, shift, n_sweeps, thin=1):
     """Compare loop statistics between box0 and its shifted copy.
 
     Densities per type and multiplicity histograms are accumulated in both
     windows from the same trajectory; differences are judged against their
     joint batch-means errors: per type for the densities, per multiplicity
-    bin with at least 25 pooled loops for the histograms (histogram_gaps).
+    bin with at least MIN_POOLED pooled loops for the histograms
+    (histogram_gaps).  They are consistent when no gap passes PROBE_SIGMA.
     Raises when either window crowds the boundary closer than the
     interaction range plus three thermal lengths.
     """
@@ -954,17 +951,17 @@ def shift_invariance_probe(chain, box0, shift, n_sweeps, thin=1, n_batches=16,
     dens_b, dens_s, dses = [], [], []
     dens_worst = 0.0
     for j in range(params.n_types):
-        vb, _ = batch_means(base[:, j] / vol, n_batches)
-        vs, _ = batch_means(shif[:, j] / vol, n_batches)
-        _, se_d = batch_means((base[:, j] - shif[:, j]) / vol, n_batches)
+        vb, _ = batch_means(base[:, j] / vol)
+        vs, _ = batch_means(shif[:, j] / vol)
+        _, se_d = batch_means((base[:, j] - shif[:, j]) / vol)
         dens_b.append(vb)
         dens_s.append(vs)
         dses.append(se_d)
         if se_d > 0:
             dens_worst = max(dens_worst, abs(vb - vs) / se_d)
-    gaps = histogram_gaps(hist_b, hist_s, n_batches)
+    gaps = histogram_gaps(hist_b, hist_s)
     hist_worst = max([g for g, _ in gaps.values() if g is not None], default=0.0)
     worst = max(dens_worst, hist_worst)
     return ProbeReport(dens_b, dens_s, dses, _pooled(hist_b), _pooled(hist_s),
                        {k: base.shape[0] * se for k, (_, se) in gaps.items()},
-                       worst <= sigma_level, worst, dens_worst, hist_worst)
+                       worst <= PROBE_SIGMA, worst, dens_worst, hist_worst)

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 PROFILES = ("square_well", "smooth_bump", "table")
+DERIVATIVE_GRID = 2049  # radii at which PairPotential samples |V| and |V'|
 
 
 class PairPotential:
@@ -92,18 +93,18 @@ class PairPotential:
             return float(out[0])
         return out
 
-    def _estimate_derivative_bounds(self, n=2049):
+    def _estimate_derivative_bounds(self):
         """Sup of |V| and |V'| on the open finite region, by sampling.
 
-        Finite differences on a dense interior grid.  Jumps at the support
-        edges (square well) are deliberately not captured; the square well is
-        the zero-derivative idealisation of a steep smooth profile.
+        Finite differences on DERIVATIVE_GRID interior points.  Jumps at the
+        support edges (square well) are deliberately not captured; the square
+        well is the zero-derivative idealisation of a steep smooth profile.
         """
         lo, hi = self.hard_core, self.range
         if hi <= lo:
             return (0.0, 0.0)
         pad = (hi - lo) * 1e-6
-        rs = np.linspace(lo + pad, hi - pad, n)
+        rs = np.linspace(lo + pad, hi - pad, DERIVATIVE_GRID)
         vals = self._finite_profile(rs)
         step = rs[1] - rs[0]
         d1 = np.gradient(vals, step)
@@ -222,23 +223,23 @@ class Box:
     def volume(self):
         return (2.0 * self.half_side) ** self.dimension
 
+    def _rows(self, points):
+        """points as (-1, d) rows, none included, and whether they were one d-vector."""
+        pts = np.asarray(points, dtype=float)
+        return pts.reshape(-1, self.center_array.size), pts.shape == self.center_array.shape
+
     def contains(self, points):
-        """Boolean per row: all coordinates within half_side of the center."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dev = np.abs(pts - self.center_array)
-        inside = np.all(dev <= self.half_side, axis=1)
-        if np.asarray(points).ndim == 1:
-            return bool(inside[0])
-        return inside
+        """Boolean per row (a bool for one d-vector): all coordinates within half_side."""
+        pts, single = self._rows(points)
+        inside = np.all(np.abs(pts - self.center_array) <= self.half_side, axis=1)
+        return bool(inside[0]) if single else inside
 
     def euclidean_distance(self, points):
-        """Euclidean distance from each point to the cube (0 inside)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """Euclidean distance from each point to the cube (0 inside); rows as contains."""
+        pts, single = self._rows(points)
         excess = np.maximum(np.abs(pts - self.center_array) - self.half_side, 0.0)
         dist = np.sqrt(np.sum(excess ** 2, axis=1))
-        if np.asarray(points).ndim == 1:
-            return float(dist[0])
-        return dist
+        return float(dist[0]) if single else dist
 
     def shifted(self, s):
         return Box(tuple(c + float(ds) for c, ds in zip(self.center, s)), self.half_side)
@@ -258,14 +259,11 @@ class ExternalConfiguration:
         self.points = []
         for j, pts in enumerate(points_by_type):
             arr = np.asarray(pts, dtype=float).reshape(-1, box.dimension)
-            if arr.size:
-                inside = box.contains(arr)
-                if np.any(inside):
-                    raise ValueError("external point of type %d lies inside the box" % j)
-                far = box.euclidean_distance(arr) > max_range
-                if np.any(far):
-                    raise ValueError(
-                        "external point of type %d is beyond interaction range of the box" % j)
+            if np.any(box.contains(arr)):
+                raise ValueError("external point of type %d lies inside the box" % j)
+            if np.any(box.euclidean_distance(arr) > max_range):
+                raise ValueError(
+                    "external point of type %d is beyond interaction range of the box" % j)
             self.points.append(arr)
 
     def is_empty(self):

@@ -97,13 +97,13 @@ def _diagonal_energy(lm, state, ext_points=None):
     for a in range(len(occupied)):
         j, s, nj = occupied[a]
         # same type, same site
-        if nj >= 2:
+        if nj >= 2 and not P[j][j].is_zero():
             v = P[j][j].evaluate(0.0)
             if math.isinf(v):
                 return math.inf
             total += 0.5 * nj * (nj - 1) * v
         for j2, s2, nj2 in occupied[a + 1:]:
-            v = P[j][j2].evaluate(lm.site_distance(s, s2))
+            v = 0.0 if P[j][j2].is_zero() else P[j][j2].evaluate(lm.site_distance(s, s2))
             if math.isinf(v):
                 return math.inf
             total += nj * nj2 * v
@@ -111,10 +111,10 @@ def _diagonal_energy(lm, state, ext_points=None):
         for j, s, nj in occupied:
             for jp, pts in enumerate(ext_points):
                 pts = np.asarray(pts, dtype=float)
-                if pts.size == 0:
+                if pts.size == 0 or P[j][jp].is_zero():
                     continue
                 r = np.sqrt(np.sum((pts - lm.sites[s]) ** 2, axis=1))
-                v = lm.params.potentials[j][jp].evaluate(r)
+                v = P[j][jp].evaluate(r)
                 if np.any(np.isinf(v)):
                     return math.inf
                 total += nj * float(np.sum(v))
@@ -140,9 +140,8 @@ def sector_basis(lm, n_bar, ext_points=None):
             continue
         states.append(combo)
         energies.append(e)
-    if len(states) > MAX_SECTOR_DIM:
-        raise ValueError("sector dimension %d exceeds the dense ceiling %d"
-                         % (len(states), MAX_SECTOR_DIM))
+        if len(states) > MAX_SECTOR_DIM:
+            raise ValueError("sector dimension exceeds the dense ceiling %d" % MAX_SECTOR_DIM)
     return states, energies
 
 

@@ -210,6 +210,14 @@ class TestDirichletTrace:
         assert abs(got - series) < 1e-14
         assert abs(got - 0.29843) < 2e-5
 
+    def test_wide_interval_matches_jacobi_dual(self):
+        # sum_{n>=1} exp(-c n^2) = (sqrt(pi/c) - 1)/2 up to sqrt(pi/c) exp(-pi^2/c),
+        # which is below 1e-300 here: the series needs about a thousand terms
+        L, beta = 20.0, 0.01
+        want = (L * math.sqrt(8.0 / (math.pi * beta)) - 1.0) / 2.0
+        got = analytic.dirichlet_interval_trace(L, beta)
+        assert abs(got - want) <= 1e-12 * want
+
     def test_large_beta_ground_state(self):
         assert analytic.dirichlet_interval_trace(1.0, 100.0) < 1e-53
 

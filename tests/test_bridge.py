@@ -250,6 +250,19 @@ class TestStayProbability:
         got = bridge.path_stay_probability(samples, -1.0, 1.0, 0.25)
         assert abs(got - per[0] * per[1] * per[2]) < 1e-14
 
+    @pytest.mark.parametrize("r", [16.0, 1.0, 0.2, 0.04])
+    def test_slice_agrees_with_many_images(self, r):
+        # reference: 401 direct and 401 reflected images, each taken over the
+        # free term in closed form, so no ratio of small exponentials
+        lo, h, tau = -0.3, 0.6, 0.36 / r
+        fracs = np.array([1e-3, 0.02, 0.3, 0.5, 0.97, 0.999])
+        us, vs = (h * g for g in np.meshgrid(fracs, fracs))
+        n = np.arange(-200, 201)[:, None, None]
+        want = (np.exp(-2.0 * n * h * (n * h + vs - us) / tau).sum(axis=0)
+                - np.exp(-2.0 * (us + n * h) * (vs + n * h) / tau).sum(axis=0))
+        got = bridge.slice_stay_probability(lo, lo + h, lo + us, lo + vs, tau)
+        assert np.max(np.abs(got - np.clip(want, 0.0, 1.0))) <= 1e-12
+
     def test_box_stay_probability_splits_coordinates(self):
         samples = np.array([[0.0, 0.2], [0.1, -0.1], [0.0, 0.2]])
         box = Box((0.0, 0.0), 1.0)

@@ -10,6 +10,7 @@ import yaml
 from loopgas import cli, experiments, mc
 
 SCHEMA_DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "examples_configs"
 
 MINIMAL = """
 model:
@@ -164,6 +165,11 @@ geometry:
     def test_non_mapping_rejected(self):
         errs = errors_of("- 1\n- 2\n")
         assert errs == ["config must be a mapping of sections"]
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.yaml")), ids=lambda p: p.name)
+def test_example_config_parses(path):
+    cli.parse_config(path.read_text())
 
 
 def documented_defaults():
@@ -368,6 +374,23 @@ experiment:
                          "--out", str(tmp_path / "o")])
         assert code == 1
         assert "verdict=fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("beta, sampler, options", [
+        # a wide interval: the Dirichlet trace needs about a thousand terms
+        (0.01, "", "    dirichlet_half_side: 20\n"),
+        # thresholds far below the thermal length of a single slice
+        (1.0, "sampler:\n  slices_per_beta: 1\n", "    deviation_thresholds: [0.1, 0.2]\n"),
+    ], ids=["wide-dirichlet", "narrow-deviation"])
+    def test_bridge_laws_exact_at_any_scale(self, tmp_path, capsys, beta, sampler, options):
+        cfg = tmp_path / "b.yaml"
+        cfg.write_text("model:\n  dimension: 1\n  n_types: 1\n  beta: %r\n"
+                       "  fugacity: [0.5]\ngeometry:\n  box_half_side: 5.0\n%s"
+                       "experiment:\n  name: bridge-laws\n  options:\n%s"
+                       % (beta, sampler, options))
+        code = cli.main(["bridge-laws", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert "verdict=pass" in capsys.readouterr().out
+        assert code == 0
 
     def test_checkpoint_written_and_loadable(self, tmp_path):
         cfg = tmp_path / "d.yaml"

@@ -728,7 +728,6 @@ class TestWindowSnapshots:
             assert all(np.array_equal(g[k], w[k]) for k in w)
         assert [list(h) for h in want[2]] == [[3, 1, 2], [3, 1, 2, 5]]
         assert want[0][:, 1].sum() == 0 and want[0][0, :, 0].tolist() == [1, 0, 0]
-        assert mc._anchors([], 2).shape == (0, 2)
 
 
 class TestBatchMeans:

@@ -117,6 +117,19 @@ class TestBox:
         flags = b.contains(np.array([[0.5, 0.5], [2.0, 0.0]]))
         assert list(flags) == [True, False]
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rows_of_points(self, d):
+        b = Box((0.0,) * d, 1.0)
+        far = np.full(d, 2.0)
+        for empty in ([], np.empty((0, d))):
+            assert b.contains(empty).shape == (0,)
+            assert b.euclidean_distance(empty).shape == (0,)
+        assert b.contains(far) is False
+        assert b.euclidean_distance(far) == math.sqrt(d)
+        anchors = [np.full(d, 0.5)]  # a one-loop snapshot's anchor list
+        assert b.contains(anchors).tolist() == [True]
+        assert b.euclidean_distance(anchors).tolist() == [0.0]
+
     def test_volume_and_dimension(self):
         b = Box((0.0, 0.0, 0.0), 1.5)
         assert b.dimension == 3
