@@ -47,30 +47,21 @@ class _Legged:
         return self.path.samples[:: self.path.slices_per_beta]
 
     @cached_property
-    def leg_mids(self):
-        """Quadrature nodes of each leg, shape (k, S, d).
+    def legs(self):
+        """The leg geometry (mids, nodes, lo, hi), built in one step.
 
-        Row m holds the midpoints of the S grid segments covering
-        [m*beta, (m+1)*beta].
+        mids, shape (k, S, d): row m holds the midpoints of the S grid
+        segments covering [m*beta, (m+1)*beta].  nodes, shape (k, S+1, d):
+        the grid samples bounding each leg.  lo and hi, each of shape (k, d):
+        the corners of each leg's bounding box of nodes.
         """
         s = self.path.samples
-        mids = 0.5 * (s[:-1] + s[1:])
-        return mids.reshape(self.k, self.path.slices_per_beta, s.shape[1])
-
-    @cached_property
-    def leg_nodes(self):
-        """Grid samples bounding each leg, shape (k, S+1, d): a read-only view."""
-        s = self.path.samples
-        S = self.path.slices_per_beta
-        return np.lib.stride_tricks.as_strided(
-            s, shape=(self.k, S + 1, s.shape[1]),
-            strides=(S * s.strides[0],) + s.strides, writeable=False)
-
-    @cached_property
-    def leg_bounds(self):
-        """Per-leg bounding boxes of the nodes, (lo, hi), each of shape (k, d)."""
-        nodes = self.leg_nodes
-        return nodes.min(axis=1), nodes.max(axis=1)
+        k, S, d = self.k, self.path.slices_per_beta, s.shape[1]
+        head, ends = s[:-1].reshape(k, S, d), s[S::S]  # each leg's nodes but its end
+        mids = (0.5 * (s[:-1] + s[1:])).reshape(k, S, d)
+        nodes = np.concatenate([head, ends[:, None]], axis=1)
+        return (mids, nodes, np.minimum(head.min(axis=1), ends),
+                np.maximum(head.max(axis=1), ends))
 
 
 class Loop(_Legged):
@@ -189,15 +180,10 @@ _MIXED_SLICES = "mixed slice counts in one energy evaluation"
 _REACH_SLACK = 1e-9  # relative widening of the reach; far above rounding
 
 
-def _geometry(obj):
-    """An object's stacked leg arrays: midpoints, nodes, box corners lo, hi."""
-    return (obj.leg_mids, obj.leg_nodes) + obj.leg_bounds
-
-
 class _TypeLegs:
     """The legs of the objects of one type, stacked in family order.
 
-    legs holds the stacked arrays of _geometry; start[i] is the first row
+    legs holds the stacked arrays of _Legged.legs; start[i] is the first row
     of objects[i] and start[-1] the row count.
     """
 
@@ -207,7 +193,7 @@ class _TypeLegs:
         self.objects = list(objects)
         self.start = np.cumsum([0] + [o.k for o in self.objects])
         self.legs = tuple(np.concatenate(parts)
-                          for parts in zip(*map(_geometry, self.objects)))
+                          for parts in zip(*(o.legs for o in self.objects)))
 
     def rows(self, obj):
         i = self.objects.index(obj)
@@ -215,7 +201,7 @@ class _TypeLegs:
 
     def replace(self, old, new):
         i = self.objects.index(old)
-        for arr, part in zip(self.legs, _geometry(new)):
+        for arr, part in zip(self.legs, new.legs):
             arr[self.start[i]:self.start[i + 1]] = part
         self.objects[i] = new
 
@@ -228,7 +214,7 @@ class _TypeLegs:
 
     def append(self, obj):
         self.legs = tuple(np.concatenate([arr, part])
-                          for arr, part in zip(self.legs, _geometry(obj)))
+                          for arr, part in zip(self.legs, obj.legs))
         self.objects.append(obj)
         self.start = np.append(self.start, self.start[-1] + obj.k)
 
@@ -287,7 +273,7 @@ class LegTable:
         """
         T = self.types[j]
         _, _, lo, hi = T.legs
-        olo, ohi = obj.leg_bounds
+        _, _, olo, ohi = obj.legs
         near = ((lo - ohi[:, None] < reach) & (olo[:, None] - hi < reach)).all(axis=-1)
         near[:, :first] = False
         for o in self.left_out:
@@ -319,12 +305,15 @@ def _min_segment_gap_sq(segsA, segsB):
 def _pair_values(pot, a, ia, b, ib, conservative):
     """Potential of the leg pairs (row ia[p] of a, row ib[p] of b), inf at a core.
 
-    a and b are stacked leg arrays as from _geometry; pairs come in the
+    a and b are stacked leg arrays as from _Legged.legs; pairs come in the
     order given, which fixes the summation order.
     """
     diff = a[0][ia] - b[0][ib]
     r = np.sqrt(np.sum(diff * diff, axis=-1))
-    vals = pot.evaluate(r)
+    if pot.range == pot.hard_core:  # a pure hard core: evaluate's values, no masks
+        vals = np.where(r < pot.hard_core, np.inf, 0.0)
+    else:
+        vals = pot.evaluate(r)
     if conservative and pot.hard_core > 0:
         close = _min_segment_gap_sq(a[1][ia], b[1][ib]) < pot.hard_core ** 2
         if np.any(close):
@@ -355,7 +344,7 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=None, own=Fa
     enters split under split[A][A] if own, else under split[A][B] by row
     owner B.  Stops at the first infinite total.
     """
-    a = _geometry(A)
+    a = A.legs
     for j, T in table.types.items():
         pot = P[A.type_index][j]
         if pot.is_zero():
@@ -424,7 +413,7 @@ def interaction_energy(target, params, conditioning=None, external=None,
     for A in target:
         pot = P[A.type_index][A.type_index]
         if not pot.is_zero() and A.k > 1:
-            a = _geometry(A)
+            a = A.legs
             ia, ib = np.triu_indices(A.k, 1)
             e = _integrated(_pair_values(pot, a, ia, a, ib, conservative), dt)
             total += e
