@@ -8,16 +8,22 @@ same-type loops into one of combined multiplicity (the permutation-cycle
 move), and redrawing single legs.  Confinement to the box is enforced on the
 sampled grid.
 
-An insertion draws its Metropolis uniform u before its path
-(step_insert_delete).  Every pair potential is non-negative, so the energy dh
-a new loop adds is >= 0, and the insertion ratio with dh = 0 bounds the
-acceptance probability from above.  u >= exp(bound) rejects at once, with
-no path drawn; otherwise the path is drawn and the same u is tested against
-exp(bound - dh).  Since dh >= 0, a loop is accepted with probability
-min(1, exp(bound - dh)) exactly as by the plain test, so the chain's law is
-unchanged; only the random stream differs.  The path and u then go through
-the same test as every other move (Chain._try).  This is the early
-rejection of Solonen et al., Bayesian Analysis 7, 715 (2012).
+Every move draws its Metropolis uniform u before it draws or evaluates
+what it adds (Chain._try).  The loops a move removes carry the energy e_old
+(see below), and the energy e_new of the loops it adds is a sum of values
+>= 0 of non-negative pair potentials, so e_new >= 0 in floating point too,
+and dh = fl(e_new - e_old) >= -e_old, since rounding is monotone.  Every
+family's log ratio falls as dh grows, so its value at dh = -e_old bounds it
+from above.  When that bound is < 0, u is drawn first, and u >= exp(bound)
+rejects at once: no leg or path is drawn, no loop built, and neither the box
+nor the energy is evaluated.  Otherwise the move is drawn and the same u is
+tested against the full ratio, so each move is accepted with probability
+min(1, exp(ratio)) exactly as by the plain test, and the chain's law is
+unchanged.  Only merges and splits draw u earlier than the plain test
+would: an insertion already drew u before its path, a deletion's bound is
+its full ratio, and a redraw's bound, e_old, is never < 0, so those three
+families keep their random streams.  This is the early rejection of
+Solonen et al., Bayesian Analysis 7, 715 (2012).
 
 The chain stores the energy each loop carries: its own legs' energy and its
 nonzero pair energy with each other loop (Chain._store).  A move takes the
@@ -273,23 +279,29 @@ class Chain:
                                   conservative=self.opts.conservative_hard_core,
                                   split=split), split
 
-    def _energy_change(self, removed, added):
-        """Energy dh that replacing the loops removed by added adds, and its split.
-
-        The loops removed take away the energy they carry (_store), a pair
-        among them counted once, so a deletion makes no energy call.  added
-        is evaluated against the rest in one call, whose split by loop pair
-        is returned for _commit to store.  A free model keeps no store and
-        returns (0.0, None).
-        """
+    def _carried_energy(self, removed):
+        """Energy e_old the loops removed carry (_store), a pair among them
+        counted once; 0.0 in a free model, which keeps no store."""
         if self._free:
-            return 0.0, None
+            return 0.0
         store = self._store()
         e_old = 0.0
         for i, A in enumerate(removed):
             for B, e in store[A].items():
                 if B not in removed[:i]:
                     e_old += e
+        return e_old
+
+    def _energy_change(self, removed, added, e_old):
+        """Energy dh that replacing the loops removed by added adds, and its split.
+
+        The loops removed take away e_old (_carried_energy), so a deletion
+        makes no energy call.  added is evaluated against the rest in one
+        call, whose split by loop pair is returned for _commit to store.  A
+        free model keeps no store and returns (0.0, None).
+        """
+        if self._free:
+            return 0.0, None
         e_new, split = 0.0, {}
         if added:
             e_new, split = self._evaluate(added, self._table.excluding(removed))
@@ -299,20 +311,28 @@ class Chain:
         """Whether every object lies in the box at every grid time."""
         return lps.confined_to_box(objects, self.box)
 
-    def _try(self, removed, added, log_ratio, u=None):
-        """Metropolis test of replacing the loops removed by added; commits if accepted.
+    def _try(self, removed, propose, log_ratio):
+        """Metropolis test of replacing the loops removed by propose(); commits
+        if accepted.
 
-        Every move of every family is accepted here.  added must lie in the
-        box (_confined), and its energy against the rest must be finite;
-        log_ratio(dh) is the move's log acceptance ratio for the energy change
-        dh.  The energies leave removed out; with nothing added (a deletion)
-        neither the box nor a new energy is evaluated.  u is a uniform drawn
-        beforehand (an insertion's, see the module docstring), passed on to
-        metropolis.
+        Every move of every family is accepted here.  log_ratio(dh) is the
+        move's log acceptance ratio for the energy change dh, falling as dh
+        grows; its value at dh = -e_old (_carried_energy) bounds it, and when
+        that bound is < 0 the uniform is drawn first and may reject before
+        propose() is called (see the module docstring).  propose() draws the
+        loops added, which must lie in the box (_confined) and have a finite
+        energy against the rest; with nothing added (a deletion) neither is
+        evaluated.
         """
+        e_old = self._carried_energy(removed)
+        bound = log_ratio(-e_old)
+        u = self.rng.random() if bound < 0 else None
+        if u is not None and u >= math.exp(bound):
+            return False
+        added = propose()
         if added and not self._confined(added):
             return False
-        dh, split = self._energy_change(removed, added)
+        dh, split = self._energy_change(removed, added, e_old)
         if math.isinf(dh) or not metropolis(log_ratio(dh), self.rng, u):
             return False
         self._commit(removed, added, dh, split)
@@ -364,17 +384,15 @@ class Chain:
         params = self.params
         n = len(self.config.loops)
         if rng.random() < 0.5:
-            # insertion: type, multiplicity and anchor, then the uniform and
-            # only then the path
+            # insertion: type, multiplicity and anchor, then (in _try) the
+            # uniform and only then the path
             if n >= self.max_loops:
                 return False
             j, k, x = self._draw_insertion()
-            bound = insert_log_ratio(k, math.log(params.fugacity[j]), self._loop_log_mass(x, k),
-                                     0.0, self._log_choices, n + 1)
-            u = rng.random() if bound < 0 else None
-            if u is not None and u >= math.exp(bound):
-                return False
-            if not self._try((), (Loop(j, self._closed_path(x, k)),), lambda dh: bound - dh, u):
+            free = insert_log_ratio(k, math.log(params.fugacity[j]), self._loop_log_mass(x, k),
+                                    0.0, self._log_choices, n + 1)
+            if not self._try((), lambda: (Loop(j, self._closed_path(x, k)),),
+                             lambda dh: free - dh):
                 return False
         else:
             # deletion: the exact reverse, so -dh is the energy the loop carries
@@ -383,7 +401,7 @@ class Chain:
             loop = self.config.loops[int(rng.integers(n))]
             k, j = loop.k, loop.type_index
             log_mass = self._loop_log_mass(loop.anchor, k)
-            if not self._try((loop,), (), lambda dh: -insert_log_ratio(
+            if not self._try((loop,), lambda: (), lambda dh: -insert_log_ratio(
                     k, math.log(params.fugacity[j]), log_mass, -dh, self._log_choices, n)):
                 return False
         st.accepted += 1
@@ -397,8 +415,9 @@ class Chain:
         if n == 0:
             return False
         old = self.config.loops[int(rng.integers(n))]
-        new = Loop(old.type_index, self._redraw_leg(old.path, int(rng.integers(old.k))))
-        if not self._try((old,), (new,), lambda dh: -dh):
+        m = int(rng.integers(old.k))
+        if not self._try((old,), lambda: (Loop(old.type_index, self._redraw_leg(old.path, m)),),
+                         lambda dh: -dh):
             return False
         st.accepted += 1
         return True
@@ -431,18 +450,20 @@ class Chain:
             return False
         x1, x2 = A.anchor, B.anchor
         uA, uB = A.samples[(k1 - 1) * S], B.samples[(k2 - 1) * S]
-        conn1, conn2 = self._draw_legs([uA, uB], [x2, x1])
-        samples = np.concatenate([
-            A.samples[: (k1 - 1) * S + 1],
-            conn1[1:],
-            B.samples[1: (k2 - 1) * S + 1],
-            conn2[1:],
-        ])
-        merged = Loop(A.type_index,
-                      BridgePath(samples=samples, k=k, slices_per_beta=S, beta=beta))
+
+        def propose():
+            conn1, conn2 = self._draw_legs([uA, uB], [x2, x1])
+            samples = np.concatenate([
+                A.samples[: (k1 - 1) * S + 1],
+                conn1[1:],
+                B.samples[1: (k2 - 1) * S + 1],
+                conn2[1:],
+            ])
+            return (Loop(j, BridgePath(samples=samples, k=k, slices_per_beta=S, beta=beta)),)
+
         log_g = leg_swap_log_ratio(self._log_leg_gauss, uA, uB, x1, x2)
         n_after = len(self.config.loops) - 1
-        return self._try((A, B), (merged,), lambda dh: merge_log_ratio(
+        return self._try((A, B), propose, lambda dh: merge_log_ratio(
             k1, k2, log_g, dh, n_pairs, n_after))
 
     def _try_split(self):
@@ -460,19 +481,21 @@ class Chain:
         x1 = old.anchor
         u = old.samples[m * S]
         um, uk = old.samples[(m - 1) * S], old.samples[(k - 1) * S]
-        close1, close2 = self._draw_legs([um, uk], [x1, u])
-        s1 = np.concatenate([old.samples[: (m - 1) * S + 1], close1[1:]])
-        s2 = np.concatenate([old.samples[m * S: (k - 1) * S + 1], close2[1:]])
-        loop1 = Loop(old.type_index,
-                     BridgePath(samples=s1, k=m, slices_per_beta=S, beta=beta))
-        loop2 = Loop(old.type_index,
-                     BridgePath(samples=s2, k=k - m, slices_per_beta=S, beta=beta))
+
+        def propose():
+            close1, close2 = self._draw_legs([um, uk], [x1, u])
+            s1 = np.concatenate([old.samples[: (m - 1) * S + 1], close1[1:]])
+            s2 = np.concatenate([old.samples[m * S: (k - 1) * S + 1], close2[1:]])
+            return tuple(Loop(old.type_index, BridgePath(samples=s, k=ks, slices_per_beta=S,
+                                                         beta=beta))
+                         for s, ks in ((s1, m), (s2, k - m)))
+
         log_g = leg_swap_log_ratio(self._log_leg_gauss, um, uk, u, x1)
         # ordered same-type pairs after the split: one more loop of old's type
         counts = self.config.type_counts(self.params.n_types)
         counts[old.type_index] += 1
         n_pairs = ordered_pair_count(counts)
-        return self._try((old,), (loop1, loop2), lambda dh: -merge_log_ratio(
+        return self._try((old,), propose, lambda dh: -merge_log_ratio(
             m, k - m, -log_g, -dh, n_pairs, n))
 
     # -- driving -------------------------------------------------------------

@@ -11,11 +11,12 @@ most max_loops loops can be enumerated.
 The twin is an mc.Chain whose loops are Loop objects on the site positions.
 It overrides only what differs on the grid: the insertion draw (site, then
 multiplicity), the path and leg draws, the loop and leg masses fed to the
-ratios, and the energy change, which is the difference of cached
-whole-configuration energies from the production code on the embedded
-paths.  Every move, its family pick, its caps and cut points, its ratio and
-its acceptance test are the chain's own code, so flux and occupancy tests
-against the enumerated invariant law check what the continuum chain runs.
+ratios, the energy the removed loops carry and the energy change, both
+differences of cached whole-configuration energies from the production code
+on the embedded paths.  Every move, its family pick, its caps and cut
+points, its ratio, its early rejection and its acceptance test are the
+chain's own code, so flux and occupancy tests against the enumerated
+invariant law check what the continuum chain runs.
 """
 
 import itertools
@@ -163,7 +164,13 @@ class DiscreteLoopGas(mc.Chain):
     def _confined(self, objects):
         return True  # the box holds every site
 
-    def _energy_change(self, removed, added):
+    def _carried_energy(self, removed):
+        rest = list(self.config.loops)
+        splice(rest, removed, ())
+        return self.config_energy(self.config.loops) - self.config_energy(rest)
+
+    def _energy_change(self, removed, added, e_old):
+        # the whole configurations' difference: e_old enters the bound only
         new = list(self.config.loops)
         splice(new, removed, added)
         return self.config_energy(new) - self.config_energy(self.config.loops), None

@@ -1,15 +1,16 @@
 """Reversibility checks for the update families on the enumerable twin.
 
 The discrete gas is an mc.Chain that overrides only its draws, its leg and
-loop masses, its energy change and its box test, so its moves run the
-chain's own step_insert_delete, _try_merge, _try_split and step_redraw,
-with the chain's pair selection and ratio functions, and every move is
-accepted by the chain's one Metropolis test, Chain._try.  A flux
-imbalance here would flag an error in the production move code or in the
-proposal densities fed to it.  Each trial of the flux_p_value fixture
-(conftest) starts from an exact stationary draw, applies one move of a
-single family, and records the transition; stationarity plus reversibility
-force matched counts across each unordered state pair.
+loop masses, the energy removed loops carry, its energy change and its box
+test, so its moves run the chain's own step_insert_delete, _try_merge,
+_try_split and step_redraw, with the chain's pair selection and ratio
+functions, and every move is accepted by the chain's one Metropolis test
+and its early rejection, Chain._try.  A flux imbalance here would flag an
+error in the production move code or in the proposal densities fed to it.
+Each trial of the flux_p_value fixture (conftest) starts from an exact
+stationary draw, applies one move of a single family, and records the
+transition; stationarity plus reversibility force matched counts across
+each unordered state pair.
 """
 
 import math
@@ -28,6 +29,7 @@ FREE = ModelParams(1, 1, 1.0, (0.4,), [[zero_potential()]])
 WELL = ModelParams(1, 1, 1.0, (0.4,),
                    [[PairPotential(profile="square_well", range_=0.8,
                                    height=1.2)]])
+DENSE_WELL = ModelParams(1, 1, 1.0, (0.9,), WELL.potentials)
 FAMILIES = mc.Chain.FAMILIES
 
 
@@ -106,9 +108,22 @@ class TestSharedRatios:
         energy_change = surrogate.DiscreteLoopGas._energy_change
         monkeypatch.setattr(
             surrogate.DiscreteLoopGas, "_energy_change",
-            lambda self, removed, added:
-            energy_change(self, removed, added) if removed else (0.0, None))
+            lambda self, removed, added, e_old:
+            energy_change(self, removed, added, e_old) if removed else (0.0, None))
         assert flux_p_value(WELL, "insert_delete", seed=12) < 1e-3
+
+    def test_balance_tests_see_a_bound_that_ignores_the_carried_energy(self, monkeypatch,
+                                                                        flux_p_value):
+        # an early-rejection bound taken as if the removed loops carried no
+        # energy rejects deletions that the full test accepts.  The twin's
+        # energy change does not read e_old, so only the bound is wrong.  On
+        # WELL every midpoint pair lies within the well, so merges and splits
+        # keep the energy and no bound error can unbalance them; the denser
+        # gas makes the deletions from two loops that the bound caps common
+        assert flux_p_value(DENSE_WELL, "insert_delete", seed=12) > 0.01
+        monkeypatch.setattr(surrogate.DiscreteLoopGas, "_carried_energy",
+                            lambda self, removed: 0.0)
+        assert flux_p_value(DENSE_WELL, "insert_delete", seed=12) < 1e-3
 
     @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=4))
     def test_pair_index_names_each_ordered_pair_once(self, counts):

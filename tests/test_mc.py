@@ -5,6 +5,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from loopgas import analytic, mc
@@ -221,11 +222,12 @@ class TestEnergyCache:
         moves, pairs = set(), {"merge": 0, "split": 0}
         energy_change = mc.Chain._energy_change
 
-        def checked(chain, removed, added):
+        def checked(chain, removed, added, carried):
             e_old, e_new = removal_energies(chain, removed, added)
+            assert abs(carried - e_old) <= 1e-12 * max(1.0, e_old)
             if len(removed) == 2:
                 pairs["merge"] += removed[1] in chain._store()[removed[0]]
-            dh, split = energy_change(chain, removed, added)
+            dh, split = energy_change(chain, removed, added, carried)
             if len(added) == 2:
                 pairs["split"] += added[1] in split.get(added[0], ())
             if math.isinf(e_new):
@@ -249,9 +251,11 @@ class TestEnergyCache:
         monkeypatch.setattr(mc, "interaction_energy",
                             lambda *a, **kw: calls.append(1) or energy(*a, **kw))
         old = chain.config.loops[0]
-        chain._energy_change((old,), ())
+        e_old = chain._carried_energy((old,))
+        chain._energy_change((old,), (), e_old)
         assert len(calls) == 0
-        chain._energy_change((old,), (lps.Loop(old.type_index, chain._redraw_leg(old.path, 0)),))
+        chain._energy_change((old,), (lps.Loop(old.type_index, chain._redraw_leg(old.path, 0)),),
+                             e_old)
         assert len(calls) == 1
 
     def test_free_model_stores_nothing(self, monkeypatch):
@@ -261,11 +265,17 @@ class TestEnergyCache:
         assert chain.config.loops and chain._carried is None
 
     def test_audit_catches_a_corrupted_stored_energy(self):
+        # sweep until some loop carries a pair energy, then corrupt that entry
         chain = drift_chain("square-well", seed=3)
-        chain.run(10)
+        for _ in range(200):
+            chain.sweep()
+            pairs = [(lp, other) for lp in chain.config.loops
+                     for other in chain._store()[lp] if other is not lp]
+            if pairs:
+                break
+        assert pairs, "no loop carried a pair energy within 200 sweeps"
         assert chain.audit(tol=1e-10) <= 1e-10
-        lp = next(lp for lp in chain.config.loops if chain._carried[lp])
-        other = next(iter(chain._carried[lp]))
+        lp, other = pairs[0]
         chain._carried[lp][other] += 1e-6
         with pytest.raises(RuntimeError, match="carried energy drift"):
             chain.audit()
@@ -294,7 +304,45 @@ class TestEnergyCache:
         chain.audit(tol=math.inf)
         assert math.isinf(chain.energy) and chain._carried is None
         with pytest.raises(ValueError, match="hard core"):
-            chain._energy_change((B,), ())
+            chain._carried_energy((B,))
+
+
+class TestEarlyRejection:
+    def test_a_merge_rejected_early_draws_and_evaluates_nothing(self, monkeypatch):
+        # two 1-loops 6 apart on each axis: the connecting legs would span
+        # the gap, so the merge ratio's bound is about -72 and every uniform
+        # rejects before the legs are drawn
+        chain = drift_chain("square-well", seed=3)
+        rng = np.random.default_rng(1)
+        chain.config.loops = [lps.Loop(0, sample_bridge(np.array(x), np.array(x), 1, 4, 1.0,
+                                                        rng)) for x in [(-3.0, -3.0), (3.0, 3.0)]]
+        before = list(chain.config.loops)
+        chain.audit(tol=math.inf)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a merge rejected early drew or evaluated its move")
+
+        monkeypatch.setattr(chain, "_draw_legs", never)
+        monkeypatch.setattr(mc, "interaction_energy", never)
+        monkeypatch.setattr(lps, "confined_to_box", never)
+        for _ in range(20):
+            assert not chain._try_merge()
+        assert chain.config.loops == before
+
+    @given(e_old=st.floats(0.0, 1e3), e_new=st.floats(0.0, 1e3),
+           k1=st.integers(1, 20), k2=st.integers(1, 20), log_g=st.floats(-30.0, 30.0),
+           n_pairs=st.integers(2, 500), n=st.integers(2, 500))
+    def test_the_bound_holds_in_floating_point(self, e_old, e_new, k1, k2, log_g, n_pairs, n):
+        # dh = fl(e_new - e_old) >= -e_old, and every family's ratio is
+        # monotone in dh under rounding, so log_ratio(-e_old) bounds it
+        dh = e_new - e_old
+        assert dh >= -e_old
+        free = mc.insert_log_ratio(k1, math.log(0.3), log_g, 0.0, 5.0, n)
+        for log_ratio in [lambda d: free - d, lambda d: -d,
+                          lambda d: -mc.insert_log_ratio(k1, math.log(0.3), log_g, -d, 5.0, n),
+                          lambda d: mc.merge_log_ratio(k1, k2, log_g, d, n_pairs, n),
+                          lambda d: -mc.merge_log_ratio(k1, k2, -log_g, -d, n_pairs, n)]:
+            assert log_ratio(dh) <= log_ratio(-e_old)
 
 
 # sampler options unlike the defaults in every field a resumed chain must share
@@ -617,20 +665,25 @@ class TestRdmKernel:
         assert est.meta["reason"] == "cardinality mismatch"
 
     def test_positive_and_symmetric(self):
+        # the gap's error comes from 16 independent chains: the snapshots of
+        # one chain are too correlated for batch means of four snapshots
         params = well_params()
-        chain = make_chain(params, half_side=6.0, seed=31,
-                           slices_per_beta=4, k_max=6)
-        chain.run(100)
         box0 = Box((0.0, 0.0), 0.8)
         xs = [np.array([[0.2, 0.0]])]
         ys = [np.array([[-0.3, 0.1]])]
-        f_xy = mc.estimate_rdm_kernel(chain, xs, ys, box0, n_snapshots=64,
-                                      thin=1, inner_per_snapshot=2)
-        f_yx = mc.estimate_rdm_kernel(chain, ys, xs, box0, n_snapshots=64,
-                                      thin=1, inner_per_snapshot=2)
-        assert f_xy.value >= 0.0 and f_yx.value >= 0.0
-        gap = abs(f_xy.value - f_yx.value)
-        tol = 4.0 * math.hypot(f_xy.std_error, f_yx.std_error) \
+        gaps = []
+        for i in range(16):
+            chain = make_chain(params, half_side=6.0, seed=[31, i],
+                               slices_per_beta=4, k_max=6)
+            chain.run(50)
+            f_xy = mc.estimate_rdm_kernel(chain, xs, ys, box0, n_snapshots=16,
+                                          thin=1, inner_per_snapshot=2)
+            f_yx = mc.estimate_rdm_kernel(chain, ys, xs, box0, n_snapshots=16,
+                                          thin=1, inner_per_snapshot=2)
+            assert f_xy.value >= 0.0 and f_yx.value >= 0.0
+            gaps.append(f_xy.value - f_yx.value)
+        gap = abs(np.mean(gaps))
+        tol = 4.0 * np.std(gaps, ddof=1) / math.sqrt(len(gaps)) \
             + 2.0 * f_xy.truncation_bound + 1e-12
         assert gap <= tol
 
