@@ -21,6 +21,7 @@ h^2/tau (interval width squared over slice time) puts within half an ulp.
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from scipy.integrate import quad
 from .analytic import HALF_ULP
 
 IMAGE_TOL = 1e-14  # _alternating_image_sum stops at terms below this
+TINY = sys.float_info.min  # a free term below this has underflowed
 
 
 def bridge_mass(x, y, k, beta):
@@ -190,16 +192,22 @@ def resample_leg(path, m, rng):
     return BridgePath(samples=samples, k=path.k, slices_per_beta=S, beta=path.beta)
 
 
-def _alternating_image_sum(v, a, tau):
+def _alternating_image_sum(v, a, tau, over_free=False):
     """sum over integer l != 0 of (-1)^(l-1) exp(-(v - 2*l*a)^2 / (2*tau)).
 
-    Terms decay like a Gaussian in l; truncation below IMAGE_TOL is certified
-    by monotonicity of the exponents once |2*l*a| exceeds |v| + a.
+    With over_free, each term is taken over the free term exp(-v^2 / (2*tau))
+    in closed form, (-1)^(l-1) exp(-2*l*a*(l*a - v) / tau), which stays
+    finite where the free term underflows.  Terms decay like a Gaussian in l;
+    truncation below IMAGE_TOL is certified by monotonicity of the exponents
+    once |2*l*a| exceeds |v| + a.
     """
     total = 0.0
     for sign in (1, -1):
         for l in itertools.count(sign, sign):
-            term = (-1.0) ** (l - 1) * math.exp(-((v - 2.0 * l * a) ** 2) / (2.0 * tau))
+            if over_free:
+                term = (-1.0) ** (l - 1) * math.exp(-2.0 * l * a * (l * a - v) / tau)
+            else:
+                term = (-1.0) ** (l - 1) * math.exp(-((v - 2.0 * l * a) ** 2) / (2.0 * tau))
             total += term
             if abs(term) < IMAGE_TOL and abs(2 * l * a) > abs(v) + a:
                 break
@@ -216,20 +224,34 @@ def max_deviation_tail(a, k, displacement, beta):
     valid for |displacement| < a.  For k > 1 the first-leg endpoint u is
     integrated out numerically: conditioned on w(beta) = u the first leg is a
     beta-bridge, and |u| >= a forces a deviation outright.
+
+    Where the full bridge's free term exp(-y^2 / (2*k*beta)) underflows, the
+    masses are taken over it in closed form: the images as in
+    _alternating_image_sum(over_free=True) and, for k > 1, the integrand as
+    that sum at u times a Gaussian in u of mean y/k and variance
+    (k-1)*beta/k, with a breakpoint at its mean.
     """
     if a <= 0:
         return 1.0
     y = float(displacement)
+    free = math.exp(-y * y / (2.0 * k * beta))
+    scaled = free < TINY
     if k == 1:
         if abs(y) >= a:
             return 1.0
+        if scaled:
+            return min(1.0, max(0.0, _alternating_image_sum(y, a, beta, over_free=True)))
         series = _alternating_image_sum(y, a, beta)
-        return min(1.0, max(0.0, series / math.exp(-y * y / (2.0 * beta))))
+        return min(1.0, max(0.0, series / free))
 
     tau_rest = (k - 1) * beta
+    mean, var = y / k, tau_rest / k
 
     def crossing_mass(u):
         # non-normalised first-leg tail mass at intermediate point u
+        if scaled:  # over the free term
+            g = math.exp(-((u - mean) ** 2) / (2.0 * var))
+            return g if abs(u) >= a else g * _alternating_image_sum(u, a, beta, over_free=True)
         g_rest = math.exp(-((u - y) ** 2) / (2.0 * tau_rest))
         if abs(u) >= a:
             first = math.exp(-(u * u) / (2.0 * beta))
@@ -239,14 +261,14 @@ def max_deviation_tail(a, k, displacement, beta):
 
     # integrate over the three smooth pieces; Gaussian decay localises u
     width = 8.0 * math.sqrt(beta + tau_rest) + abs(y) + a
-    pieces = [(-width, -a), (-a, a), (a, width)]
+    edges = sorted({-width, -a, a, width, mean} if scaled else {-width, -a, a, width})
     total = 0.0
-    for lo, hi in pieces:
+    for lo, hi in zip(edges, edges[1:]):
         val, _ = quad(crossing_mass, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
         total += val
     # the two leg prefactors combine against the full-bridge mass
     prefac = 1.0 / (2.0 * math.pi * math.sqrt(beta * tau_rest))
-    mass = (2.0 * math.pi * k * beta) ** (-0.5) * math.exp(-y * y / (2.0 * k * beta))
+    mass = (2.0 * math.pi * k * beta) ** (-0.5) * (1.0 if scaled else free)
     return min(1.0, max(0.0, prefac * total / mass))
 
 
@@ -259,8 +281,11 @@ def slice_stay_probability(lo, hi, u, v, tau):
     r = h^2/tau, and these bounds fall by exp(-4 n r) from n to n+1; N is the
     least >= 1 whose dropped pairs so sum to at most HALF_ULP.  At r <= 0.1
     the killed kernel's eigenfunction series bounds P below 1e-20, and 0 is
-    returned.  u, v may be arrays (elementwise).  Endpoints outside the
-    interval give probability 0.
+    returned.  Where the free term underflows, each image is taken over it in
+    closed form: exp(-2 n h (n h + v - u) / tau) for the direct ones and
+    exp(-2 (u + n h) (v + n h) / tau) for the reflected ones, u and v
+    measured from lo.  u, v may be arrays (elementwise).  Endpoints outside
+    the interval give probability 0.
     """
     h = hi - lo
     us = np.asarray(u, dtype=float) - lo
@@ -277,7 +302,17 @@ def slice_stay_probability(lo, hi, u, v, tau):
             num += np.exp(-((vs - us + 2.0 * n * h) ** 2) / (2.0 * tau))
         num -= np.exp(-((vs + us + 2.0 * n * h) ** 2) / (2.0 * tau))
     denom = np.exp(-((vs - us) ** 2) / (2.0 * tau))
-    return np.where(inside, np.clip(num / denom, 0.0, 1.0), 0.0)
+    low = denom < TINY
+    if not low.any():
+        return np.where(inside, np.clip(num / denom, 0.0, 1.0), 0.0)
+    num = np.divide(num, denom, out=np.zeros_like(num), where=~low)
+    scaled = np.zeros_like(num)
+    with np.errstate(over="ignore", invalid="ignore"):  # only outside the interval
+        for n in range(-N - 1, N + 1):
+            if n >= -N:
+                scaled += np.exp(-2.0 * n * h * (n * h + vs - us) / tau)
+            scaled -= np.exp(-2.0 * (us + n * h) * (vs + n * h) / tau)
+    return np.where(inside, np.clip(np.where(low, scaled, num), 0.0, 1.0), 0.0)
 
 
 def path_stay_probability(samples_1d, lo, hi, tau_slice):

@@ -230,6 +230,38 @@ class TestDeviationTail:
         assert abs(est - want) <= 4.0 * max(se, 1e-12)
 
 
+class TestUnderflowingFreeTerm:
+    # the free term exp(-y^2 / (2 tau)) underflows to 0: each image is taken
+    # over it in closed form instead of dividing by it
+    def test_first_leg_tail_near_the_barrier(self):
+        # one image dominates: exp(-2 a (a - y) / beta) = exp(-600)
+        got = bridge.max_deviation_tail(1.5, 1, 1.3, 0.001)
+        assert got == pytest.approx(math.exp(-2.0 * 1.5 * (1.5 - 1.3) / 0.001), rel=1e-12)
+
+    def test_first_leg_tail_of_a_two_leg_bridge(self):
+        # the first leg ends near y / k = 0.935, far below the threshold
+        got = bridge.max_deviation_tail(3.1, 2, 1.87, 0.00108)
+        assert 0.0 <= got < 1e-300
+
+    def test_slice_stay_probability(self):
+        assert bridge.slice_stay_probability(-1, 1, -0.9, 0.95, 0.001) == 1.0
+        # near the upper barrier only one reflected image counts
+        got = bridge.slice_stay_probability(-1.0, 1.0, -0.9, 0.999, 0.001)
+        want = -math.expm1(-2.0 * (1.0 + 0.9) * (1.0 - 0.999) / 0.001)
+        assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("a,k,y,beta", [(1.0, 1, 0.0, 1.0), (1.0, 2, 0.6, 1.0),
+                                            (0.5, 3, 0.3, 0.2), (0.9, 4, -0.5, 0.3)])
+    def test_closed_form_agrees_where_both_apply(self, a, k, y, beta, monkeypatch):
+        want = bridge.max_deviation_tail(a, k, y, beta)
+        u, v = np.meshgrid(np.linspace(-0.95, 0.95, 7), np.linspace(-0.9, 0.9, 5))
+        stay = bridge.slice_stay_probability(-1.0, 1.0, u, v, beta)
+        monkeypatch.setattr(bridge, "TINY", math.inf)  # every free term counts as underflowed
+        assert abs(bridge.max_deviation_tail(a, k, y, beta) - want) <= 1e-12
+        assert np.max(np.abs(bridge.slice_stay_probability(-1.0, 1.0, u, v, beta)
+                             - stay)) <= 1e-14
+
+
 class TestStayProbability:
     def test_slice_survival_bounds(self):
         p = bridge.slice_stay_probability(-1.0, 1.0, 0.0, 0.1, 0.05)
