@@ -63,6 +63,21 @@ class TestMultiplicityCounts:
         assert abs(lps.log_multiplicity_product(objs, 0) - math.log(5.0)) < 1e-14
 
 
+class TestLegGeometry:
+    @pytest.mark.parametrize("k,S,d", [(1, 1, 1), (3, 4, 2), (2, 32, 3)])
+    def test_legs_match_the_leg_slices(self, k, S, d):
+        g = np.random.default_rng(k * S * d)
+        x = g.normal(size=d)
+        lp = lps.Loop(0, sample_bridge(x, x, k, S, BETA, g))
+        mids, nodes, lo, hi = lp.legs
+        for m in range(k):
+            leg = lp.samples[m * S:(m + 1) * S + 1]
+            assert np.array_equal(nodes[m], leg)
+            assert np.array_equal(mids[m], 0.5 * (leg[:-1] + leg[1:]))
+            assert np.array_equal(lo[m], leg.min(axis=0))
+            assert np.array_equal(hi[m], leg.max(axis=0))
+
+
 class TestBoxIndicators:
     def test_all_k1_trivially_avoid(self):
         box0 = Box((0.0, 0.0), 0.5)
@@ -218,6 +233,8 @@ def brute_force_energy(target, params, conditioning, conservative):
 
 
 def profile_potential(profile, hard_core, range_):
+    if hard_core == range_:  # a pure hard core, whatever the profile
+        return PairPotential(hard_core=hard_core, range_=range_)
     if profile == "table":
         return PairPotential(profile="table", hard_core=hard_core, range_=range_,
                              table_r=np.linspace(hard_core, range_, 5),
@@ -235,7 +252,7 @@ class TestRangeFilter:
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(PROFILES), st.booleans(),
-           st.sampled_from([0.0, 0.25]), st.sampled_from(FACTORS), st.booleans())
+           st.sampled_from([0.0, 0.25, 1.0]), st.sampled_from(FACTORS), st.booleans())
     def test_matches_unfiltered_sum(self, seed, profile, conservative, core, factor,
                                     still):
         g = np.random.default_rng(seed)
