@@ -239,10 +239,8 @@ def max_deviation_tail(a, k, displacement, beta):
     if k == 1:
         if abs(y) >= a:
             return 1.0
-        if scaled:
-            return min(1.0, max(0.0, _alternating_image_sum(y, a, beta, over_free=True)))
-        series = _alternating_image_sum(y, a, beta)
-        return min(1.0, max(0.0, series / free))
+        series = _alternating_image_sum(y, a, beta, over_free=scaled)
+        return min(1.0, max(0.0, series if scaled else series / free))
 
     tau_rest = (k - 1) * beta
     mean, var = y / k, tau_rest / k

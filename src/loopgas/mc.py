@@ -8,7 +8,7 @@ same-type loops into one of combined multiplicity (the permutation-cycle
 move), and redrawing single legs.  Confinement to the box is enforced on the
 sampled grid.
 
-Every move draws its Metropolis uniform u before it draws or evaluates
+Every move bounds its log acceptance ratio before it draws or evaluates
 what it adds (Chain._try).  The loops a move removes carry the energy e_old
 (see below), and the energy e_new of the loops it adds is a sum of values
 >= 0 of non-negative pair potentials, so e_new >= 0 in floating point too,
@@ -30,7 +30,7 @@ nonzero pair energy with each other loop (Chain._store).  A move takes the
 energy of the loops it removes from that store and evaluates only the loops
 it adds, in one energy call whose per-partner split enters the store when
 the move is accepted.  So a deletion makes no energy call and every other
-move one.  This is the per-particle energy bookkeeping of Frenkel & Smit,
+move at most one.  This is the per-particle energy bookkeeping of Frenkel & Smit,
 Understanding Molecular Simulation, ch. 3 and App. F.
 
 The kernel estimators draw the terms of a permutation combo as one batch
@@ -144,13 +144,14 @@ class Chain:
     """One Markov chain over loop configurations.
 
     All randomness flows through the chain's numpy Generator, so a seed fixes
-    the trajectory bit for bit.  Every move, insertion included, goes through
-    one Metropolis test (_try), and every accepted move changes the loop
+    the trajectory bit for bit.  Every move goes through one Metropolis test
+    with early rejection (_try), and every accepted move changes the loop
     list, the leg tables, the carried energies (_store) and the energy cache
     through _commit.  The leg tables and the carried energies are built on
     demand and rebuilt when the loop list is changed from outside; a free
     model never builds the carried energies.  The draws of paths, anchors
-    and leg masses, the energy change and the box test sit in small methods,
+    and leg masses, the energy removed loops carry, the energy change and
+    the box test sit in small methods,
     which the enumerable twin (surrogate) overrides for a site grid.
     """
 
