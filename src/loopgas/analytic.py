@@ -98,9 +98,14 @@ def _weighted_multiplicity_series(z, beta, offset_exponent):
     """sum_{k>=1} z^k k exp(-offset_exponent / (2*beta*k)), to a remainder of TOL.
 
     offset_exponent may be negative, in which case the exponential factor is
-    largest at k = 1 and the remainder bound carries that constant.
+    largest at k = 1 and the remainder bound carries that constant.  Where
+    that constant overflows a double, math.inf is returned: the first term is
+    then z times it, and inf stays an upper bound.
     """
-    cap = math.exp(max(0.0, -offset_exponent) / (2.0 * beta))
+    try:
+        cap = math.exp(max(0.0, -offset_exponent) / (2.0 * beta))
+    except OverflowError:
+        return math.inf
     total = 0.0
     for k in itertools.count(1):
         total += (z ** k) * k * math.exp(-offset_exponent / (2.0 * beta * k))
@@ -130,11 +135,11 @@ def external_control_bound(counts, c, params, L_grid):
         expo = L * L - c * L
         total = 0.0
         for i, z in enumerate(params.fugacity):
-            series = _weighted_multiplicity_series(z, params.beta, expo)
             cnt = counts(float(L))[i]
             if cnt < 0:
                 raise ValueError("negative external count at L = %g" % L)
-            total += cnt * series
+            if cnt:  # a zero count adds nothing, even against an infinite series
+                total += cnt * _weighted_multiplicity_series(z, params.beta, expo)
         values.append(total)
     values = np.asarray(values)
     idx = int(np.argmax(values))
@@ -210,6 +215,8 @@ def gradient_bound_constants(counts, box0, params, tail_fit, b_value):
     vbar1 = params.max_gradient
     if len(counts) != q:
         raise ValueError("need one path count per type")
+    if vbar1 == 0.0:  # even against an infinite b_value
+        return GradientBounds(0.0, 0.0, 0.0, 0.0)
     th0 = [loop_moment(0, z, beta, d).value for z in params.fugacity]
     th1 = [loop_moment(1, z, beta, d).value for z in params.fugacity]
     th2 = [loop_moment(2, z, beta, d).value for z in params.fugacity]
@@ -247,7 +254,10 @@ def multiplicity_tail_bound(k0, box0, params):
     k_start = int(math.ceil(root))
     pref = 1.0
     for z in params.fugacity:
-        pref *= math.exp(v * (1.0 + loop_moment(0, z, beta, d, tol=1e-13).value))
+        try:
+            pref *= math.exp(v * (1.0 + loop_moment(0, z, beta, d, tol=1e-13).value))
+        except OverflowError:  # inf is still a bound
+            return math.inf
     term_many = 0.0
     term_heavy = 0.0
     for z in params.fugacity:

@@ -16,12 +16,14 @@ mass is carried separately as a weight.
 Image series stop by their own tails: the deviation tail's at terms below
 IMAGE_TOL, a slice's stay probability after the image pairs whose rest
 h^2/tau (interval width squared over slice time) puts within half an ulp.
+Each image is taken over the free term in closed form, one exponential
+whose exponent is <= 0 for endpoints inside the interval, so no term
+overflows there and nothing divides by an underflowing free term.
 """
 
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,6 @@ from scipy.integrate import quad
 from .analytic import HALF_ULP
 
 IMAGE_TOL = 1e-14  # _alternating_image_sum stops at terms below this
-TINY = sys.float_info.min  # a free term below this has underflowed
 
 
 def bridge_mass(x, y, k, beta):
@@ -192,22 +193,18 @@ def resample_leg(path, m, rng):
     return BridgePath(samples=samples, k=path.k, slices_per_beta=S, beta=path.beta)
 
 
-def _alternating_image_sum(v, a, tau, over_free=False):
-    """sum over integer l != 0 of (-1)^(l-1) exp(-(v - 2*l*a)^2 / (2*tau)).
+def _alternating_image_sum(v, a, tau):
+    """sum over integer l != 0 of (-1)^(l-1) exp(-2*l*a*(l*a - v) / tau).
 
-    With over_free, each term is taken over the free term exp(-v^2 / (2*tau))
-    in closed form, (-1)^(l-1) exp(-2*l*a*(l*a - v) / tau), which stays
-    finite where the free term underflows.  Terms decay like a Gaussian in l;
-    truncation below IMAGE_TOL is certified by monotonicity of the exponents
-    once |2*l*a| exceeds |v| + a.
+    These are the images exp(-(v - 2*l*a)^2 / (2*tau)), each taken over the
+    free term exp(-v^2 / (2*tau)) in closed form; for |v| < a every exponent
+    is <= 0.  Terms decay like a Gaussian in l; truncation below IMAGE_TOL is
+    certified by monotonicity of the exponents once |2*l*a| exceeds |v| + a.
     """
     total = 0.0
     for sign in (1, -1):
         for l in itertools.count(sign, sign):
-            if over_free:
-                term = (-1.0) ** (l - 1) * math.exp(-2.0 * l * a * (l * a - v) / tau)
-            else:
-                term = (-1.0) ** (l - 1) * math.exp(-((v - 2.0 * l * a) ** 2) / (2.0 * tau))
+            term = (-1.0) ** (l - 1) * math.exp(-2.0 * l * a * (l * a - v) / tau)
             total += term
             if abs(term) < IMAGE_TOL and abs(2 * l * a) > abs(v) + a:
                 break
@@ -221,53 +218,33 @@ def max_deviation_tail(a, k, displacement, beta):
     probability is under the normalised bridge law.  For k = 1 this is the
     classical reflection series
         sum_{l != 0} (-1)^(l-1) exp(-(y - 2*l*a)^2 / (2*beta)) / exp(-y^2/(2*beta))
-    valid for |displacement| < a.  For k > 1 the first-leg endpoint u is
-    integrated out numerically: conditioned on w(beta) = u the first leg is a
-    beta-bridge, and |u| >= a forces a deviation outright.
-
-    Where the full bridge's free term exp(-y^2 / (2*k*beta)) underflows, the
-    masses are taken over it in closed form: the images as in
-    _alternating_image_sum(over_free=True) and, for k > 1, the integrand as
-    that sum at u times a Gaussian in u of mean y/k and variance
-    (k-1)*beta/k, with a breakpoint at its mean.
+    valid for |displacement| < a, each image taken over the free term in
+    closed form (_alternating_image_sum), so it stays finite however small
+    that term is.  For k > 1 the first-leg endpoint u is integrated out
+    numerically: conditioned on w(beta) = u the first leg is a beta-bridge,
+    and |u| >= a forces a deviation outright.  The integrand is the law of u,
+    Gaussian of mean y/k and variance (k-1)*beta/k, times the first leg's
+    image sum at u (1 for |u| >= a), with a quadrature breakpoint at the mean.
     """
     if a <= 0:
         return 1.0
     y = float(displacement)
-    free = math.exp(-y * y / (2.0 * k * beta))
-    scaled = free < TINY
     if k == 1:
-        if abs(y) >= a:
-            return 1.0
-        series = _alternating_image_sum(y, a, beta, over_free=scaled)
-        return min(1.0, max(0.0, series if scaled else series / free))
-
-    tau_rest = (k - 1) * beta
-    mean, var = y / k, tau_rest / k
+        return 1.0 if abs(y) >= a else min(1.0, max(0.0, _alternating_image_sum(y, a, beta)))
+    mean, var = y / k, (k - 1) * beta / k
 
     def crossing_mass(u):
-        # non-normalised first-leg tail mass at intermediate point u
-        if scaled:  # over the free term
-            g = math.exp(-((u - mean) ** 2) / (2.0 * var))
-            return g if abs(u) >= a else g * _alternating_image_sum(u, a, beta, over_free=True)
-        g_rest = math.exp(-((u - y) ** 2) / (2.0 * tau_rest))
-        if abs(u) >= a:
-            first = math.exp(-(u * u) / (2.0 * beta))
-        else:
-            first = _alternating_image_sum(u, a, beta)
-        return first * g_rest
+        g = math.exp(-((u - mean) ** 2) / (2.0 * var))
+        return g if abs(u) >= a else g * _alternating_image_sum(u, a, beta)
 
-    # integrate over the three smooth pieces; Gaussian decay localises u
-    width = 8.0 * math.sqrt(beta + tau_rest) + abs(y) + a
-    edges = sorted({-width, -a, a, width, mean} if scaled else {-width, -a, a, width})
+    # integrate over the smooth pieces; Gaussian decay localises u
+    width = 8.0 * math.sqrt(k * beta) + abs(y) + a
+    edges = sorted({-width, -a, a, width, mean})
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):
         val, _ = quad(crossing_mass, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
         total += val
-    # the two leg prefactors combine against the full-bridge mass
-    prefac = 1.0 / (2.0 * math.pi * math.sqrt(beta * tau_rest))
-    mass = (2.0 * math.pi * k * beta) ** (-0.5) * (1.0 if scaled else free)
-    return min(1.0, max(0.0, prefac * total / mass))
+    return min(1.0, max(0.0, total / math.sqrt(2.0 * math.pi * var)))
 
 
 def slice_stay_probability(lo, hi, u, v, tau):
@@ -275,42 +252,33 @@ def slice_stay_probability(lo, hi, u, v, tau):
 
     Exact image series for the two-barrier killed kernel divided by the free
     kernel, over image pairs n = 0..N: direct images +-n, reflected n and
-    -n-1.  Over the free term pair n is at most 4 exp(-2 n (n-1) r),
-    r = h^2/tau, and these bounds fall by exp(-4 n r) from n to n+1; N is the
-    least >= 1 whose dropped pairs so sum to at most HALF_ULP.  At r <= 0.1
-    the killed kernel's eigenfunction series bounds P below 1e-20, and 0 is
-    returned.  Where the free term underflows, each image is taken over it in
-    closed form: exp(-2 n h (n h + v - u) / tau) for the direct ones and
-    exp(-2 (u + n h) (v + n h) / tau) for the reflected ones, u and v
-    measured from lo.  u, v may be arrays (elementwise).  Endpoints outside
-    the interval give probability 0.
+    -n-1, each taken over the free term in closed form: exp(-2 n h (n h + v
+    - u) / tau) for the direct ones and exp(-2 (u + n h) (v + n h) / tau) for
+    the reflected ones, u and v measured from lo.  With both endpoints inside
+    the interval every exponent is <= 0, so no term overflows and none needs
+    the free term, however small it is.  Over the free term pair n is at
+    most 4 exp(-2 n (n-1) r), r = h^2/tau, and these bounds fall by
+    exp(-4 n r) from n to n+1; N is the least >= 1 whose dropped pairs so
+    sum to at most HALF_ULP.  At r <= 0.1 the killed kernel's eigenfunction
+    series bounds P below 1e-20, and 0 is returned.  u, v may be arrays
+    (elementwise).  Endpoints outside the interval give probability 0.
     """
     h = hi - lo
     us = np.asarray(u, dtype=float) - lo
     vs = np.asarray(v, dtype=float) - lo
     inside = (us > 0) & (us < h) & (vs > 0) & (vs < h)
-    num = np.zeros(np.broadcast(us, vs).shape)
+    total = np.zeros(np.broadcast(us, vs).shape)
     r, N = h * h / tau, 1
     if r <= 0.1:
-        return num
+        return total
     while 4.0 * math.exp(-2.0 * N * (N + 1) * r) > HALF_ULP * -math.expm1(-4.0 * (N + 1) * r):
         N += 1
-    for n in range(-N - 1, N + 1):
-        if n >= -N:
-            num += np.exp(-((vs - us + 2.0 * n * h) ** 2) / (2.0 * tau))
-        num -= np.exp(-((vs + us + 2.0 * n * h) ** 2) / (2.0 * tau))
-    denom = np.exp(-((vs - us) ** 2) / (2.0 * tau))
-    low = denom < TINY
-    if not low.any():
-        return np.where(inside, np.clip(num / denom, 0.0, 1.0), 0.0)
-    num = np.divide(num, denom, out=np.zeros_like(num), where=~low)
-    scaled = np.zeros_like(num)
     with np.errstate(over="ignore", invalid="ignore"):  # only outside the interval
         for n in range(-N - 1, N + 1):
             if n >= -N:
-                scaled += np.exp(-2.0 * n * h * (n * h + vs - us) / tau)
-            scaled -= np.exp(-2.0 * (us + n * h) * (vs + n * h) / tau)
-    return np.where(inside, np.clip(np.where(low, scaled, num), 0.0, 1.0), 0.0)
+                total += np.exp(-2.0 * n * h * (n * h + vs - us) / tau)
+            total -= np.exp(-2.0 * (us + n * h) * (vs + n * h) / tau)
+    return np.where(inside, np.clip(total, 0.0, 1.0), 0.0)
 
 
 def path_stay_probability(samples_1d, lo, hi, tau_slice):

@@ -501,12 +501,6 @@ class Chain:
 
     # -- driving -------------------------------------------------------------
 
-    def step_family(self, family):
-        """One update of the named family."""
-        if family not in self.FAMILIES:
-            raise ValueError("unknown update family %r" % (family,))
-        return getattr(self, "step_" + family)()
-
     def step(self):
         r = self.rng.random()
         if r < self._move_cdf[0]:

@@ -114,6 +114,18 @@ class TestExternalControlBound:
             fam, 1.0, two_type_free(), np.arange(1.0, 10.5, 0.5))
         assert edge and arg == 10.0
 
+    def test_overflowing_series_is_inf(self):
+        # the cap exp((c L - L^2) / (2 beta)) at L = 2, c = 10, beta = 0.0086 is exp(930)
+        assert analytic._weighted_multiplicity_series(0.5, 0.0086, 4.0 - 20.0) == math.inf
+        params = one_type_free(0.5, beta=0.0086)
+        grid = np.arange(1.0, 3.5, 0.5)
+        sup, _, values, _ = analytic.external_control_bound(
+            analytic.growth_family("linear", 1), 10.0, params, grid)
+        assert sup == math.inf and np.isinf(values[1:]).all()
+        sup, _, values, edge = analytic.external_control_bound(
+            analytic.growth_family("zero", 1), 10.0, params, grid)
+        assert sup == 0.0 and np.all(values == 0.0) and not edge
+
     def test_grid_below_one_rejected(self):
         fam = analytic.growth_family("linear", 2)
         with pytest.raises(ValueError):
@@ -144,10 +156,11 @@ class TestGradientConstants:
 
     def test_gradient_free_model_all_zero(self):
         params = one_type_free(0.5)
-        g = analytic.gradient_bound_constants([1], BOX_UNIT, params,
-                                              self._fit(params), 1.0)
-        assert g.same_object == g.cross_type == g.background == g.external == 0.0
-        assert g.total() == 0.0
+        for b_value in (1.0, math.inf):  # an overflowing control series gives inf
+            g = analytic.gradient_bound_constants([1], BOX_UNIT, params,
+                                                  self._fit(params), b_value)
+            assert g.same_object == g.cross_type == g.background == g.external == 0.0
+            assert g.total() == 0.0
 
     def test_zero_counts_kill_a2(self):
         pot = PairPotential(profile="smooth_bump", range_=1.0, height=1.0)
@@ -200,6 +213,12 @@ class TestMultiplicityTailBound:
     def test_k0_below_one_rejected(self):
         with pytest.raises(ValueError):
             analytic.multiplicity_tail_bound(0, BOX_UNIT, one_type_free(0.5))
+
+    def test_overflowing_prefactor_is_inf(self):
+        # exp(volume * (1 + Theta_0)) is past any double in this box at small beta
+        box0 = Box((0.0, 0.0, 0.0), 1.32)
+        got = analytic.multiplicity_tail_bound(4, box0, one_type_free(0.5, d=3, beta=0.0086))
+        assert got == math.inf
 
 
 class TestDirichletTrace:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from loopgas import bridge
@@ -232,7 +233,7 @@ class TestDeviationTail:
 
 class TestUnderflowingFreeTerm:
     # the free term exp(-y^2 / (2 tau)) underflows to 0: each image is taken
-    # over it in closed form instead of dividing by it
+    # over it in closed form, so nothing divides by it
     def test_first_leg_tail_near_the_barrier(self):
         # one image dominates: exp(-2 a (a - y) / beta) = exp(-600)
         got = bridge.max_deviation_tail(1.5, 1, 1.3, 0.001)
@@ -250,16 +251,45 @@ class TestUnderflowingFreeTerm:
         want = -math.expm1(-2.0 * (1.0 + 0.9) * (1.0 - 0.999) / 0.001)
         assert abs(got - want) <= 1e-12
 
+
+def _reference_tail(a, k, y, beta, n_points=40001):
+    """max_deviation_tail without quad: the first leg's image sum in numpy and,
+    for k > 1, a Simpson rule split at +-a over the Gaussian law of its end u."""
+    l = np.concatenate([np.arange(-40, 0), np.arange(1, 41)])[:, None]
+
+    def images(u):
+        return np.sum((-1.0) ** (l - 1) * np.exp(-2.0 * l * a * (l * a - u) / beta), axis=0)
+
+    if k == 1:
+        return float(images(np.array([y]))[0])
+    mean, var = y / k, (k - 1) * beta / k
+    far = abs(mean) + a + 12.0 * math.sqrt(var)
+    total = 0.0
+    for lo, hi in ((-far, -a), (-a, a), (a, far)):
+        u = np.linspace(lo, hi, n_points)
+        law = np.exp(-((u - mean) ** 2) / (2.0 * var))
+        total += integrate.simpson(law * images(u) if lo == -a else law, x=u)
+    return total / math.sqrt(2.0 * math.pi * var)
+
+
+class TestDeviationTailReference:
+    # the last two points have a first-leg law narrow against the interval
     @pytest.mark.parametrize("a,k,y,beta", [(1.0, 1, 0.0, 1.0), (1.0, 2, 0.6, 1.0),
-                                            (0.5, 3, 0.3, 0.2), (0.9, 4, -0.5, 0.3)])
-    def test_closed_form_agrees_where_both_apply(self, a, k, y, beta, monkeypatch):
-        want = bridge.max_deviation_tail(a, k, y, beta)
-        u, v = np.meshgrid(np.linspace(-0.95, 0.95, 7), np.linspace(-0.9, 0.9, 5))
-        stay = bridge.slice_stay_probability(-1.0, 1.0, u, v, beta)
-        monkeypatch.setattr(bridge, "TINY", math.inf)  # every free term counts as underflowed
-        assert abs(bridge.max_deviation_tail(a, k, y, beta) - want) <= 1e-12
-        assert np.max(np.abs(bridge.slice_stay_probability(-1.0, 1.0, u, v, beta)
-                             - stay)) <= 1e-14
+                                            (0.5, 3, 0.3, 0.2), (0.9, 4, -0.5, 0.3),
+                                            (0.51, 2, 1.0, 0.002), (0.6, 3, 1.5, 0.003)])
+    def test_matches_an_independent_reference(self, a, k, y, beta):
+        assert abs(bridge.max_deviation_tail(a, k, y, beta)
+                   - _reference_tail(a, k, y, beta)) <= 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(math.log(1e-3), math.log(20.0)), st.floats(0.05, 4.0),
+           st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), st.sampled_from([1, 2, 3]))
+    def test_whole_beta_range(self, log_beta, a, frac, k):
+        beta, y = math.exp(log_beta), frac * a
+        got = bridge.max_deviation_tail(a, k, y, beta)
+        assert math.isfinite(got) and 0.0 <= got <= 1.0
+        if k == 1:
+            assert abs(got - (1.0 - bridge.slice_stay_probability(-a, a, 0.0, y, beta))) <= 1e-12
 
 
 class TestStayProbability:

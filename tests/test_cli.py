@@ -301,6 +301,19 @@ class TestMain:
         assert payload["config"]["model"]["n_types"] == 2
         assert abs(payload["summary"]["sup"] - 5.072889398324453) < 1e-9
 
+    def test_overflowing_control_series_reads_inf(self, tmp_path):
+        # at beta = 0.0086 the series cap exp(-offset / (2 beta)) overflows a double
+        cfg = tmp_path / "b.yaml"
+        cfg.write_text(
+            "model: {dimension: 3, n_types: 1, beta: 0.0086, fugacity: [0.5],\n"
+            "        potentials: [{types: [0, 0], range: 1.87, height: 1.0}]}\n"
+            "geometry: {box_half_side: 2.0, box0_half_side: 1.32}\n"
+            "experiment: {name: b-condition}\n")
+        out = tmp_path / "out"
+        assert cli.main(["b-condition", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "results.csv").read_text().splitlines()[0] == "chain,L,value"
+        assert json.loads((out / "summary.json").read_text())["summary"]["sup"] == "inf"
+
     def test_csv_byte_determinism(self, tmp_path):
         cfg = tmp_path / "d.yaml"
         cfg.write_text(DENSITY)

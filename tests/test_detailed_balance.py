@@ -40,7 +40,7 @@ def merge_split_p(flux_p_value):
 
 
 @pytest.mark.parametrize("name", [
-    "step", "step_family", "step_insert_delete", "step_merge_split", "step_redraw",
+    "step", "step_insert_delete", "step_merge_split", "step_redraw",
     "_try", "_try_merge", "_try_split", "_commit"])
 def test_twin_runs_the_chain_moves(name):
     # the twin overrides draws and masses only, never a move or its test
