@@ -166,11 +166,15 @@ def q_square_integral_bound(box0, params):
     """Upper bound on the squared L2 mass of the free exclusion kernel.
 
     exp(volume(box0) * sum_j z_j / (1 - z_j)); finite for all admissible
-    fugacities, which is what makes the kernel square-integrable.
+    fugacities, which is what makes the kernel square-integrable, but inf
+    where it overflows a double (inf is still a bound).
     """
     v = box0.volume
     s = sum(z / (1.0 - z) for z in params.fugacity)
-    return math.exp(v * s)
+    try:
+        return math.exp(v * s)
+    except OverflowError:
+        return math.inf
 
 
 def suggested_growth_constant(params, box0):

@@ -3,12 +3,13 @@
 Paths are sampled on the uniform grid t_i = i*beta/S, i = 0..k*S, by
 midpoint bisection, exact in law at every grid time, over a batch of paths
 (a single path is a batch of one).  One plan of the bisection (_plan) is
-walked two ways, picked by batch size: small batches on Python floats,
-midpoint by midpoint, and larger ones one depth level at a time in numpy.
-Both compute every midpoint with the same operations in the same order, so
-they give the same doubles.  A batch of n uses the Generator's normals as n
-single draws in a row would, each path in the order of a depth-first walk
-that takes the right half first.
+walked two ways, picked by the batch's midpoint coordinates per level of
+the bisection: up to SCALAR_WALK_MAX on Python floats, one coordinate at a
+time in a flat list of the batch (_flat_plan), and above it one depth level
+at a time in numpy.  Both compute every coordinate with the same operations
+in the same order, so they give the same doubles.  A batch of n uses the
+Generator's normals as n single draws in a row would, each path in the
+order of a depth-first walk that takes the right half first.
 The path measure used throughout is the non-normalised bridge measure whose
 total mass is the free transition kernel (2*pi*beta*k)^(-d/2) *
 exp(-|x-y|^2 / (2*k*beta)); sampling always uses the normalised law and the
@@ -104,26 +105,35 @@ def _plan(lo, hi, dt):
     return np.array(slots), np.array(sds)[:, None, None], tuple(levels)
 
 
-# Batches of at most this many midpoints (paths x interior grid points) take
-# the scalar walk of _bisect; above it numpy's per-level calls cost less than
-# per-float Python.  Set from tools/bisect_walks.py (table in CHANGES.md).
-SCALAR_WALK_MAX = 24
+# Batches of at most this many midpoint coordinates (paths x interior grid
+# points x d) per level of the bisection take the scalar walk of _bisect:
+# its cost grows with the coordinates, the level walk's with the levels.
+# Set from tools/bisect_walks.py (table in CHANGES.md).
+SCALAR_WALK_MAX = 40
 
 
 @functools.lru_cache(maxsize=256)
-def _flat_plan(lo, hi, dt):
-    """_plan as Python numbers, one tuple per midpoint, level after level.
+def _flat_plan(lo, hi, dt, n, d):
+    """_plan per midpoint coordinate, one tuple (i, ia, ib, 1 - w, w, sd, iz) each.
 
-    Each tuple is (m, a, b, 1 - w, w, sd, slot), its grid rows counted from
-    lo, so a parent always comes before its children.
+    i, ia and ib are the flat offsets of the coordinate and of its interval
+    ends in samples[:, lo:hi + 1] of an (n, grid, d) batch, path after path;
+    iz is its noise's offset in a standard_normal((n, hi - lo - 1, d)) draw,
+    whose rows go by slot.  Level after level, so a parent always comes
+    before its children.
     """
     slots, sd, levels = _plan(lo, hi, dt)
-    flat = []
+    span, flat = hi - lo, []
     for m, ends, w, rows in levels:
         L = m.size
-        flat += zip((m - lo).tolist(), (ends[:L] - lo).tolist(), (ends[L:] - lo).tolist(),
-                    w[:L, 0, 0].tolist(), w[L:, 0, 0].tolist(), sd[rows, 0, 0].tolist(),
-                    slots[rows].tolist())
+        for i, a, b, wa, wb, s, slot in zip(
+                (m - lo).tolist(), (ends[:L] - lo).tolist(), (ends[L:] - lo).tolist(),
+                w[:L, 0, 0].tolist(), w[L:, 0, 0].tolist(), sd[rows, 0, 0].tolist(),
+                slots[rows].tolist()):
+            for p in range(n):  # path p's rows start at row p*(span+1), its noise at p*(span-1)
+                r, q = p * (span + 1), p * (span - 1)
+                flat += (((r + i) * d + c, (r + a) * d + c, (r + b) * d + c, wa, wb, s,
+                          (q + slot) * d + c) for c in range(d))
     return tuple(flat)
 
 
@@ -133,24 +143,26 @@ def _bisect(samples, lo, hi, dt, rng):
     A midpoint is Gaussian around the interpolation of its interval's ends
     with per-coordinate variance (t_m - t_a)(t_b - t_m)/(t_b - t_a); one
     standard_normal call draws the whole batch's noise.  Every coordinate is
-    (wa*a + wb*b) + z*sd.  A batch of at most SCALAR_WALK_MAX midpoints
-    computes it on Python floats from _flat_plan, midpoint after midpoint,
-    and writes the rows back once; a larger one walks _plan level by level
-    on a grid-major view, one numpy call per step.
+    (wa*a + wb*b) + z*sd.  A batch of at most SCALAR_WALK_MAX midpoint
+    coordinates (n * (hi - lo - 1) * d) per level of the bisection computes
+    them on Python floats from _flat_plan, one coordinate at a time, in a
+    flat list of samples[:, lo:hi + 1] taken in memory order, with the noise
+    in draw order, so nothing is transposed; it writes the list back once.
+    A larger batch walks _plan level by level on a grid-major view, one
+    numpy call per step.
     """
     if hi - lo < 2:
         return
     n, _, d = samples.shape
+    if n * (hi - lo - 1) * d <= SCALAR_WALK_MAX * (hi - lo - 1).bit_length():
+        block = samples[:, lo:hi + 1]
+        v, z = block.ravel().tolist(), rng.standard_normal(n * (hi - lo - 1) * d).tolist()
+        for i, a, b, wa, wb, sd, iz in _flat_plan(lo, hi, dt, n, d):
+            v[i] = wa * v[a] + wb * v[b] + z[iz] * sd
+        block.flat = v
+        return
     grid = samples.transpose(1, 0, 2)
     noise = rng.standard_normal((n, hi - lo - 1, d)).transpose(1, 0, 2)
-    if n * (hi - lo - 1) <= SCALAR_WALK_MAX:
-        z = noise.reshape(hi - lo - 1, n * d).tolist()
-        first, last = grid[lo:hi + 1:hi - lo].reshape(2, n * d).tolist()
-        rows = [first] + [None] * (hi - lo - 1) + [last]
-        for m, a, b, wa, wb, sd, slot in _flat_plan(lo, hi, dt):
-            rows[m] = [wa * x + wb * y + s * sd for x, y, s in zip(rows[a], rows[b], z[slot])]
-        grid[lo + 1:hi].flat = list(itertools.chain.from_iterable(rows[1:-1]))
-        return
     slots, sd, levels = _plan(lo, hi, dt)
     noise = noise[slots] * sd
     for m, ends, w, level in levels:
@@ -177,8 +189,8 @@ def sample_bridges(x, y, k, S, beta, rng):
 
 def sample_bridge(x, y, k, S, beta, rng):
     """Draw one bridge from x to y of duration k*beta: sample_bridges for a batch of one."""
-    samples = sample_bridges(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)),
-                             k, S, beta, rng)[0]
+    samples = sample_bridges(np.asarray(x, dtype=float).reshape(1, -1),
+                             np.asarray(y, dtype=float).reshape(1, -1), k, S, beta, rng)[0]
     return BridgePath(samples=samples, k=k, slices_per_beta=S, beta=beta)
 
 

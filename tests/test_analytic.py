@@ -148,6 +148,11 @@ class TestSquareIntegralBound:
         got = analytic.q_square_integral_bound(BOX_UNIT, one_type_free(1e-9))
         assert abs(got - 1.0) < 1e-8
 
+    def test_overflowing_bound_is_inf(self):
+        # volume 100 times z/(1-z) = 9 puts the exponent at 900, past any double
+        got = analytic.q_square_integral_bound(Box((0.0, 0.0), 5.0), one_type_free(0.9))
+        assert got == math.inf
+
 
 class TestGradientConstants:
     def _fit(self, params):

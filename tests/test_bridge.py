@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 from loopgas import bridge
@@ -40,6 +41,17 @@ class TestSampleBridge:
         assert np.array_equal(p.samples[0], x)
         assert np.array_equal(p.samples[-1], y)
         assert p.samples.shape == (3 * 8 + 1, 2)
+
+    def test_endpoint_forms_agree(self):
+        # a float, a list and an array endpoint give one path and one stream
+        paths, states = [], []
+        for x, y in ((0.25, -0.5), ([0.25], [-0.5]), (np.array([0.25]), np.array([-0.5]))):
+            g = rng(8)
+            paths.append(bridge.sample_bridge(x, y, 2, 4, 1.0, g).samples)
+            states.append(g.bit_generator.state)
+        assert paths[0].shape == (9, 1)
+        assert all(np.array_equal(p, paths[0]) for p in paths)
+        assert all(s == states[0] for s in states)
 
     def test_mean_at_midpoint(self):
         x, y = np.array([0.0]), np.array([2.0])
@@ -137,33 +149,96 @@ def stack_walk_bridge(x, y, k, S, beta, rng):
 
 
 GRIDS = [(k, S, d) for S in (1, 2, 3, 4, 7, 16) for k in range(1, 6) for d in (1, 2, 3)]
-# legs of bridge.SCALAR_WALK_MAX - 1, SCALAR_WALK_MAX and SCALAR_WALK_MAX + 1
-# midpoints: a single leg just below, at and just above the scalar walk's cut-off
-CUT = bridge.SCALAR_WALK_MAX
-CUTOFF_GRIDS = [(k, S, d) for S in (CUT, CUT + 1, CUT + 2) for k in (1, 2) for d in (1, 2)]
 # a batch of 64 takes the level walk wherever it has a midpoint; its single
 # draws, and the batches of 1 and 2, take the scalar walk on the short grids
 BATCH_SIZES = (1, 2, 64)
+# long legs: their single draws and pairs take the scalar walk, batches of 64
+# the level walk
+LONG_GRIDS = [(k, S, d) for S in (24, 25, 26) for k in (1, 2) for d in (1, 2)]
+CUT = bridge.SCALAR_WALK_MAX
+
+
+def scalar_walk(n, span, d):
+    """_bisect's rule: the scalar walk up to CUT midpoint coordinates per level."""
+    return n * (span - 1) * d <= CUT * (span - 1).bit_length()
+
+
+# the largest batch of 4-slice legs in d = 2, and the longest single path in
+# d = 3, that take the scalar walk
+N_CUT = max(n for n in range(1, 1000) if scalar_walk(n, 4, 2))
+SPAN_CUT = next(span for span in itertools.count(2) if not scalar_walk(1, span + 1, 3))
+# (n, k, S, d): pairs on both sides of the cut-off in n, in span and in d,
+# and single k = 20 paths (span 80) in d = 2 and 3
+CUTOFF_CASES = [(N_CUT, 1, 4, 2), (N_CUT + 1, 1, 4, 2),
+                (1, 1, SPAN_CUT, 3), (1, 1, SPAN_CUT + 1, 3), (1, 1, SPAN_CUT + 1, 2),
+                (1, 20, 4, 2), (1, 20, 4, 3)]
+CUTOFF_GRIDS = sorted({(k, S, d) for _, k, S, d in CUTOFF_CASES} - set(GRIDS))
+
+
+def takes_scalar_walk(n, span, d):
+    """Whether _bisect fills an (n, span + 1, d) batch on the scalar walk (it reads _flat_plan)."""
+    calls = sum(bridge._flat_plan.cache_info()[:2])
+    bridge._bisect(np.zeros((n, span + 1, d)), 0, span, 0.25, rng())
+    return sum(bridge._flat_plan.cache_info()[:2]) > calls
+
+
+def check_batch(n, k, S, d):
+    """A batch of n bridges equals n sample_bridge calls and the stack walk, stream included."""
+    beta = 0.7
+    ends = rng(100 + 10 * k + d + n).normal(size=(2, n, d))
+    g_batch, g_single, g_ref = rng(k * S * d), rng(k * S * d), rng(k * S * d)
+    batch = bridge.sample_bridges(ends[0], ends[1], k, S, beta, g_batch)
+    assert batch.shape == (n, k * S + 1, d)
+    for i in range(n):
+        single = bridge.sample_bridge(ends[0, i], ends[1, i], k, S, beta, g_single)
+        ref = stack_walk_bridge(ends[0, i], ends[1, i], k, S, beta, g_ref)
+        assert np.array_equal(batch[i], single.samples)
+        assert np.array_equal(batch[i], ref)
+    assert g_batch.bit_generator.state == g_single.bit_generator.state
+    assert g_batch.bit_generator.state == g_ref.bit_generator.state
 
 
 class TestBatchedSampler:
-    @pytest.mark.parametrize("k,S,d", GRIDS + CUTOFF_GRIDS)
+    @pytest.mark.parametrize("k,S,d", GRIDS + LONG_GRIDS + CUTOFF_GRIDS)
     def test_batch_is_successive_single_draws(self, k, S, d):
-        beta = 0.7
         for n in BATCH_SIZES:
-            ends = rng(100 + 10 * k + d + n).normal(size=(2, n, d))
-            g_batch, g_single, g_ref = rng(k * S * d), rng(k * S * d), rng(k * S * d)
-            batch = bridge.sample_bridges(ends[0], ends[1], k, S, beta, g_batch)
-            assert batch.shape == (n, k * S + 1, d)
-            for i in range(n):
-                single = bridge.sample_bridge(ends[0, i], ends[1, i], k, S, beta, g_single)
-                ref = stack_walk_bridge(ends[0, i], ends[1, i], k, S, beta, g_ref)
-                assert np.array_equal(batch[i], single.samples)
-                assert np.array_equal(batch[i], ref)
-            assert g_batch.bit_generator.state == g_single.bit_generator.state
-            assert g_batch.bit_generator.state == g_ref.bit_generator.state
+            check_batch(n, k, S, d)
 
-    @pytest.mark.parametrize("k,S,d", GRIDS + CUTOFF_GRIDS)
+    @pytest.mark.parametrize("n,k,S,d", CUTOFF_CASES)
+    def test_batch_at_the_cut_off(self, n, k, S, d):
+        check_batch(n, k, S, d)
+
+    def test_cut_off_cases_straddle(self):
+        walks = [takes_scalar_walk(n, k * S, d) for n, k, S, d in CUTOFF_CASES]
+        assert walks == [scalar_walk(n, k * S, d) for n, k, S, d in CUTOFF_CASES]
+        # n, then span, then d: one step over the cut-off leaves the scalar walk
+        assert walks[:5] == [True, False, True, False, True]
+
+    @given(n=st.integers(1, 6), lo=st.integers(0, 12), span=st.integers(2, 40),
+           beta=st.sampled_from([0.7, 1.0, 2.5]), parts=st.sampled_from([1, 3, 4, 7]),
+           d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=3, lo=5, span=11, beta=1.0, parts=3, d=2, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_walks_fill_equal_doubles(self, n, lo, span, beta, parts, d, seed):
+        # dt = beta / parts is not dyadic for parts 3 and 7
+        start = rng(seed).normal(size=(n, lo + span + 3, d))
+        got, states = [], []
+        saved = bridge.SCALAR_WALK_MAX
+        try:
+            for cutoff in (0, 10 ** 9):  # the level walk, then the scalar walk
+                bridge.SCALAR_WALK_MAX = cutoff
+                samples, g = start.copy(), rng(seed + 1)
+                bridge._bisect(samples, lo, lo + span, beta / parts, g)
+                got.append(samples)
+                states.append(g.bit_generator.state)
+        finally:
+            bridge.SCALAR_WALK_MAX = saved
+        assert np.array_equal(got[0], got[1])
+        assert states[0] == states[1]
+        outside = np.r_[:lo + 1, lo + span:lo + span + 3]
+        assert np.array_equal(got[1][:, outside], start[:, outside])
+
+    @pytest.mark.parametrize("k,S,d", GRIDS + LONG_GRIDS + CUTOFF_GRIDS)
     def test_resample_leg_matches_stack_walk(self, k, S, d):
         beta = 0.7
         path = bridge.sample_bridge(np.zeros(d), np.ones(d), k, S, beta, rng(1))

@@ -314,6 +314,18 @@ class TestMain:
         assert (out / "results.csv").read_text().splitlines()[0] == "chain,L,value"
         assert json.loads((out / "summary.json").read_text())["summary"]["sup"] == "inf"
 
+    def test_overflowing_square_integral_bound_reads_inf(self, tmp_path):
+        # volume 100 times z/(1-z) = 9: exp(900) is past any double
+        cfg = tmp_path / "a.yaml"
+        cfg.write_text(
+            "model: {dimension: 2, n_types: 1, beta: 1.0, fugacity: [0.9]}\n"
+            "geometry: {box_half_side: 12.0, box0_half_side: 5.0}\n"
+            "experiment: {name: analytic}\n")
+        out = tmp_path / "out"
+        assert cli.main(["analytic", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        rows = (out / "results.csv").read_text().splitlines()
+        assert any(",hs_bound_vs_numeric,inf," in row for row in rows)
+
     def test_csv_byte_determinism(self, tmp_path):
         cfg = tmp_path / "d.yaml"
         cfg.write_text(DENSITY)
