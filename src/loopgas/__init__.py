@@ -19,7 +19,7 @@ from .bridge import (BridgePath, bridge_mass, log_bridge_mass, sample_bridge,
                      sample_bridges, resample_leg, max_deviation_tail,
                      empirical_max_deviation_tail, fit_gaussian_tail_envelope)
 from .loops import (Loop, LoopConfig, OpenPath, interaction_energy,
-                    log_weight, dumps_config, loads_config)
+                    dumps_config, loads_config)
 from .analytic import (SeriesResult, loop_moment, closed_form_moment_2d,
                        free_gas_kernel, external_control_bound, growth_family,
                        gradient_bound_constants, multiplicity_tail_bound,
@@ -37,7 +37,7 @@ __all__ = [
     "sample_bridges", "resample_leg", "max_deviation_tail", "empirical_max_deviation_tail",
     "fit_gaussian_tail_envelope",
     "Loop", "LoopConfig", "OpenPath", "interaction_energy",
-    "log_weight", "dumps_config", "loads_config",
+    "dumps_config", "loads_config",
     "SeriesResult", "loop_moment", "closed_form_moment_2d", "free_gas_kernel",
     "external_control_bound", "growth_family", "gradient_bound_constants",
     "multiplicity_tail_bound", "dirichlet_box_trace",

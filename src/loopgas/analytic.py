@@ -53,6 +53,14 @@ def loop_moment(order, z, beta, d, tol=TOL):
     raise RuntimeError("series did not certify below tolerance")
 
 
+def loop_intensity(z, beta, d, k):
+    """z^k / (k (2*pi*beta*k)^(d/2)): free k-loops anchored per unit volume.
+
+    Summed over k >= 1 it is loop_moment(-1, z, beta, d).
+    """
+    return (z ** k) / (k * (2.0 * math.pi * beta * k) ** (0.5 * d))
+
+
 def closed_form_moment_2d(order, z, beta):
     """Planar closed forms of loop_moment for orders -1, 0, 1, 2."""
     pref = 1.0 / (2.0 * math.pi * beta)
@@ -94,6 +102,14 @@ def free_gas_kernel(x, y, z, beta, k_max=None):
             return SeriesResult(total, bound)
 
 
+def _exp_or_inf(x):
+    """math.exp(x), or inf where that overflows a double."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _weighted_multiplicity_series(z, beta, offset_exponent):
     """sum_{k>=1} z^k k exp(-offset_exponent / (2*beta*k)), to a remainder of TOL.
 
@@ -102,9 +118,8 @@ def _weighted_multiplicity_series(z, beta, offset_exponent):
     that constant overflows a double, math.inf is returned: the first term is
     then z times it, and inf stays an upper bound.
     """
-    try:
-        cap = math.exp(max(0.0, -offset_exponent) / (2.0 * beta))
-    except OverflowError:
+    cap = _exp_or_inf(max(0.0, -offset_exponent) / (2.0 * beta))
+    if math.isinf(cap):
         return math.inf
     total = 0.0
     for k in itertools.count(1):
@@ -125,7 +140,7 @@ def external_control_bound(counts, c, params, L_grid):
     maximised over the given grid of L values.  Returns (sup, arg_L, values,
     edge_flag); edge_flag is True when the maximum sits at the last grid
     point with the sum still increasing, signalling possible growth beyond
-    the grid.
+    the grid.  A count that overflows a double (exp_square) reads inf.
     """
     L_grid = np.asarray(L_grid, dtype=float)
     if np.any(L_grid < 1.0):
@@ -138,8 +153,11 @@ def external_control_bound(counts, c, params, L_grid):
             cnt = counts(float(L))[i]
             if cnt < 0:
                 raise ValueError("negative external count at L = %g" % L)
-            if cnt:  # a zero count adds nothing, even against an infinite series
-                total += cnt * _weighted_multiplicity_series(z, params.beta, expo)
+            # a zero count adds nothing, even against an infinite series, and an
+            # infinite one makes the sum inf, even where the series underflows to 0
+            if cnt:
+                total += math.inf if math.isinf(cnt) else \
+                    cnt * _weighted_multiplicity_series(z, params.beta, expo)
         values.append(total)
     values = np.asarray(values)
     idx = int(np.argmax(values))
@@ -158,7 +176,7 @@ def growth_family(name, n_types):
     if name == "square":
         return lambda L: [float(L) ** 2] * n_types
     if name == "exp_square":
-        return lambda L: [math.exp(float(L) ** 2)] * n_types
+        return lambda L: [_exp_or_inf(float(L) ** 2)] * n_types
     raise ValueError("unknown growth family %r" % (name,))
 
 
@@ -170,11 +188,7 @@ def q_square_integral_bound(box0, params):
     where it overflows a double (inf is still a bound).
     """
     v = box0.volume
-    s = sum(z / (1.0 - z) for z in params.fugacity)
-    try:
-        return math.exp(v * s)
-    except OverflowError:
-        return math.inf
+    return _exp_or_inf(v * sum(z / (1.0 - z) for z in params.fugacity))
 
 
 def suggested_growth_constant(params, box0):
@@ -258,10 +272,9 @@ def multiplicity_tail_bound(k0, box0, params):
     k_start = int(math.ceil(root))
     pref = 1.0
     for z in params.fugacity:
-        try:
-            pref *= math.exp(v * (1.0 + loop_moment(0, z, beta, d, tol=1e-13).value))
-        except OverflowError:  # inf is still a bound
-            return math.inf
+        pref *= _exp_or_inf(v * (1.0 + loop_moment(0, z, beta, d, tol=1e-13).value))
+    if math.isinf(pref):  # inf is still a bound
+        return math.inf
     term_many = 0.0
     term_heavy = 0.0
     for z in params.fugacity:
@@ -279,7 +292,7 @@ def multiplicity_tail_bound(k0, box0, params):
         # heavy single-loop intensity: k >= k_start
         heavy = 0.0
         for k in itertools.count(k_start):
-            add = (z ** k) / (k * (2.0 * math.pi * beta * k) ** (0.5 * d))
+            add = loop_intensity(z, beta, d, k)
             heavy += add
             if add * z / (1.0 - z) <= 1e-17:
                 break

@@ -259,6 +259,11 @@ def dirichlet_trace_mc(half_side, beta, S, n_draws, rng, dimension=1):
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_draws))
 
 
+def _meets(value, target, se):
+    """Whether value lies within SIGMA_LEVEL standard errors of its exact target."""
+    return abs(value - target) <= SIGMA_LEVEL * max(se, 1e-12)
+
+
 def skorohod_rows(a_values, k, displacement, beta, S, n_draws, rng):
     """Per threshold: analytic first-leg deviation tail vs empirical MC."""
     rows = []
@@ -268,7 +273,7 @@ def skorohod_rows(a_values, k, displacement, beta, S, n_draws, rng):
                                                       S, n_draws, rng)
         rows.append({"check": "first_leg_deviation", "parameter": float(a),
                      "value": est, "target": target, "std_error": se,
-                     "pass": abs(est - target) <= SIGMA_LEVEL * max(se, 1e-12)})
+                     "pass": _meets(est, target, se)})
     return rows
 
 
@@ -340,7 +345,7 @@ def exp_bridge_laws(cfg):
     target = analytic.dirichlet_interval_trace(L, beta)
     rows.append({"check": "dirichlet_trace", "parameter": L, "value": est,
                  "target": target, "std_error": se,
-                 "pass": abs(est - target) <= SIGMA_LEVEL * max(se, 1e-12)})
+                 "pass": _meets(est, target, se)})
     # marginal law at an interior grid time (Kolmogorov-Smirnov)
     kk = max(2, opts["multiplicity"])
     t_frac, disp, starts = 0.5, 0.7, np.zeros((opts["ks_draws"], 1))
@@ -368,8 +373,7 @@ def exp_free_validate(cfg):
     ok = True
     for j, z in enumerate(params.fugacity):
         target = analytic.loop_moment(-1, z, params.beta, params.dimension).value
-        se = max(est.std_errors[j], 1e-12)
-        good = abs(est.per_type[j] - target) <= SIGMA_LEVEL * se
+        good = _meets(est.per_type[j], target, est.std_errors[j])
         ok = ok and good
         rows.append({"check": "anchor_density", "parameter": float(j),
                      "value": est.per_type[j], "target": target,
@@ -377,7 +381,7 @@ def exp_free_validate(cfg):
     # per-snapshot counts of k-loops against p_k N, N the snapshot's loop
     # count and p_k proportional to z^k / (k (2 pi beta k)^(d/2)), by batch means
     weights = np.array([
-        sum(z ** k / (k * (2.0 * math.pi * params.beta * k) ** (0.5 * params.dimension))
+        sum(analytic.loop_intensity(z, params.beta, params.dimension, k)
             for z in params.fugacity) for k in range(1, chain.opts.k_max + 1)])
     hist = est.snapshot_histogram
     n = sum(hist.values())

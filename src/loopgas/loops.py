@@ -1,15 +1,13 @@
-"""Loop configurations and their statistical weight.
+"""Loop configurations and their pair interaction energy.
 
 A loop is a closed bridge of duration k*beta carrying a particle type; an
 open path is the same object with free endpoints.  A configuration is a
 finite family of loops anchored in a box, optionally conditioned on a static
-external point set.  Its unnormalised log density relative to the reference
-loop measure is
-
-    sum_j (K_j * log z_j - log L_j) - h
-
-with K_j the total multiplicity of type j, L_j the product of the type-j
-multiplicities, and h the equal-time pair interaction energy.
+external point set.  This module computes the equal-time pair interaction
+energy h of such families, tests them against boxes, and serialises
+configurations; the weight z^K / L e^(-h) that h enters is stated where it
+is used, in the chain's acceptance ratios (mc) and the twin's enumerated
+law (surrogate).
 """
 
 import io
@@ -80,14 +78,6 @@ class Loop(_Legged):
 class OpenPath(_Legged):
     """Open path of duration k*beta with a particle type."""
 
-    @property
-    def start(self):
-        return self.path.samples[0]
-
-    @property
-    def end(self):
-        return self.path.samples[-1]
-
 
 def splice(objects, removed, added):
     """Apply a move to a list of objects in place.
@@ -118,16 +108,6 @@ class LoopConfig:
         for lp in self.loops:
             counts[lp.type_index] += 1
         return counts
-
-
-def total_multiplicity(objects, type_index):
-    """K: sum of multiplicities k over the objects of one type."""
-    return sum(o.k for o in objects if o.type_index == type_index)
-
-
-def log_multiplicity_product(objects, type_index):
-    """log L: log of the product of multiplicities k over one type."""
-    return sum(math.log(o.k) for o in objects if o.type_index == type_index)
 
 
 def avoids_box_at_step_times(objects, box):
@@ -434,30 +414,6 @@ def interaction_energy(target, params, conditioning=None, external=None,
             if math.isinf(total):
                 return math.inf
     return total
-
-
-def log_weight(config, params, exclusion_box=None, conservative=False):
-    """Unnormalised log density of a configuration.
-
-    sum_j (K_j log z_j - log L_j) minus the interaction energy given the
-    configuration's external points.  Returns -inf when a hard core is
-    violated or when exclusion_box is given and some loop visits it at an
-    interior whole-beta time.  Confinement to the home box is the caller's
-    concern (see confined_to_box).
-    """
-    if exclusion_box is not None:
-        if not avoids_box_at_step_times(config.loops, exclusion_box):
-            return -math.inf
-    h = interaction_energy(config.loops, params, external=config.external,
-                           conservative=conservative)
-    if math.isinf(h):
-        return -math.inf
-    out = -h
-    for j in range(params.n_types):
-        K = total_multiplicity(config.loops, j)
-        out += K * math.log(params.fugacity[j])
-        out -= log_multiplicity_product(config.loops, j)
-    return out
 
 
 # --- serialisation -----------------------------------------------------------

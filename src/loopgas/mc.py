@@ -132,14 +132,6 @@ def move_cdf(move_weights):
     return np.cumsum(w) / np.sum(w)
 
 
-def metropolis(log_ratio, rng, u=None):
-    """Accept with probability min(1, exp(log_ratio)); draws only if log_ratio < 0.
-
-    u: a uniform drawn beforehand, tested in place of a fresh draw.
-    """
-    return log_ratio >= 0 or (rng.random() if u is None else u) < math.exp(log_ratio)
-
-
 class Chain:
     """One Markov chain over loop configurations.
 
@@ -334,7 +326,10 @@ class Chain:
         if added and not self._confined(added):
             return False
         dh, split = self._energy_change(removed, added, e_old)
-        if math.isinf(dh) or not metropolis(log_ratio(dh), self.rng, u):
+        if math.isinf(dh):
+            return False
+        ratio = log_ratio(dh)  # a fresh uniform only if ratio < 0 and none was drawn
+        if not (ratio >= 0 or (self.rng.random() if u is None else u) < math.exp(ratio)):
             return False
         self._commit(removed, added, dh, split)
         return True

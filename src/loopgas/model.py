@@ -255,7 +255,6 @@ class ExternalConfiguration:
     """
 
     def __init__(self, box, points_by_type, max_range):
-        self.box = box
         self.points = []
         for j, pts in enumerate(points_by_type):
             arr = np.asarray(pts, dtype=float).reshape(-1, box.dimension)

@@ -33,6 +33,7 @@ from .model import Box
 DiscreteLoop = namedtuple("DiscreteLoop", ["k", "sites"])
 
 MAX_STATES = 200000
+SITES = (0.0, 0.6)  # the grid's site positions
 
 
 class DiscreteLoopGas(mc.Chain):
@@ -45,23 +46,21 @@ class DiscreteLoopGas(mc.Chain):
     which preserves reversibility on the capped space.
     """
 
-    def __init__(self, positions, params, slices_per_beta=2, k_max=2,
-                 max_loops=2, seed=None):
+    max_loops = 2  # the cap of the enumerated space
+
+    def __init__(self, params, seed=None):
         if params.n_types != 1 or params.dimension != 1:
             raise ValueError("the discrete twin is single-type and one-dimensional")
-        self.positions = np.asarray(positions, dtype=float)
-        self._site = {x: i for i, x in enumerate(self.positions.tolist())}
-        if len(self._site) != self.positions.size:
-            raise ValueError("the twin's site positions must be distinct")
-        lo, hi = self.positions.min(), self.positions.max()
+        self.positions = np.array(SITES)
+        self._site = {x: i for i, x in enumerate(SITES)}
+        lo, hi = min(SITES), max(SITES)
         # a box holding every site, so no path leaves it
         super().__init__(params, Box(((lo + hi) / 2.0,), (hi - lo) / 2.0 + 1.0),
-                         options=mc.SamplerOptions(slices_per_beta=slices_per_beta,
-                                                   k_max=k_max), seed=seed)
+                         options=mc.SamplerOptions(slices_per_beta=2, k_max=2),
+                         seed=seed)
         self.S = self.opts.slices_per_beta
         self.k_max = self.opts.k_max
-        self.max_loops = int(max_loops)
-        self.n_sites = self.positions.size
+        self.n_sites = len(SITES)
         self._log_choices = math.log(self.n_sites * self.k_max)
         delta = params.beta / self.S
         diff = self.positions[:, None] - self.positions[None, :]
@@ -212,13 +211,12 @@ class DiscreteLoopGas(mc.Chain):
                 total += weight
         return {st: w / total for st, w in table.items()}
 
-    def sample_state(self, law, rng=None):
+    def sample_state(self, law):
         """One exact draw from an enumerated law (dict state -> probability)."""
-        rng = rng if rng is not None else self.rng
         states = list(law.keys())
         probs = np.array([law[s] for s in states])
         probs /= probs.sum()
-        i = int(rng.choice(len(states), p=probs))
+        i = int(self.rng.choice(len(states), p=probs))
         return states[i]
 
 

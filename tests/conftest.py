@@ -39,7 +39,7 @@ def _flux_p_value(params, family, seed, n_trials=3000):
     judged by a chi-square over the pairs with at least 8 transitions.  NaN
     when no pair has that many.
     """
-    gas = surrogate.DiscreteLoopGas([0.0, 0.6], params, seed=seed)
+    gas = surrogate.DiscreteLoopGas(params, seed=seed)
     law = gas.enumerate_states()
     counts = {}
     for _ in range(n_trials):

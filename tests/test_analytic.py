@@ -43,6 +43,14 @@ class TestLoopMoments:
                     for z in (0.1, 0.3, 0.5, 0.7, 0.9)]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("z,beta,d", [(0.5, 1.0, 2), (0.9, 0.37, 3), (0.1, 2.5, 1)])
+    def test_loop_intensity_terms_the_free_loop_moment(self, z, beta, d):
+        terms = [analytic.loop_intensity(z, beta, d, k) for k in range(1, 1001)]
+        for k, t in enumerate(terms, 1):  # the expression it replaced, bit for bit
+            assert t == z ** k / (k * (2.0 * math.pi * beta * k) ** (0.5 * d))
+        moment = analytic.loop_moment(-1, z, beta, d, tol=1e-15).value
+        assert abs(math.fsum(terms) - moment) < 1e-12
+
     def test_series_tail_bound_honest(self):
         res = analytic.loop_moment(2, 0.9, 1.0, 2, tol=1e-6)
         exact = analytic.closed_form_moment_2d(2, 0.9, 1.0)
@@ -125,6 +133,17 @@ class TestExternalControlBound:
         sup, _, values, edge = analytic.external_control_bound(
             analytic.growth_family("zero", 1), 10.0, params, grid)
         assert sup == 0.0 and np.all(values == 0.0) and not edge
+
+    @pytest.mark.parametrize("beta", [1.0, 0.01])
+    def test_overflowing_count_is_inf_not_nan(self, beta):
+        # exp(L^2) passes any double at L > 26.64; at beta = 0.01 the series
+        # there underflows to 0, and inf times 0 is nan
+        assert analytic.growth_family("exp_square", 1)(27.0) == [math.inf]
+        sup, arg, values, _ = analytic.external_control_bound(
+            analytic.growth_family("exp_square", 1), 0.25, one_type_free(beta=beta),
+            np.arange(1.0, 30.5, 0.5))
+        assert sup == math.inf and arg == 27.0
+        assert np.isfinite(values[:52]).all() and np.isinf(values[52:]).all()
 
     def test_grid_below_one_rejected(self):
         fam = analytic.growth_family("linear", 2)

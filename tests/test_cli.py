@@ -314,6 +314,28 @@ class TestMain:
         assert (out / "results.csv").read_text().splitlines()[0] == "chain,L,value"
         assert json.loads((out / "summary.json").read_text())["summary"]["sup"] == "inf"
 
+    EXP_SQUARE = ("model: {dimension: 2, n_types: 1, beta: 1.0, fugacity: [0.5]}\n"
+                  "geometry: {box_half_side: 5.0}\n"
+                  "experiment: {name: %s, options: {growth_family: exp_square, %s: 30.0}}\n")
+
+    def test_overflowing_growth_count_reads_inf(self, tmp_path):
+        # the exp_square count exp(L^2) passes any double at L > 26.64
+        cfg = tmp_path / "b.yaml"
+        cfg.write_text(self.EXP_SQUARE % ("b-condition", "grid_max"))
+        out = tmp_path / "out"
+        assert cli.main(["b-condition", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["summary"]["sup"] == "inf"
+        rows = (out / "results.csv").read_text().splitlines()
+        assert rows[-1] == "0,30.0,inf" and not any("nan" in row for row in rows)
+
+    def test_overflowing_growth_count_reads_inf_in_analytic(self, tmp_path):
+        cfg = tmp_path / "a.yaml"
+        cfg.write_text(self.EXP_SQUARE % ("analytic", "growth_grid_max"))
+        out = tmp_path / "out"
+        assert cli.main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "results.csv").read_text().splitlines()
+        assert "0,external_control_bound,inf,27.0,nan" in rows
+
     def test_overflowing_square_integral_bound_reads_inf(self, tmp_path):
         # volume 100 times z/(1-z) = 9: exp(900) is past any double
         cfg = tmp_path / "a.yaml"

@@ -23,7 +23,6 @@ from loopgas import loops as lps
 from loopgas import mc, surrogate
 from loopgas.model import ModelParams, PairPotential, zero_potential
 
-POSITIONS = [0.0, 0.6]  # as in the flux_p_value fixture
 
 FREE = ModelParams(1, 1, 1.0, (0.4,), [[zero_potential()]])
 WELL = ModelParams(1, 1, 1.0, (0.4,),
@@ -150,15 +149,15 @@ class TestSharedRatios:
 
 class TestLawStructure:
     def test_probabilities_normalised(self):
-        gas = surrogate.DiscreteLoopGas(POSITIONS, WELL, seed=0)
+        gas = surrogate.DiscreteLoopGas(WELL, seed=0)
         law = gas.enumerate_states()
         assert abs(sum(law.values()) - 1.0) < 1e-12
         assert all(v >= 0.0 for v in law.values())
         assert (() in law)  # the empty configuration is always admissible
 
     def test_repulsion_depletes_pairs(self):
-        free_law = surrogate.DiscreteLoopGas(POSITIONS, FREE, seed=0).enumerate_states()
-        well_law = surrogate.DiscreteLoopGas(POSITIONS, WELL, seed=0).enumerate_states()
+        free_law = surrogate.DiscreteLoopGas(FREE, seed=0).enumerate_states()
+        well_law = surrogate.DiscreteLoopGas(WELL, seed=0).enumerate_states()
         p2_free = sum(p for st, p in free_law.items() if len(st) == 2)
         p2_well = sum(p for st, p in well_law.items() if len(st) == 2)
         assert p2_well < p2_free
@@ -168,7 +167,7 @@ class TestLawStructure:
                           [[zero_potential(), zero_potential()],
                            [zero_potential(), zero_potential()]])
         with pytest.raises(ValueError, match="single-type"):
-            surrogate.DiscreteLoopGas(POSITIONS, two)
+            surrogate.DiscreteLoopGas(two)
 
     def test_twin_skips_the_box_test(self, monkeypatch):
         # the twin's box holds every site, so no move may pay for the test
@@ -176,7 +175,7 @@ class TestLawStructure:
             raise AssertionError("the twin tested its box")
 
         monkeypatch.setattr(lps, "confined_to_box", never)
-        gas = surrogate.DiscreteLoopGas(POSITIONS, WELL, seed=5)
+        gas = surrogate.DiscreteLoopGas(WELL, seed=5)
         assert sum(bool(gas.step()) for _ in range(2000)) > 0
 
 
@@ -184,7 +183,7 @@ class TestErgodicOccupancy:
     @pytest.mark.parametrize("params,seed", [(FREE, 5), (WELL, 5)],
                              ids=["free", "interacting"])
     def test_mixed_chain_occupancy(self, params, seed):
-        gas = surrogate.DiscreteLoopGas(POSITIONS, params, seed=seed)
+        gas = surrogate.DiscreteLoopGas(params, seed=seed)
         law = gas.enumerate_states()
         top = sorted(law, key=law.get, reverse=True)[:8]
         obs = {st: 0 for st in top}

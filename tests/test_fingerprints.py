@@ -74,7 +74,7 @@ def test_core_and_external_points_chain():
 def test_discrete_twin():
     well = ModelParams(1, 1, 1.0, (0.4,),
                        [[PairPotential(profile="square_well", range_=0.8, height=1.2)]])
-    gas = surrogate.DiscreteLoopGas([0.0, 0.6], well, seed=5)
+    gas = surrogate.DiscreteLoopGas(well, seed=5)
     accepted = sum(bool(gas.step()) for _ in range(20000))
     assert surrogate.canonical(gas.state) == (
         surrogate.DiscreteLoop(k=2, sites=(0, 0, 1, 0)),)

@@ -35,34 +35,6 @@ def free_one_type(z=0.5, d=2):
 BOX = Box((0.0, 0.0), 8.0)
 
 
-def config(loop_list, S=4):
-    return lps.LoopConfig(BOX, S, loop_list, None)
-
-
-class TestMultiplicityCounts:
-    def test_total_multiplicity(self):
-        objs = [still_loop((0.0, 0.0), 2, 4), still_loop((1.0, 1.0), 3, 4)]
-        assert lps.total_multiplicity(objs, 0) == 5
-
-    def test_empty(self):
-        assert lps.total_multiplicity([], 0) == 0
-        assert lps.log_multiplicity_product([], 0) == 0.0
-
-    def test_open_path_counts(self):
-        p = sample_bridge(np.zeros(2), np.ones(2), 4, 4, BETA,
-                          np.random.default_rng(0))
-        assert lps.total_multiplicity([lps.OpenPath(0, p)], 0) == 4
-
-    def test_log_multiplicity_product(self):
-        objs = [still_loop((0.0, 0.0), 2, 4), still_loop((1.0, 1.0), 3, 4)]
-        assert abs(lps.log_multiplicity_product(objs, 0) - math.log(6.0)) < 1e-14
-
-    def test_single_loop_k5(self):
-        objs = [still_loop((0.0, 0.0), 5, 2)]
-        assert lps.total_multiplicity(objs, 0) == 5
-        assert abs(lps.log_multiplicity_product(objs, 0) - math.log(5.0)) < 1e-14
-
-
 class TestLegGeometry:
     @pytest.mark.parametrize("k,S,d", [(1, 1, 1), (3, 4, 2), (2, 32, 3)])
     def test_legs_match_the_leg_slices(self, k, S, d):
@@ -395,49 +367,6 @@ class TestNonNegativeEnergy:
             h = lps.interaction_energy(target, params, conditioning=cond,
                                        external=external, conservative=conservative)
             assert h >= 0.0  # +inf included; a NaN fails
-
-
-class TestLogWeight:
-    def test_empty_configuration(self):
-        assert lps.log_weight(config([]), free_one_type()) == 0.0
-
-    def test_single_k2_free(self):
-        cfg = config([still_loop((0.0, 0.0), 2, 4)])
-        got = lps.log_weight(cfg, free_one_type(0.5))
-        assert abs(got - (2.0 * math.log(0.5) - math.log(2.0))) < 1e-12
-        assert abs(got - (-2.0794)) < 1e-4
-
-    def test_hard_core_overlap_minus_inf(self):
-        m = one_type(square_well(0.0, 0.4, hard_core=0.4))
-        cfg = config([still_loop((0.0, 0.0), 1, 4),
-                      still_loop((0.1, 0.0), 1, 4)])
-        assert lps.log_weight(cfg, m) == -math.inf
-
-    def test_exclusion_box_zeroes_weight(self):
-        box0 = Box((0.0, 0.0), 0.5)
-        cfg = config([still_loop((0.0, 0.0), 2, 4)])
-        assert lps.log_weight(cfg, free_one_type(), exclusion_box=box0) == -math.inf
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.integers(1, 3),
-                              st.floats(-3.0, 3.0),
-                              st.floats(-3.0, 3.0)),
-                    min_size=0, max_size=3),
-           st.integers(0, 2 ** 31 - 1))
-    def test_weight_bound_property(self, layout, seed):
-        # log weight <= sum_j K_j log z_j <= 0 for any configuration
-        g = np.random.default_rng(seed)
-        m = one_type(square_well(0.8, 1.0), z=0.6)
-        loop_list = []
-        for k, ax, ay in layout:
-            anchor = np.array([ax, ay])
-            loop_list.append(lps.Loop(0, sample_bridge(anchor, anchor, k, 4,
-                                                       BETA, g)))
-        cfg = config(loop_list)
-        logw = lps.log_weight(cfg, m)
-        K = lps.total_multiplicity(loop_list, 0)
-        assert logw <= K * math.log(0.6) + 1e-9
-        assert K * math.log(0.6) <= 0.0
 
 
 class TestSerialization:

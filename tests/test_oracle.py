@@ -22,6 +22,13 @@ def wr_params(z=(0.4, 0.6), beta=1.0):
     return ModelParams(1, 2, beta, z, pots)
 
 
+def finite_wells():
+    """Two types: a type-0 square well and a cross core with a finite shell."""
+    well = PairPotential(profile="square_well", range_=1.5, height=0.8)
+    core = PairPotential(hard_core=0.5, range_=1.5, height=0.6)
+    return ModelParams(1, 2, 1.0, (0.3, 0.5), [[well, core], [core, zero_potential()]])
+
+
 def occupations(n_sites, total):
     if n_sites == 1:
         yield (total,)
@@ -191,16 +198,28 @@ class TestCompatibility:
         dev = oracle.check_compatibility(lm, [0, 1, 2], [1, 2], ext_points=ext)
         assert dev < 1e-12
 
+    def test_external_point_in_a_finite_well(self):
+        # a type-0 point at 3.0 is within range 1.5 of site 2 for both types
+        lm = oracle.line_lattice(3, 1.0, finite_wells(), 2)
+        ext = [np.array([[3.0]]), np.zeros((0, 1))]
+        assert (oracle.partition_functions(lm, ext).grand
+                < oracle.partition_functions(lm).grand)
+        assert oracle.check_compatibility(lm, [0, 1], [1], ext_points=ext) < 1e-12
+
+    def test_external_point_in_a_core_deletes_states(self):
+        # a type-1 point on site 0 leaves a type-0 particle only site 1
+        lm = oracle.line_lattice(2, 1.0, wr_params(), 2)
+        ext = [np.zeros((0, 1)), np.array([[0.0]])]
+        assert len(oracle.sector_basis(lm, (1, 0))[0]) == 2
+        states, energies = oracle.sector_basis(lm, (1, 0), ext_points=ext)
+        assert states == [((0, 1), (0, 0))] and energies == [0.0]
+
     def test_windows_must_nest(self):
         lm = oracle.line_lattice(4, 1.0, wr_params(), 2)
         with pytest.raises(ValueError, match="nested"):
             oracle.check_compatibility(lm, [0, 1], [2, 3])
 
     def test_interacting_model_with_finite_wells(self):
-        well = PairPotential(profile="square_well", range_=1.5, height=0.8)
-        core = PairPotential(hard_core=0.5, range_=1.5, height=0.6)
-        pots = [[well, core], [core, zero_potential()]]
-        params = ModelParams(1, 2, 1.0, (0.3, 0.5), pots)
-        lm = oracle.line_lattice(3, 1.0, params, 2)
+        lm = oracle.line_lattice(3, 1.0, finite_wells(), 2)
         dev = oracle.check_compatibility(lm, [0, 1], [1])
         assert dev < 1e-12
