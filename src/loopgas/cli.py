@@ -22,7 +22,8 @@ import yaml
 
 from . import __version__, mc
 from .experiments import (OPTIONS, POTENTIAL, REQUIRED, RUNNERS, SECTIONS,
-                          oracle_windows, run_experiment, settings)
+                          build_geometry, oracle_windows, probe_shift, run_experiment,
+                          settings)
 
 EXPERIMENT_NAMES = tuple(sorted(RUNNERS))
 
@@ -127,11 +128,11 @@ def _check_cross_fields(ok, experiment_name, errors):
     model = ok.get("model", {})
     d, q = model.get("dimension"), model.get("n_types")
     _check_length(model, "fugacity", q, "model", errors)
-    max_range = 0.0
+    ranges = {}  # per type pair, the range of its last entry, which build_params keeps
     for p_idx, entry in enumerate(model.get("potentials", ())):
         path = "model.potentials[%d]" % p_idx
         pot = _check_section(POTENTIAL, entry, path, errors)
-        max_range = max(max_range, pot.get("range", 0.0))
+        ranges[tuple(sorted(pot.get("types", ())))] = pot.get("range", 0.0)
         types = pot.get("types")
         if types is not None and q is not None and not all(0 <= t < q for t in types):
             errors.append("at %s.types: indices outside [0, %d)" % (path, q))
@@ -142,6 +143,7 @@ def _check_cross_fields(ok, experiment_name, errors):
             for key in ("table_r", "table_v"):
                 if key not in entry:
                     errors.append("at %s.%s: required for table profiles" % (path, key))
+    max_range = max(ranges.values(), default=0.0)
     geometry = ok.get("geometry", {})
     for key in ("box0_center", "shift"):
         _check_length(geometry, key, d, "geometry", errors)
@@ -205,6 +207,13 @@ def _check_cross_fields(ok, experiment_name, errors):
             if not set(inner1) <= set(inner0):
                 errors.append("at experiment.options.inner1: %s not inside inner0 %s "
                               "(absent windows default from n_sites)" % (inner1, inner0))
+    if name == "shift-invariance" and not errors:
+        # the probe's window rule reads the config alone: refuse before any sweep
+        box, box0 = build_geometry(geometry, d)
+        crowded = mc.probe_window_error(box, box0, probe_shift(geometry, d),
+                                        max_range, model["beta"])
+        if crowded:
+            errors.append("at geometry: %s" % crowded)
 
 
 def parse_config(text, experiment_name=None):

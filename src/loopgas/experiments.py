@@ -487,10 +487,15 @@ def exp_k_tail(cfg):
         chain_obj=chain)
 
 
+def probe_shift(geo_cfg, dimension):
+    """geometry.shift, a unit step along the first axis by default."""
+    return (settings(SECTIONS["geometry"], geo_cfg)["shift"]
+            or (1.0,) + (0.0,) * (dimension - 1))
+
+
 def exp_shift_invariance(cfg):
     params, _, box0, chain, opts = _burned_in_chain(cfg, "shift-invariance")
-    shift = (settings(SECTIONS["geometry"], cfg["geometry"])["shift"]
-             or (1.0,) + (0.0,) * (params.dimension - 1))
+    shift = probe_shift(cfg["geometry"], params.dimension)
     rep = mc.shift_invariance_probe(chain, box0, shift, opts["sweeps"],
                                     thin=opts["thin"])
     rows = []
@@ -577,10 +582,14 @@ def exp_analytic(cfg):
 
 
 def oracle_windows(opts):
-    """The oracle's outer and inner site windows, absent ones defaulted from n_sites."""
+    """The oracle's outer and inner site windows, absent ones defaulted from n_sites.
+
+    The defaults nest: inner1 takes at most as many leading sites as inner0.
+    """
     n = opts["n_sites"]
     return (list(range(n - 1) if opts["inner0"] is None else opts["inner0"]),
-            list(range(max(1, n - 2)) if opts["inner1"] is None else opts["inner1"]))
+            list(range(min(n - 1, max(1, n - 2))) if opts["inner1"] is None
+                 else opts["inner1"]))
 
 
 def exp_oracle(cfg):
@@ -589,18 +598,18 @@ def exp_oracle(cfg):
     n_sites, n_max = opts["n_sites"], opts["n_max"]
     lm = oracle.line_lattice(n_sites, opts["spacing"], params, n_max,
                              dimension=params.dimension)
-    table = oracle.partition_functions(lm)
+    state = oracle.gibbs_state(lm)
     rows = [{"record": "sector", "key": "/".join(str(n) for n in nbar),
-             "value": tr} for nbar, tr in sorted(table.sectors.items())]
-    rows.append({"record": "grand", "key": "", "value": table.grand})
-    rows.append({"record": "min_eigenvalue", "key": "", "value": table.min_eigenvalue})
-    rows.append({"record": "truncation_note", "key": "", "value": table.truncation_note})
-    R, _ = oracle.density_matrix(lm)
+             "value": tr} for nbar, tr in sorted(state.sectors.items())]
+    rows.append({"record": "grand", "key": "", "value": state.grand})
+    rows.append({"record": "min_eigenvalue", "key": "", "value": state.min_eigenvalue})
+    rows.append({"record": "truncation_note", "key": "", "value": state.truncation_note})
+    R = state.matrix
     trace_dev = abs(float(np.trace(R)) - 1.0)
     rows.append({"record": "trace_deviation", "key": "", "value": trace_dev})
     min_eig_R = float(np.linalg.eigvalsh((R + R.T) / 2.0)[0])
     rows.append({"record": "min_density_eigenvalue", "key": "", "value": min_eig_R})
-    dev = oracle.check_compatibility(lm, *oracle_windows(opts))
+    dev = oracle.check_compatibility(state, *oracle_windows(opts))
     rows.append({"record": "compatibility_deviation", "key": "", "value": dev})
     ok = dev < 1e-12 and trace_dev < 1e-12 and min_eig_R > -1e-10
     return ExperimentResult(

@@ -938,6 +938,21 @@ class ProbeReport:
                  "agreement supports translation invariance but proves nothing")
 
 
+def probe_window_error(box, box0, shift, max_range, beta):
+    """Why box0 or its shifted copy is too near the box boundary, or None.
+
+    Each window needs a margin of at least the interaction range plus three
+    thermal lengths.  The rule depends on the config alone, so the config
+    parser applies it too.
+    """
+    need = max_range + 3.0 * math.sqrt(beta)
+    for w in (box0, box0.shifted(shift)):
+        margin = _window_margin(box, w)
+        if margin < need:
+            return "window margin %.3g below range plus thermal length %.3g" % (margin, need)
+    return None
+
+
 def shift_invariance_probe(chain, box0, shift, n_sweeps, thin=1):
     """Compare loop statistics between box0 and its shifted copy.
 
@@ -946,20 +961,14 @@ def shift_invariance_probe(chain, box0, shift, n_sweeps, thin=1):
     joint batch-means errors: per type for the densities, per multiplicity
     bin with at least MIN_POOLED pooled loops for the histograms
     (histogram_gaps).  They are consistent when no gap passes PROBE_SIGMA.
-    Raises when either window crowds the boundary closer than the
-    interaction range plus three thermal lengths.
+    Raises when either window crowds the boundary (probe_window_error).
     """
     params = chain.params
-    box = chain.box
-    shifted = box0.shifted(shift)
-    need = params.max_range + 3.0 * math.sqrt(params.beta)
-    for w in (box0, shifted):
-        margin = _window_margin(box, w)
-        if margin < need:
-            raise ValueError("window margin %.3g below range plus thermal length %.3g"
-                             % (margin, need))
-    (base, shif), _, (hist_b, hist_s) = _window_snapshots(chain, [box0, shifted],
-                                                          n_sweeps, thin)
+    crowded = probe_window_error(chain.box, box0, shift, params.max_range, params.beta)
+    if crowded:
+        raise ValueError(crowded)
+    (base, shif), _, (hist_b, hist_s) = _window_snapshots(
+        chain, [box0, box0.shifted(shift)], n_sweeps, thin)
     vol = box0.volume
     dens_b, dens_s, dses = [], [], []
     dens_worst = 0.0

@@ -1,28 +1,36 @@
 """Small-lattice exact diagonalisation oracle.
 
 A finite site set with nearest-neighbour hopping carries the same model data
-(types, fugacities, pair potentials) as the continuum gas.  Bosonic Fock
-occupation bases per particle-number sector are diagonalised densely;
-hard-core pairs delete basis states outright, the discrete analogue of
-wavefunctions vanishing on the core.  The oracle validates structure:
-sector consistency, positivity, repulsion monotonicity, and above all the
-compatibility of partial traces over nested site sets.  Its numbers are not
-continuum values and are never compared against the path sampler directly.
+(types, fugacities, pair potentials) as the continuum gas, and a frozen
+exterior of typed points, the lattice form of a DLR boundary condition.
+gibbs_state diagonalises the dense bosonic Fock Hamiltonian of each
+particle-number sector once; hard-core pairs delete basis states outright,
+the discrete analogue of wavefunctions vanishing on the core.  The oracle
+validates structure: sector consistency, positivity, repulsion monotonicity,
+and above all the compatibility of partial traces of that one Gibbs state
+over nested site sets.  Its numbers are not continuum values and are never
+compared against the path sampler directly.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 MAX_SECTOR_DIM = 20000
 
 
 class LatticeModel:
-    """Sites, spacing, per-type occupation cap, and the model constants."""
+    """Sites, spacing, per-type occupation cap, the model constants and the exterior.
 
-    def __init__(self, sites, spacing, n_max, params):
+    ext_points holds per type the frozen points of the exterior, which do not
+    hop, and ext_energy[j, s] the energy of one type-j particle at site s
+    against them.
+    """
+
+    def __init__(self, sites, spacing, n_max, params, ext_points):
         self.sites = np.asarray(sites, dtype=float)
         if self.sites.ndim != 2:
             raise ValueError("sites must be an (n, d) array")
@@ -41,6 +49,14 @@ class LatticeModel:
              if j != i and abs(self._dist[i, j] - self.spacing) < 1e-9 * max(1.0, self.spacing)]
             for i in range(self.n_sites)
         ]
+        d = self.sites.shape[1]
+        self.ext_points = [np.asarray(pts, dtype=float).reshape(-1, d) for pts in ext_points]
+        self.ext_energy = np.zeros((q, self.n_sites))
+        for j in range(q):
+            for jp, pts in enumerate(self.ext_points):
+                if pts.size and not params.potentials[j][jp].is_zero():
+                    r = np.sqrt(np.sum((pts[None, :, :] - self.sites[:, None, :]) ** 2, axis=-1))
+                    self.ext_energy[j] += np.sum(params.potentials[j][jp].evaluate(r), axis=1)
 
     @property
     def n_sites(self):
@@ -50,11 +66,11 @@ class LatticeModel:
         return self._dist[i, j]
 
 
-def line_lattice(n_sites, spacing, params, n_max, dimension=1):
+def line_lattice(n_sites, spacing, params, n_max, dimension=1, ext_points=()):
     """n_sites equally spaced points along the first coordinate axis."""
     sites = np.zeros((n_sites, dimension))
     sites[:, 0] = np.arange(n_sites) * spacing
-    return LatticeModel(sites, spacing, n_max, params)
+    return LatticeModel(sites, spacing, n_max, params, ext_points)
 
 
 def one_particle_matrix(lm):
@@ -83,7 +99,7 @@ def _occupations(n_sites, total):
             yield (first,) + rest
 
 
-def _diagonal_energy(lm, state, ext_points=None):
+def _diagonal_energy(lm, state):
     """Pair plus external potential energy of an occupation state.
 
     state[j] is the per-site occupation tuple of type j.  Returns +inf when
@@ -107,21 +123,11 @@ def _diagonal_energy(lm, state, ext_points=None):
             if math.isinf(v):
                 return math.inf
             total += nj * nj2 * v
-    if ext_points is not None:
-        for j, s, nj in occupied:
-            for jp, pts in enumerate(ext_points):
-                pts = np.asarray(pts, dtype=float)
-                if pts.size == 0 or P[j][jp].is_zero():
-                    continue
-                r = np.sqrt(np.sum((pts - lm.sites[s]) ** 2, axis=1))
-                v = P[j][jp].evaluate(r)
-                if np.any(np.isinf(v)):
-                    return math.inf
-                total += nj * float(np.sum(v))
+        total += nj * float(lm.ext_energy[j, s])
     return total
 
 
-def sector_basis(lm, n_bar, ext_points=None):
+def sector_basis(lm, n_bar):
     """Hard-core-filtered occupation basis of the fixed-number sector.
 
     Returns (states, energies): states are tuples of per-type occupation
@@ -135,7 +141,7 @@ def sector_basis(lm, n_bar, ext_points=None):
         per_type.append(list(_occupations(lm.n_sites, n_bar[j])))
     states, energies = [], []
     for combo in itertools.product(*per_type):
-        e = _diagonal_energy(lm, combo, ext_points)
+        e = _diagonal_energy(lm, combo)
         if math.isinf(e):
             continue
         states.append(combo)
@@ -145,14 +151,14 @@ def sector_basis(lm, n_bar, ext_points=None):
     return states, energies
 
 
-def build_hamiltonian(lm, n_bar, ext_points=None):
+def build_hamiltonian(lm, n_bar):
     """Sector Hamiltonian: bosonic hopping plus diagonal potential.
 
     Returns (H, states).  Hopping moves one particle of one type between
     neighbouring sites with the usual bosonic amplitude sqrt(n (n'+1));
     moves into a deleted (hard-core) state are projected out.
     """
-    states, energies = sector_basis(lm, n_bar, ext_points)
+    states, energies = sector_basis(lm, n_bar)
     dim = len(states)
     H = np.zeros((dim, dim))
     if dim == 0:
@@ -172,85 +178,52 @@ def build_hamiltonian(lm, n_bar, ext_points=None):
                         target = st[:j] + (tuple(new_occ),) + st[j + 1:]
                         t = index.get(target)
                         if t is not None:
-                            amp = hop[s, s2] * math.sqrt(n_s * (occ[s2] + 1))
-                            H[t, i] += amp
+                            H[t, i] += hop[s, s2] * math.sqrt(n_s * (occ[s2] + 1))
     return H, states
 
 
-def _sectors(lm, ext_points=None):
-    """(n_bar, H, states, weight) per occupation sector, weight = prod_j z_j^n_j."""
-    for n_bar in itertools.product(*[range(m + 1) for m in lm.n_max]):
-        H, states = build_hamiltonian(lm, n_bar, ext_points)
-        weight = 1.0
-        for z_j, n_j in zip(lm.params.fugacity, n_bar):
-            weight *= z_j ** n_j
-        yield n_bar, H, states, weight
-
-
 @dataclass
-class SectorTable:
-    """Sector traces and the grand-canonical sum over the truncated space."""
+class GibbsState:
+    """The grand-canonical Gibbs state on the truncated Fock space.
+
+    sectors maps each occupation vector to tr exp(-beta H) on its sector and
+    grand is their sum weighted by prod_j z_j^n_j.  The truncation note is
+    the largest sector trace times sum_j z_j^(n_max_j + 1) / (1 - z_j), a
+    crude size of what the occupation cap discards.  matrix is the
+    block-diagonal Gibbs matrix, each block weighted by its fugacity power
+    and divided by grand, over the concatenated sector bases in states.
+    """
 
     sectors: dict
     grand: float
     truncation_note: float
     min_eigenvalue: float
+    matrix: np.ndarray
+    states: list
 
 
-def partition_functions(lm, ext_points=None):
-    """tr exp(-beta H) per sector and the fugacity-weighted grand sum.
-
-    The reported truncation note is the largest sector trace times
-    sum_j z_j^(n_max_j + 1) / (1 - z_j), a crude size of what the occupation
-    cap discards.
-    """
-    q = lm.params.n_types
+def gibbs_state(lm):
+    """Build and diagonalise each sector Hamiltonian once; returns a GibbsState."""
     beta = lm.params.beta
     z = lm.params.fugacity
-    sectors = {}
-    grand = 0.0
-    min_eig = math.inf
-    for n_bar, H, states, weight in _sectors(lm, ext_points):
-        if len(states) == 0:
+    sectors, blocks, all_states = {}, [], []
+    grand, min_eig = 0.0, math.inf
+    for n_bar in itertools.product(*[range(m + 1) for m in lm.n_max]):
+        H, states = build_hamiltonian(lm, n_bar)
+        if not states:
             sectors[n_bar] = 0.0
             continue
-        evals = np.linalg.eigvalsh(H)
-        min_eig = min(min_eig, float(evals[0]))
-        tr = float(np.sum(np.exp(-beta * evals)))
-        sectors[n_bar] = tr
-        grand += weight * tr
-    biggest = max(sectors.values()) if sectors else 0.0
-    note = biggest * sum(z[j] ** (lm.n_max[j] + 1) / (1.0 - z[j]) for j in range(q))
-    return SectorTable(sectors, grand, note, min_eig)
-
-
-def density_matrix(lm, ext_points=None):
-    """Normalised grand-canonical Gibbs matrix on the truncated Fock space.
-
-    Block diagonal over sectors; blocks weighted by the fugacity powers and
-    divided by the grand sum.  Returns (R, states) with states the full
-    concatenated basis.
-    """
-    beta = lm.params.beta
-    blocks = []
-    all_states = []
-    norm = 0.0
-    for _, H, states, weight in _sectors(lm, ext_points):
-        if len(states) == 0:
-            continue
         evals, vecs = np.linalg.eigh(H)
-        G = vecs @ np.diag(np.exp(-beta * evals)) @ vecs.T
-        blocks.append(weight * G)
+        boltzmann = np.exp(-beta * evals)
+        weight = math.prod(z_j ** n_j for z_j, n_j in zip(z, n_bar))
+        sectors[n_bar] = float(np.sum(boltzmann))
+        grand += weight * sectors[n_bar]
+        min_eig = min(min_eig, float(evals[0]))
+        blocks.append(weight * (vecs * boltzmann) @ vecs.T)
         all_states.extend(states)
-        norm += weight * float(np.trace(G))
-    dim = sum(b.shape[0] for b in blocks)
-    R = np.zeros((dim, dim))
-    at = 0
-    for b in blocks:
-        w = b.shape[0]
-        R[at:at + w, at:at + w] = b
-        at += w
-    return R / norm, all_states
+    note = max(sectors.values()) * sum(z_j ** (m + 1) / (1.0 - z_j)
+                                       for z_j, m in zip(z, lm.n_max))
+    return GibbsState(sectors, grand, note, min_eig, block_diag(*blocks) / grand, all_states)
 
 
 def _restrict(state, positions):
@@ -263,52 +236,38 @@ def partial_trace(matrix, states, inner_positions):
     states are occupation tuples aligned with the site list the matrix was
     built on.  The occupation basis factorises over disjoint site sets, so
     the reduction sums matrix elements with equal outer parts.  Returns
-    (reduced_matrix, reduced_states).
+    (reduced_matrix, reduced_states), the latter in order of first
+    appearance.
     """
     n_positions = len(states[0][0]) if states else 0
     outer_positions = [p for p in range(n_positions) if p not in inner_positions]
-    inner_map = {}
-    inner_states = []
-    pair_index = []
-    outer_map = {}
+    inner_index, outer_index = {}, {}
+    inner, outer = [], []
     for st in states:
-        ip = _restrict(st, inner_positions)
-        op = _restrict(st, outer_positions)
-        if ip not in inner_map:
-            inner_map[ip] = len(inner_states)
-            inner_states.append(ip)
-        if op not in outer_map:
-            outer_map[op] = len(outer_map)
-        pair_index.append((inner_map[ip], outer_map[op]))
-    dim_r = len(inner_states)
-    reduced = np.zeros((dim_r, dim_r))
-    by_outer = {}
-    for full_idx, (ii, oo) in enumerate(pair_index):
-        by_outer.setdefault(oo, []).append((ii, full_idx))
-    for members in by_outer.values():
-        for ia, fa in members:
-            for ib, fb in members:
-                reduced[ia, ib] += matrix[fa, fb]
-    return reduced, inner_states
+        inner.append(inner_index.setdefault(_restrict(st, inner_positions), len(inner_index)))
+        outer.append(outer_index.setdefault(_restrict(st, outer_positions), len(outer_index)))
+    inner, outer = np.array(inner, dtype=int), np.array(outer, dtype=int)
+    reduced = np.zeros((len(inner_index), len(inner_index)))
+    # the full states of one outer part, in basis order, one group at a time
+    order = np.argsort(outer, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(outer[order])) + 1):
+        rows = inner[members]
+        np.add.at(reduced, np.ix_(rows, rows), matrix[np.ix_(members, members)])
+    return reduced, list(inner_index)
 
 
-def check_compatibility(lm, inner0_positions, inner1_positions, ext_points=None):
-    """Max deviation between direct and two-step partial traces.
+def check_compatibility(state, inner0_positions, inner1_positions):
+    """Max deviation between direct and two-step partial traces of a GibbsState.
 
     inner1_positions must be a subset of inner0_positions (both given as
     site indices of the lattice).  Exact basis factorisation makes the two
-    routes agree to rounding; the returned number is the sup-norm difference.
+    routes agree to rounding, over the same reduced basis in the same order;
+    the returned number is the sup-norm difference.
     """
     if not set(inner1_positions) <= set(inner0_positions):
         raise ValueError("inner window must be nested in the outer window")
-    R, states = density_matrix(lm, ext_points)
-    direct, basis_direct = partial_trace(R, states, list(inner1_positions))
-    step1, basis_mid = partial_trace(R, states, list(inner0_positions))
+    direct, _ = partial_trace(state.matrix, state.states, list(inner1_positions))
+    step1, basis_mid = partial_trace(state.matrix, state.states, list(inner0_positions))
     rel = [list(inner0_positions).index(p) for p in inner1_positions]
-    step2, basis_two = partial_trace(step1, basis_mid, rel)
-    if basis_direct != basis_two:
-        # align orders if the reduction visited states differently
-        idx = {st: i for i, st in enumerate(basis_two)}
-        perm = [idx[st] for st in basis_direct]
-        step2 = step2[np.ix_(perm, perm)]
+    step2, _ = partial_trace(step1, basis_mid, rel)
     return float(np.max(np.abs(direct - step2)))

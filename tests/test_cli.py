@@ -250,7 +250,7 @@ class TestMain:
          "inner1: [7]}\n", "experiment.options.inner0"),
         ("oracle", MINIMAL + "experiment:\n  options: {n_sites: 3, inner0: [0], "
          "inner1: [2]}\n", "experiment.options.inner1"),
-        ("oracle", MINIMAL + "experiment:\n  options: {n_sites: 1}\n",
+        ("oracle", MINIMAL + "experiment:\n  options: {n_sites: 4, inner0: [2, 3]}\n",
          "experiment.options.inner1"),
         ("q-kernel", MINIMAL.replace("5.0", "2.0\n  box0_center: [5.0, 0.0]"),
          "geometry.box0_center"),
@@ -263,12 +263,16 @@ class TestMain:
          "experiment.options.sweeps"),
         ("shift-invariance", MINIMAL + "experiment:\n  options: {sweeps: 0}\n",
          "experiment.options.sweeps"),
+        ("density", DENSITY.replace("geometry:", "  potentials:\n"
+                                    "    - {types: [0, 0], range: 1.0, height: 1.0}\n"
+                                    "    - {types: [0, 0], range: 0.0}\ngeometry:")
+         + "external:\n  counts: [1]\n", "external.counts"),
     ], ids=["zero-thin", "scalar-potentials", "non-numeric-points",
             "oracle-site-past-lattice", "oracle-inner-not-nested",
             "oracle-default-windows-not-nested", "box0-outside-box",
             "empty-b-condition-grid", "empty-growth-grid",
             "free-validate-no-snapshots", "k-tail-15-snapshots",
-            "shift-invariance-no-snapshots"])
+            "shift-invariance-no-snapshots", "external-reach-of-the-last-entry"])
     def test_bad_values_reported_not_raised(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "bad.yaml"
         path.write_text(config)
@@ -393,6 +397,46 @@ experiment:
                          "--out", str(tmp_path / "o")])
         assert code == 2
         assert "window margin" in capsys.readouterr().err
+
+    def test_crowded_probe_windows_refused_before_any_sweep(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # box0 of half side 1.0 shifted by 2.0 reaches the edge of a box of
+        # half side 3.0, short of the free gas's 3 thermal lengths: a config
+        # error, with no output directory and no sweep
+        def no_sweep(chain):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(mc.Chain, "sweep", no_sweep)
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(MINIMAL.replace("5.0", "3.0\n  box0_half_side: 1.0\n"
+                                       "  shift: [2.0, 0.0]")
+                       + "experiment:\n  options: {sweeps: 32, burn_in: 4}\n")
+        out = tmp_path / "o"
+        assert cli.main(["shift-invariance", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: at geometry: window margin")
+        assert not out.exists()
+
+    def test_probe_margin_reads_the_range_the_run_uses(self):
+        # a later entry for a type pair replaces an earlier one, as in
+        # build_params: range 0.25 needs a margin of 3.25 and the shifted
+        # box0 has 3.5, range 3.0 needs 6.0
+        def config(last_range):
+            return MINIMAL.replace("geometry:", "  potentials:\n"
+                                   "    - {types: [0, 0], range: 3.0, height: 1.0}\n"
+                                   "    - {types: [0, 0], range: %r, height: 1.0}\n"
+                                   "geometry:" % last_range)
+
+        cli.parse_config(config(0.25), "shift-invariance")
+        with pytest.raises(cli.ConfigError, match="window margin"):
+            cli.parse_config(config(3.0), "shift-invariance")
+
+    def test_one_site_oracle_runs_on_its_default_windows(self, tmp_path, capsys):
+        # on one site both default windows are empty, and empty nests in empty
+        cfg = tmp_path / "o.yaml"
+        cfg.write_text(MINIMAL + "experiment:\n  options: {n_sites: 1}\n")
+        assert cli.main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert "oracle: verdict=pass" in capsys.readouterr().out
 
     def test_failing_verdict_exit_one(self, tmp_path, capsys):
         # window equal to the whole box: confinement clips loops near the

@@ -29,6 +29,12 @@ WELL = ModelParams(1, 1, 1.0, (0.4,),
                    [[PairPotential(profile="square_well", range_=0.8,
                                    height=1.2)]])
 DENSE_WELL = ModelParams(1, 1, 1.0, (0.9,), WELL.potentials)
+# a well shorter than the site spacing 0.6: the energy depends on the paths,
+# so merges, splits and redraws change it, where on WELL they keep it
+SHORT = ModelParams(1, 1, 1.0, (0.4,),
+                    [[PairPotential(profile="square_well", range_=0.5,
+                                    height=1.2)]])
+PATH_FAMILIES = ("merge_split", "redraw")
 FAMILIES = mc.Chain.FAMILIES
 
 
@@ -52,6 +58,10 @@ class TestFluxBalance:
     def test_free_model(self, family, flux_p_value):
         p = flux_p_value(FREE, family, seed=FAMILIES.index(family) + 10)
         assert p > 0.01
+
+    @pytest.mark.parametrize("family", PATH_FAMILIES)
+    def test_path_dependent_energy(self, family, flux_p_value):
+        assert flux_p_value(SHORT, family, seed=12) > 0.01
 
 
 finite = st.floats(-30.0, 30.0, allow_nan=False)
@@ -123,6 +133,19 @@ class TestSharedRatios:
         monkeypatch.setattr(surrogate.DiscreteLoopGas, "_carried_energy",
                             lambda self, removed: 0.0)
         assert flux_p_value(DENSE_WELL, "insert_delete", seed=12) < 1e-3
+
+    @pytest.mark.parametrize("family", PATH_FAMILIES)
+    def test_balance_tests_see_a_flipped_energy_change(self, monkeypatch, flux_p_value,
+                                                       family):
+        # a wrong sign of dh must unbalance the families whose energy change
+        # SHORT makes nonzero; TestFluxBalance::test_path_dependent_energy
+        # is the same flux unpatched
+        energy_change = surrogate.DiscreteLoopGas._energy_change
+        monkeypatch.setattr(
+            surrogate.DiscreteLoopGas, "_energy_change",
+            lambda self, removed, added, e_old:
+            (-energy_change(self, removed, added, e_old)[0], None))
+        assert flux_p_value(SHORT, family, seed=12) < 1e-3
 
     @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=4))
     def test_pair_index_names_each_ordered_pair_once(self, counts):

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from loopgas import analytic, experiments
+from loopgas import analytic, experiments, oracle
 
 
 def free_cfg(z=0.4, half=4.0, box0=1.0, seed=3, **sampler):
@@ -58,6 +58,20 @@ class TestClosedFormExperiments:
         assert records.count("sector") == 3  # totals 0, 1, 2 for one type
         assert "grand" in records and "compatibility_deviation" in records
         assert res.summary["n_sites"] == 3
+
+    def test_oracle_builds_each_sector_once(self, monkeypatch):
+        # one Gibbs pass serves the sector table, the matrix and the
+        # compatibility check: one Hamiltonian per sector, none rebuilt
+        built = []
+        build = oracle.build_hamiltonian
+        monkeypatch.setattr(oracle, "build_hamiltonian",
+                            lambda *args: built.append(args[1]) or build(*args))
+        cfg = free_cfg()
+        cfg["model"].update(dimension=1, n_types=2, fugacity=[0.3, 0.5], potentials=[
+            {"types": [0, 1], "hard_core": 0.5, "range": 1.5, "height": 0.6}])
+        res = experiments.run_experiment("oracle", with_options(cfg, "oracle", n_sites=3))
+        sectors = [r["key"] for r in res.rows if r["record"] == "sector"]
+        assert len(sectors) == 9 and len(built) == len(set(built)) == len(sectors)
 
     def test_analytic(self):
         cfg = with_options(free_cfg(z=0.5, box0=0.5), "analytic",

@@ -38,6 +38,27 @@ def occupations(n_sites, total):
             yield (first,) + rest
 
 
+def loop_partial_trace(matrix, states, inner):
+    """The reduction one element at a time, grouped by outer part in order of
+    first appearance, so it adds in the order partial_trace does."""
+    def part(st, ps):
+        return tuple(tuple(occ[p] for p in ps) for occ in st)
+
+    outer = [p for p in range(len(states[0][0])) if p not in inner]
+    basis, groups = [], {}
+    for idx, st in enumerate(states):
+        if part(st, inner) not in basis:
+            basis.append(part(st, inner))
+        groups.setdefault(part(st, outer), []).append(idx)
+    reduced = np.zeros((len(basis), len(basis)))
+    for members in groups.values():
+        for a in members:
+            for b in members:
+                reduced[basis.index(part(states[a], inner)),
+                        basis.index(part(states[b], inner))] += matrix[a, b]
+    return reduced, basis
+
+
 def independent_wr_grand(n_sites, z, n_max, beta=1.0):
     """Grand sum over capped sectors via scipy expm, built from scratch.
 
@@ -100,52 +121,52 @@ class TestOneParticle:
 class TestPartitionFunctions:
     def test_single_particle_sector_trace(self):
         lm = oracle.line_lattice(2, 1.0, free_params((0.5,)), 1)
-        table = oracle.partition_functions(lm)
-        assert abs(table.sectors[(0,)] - 1.0) < 1e-14
-        assert abs(table.sectors[(1,)] - (1.0 + math.exp(-1.0))) < 1e-12
-        assert abs(table.grand - (1.0 + 0.5 * (1.0 + math.exp(-1.0)))) < 1e-12
+        state = oracle.gibbs_state(lm)
+        assert abs(state.sectors[(0,)] - 1.0) < 1e-14
+        assert abs(state.sectors[(1,)] - (1.0 + math.exp(-1.0))) < 1e-12
+        assert abs(state.grand - (1.0 + 0.5 * (1.0 + math.exp(-1.0)))) < 1e-12
 
     def test_grand_sum_against_independent_route(self):
         lm = oracle.line_lattice(4, 1.0, wr_params(), 2)
-        table = oracle.partition_functions(lm)
+        state = oracle.gibbs_state(lm)
         other = independent_wr_grand(4, (0.4, 0.6), 2)
-        assert abs(table.grand - other) < 1e-10
-        assert abs(table.grand - 7.133279963738377) < 1e-9
+        assert abs(state.grand - other) < 1e-10
+        assert abs(state.grand - 7.133279963738377) < 1e-9
 
     def test_grand_increasing_in_fugacity(self):
-        lo = oracle.partition_functions(
+        lo = oracle.gibbs_state(
             oracle.line_lattice(3, 1.0, wr_params((0.2, 0.2)), 2)).grand
-        hi = oracle.partition_functions(
+        hi = oracle.gibbs_state(
             oracle.line_lattice(3, 1.0, wr_params((0.6, 0.6)), 2)).grand
         assert lo < hi
 
     def test_vanishing_fugacity_gives_one(self):
         lm = oracle.line_lattice(3, 1.0, wr_params((1e-9, 1e-9)), 2)
-        assert abs(oracle.partition_functions(lm).grand - 1.0) < 1e-8
+        assert abs(oracle.gibbs_state(lm).grand - 1.0) < 1e-8
 
     def test_free_grand_factorises_over_types(self):
         z = (0.3, 0.7)
-        joint = oracle.partition_functions(
+        joint = oracle.gibbs_state(
             oracle.line_lattice(3, 1.0, free_params(z), 2)).grand
-        parts = [oracle.partition_functions(
+        parts = [oracle.gibbs_state(
             oracle.line_lattice(3, 1.0, free_params((zz,)), 2)).grand
             for zz in z]
         assert abs(joint - parts[0] * parts[1]) < 1e-12 * abs(joint)
 
     def test_repulsion_lowers_grand(self):
-        free = oracle.partition_functions(
+        free = oracle.gibbs_state(
             oracle.line_lattice(3, 1.0, free_params((0.5,)), 2)).grand
         well = PairPotential(profile="square_well", range_=1.5, height=1.0)
         rep = ModelParams(1, 1, 1.0, (0.5,), [[well]])
-        repelled = oracle.partition_functions(
+        repelled = oracle.gibbs_state(
             oracle.line_lattice(3, 1.0, rep, 2)).grand
         assert repelled < free
 
     def test_positive_spectrum_and_note(self):
         lm = oracle.line_lattice(4, 1.0, wr_params(), 2)
-        table = oracle.partition_functions(lm)
-        assert table.min_eigenvalue >= -1e-12
-        assert table.truncation_note > 0.0
+        state = oracle.gibbs_state(lm)
+        assert state.min_eigenvalue >= -1e-12
+        assert state.truncation_note > 0.0
 
     def test_hard_core_deletes_states(self):
         lm = oracle.line_lattice(2, 1.0, wr_params(), 2)
@@ -161,16 +182,16 @@ class TestPartitionFunctions:
 
 class TestDensityMatrix:
     def test_normalised_symmetric_psd(self):
-        lm = oracle.line_lattice(3, 1.0, wr_params(), 2)
-        R, states = oracle.density_matrix(lm)
+        state = oracle.gibbs_state(oracle.line_lattice(3, 1.0, wr_params(), 2))
+        R, states = state.matrix, state.states
         assert R.shape == (len(states), len(states))
         assert abs(float(np.trace(R)) - 1.0) < 1e-12
         assert np.max(np.abs(R - R.T)) < 1e-12
         assert float(np.min(np.linalg.eigvalsh(R))) > -1e-12
 
     def test_partial_trace_identity_cases(self):
-        lm = oracle.line_lattice(3, 1.0, wr_params(), 1)
-        R, states = oracle.density_matrix(lm)
+        state = oracle.gibbs_state(oracle.line_lattice(3, 1.0, wr_params(), 1))
+        R, states = state.matrix, state.states
         full, basis = oracle.partial_trace(R, states, [0, 1, 2])
         assert basis == states
         assert np.max(np.abs(full - R)) < 1e-14
@@ -178,48 +199,66 @@ class TestDensityMatrix:
         assert basis0 == [((), ())]
         assert abs(empty[0, 0] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("inner", [[0, 1], [2, 0], [3], [1, 3, 2]])
+    def test_partial_trace_matches_the_loop(self, inner):
+        state = oracle.gibbs_state(oracle.line_lattice(4, 1.0, finite_wells(), 2))
+        red, basis = oracle.partial_trace(state.matrix, state.states, inner)
+        ref, ref_basis = loop_partial_trace(state.matrix, state.states, inner)
+        assert basis == ref_basis and np.array_equal(red, ref)
+
     def test_reduced_matrix_keeps_trace(self):
-        lm = oracle.line_lattice(4, 1.0, wr_params(), 2)
-        R, states = oracle.density_matrix(lm)
-        red, _ = oracle.partial_trace(R, states, [0, 1])
+        state = oracle.gibbs_state(oracle.line_lattice(4, 1.0, wr_params(), 2))
+        red, _ = oracle.partial_trace(state.matrix, state.states, [0, 1])
         assert abs(float(np.trace(red)) - 1.0) < 1e-12
         assert float(np.min(np.linalg.eigvalsh(red))) > -1e-12
 
 
 class TestCompatibility:
     def test_nested_windows_agree(self):
-        lm = oracle.line_lattice(4, 1.0, wr_params(), 2)
-        dev = oracle.check_compatibility(lm, [0, 1, 2], [0, 1])
+        state = oracle.gibbs_state(oracle.line_lattice(4, 1.0, wr_params(), 2))
+        dev = oracle.check_compatibility(state, [0, 1, 2], [0, 1])
         assert dev < 1e-12
 
     def test_with_external_points(self):
-        lm = oracle.line_lattice(4, 1.0, wr_params(), 2)
         ext = [np.array([[5.0]]), np.zeros((0, 1))]
-        dev = oracle.check_compatibility(lm, [0, 1, 2], [1, 2], ext_points=ext)
+        lm = oracle.line_lattice(4, 1.0, wr_params(), 2, ext_points=ext)
+        dev = oracle.check_compatibility(oracle.gibbs_state(lm), [0, 1, 2], [1, 2])
         assert dev < 1e-12
 
     def test_external_point_in_a_finite_well(self):
         # a type-0 point at 3.0 is within range 1.5 of site 2 for both types
-        lm = oracle.line_lattice(3, 1.0, finite_wells(), 2)
         ext = [np.array([[3.0]]), np.zeros((0, 1))]
-        assert (oracle.partition_functions(lm, ext).grand
-                < oracle.partition_functions(lm).grand)
-        assert oracle.check_compatibility(lm, [0, 1], [1], ext_points=ext) < 1e-12
+        bounded = oracle.gibbs_state(oracle.line_lattice(3, 1.0, finite_wells(), 2,
+                                                         ext_points=ext))
+        assert (bounded.grand
+                < oracle.gibbs_state(oracle.line_lattice(3, 1.0, finite_wells(), 2)).grand)
+        assert oracle.check_compatibility(bounded, [0, 1], [1]) < 1e-12
 
     def test_external_point_in_a_core_deletes_states(self):
         # a type-1 point on site 0 leaves a type-0 particle only site 1
-        lm = oracle.line_lattice(2, 1.0, wr_params(), 2)
         ext = [np.zeros((0, 1)), np.array([[0.0]])]
+        lm = oracle.line_lattice(2, 1.0, wr_params(), 2)
         assert len(oracle.sector_basis(lm, (1, 0))[0]) == 2
-        states, energies = oracle.sector_basis(lm, (1, 0), ext_points=ext)
+        lm = oracle.line_lattice(2, 1.0, wr_params(), 2, ext_points=ext)
+        states, energies = oracle.sector_basis(lm, (1, 0))
         assert states == [((0, 1), (0, 0))] and energies == [0.0]
 
+    def test_every_ordered_nested_pair_agrees(self):
+        # both routes list the reduced states in the same order, whatever
+        # order the windows name their sites in
+        state = oracle.gibbs_state(oracle.line_lattice(3, 1.0, wr_params(), 2))
+        pairs = [(outer, inner)
+                 for k in range(4) for outer in itertools.permutations(range(3), k)
+                 for j in range(k + 1) for inner in itertools.permutations(outer, j)]
+        assert len(pairs) == 133
+        assert max(oracle.check_compatibility(state, *pair) for pair in pairs) < 1e-12
+
     def test_windows_must_nest(self):
-        lm = oracle.line_lattice(4, 1.0, wr_params(), 2)
+        state = oracle.gibbs_state(oracle.line_lattice(4, 1.0, wr_params(), 2))
         with pytest.raises(ValueError, match="nested"):
-            oracle.check_compatibility(lm, [0, 1], [2, 3])
+            oracle.check_compatibility(state, [0, 1], [2, 3])
 
     def test_interacting_model_with_finite_wells(self):
-        lm = oracle.line_lattice(3, 1.0, finite_wells(), 2)
-        dev = oracle.check_compatibility(lm, [0, 1], [1])
+        state = oracle.gibbs_state(oracle.line_lattice(3, 1.0, finite_wells(), 2))
+        dev = oracle.check_compatibility(state, [0, 1], [1])
         assert dev < 1e-12
