@@ -5,9 +5,11 @@ midpoint bisection, exact in law at every grid time, over a batch of paths
 (a single path is a batch of one).  One plan of the bisection (_plan) is
 walked two ways, picked by the batch's midpoint coordinates per level of
 the bisection: up to SCALAR_WALK_MAX on Python floats, one coordinate at a
-time in a flat list of the batch (_flat_plan), and above it one depth level
-at a time in numpy.  Both compute every coordinate with the same operations
-in the same order, so they give the same doubles.  A batch of n uses the
+time in a flat list of the batch (_flat_plan, _walk), and above it one
+depth level at a time in numpy.  Both compute every coordinate with the
+same operations in the same order, so they give the same doubles.  A
+single path or leg redraw is walked in the flat list of its own floats,
+with no batch around it (_one_path).  A batch of n uses the
 Generator's normals as n single draws in a row would, each path in the
 order of a depth-first walk that takes the right half first.
 The path measure used throughout is the non-normalised bridge measure whose
@@ -137,28 +139,43 @@ def _flat_plan(lo, hi, dt, n, d):
     return tuple(flat)
 
 
+def _scalar(n, span, d):
+    """Whether an (n, span + 1, d) batch takes the scalar walk: at most
+    SCALAR_WALK_MAX midpoint coordinates per level of the bisection."""
+    return n * (span - 1) * d <= SCALAR_WALK_MAX * (span - 1).bit_length()
+
+
+def _walk(v, lo, hi, dt, n, d, rng):
+    """The scalar walk: fill v, the flat list of samples[:, lo:hi + 1] of an
+    (n, grid, d) batch in memory order, from _flat_plan, one coordinate at a
+    time, with one standard_normal call in draw order."""
+    if hi - lo < 2:
+        return
+    z = rng.standard_normal(n * (hi - lo - 1) * d).tolist()
+    for i, a, b, wa, wb, sd, iz in _flat_plan(lo, hi, dt, n, d):
+        v[i] = wa * v[a] + wb * v[b] + z[iz] * sd
+
+
 def _bisect(samples, lo, hi, dt, rng):
     """Fill samples[:, lo+1:hi] of an (n, grid, d) batch whose columns lo, hi are set.
 
     A midpoint is Gaussian around the interpolation of its interval's ends
     with per-coordinate variance (t_m - t_a)(t_b - t_m)/(t_b - t_a); one
     standard_normal call draws the whole batch's noise.  Every coordinate is
-    (wa*a + wb*b) + z*sd.  A batch of at most SCALAR_WALK_MAX midpoint
-    coordinates (n * (hi - lo - 1) * d) per level of the bisection computes
-    them on Python floats from _flat_plan, one coordinate at a time, in a
-    flat list of samples[:, lo:hi + 1] taken in memory order, with the noise
-    in draw order, so nothing is transposed; it writes the list back once.
-    A larger batch walks _plan level by level on a grid-major view, one
-    numpy call per step.
+    (wa*a + wb*b) + z*sd.  A batch that takes the scalar walk (_scalar)
+    computes them on Python floats (_walk) in a flat list of
+    samples[:, lo:hi + 1] taken in memory order, with the noise in draw
+    order, so nothing is transposed; it writes the list back once.  A
+    larger batch walks _plan level by level on a grid-major view, one numpy
+    call per step.
     """
     if hi - lo < 2:
         return
     n, _, d = samples.shape
-    if n * (hi - lo - 1) * d <= SCALAR_WALK_MAX * (hi - lo - 1).bit_length():
+    if _scalar(n, hi - lo, d):
         block = samples[:, lo:hi + 1]
-        v, z = block.ravel().tolist(), rng.standard_normal(n * (hi - lo - 1) * d).tolist()
-        for i, a, b, wa, wb, sd, iz in _flat_plan(lo, hi, dt, n, d):
-            v[i] = wa * v[a] + wb * v[b] + z[iz] * sd
+        v = block.ravel().tolist()
+        _walk(v, lo, hi, dt, n, d, rng)
         block.flat = v
         return
     grid = samples.transpose(1, 0, 2)
@@ -171,14 +188,16 @@ def _bisect(samples, lo, hi, dt, rng):
 
 
 def sample_bridges(x, y, k, S, beta, rng):
-    """Draw bridges from x[i] to y[i], shape (n, d), of duration k*beta.
+    """Draw bridges from x[i] to y[i], both of shape (n, d), of duration k*beta.
 
     Returns samples of shape (n, k*S + 1, d) on the grid i*beta/S, exact in
     law: at time t, Gaussian around the interpolated mean with variance
     t*(k*beta - t)/(k*beta) per coordinate.  Row i equals the i-th of n
     successive sample_bridge calls on the same Generator, bit for bit.
     """
-    x = np.asarray(x, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError("endpoint dimensions differ")
     if k < 1 or S < 1:
         raise ValueError("k and S must be positive integers")
     samples = np.empty((x.shape[0], k * S + 1, x.shape[1]))
@@ -187,21 +206,48 @@ def sample_bridges(x, y, k, S, beta, rng):
     return samples
 
 
+def _one_path(v, lo, hi, dt, d, rng):
+    """Samples of one path from v, the flat list of its floats, with rows
+    lo+1..hi-1 drawn afresh as _bisect draws them for a batch of one; on the
+    scalar walk, in v itself, so the array is made once."""
+    if _scalar(1, hi - lo, d):
+        block = v[lo * d:(hi + 1) * d]
+        _walk(block, lo, hi, dt, 1, d, rng)
+        v[lo * d:(hi + 1) * d] = block
+        return np.array(v).reshape(-1, d)
+    samples = np.array(v).reshape(1, -1, d)
+    _bisect(samples, lo, hi, dt, rng)
+    return samples[0]
+
+
 def sample_bridge(x, y, k, S, beta, rng):
-    """Draw one bridge from x to y of duration k*beta: sample_bridges for a batch of one."""
-    samples = sample_bridges(np.asarray(x, dtype=float).reshape(1, -1),
-                             np.asarray(y, dtype=float).reshape(1, -1), k, S, beta, rng)[0]
+    """Draw one bridge from x to y of duration k*beta, as sample_bridges does
+    for a batch of one.
+
+    x and y are floats or vectors of d floats.  The path goes from their
+    floats to one flat list and on to one array (_one_path): on the scalar
+    walk it walks _flat_plan(0, k*S, beta/S, 1, d) in that list.
+    """
+    xs = np.asarray(x, dtype=float).ravel().tolist()
+    ys = np.asarray(y, dtype=float).ravel().tolist()
+    if len(xs) != len(ys):
+        raise ValueError("endpoint dimensions differ")
+    if k < 1 or S < 1:
+        raise ValueError("k and S must be positive integers")
+    d, span = len(xs), k * S
+    samples = _one_path(xs + [0.0] * ((span - 1) * d) + ys, 0, span, beta / S, d, rng)
     return BridgePath(samples=samples, k=k, slices_per_beta=S, beta=beta)
 
 
 def resample_leg(path, m, rng):
     """Fresh interior for leg m of a BridgePath, endpoints kept.
 
-    Returns a new BridgePath; the input is not modified.
+    Returns a new BridgePath; the input is not modified.  The leg is drawn
+    in the flat list of the path's floats (_one_path).
     """
-    S = path.slices_per_beta
-    samples = path.samples.copy()
-    _bisect(samples[None], m * S, (m + 1) * S, path.beta / S, rng)
+    S, d = path.slices_per_beta, path.samples.shape[1]
+    samples = _one_path(path.samples.ravel().tolist(), m * S, (m + 1) * S, path.beta / S,
+                        d, rng)
     return BridgePath(samples=samples, k=path.k, slices_per_beta=S, beta=path.beta)
 
 

@@ -19,30 +19,30 @@ import numpy as np
 from .bridge import BridgePath
 
 
+@lru_cache(maxsize=64)
+def _leg_rows(k, S):
+    """Grid rows of each leg's nodes, shape (k, S+1): row m is m*S .. (m+1)*S."""
+    return np.arange(S + 1) + S * np.arange(k)[:, None]
+
+
 class _Legged:
     """Shared by Loop and OpenPath: a typed path and its leg geometry.
 
-    The wrapped path is never mutated (moves build new objects), so each
-    object computes its leg geometry once, on first use; the free gas never
-    asks for it.
+    The wrapped path is never mutated (moves build new objects), so k and
+    samples are read off it once, and each object computes its leg geometry
+    once, on first use; the free gas never asks for it.
     """
 
     def __init__(self, type_index, path):
         self.type_index = int(type_index)
         self.path = path
-
-    @property
-    def k(self):
-        return self.path.k
-
-    @property
-    def samples(self):
-        return self.path.samples
+        self.k = path.k
+        self.samples = path.samples
 
     @property
     def step_points(self):
         """Positions at times m*beta, m = 0..k (the leg endpoints)."""
-        return self.path.samples[:: self.path.slices_per_beta]
+        return self.samples[:: self.path.slices_per_beta]
 
     @cached_property
     def legs(self):
@@ -50,16 +50,13 @@ class _Legged:
 
         mids, shape (k, S, d): row m holds the midpoints of the S grid
         segments covering [m*beta, (m+1)*beta].  nodes, shape (k, S+1, d):
-        the grid samples bounding each leg.  lo and hi, each of shape (k, d):
-        the corners of each leg's bounding box of nodes.
+        the grid samples bounding each leg, gathered in one index.  lo and
+        hi, each of shape (k, d): the corners of each leg's bounding box of
+        nodes.
         """
-        s = self.path.samples
-        k, S, d = self.k, self.path.slices_per_beta, s.shape[1]
-        head, ends = s[:-1].reshape(k, S, d), s[S::S]  # each leg's nodes but its end
-        mids = (0.5 * (s[:-1] + s[1:])).reshape(k, S, d)
-        nodes = np.concatenate([head, ends[:, None]], axis=1)
-        return (mids, nodes, np.minimum(head.min(axis=1), ends),
-                np.maximum(head.max(axis=1), ends))
+        nodes = self.samples[_leg_rows(self.k, self.path.slices_per_beta)]
+        mids = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
+        return mids, nodes, np.minimum.reduce(nodes, axis=1), np.maximum.reduce(nodes, axis=1)
 
 
 class Loop(_Legged):
@@ -72,7 +69,7 @@ class Loop(_Legged):
 
     @property
     def anchor(self):
-        return self.path.samples[0]
+        return self.samples[0]
 
 
 class OpenPath(_Legged):
@@ -133,8 +130,9 @@ def confined_to_box(objects, box):
     """
     center, half = box.center_array, box.half_side
     if len(objects) == 1:
-        return bool(np.abs(objects[0].samples - center).max() <= half)
-    return all(np.abs(obj.samples - center).max() <= half for obj in objects)
+        return bool(np.maximum.reduce(np.abs(objects[0].samples - center), axis=None) <= half)
+    return all(np.maximum.reduce(np.abs(obj.samples - center), axis=None) <= half
+               for obj in objects)
 
 
 # --- equal-time pair energy -------------------------------------------------
@@ -254,8 +252,10 @@ class LegTable:
         T = self.types[j]
         _, _, lo, hi = T.legs
         _, _, olo, ohi = obj.legs
-        near = ((lo - ohi[:, None] < reach) & (olo[:, None] - hi < reach)).all(axis=-1)
-        near[:, :first] = False
+        near = np.maximum.reduce(np.maximum(lo - ohi[:, None], olo[:, None] - hi),
+                                 axis=-1) < reach
+        if first:
+            near[:, :first] = False
         for o in self.left_out:
             if o.type_index == j:
                 a, b = T.rows(o)
@@ -289,7 +289,7 @@ def _pair_values(pot, a, ia, b, ib, conservative):
     order given, which fixes the summation order.
     """
     diff = a[0][ia] - b[0][ib]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
+    r = np.sqrt(np.add.reduce(diff * diff, axis=-1))
     if pot.range == pot.hard_core:  # a pure hard core: evaluate's values, no masks
         vals = np.where(r < pot.hard_core, np.inf, 0.0)
     else:
@@ -303,7 +303,7 @@ def _pair_values(pot, a, ia, b, ib, conservative):
 
 def _integrated(vals, dt):
     """Energy of potential values on the grid: their sum times dt, inf if not finite."""
-    total = float(np.sum(vals))
+    total = float(np.add.reduce(vals, axis=None))
     if math.isinf(total) or math.isnan(total):
         return math.inf
     return total * dt
@@ -340,7 +340,7 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=None, own=Fa
             _record(split, A, A, e)
         elif split is not None and e:  # per object, by row owner
             per = np.bincount(T.start.searchsorted(ib, side="right") - 1,
-                              weights=vals.sum(axis=1)) * dt
+                              weights=np.add.reduce(vals, axis=1)) * dt
             for o in np.flatnonzero(per).tolist():
                 _record(split, A, T.objects[o], float(per[o]))
         if math.isinf(total):
@@ -379,7 +379,7 @@ def interaction_energy(target, params, conditioning=None, external=None,
     if not target:
         return 0.0
     S = target[0].path.slices_per_beta
-    if any(o.path.slices_per_beta != S for o in target):
+    if len(target) > 1 and any(o.path.slices_per_beta != S for o in target):
         raise ValueError(_MIXED_SLICES)
     if conditioning and not isinstance(conditioning, LegTable):
         conditioning = LegTable(conditioning)

@@ -25,6 +25,11 @@ its full ratio, and a redraw's bound, e_old, is never < 0, so those three
 families keep their random streams.  This is the early rejection of
 Solonen et al., Bayesian Analysis 7, 715 (2012).
 
+A pick with one outcome (_index) draws nothing: the leg of a one-leg loop,
+the type of a one-type insertion, the cut of a two-leg loop, a loop among
+one.  Generator.integers(1) returns 0 without drawing, and integers(1, k)
+is 1 + integers(k - 1) draw for draw, so every stream is unchanged.
+
 The chain stores the energy each loop carries: its own legs' energy and its
 nonzero pair energy with each other loop (Chain._store).  A move takes the
 energy of the loops it removes from that store and evaluates only the loops
@@ -126,6 +131,11 @@ def pick_ordered_pair(r, counts):
     raise ValueError("pair index out of range")
 
 
+def _index(rng, n):
+    """A uniform pick from range(n), as int(rng.integers(n)); none is drawn for n = 1."""
+    return 0 if n == 1 else int(rng.integers(n))
+
+
 def move_cdf(move_weights):
     """Cumulative probabilities of picking insert/delete, merge/split, redraw."""
     w = np.asarray(move_weights, dtype=float)
@@ -162,7 +172,7 @@ class Chain:
         self.stats = {name: MoveStats() for name in self.FAMILIES}
         self._table = None  # leg tables of config.loops, built by the first energy call
         self._free = params.is_free()  # every potential is zero, external points' too
-        self._move_cdf = move_cdf(self.opts.move_weights)
+        self._move_cdf = move_cdf(self.opts.move_weights).tolist()
         self._log_choices = math.log(params.n_types * box.volume * self.opts.k_max)
         # log closed-bridge mass of a k-loop by k: log_bridge_mass(x, x, k, beta)
         # is the same double at every anchor x
@@ -337,12 +347,13 @@ class Chain:
     # -- proposal draws and leg masses ------------------------------------------
 
     def _draw_insertion(self):
-        """Type, multiplicity and anchor of an insertion: uniform on its choices."""
-        rng = self.rng
-        j = int(rng.integers(self.params.n_types))
-        k = int(rng.integers(1, self.opts.k_max + 1))
-        return j, k, (self.box.center_array
-                      + (rng.random(self.box.dimension) * 2.0 - 1.0) * self.box.half_side)
+        """Type, multiplicity and anchor of an insertion: uniform on its choices.
+        The anchor is a list of floats, center + (u * 2 - 1) * half_side."""
+        rng, box = self.rng, self.box
+        j = _index(rng, self.params.n_types)
+        k = 1 + _index(rng, self.opts.k_max)
+        return j, k, [c + (u * 2.0 - 1.0) * box.half_side
+                      for c, u in zip(box.center, rng.random(box.dimension).tolist())]
 
     def _loop_log_mass(self, x, k):
         """log closed-bridge mass of a k-loop anchored at x."""
@@ -366,9 +377,10 @@ class Chain:
                               self.params.beta, self.rng)
 
     def _log_leg_gauss(self, u, v):
-        """log mass of a one-leg bridge from u to v, up to a constant that cancels."""
+        """log mass of a one-leg bridge from u to v, lists of floats, up to a
+        constant that cancels."""
         # the same sum, term by term in coordinate order, as np.sum((u - v) ** 2)
-        d = sum((a - b) * (a - b) for a, b in zip(u.tolist(), v.tolist()))
+        d = sum((a - b) * (a - b) for a, b in zip(u, v))
         return -d / (2.0 * self.params.beta)
 
     # -- update families -----------------------------------------------------
@@ -394,7 +406,7 @@ class Chain:
             # deletion: the exact reverse, so -dh is the energy the loop carries
             if n == 0:
                 return False
-            loop = self.config.loops[int(rng.integers(n))]
+            loop = self.config.loops[_index(rng, n)]
             k, j = loop.k, loop.type_index
             log_mass = self._loop_log_mass(loop.anchor, k)
             if not self._try((loop,), lambda: (), lambda dh: -insert_log_ratio(
@@ -410,8 +422,8 @@ class Chain:
         n = len(self.config.loops)
         if n == 0:
             return False
-        old = self.config.loops[int(rng.integers(n))]
-        m = int(rng.integers(old.k))
+        old = self.config.loops[_index(rng, n)]
+        m = _index(rng, old.k)
         if not self._try((old,), lambda: (Loop(old.type_index, self._redraw_leg(old.path, m)),),
                          lambda dh: -dh):
             return False
@@ -457,7 +469,8 @@ class Chain:
             ])
             return (Loop(j, BridgePath(samples=samples, k=k, slices_per_beta=S, beta=beta)),)
 
-        log_g = leg_swap_log_ratio(self._log_leg_gauss, uA, uB, x1, x2)
+        log_g = leg_swap_log_ratio(self._log_leg_gauss,
+                                   *(p.tolist() for p in (uA, uB, x1, x2)))
         n_after = len(self.config.loops) - 1
         return self._try((A, B), propose, lambda dh: merge_log_ratio(
             k1, k2, log_g, dh, n_pairs, n_after))
@@ -469,11 +482,11 @@ class Chain:
         n = len(self.config.loops)
         if n == 0:
             return False
-        old = self.config.loops[int(rng.integers(n))]
+        old = self.config.loops[_index(rng, n)]
         k = old.k
         if k < 2 or n >= self.max_loops:
             return False
-        m = int(rng.integers(1, k))
+        m = 1 + _index(rng, k - 1)
         x1 = old.anchor
         u = old.samples[m * S]
         um, uk = old.samples[(m - 1) * S], old.samples[(k - 1) * S]
@@ -486,7 +499,8 @@ class Chain:
                                                          beta=beta))
                          for s, ks in ((s1, m), (s2, k - m)))
 
-        log_g = leg_swap_log_ratio(self._log_leg_gauss, um, uk, u, x1)
+        log_g = leg_swap_log_ratio(self._log_leg_gauss,
+                                   *(p.tolist() for p in (um, uk, u, x1)))
         # ordered same-type pairs after the split: one more loop of old's type
         counts = self.config.type_counts(self.params.n_types)
         counts[old.type_index] += 1

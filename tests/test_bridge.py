@@ -53,6 +53,15 @@ class TestSampleBridge:
         assert all(np.array_equal(p, paths[0]) for p in paths)
         assert all(s == states[0] for s in states)
 
+    def test_end_of_another_dimension_refused(self):
+        # a one-coordinate end is not broadcast to a two-coordinate start
+        with pytest.raises(ValueError, match="endpoint dimensions differ"):
+            bridge.sample_bridge(np.zeros(2), [0.5], 1, 4, 1.0, rng())
+
+    def test_one_end_row_for_three_starts_refused(self):
+        with pytest.raises(ValueError, match="endpoint dimensions differ"):
+            bridge.sample_bridges(np.zeros((3, 2)), np.ones((1, 2)), 1, 4, 1.0, rng())
+
     def test_mean_at_midpoint(self):
         x, y = np.array([0.0]), np.array([2.0])
         n = 20000
@@ -250,6 +259,20 @@ class TestBatchedSampler:
             stack_walk(want, times, m * S, (m + 1) * S, g_ref)
             assert np.array_equal(got.samples, want)
             assert g_new.bit_generator.state == g_ref.bit_generator.state
+
+    @pytest.mark.parametrize("k,S", [(1, 1), (2, 1), (1, 2), (3, 4), (2, 7)])
+    def test_single_path_from_list_endpoints(self, k, S):
+        # endpoints as lists of floats, as callers from outside pass them
+        beta, y = 0.7, 0.35
+        g_one, g_rows, g_ref = rng(k + S), rng(k + S), rng(k + S)
+        one = bridge.sample_bridge([0.0], [y], k, S, beta, g_one).samples
+        rows = bridge.sample_bridges(np.zeros((1, 1)), np.full((1, 1), y), k, S, beta, g_rows)
+        ref = stack_walk_bridge(np.zeros(1), np.full(1, y), k, S, beta, g_ref)
+        assert one.shape == (k * S + 1, 1)
+        assert np.array_equal(one, rows[0])
+        assert np.array_equal(one, ref)
+        assert g_one.bit_generator.state == g_rows.bit_generator.state
+        assert g_one.bit_generator.state == g_ref.bit_generator.state
 
     def test_batched_stay_probabilities_match_rows(self):
         S, tau = 8, 1.0 / 8

@@ -471,7 +471,9 @@ experiment:
         (0.01, "", "    dirichlet_half_side: 20\n"),
         # thresholds far below the thermal length of a single slice
         (1.0, "sampler:\n  slices_per_beta: 1\n", "    deviation_thresholds: [0.1, 0.2]\n"),
-    ], ids=["wide-dirichlet", "narrow-deviation"])
+        # a threshold no draw reaches: the tail is 3e-8 and every draw reads 0
+        (1.0, "", "    deviation_thresholds: [0.5, 1.0, 3.0]\n"),
+    ], ids=["wide-dirichlet", "narrow-deviation", "unreached-deviation"])
     def test_bridge_laws_exact_at_any_scale(self, tmp_path, capsys, beta, sampler, options):
         cfg = tmp_path / "b.yaml"
         cfg.write_text("model:\n  dimension: 1\n  n_types: 1\n  beta: %r\n"

@@ -84,6 +84,22 @@ class TestClosedFormExperiments:
         assert "moment_series[-1,z=0.5]" in by_name
         assert by_name["moment_series[2,z=0.1]"]["deviation"] < 1e-10
 
+    def test_deviation_row_whose_own_error_collapses(self):
+        # the sample's own error collapses; the row is judged on the null error
+        row, = experiments.skorohod_rows([3.0], 1, 0.0, 1.0, 8, 3000,
+                                         np.random.default_rng(0))
+        assert 0.0 < row["target"] < 1e-7
+        assert row["std_error"] < 1e-12 and abs(row["value"] - row["target"]) > 1e-8
+        assert row["pass"]
+
+    def test_deviation_rows_see_a_path_variance_bias(self, monkeypatch):
+        sample = experiments.bridge.sample_bridges
+        monkeypatch.setattr(experiments.bridge, "sample_bridges",
+                            lambda *args: 1.3 * sample(*args))
+        rows = experiments.skorohod_rows([0.5, 1.0], 1, 0.0, 1.0, 8, 3000,
+                                         np.random.default_rng(0))
+        assert not all(r["pass"] for r in rows)
+
 
 class TestSamplerExperiments:
     def test_dirichlet_trace_on_the_square(self):

@@ -181,6 +181,31 @@ class TestChainBasics:
         assert max(judged) <= 3.0
 
 
+class TestOneOutcomePicks:
+    """The numpy rule that lets a pick with one outcome draw nothing."""
+
+    def test_one_outcome_draws_nothing(self):
+        g = np.random.default_rng(3)
+        g.random()
+        state = g.bit_generator.state
+        assert g.integers(1) == 0
+        assert g.integers(1, 2) == 1
+        assert g.bit_generator.state == state
+
+    def test_offset_pick_is_a_shifted_pick(self):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        for k in range(2, 41):
+            assert ([int(a.integers(1, k)) for _ in range(20)]
+                    == [1 + int(b.integers(k - 1)) for _ in range(20)])
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_index_is_integers(self):
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        ns = [1, 2, 1, 7, 1, 1, 40, 3]
+        assert [mc._index(a, n) for n in ns] == [int(b.integers(n)) for n in ns]
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestEnergyCache:
     @pytest.mark.parametrize("setup", list(DRIFT_SETUPS))
     def test_cache_and_tables_follow_every_change(self, setup, tmp_path):
