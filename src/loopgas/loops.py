@@ -12,7 +12,8 @@ law (surrogate).
 
 import io
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -25,12 +26,28 @@ def _leg_rows(k, S):
     return np.arange(S + 1) + S * np.arange(k)[:, None]
 
 
+class _once:
+    """A cached_property without its lock (CPython 3.11 takes one on every
+    first access): the value is computed on first use and stored in the
+    instance dict, where later look-ups find it before this descriptor."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class _Legged:
-    """Shared by Loop and OpenPath: a typed path and its leg geometry.
+    """Shared by Loop and OpenPath: a typed path, its bounds and its leg geometry.
 
     The wrapped path is never mutated (moves build new objects), so k and
-    samples are read off it once, and each object computes its leg geometry
-    once, on first use; the free gas never asks for it.
+    samples are read off it once, and each object computes its bounds and
+    its leg geometry once, on first use; the free gas never asks for the
+    legs.
     """
 
     def __init__(self, type_index, path):
@@ -44,7 +61,17 @@ class _Legged:
         """Positions at times m*beta, m = 0..k (the leg endpoints)."""
         return self.samples[:: self.path.slices_per_beta]
 
-    @cached_property
+    @_once
+    def bounds(self):
+        """The box of all grid samples: per axis [lo, hi], as Python floats.
+
+        One sort per axis: its first and last entries are the extremes.
+        """
+        t = self.samples.T.copy()
+        t.sort()
+        return t[:, ::t.shape[1] - 1].tolist()
+
+    @_once
     def legs(self):
         """The leg geometry (mids, nodes, lo, hi), built in one step.
 
@@ -100,12 +127,6 @@ class LoopConfig:
         self.loops = list(loops) if loops else []
         self.external = external
 
-    def type_counts(self, n_types):
-        counts = [0] * n_types
-        for lp in self.loops:
-            counts[lp.type_index] += 1
-        return counts
-
 
 def avoids_box_at_step_times(objects, box):
     """True iff no object visits the box at its interior whole-beta times.
@@ -126,13 +147,16 @@ def confined_to_box(objects, box):
     """True iff every grid sample of every object lies in the box.
 
     This is the discrete-time stand-in for continuous confinement; excursions
-    between grid times are not detected.
+    between grid times are not detected.  It reads each object's bounds:
+    per axis, max(hi - c, c - lo) is the largest |s - c| over the samples s
+    bit for bit, since rounding is monotone and fl(c - s) = -fl(s - c).
     """
-    center, half = box.center_array, box.half_side
-    if len(objects) == 1:
-        return bool(np.maximum.reduce(np.abs(objects[0].samples - center), axis=None) <= half)
-    return all(np.maximum.reduce(np.abs(obj.samples - center), axis=None) <= half
-               for obj in objects)
+    half = box.half_side
+    for obj in objects:
+        for c, (lo, hi) in zip(box.center, obj.bounds):
+            if hi - c > half or c - lo > half:
+                return False
+    return True
 
 
 # --- equal-time pair energy -------------------------------------------------
@@ -145,76 +169,122 @@ def confined_to_box(objects, box):
 #
 # Every sum runs over explicit leg pairs, each row of one leg array against
 # the same row of the other.  Pairs of distinct objects are found one way
-# (_near_energy): the later targets, the conditioning and the external points
-# (one-leg paths that stay put) are stacked per type in a LegTable, and a leg
-# there is visited only when its bounding box comes within max(range,
-# hard_core) of the target leg's box on every axis.  That filter is exact:
-# midpoints and segments lie in the box of their nodes, V = 0 for r >= range,
-# and the box gap bounds every computed distance from below (rounding is
-# monotone).  The small widening of the reach keeps that true for the segment
-# gap, which rounds to either side.
+# (_near_energy), in two steps.  The later targets, the conditioning and the
+# external points (one-leg paths that stay put) are filed per type in a
+# LegTable, a uniform cell index of the objects' bounds; it gives the objects
+# whose bounds come within reach = max(range, hard_core) of the target's on
+# every axis, in family order.  Only their legs are stacked, and a leg there
+# is visited only when its own box comes within reach of the target leg's.
+# Both filters are exact: midpoints and segments lie in the box of their
+# nodes, V = 0 for r >= range, and the box gap bounds every computed distance
+# from below (rounding is monotone).  An object's bounds contain its legs'
+# boxes, so the first filter keeps every object the second would visit, and
+# the pairs, their order and so every sum are those of stacking all legs.
+# The small widening of the reach keeps that true for the segment gap, which
+# rounds to either side.
 
 _MIXED_SLICES = "mixed slice counts in one energy evaluation"
 _REACH_SLACK = 1e-9  # relative widening of the reach; far above rounding
 
 
-class _TypeLegs:
-    """The legs of the objects of one type, stacked in family order.
+def cell_side(params):
+    """Side of a LegTable's cells under params: twice the thermal length
+    sqrt(beta), so that a one-leg loop meets one or two cells per axis, or
+    the longest range if that is larger."""
+    return max(2.0 * math.sqrt(params.beta), params.max_range)
 
-    legs holds the stacked arrays of _Legged.legs; start[i] is the first row
-    of objects[i] and start[-1] the row count.
+
+def _meets(a, b, reach):
+    """Whether bounds a and b come within reach on every axis: the gap
+    max(lo_b - hi_a, lo_a - hi_b) of each axis is < reach."""
+    for (alo, ahi), (blo, bhi) in zip(a, b):
+        if blo - ahi >= reach or alo - bhi >= reach:
+            return False
+    return True
+
+
+def _cell_keys(bounds, inv, pad):
+    """The cells that bounds widened by pad meet: per axis floor(x * inv)
+    from the low end to the high end."""
+    return product(*[range(math.floor((lo - pad) * inv), math.floor((hi + pad) * inv) + 1)
+                     for lo, hi in bounds])
+
+
+class _Cells:
+    """The objects of one type, each filed under every cell its bounds meet.
+
+    cells maps a cell, a tuple of floor(x / side) per axis computed as
+    floor(x * inv), to {object: rank}, the rank giving family order; filed
+    maps each object to its cells.  The cell of a coordinate never falls as
+    the coordinate grows, so bounds that come within reach of a query's
+    always share a cell with the query's bounds widened by reach.
     """
 
-    __slots__ = ("objects", "start", "legs")
+    __slots__ = ("inv", "cells", "filed")
 
-    def __init__(self, objects):
-        self.objects = list(objects)
-        self.start = np.cumsum([0] + [o.k for o in self.objects])
-        self.legs = tuple(np.concatenate(parts)
-                          for parts in zip(*(o.legs for o in self.objects)))
+    def __init__(self, inv):
+        self.inv, self.cells, self.filed = inv, {}, {}
 
-    def rows(self, obj):
-        i = self.objects.index(obj)
-        return self.start[i], self.start[i + 1]
+    def add(self, obj, rank):
+        cells = self.cells
+        keys = self.filed[obj] = list(_cell_keys(obj.bounds, self.inv, 0.0))
+        for key in keys:
+            cell = cells.get(key)
+            if cell is None:
+                cells[key] = {obj: rank}
+            else:
+                cell[obj] = rank
 
-    def replace(self, old, new):
-        i = self.objects.index(old)
-        for arr, part in zip(self.legs, new.legs):
-            arr[self.start[i]:self.start[i + 1]] = part
-        self.objects[i] = new
+    def discard(self, obj):
+        """Remove obj from its cells and return its rank."""
+        cells = self.cells
+        for key in self.filed.pop(obj):
+            cell = cells[key]
+            rank = cell.pop(obj)
+            if not cell:
+                del cells[key]
+        return rank
 
-    def remove(self, obj):
-        i = self.objects.index(obj)
-        a, b = self.start[i], self.start[i + 1]
-        self.legs = tuple(np.concatenate([arr[:a], arr[b:]]) for arr in self.legs)
-        del self.objects[i]
-        self.start = np.concatenate([self.start[:i], self.start[i + 1:] - (b - a)])
-
-    def append(self, obj):
-        self.legs = tuple(np.concatenate([arr, part])
-                          for arr, part in zip(self.legs, obj.legs))
-        self.objects.append(obj)
-        self.start = np.append(self.start, self.start[-1] + obj.k)
+    def near(self, bounds, reach, left_out, after):
+        """The objects, ranked above after and not left out, whose bounds
+        meet bounds within reach (_meets), in family order."""
+        cells, found = self.cells, {}
+        for key in _cell_keys(bounds, self.inv, reach):
+            cell = cells.get(key)
+            if cell is not None:
+                found.update(cell)
+        if not found:
+            return ()
+        hits = [(rank, o) for o, rank in found.items()
+                if rank > after and o not in left_out and _meets(bounds, o.bounds, reach)]
+        hits.sort()
+        return [o for _, o in hits]
 
 
 class LegTable:
-    """The legs of a family of loops and paths, stacked per type.
+    """A family of loops and paths, indexed per type by their bounds.
 
-    Iterating gives the family's objects in order.  A chain keeps one for
-    its configuration and splices it as moves are accepted; excluding()
-    gives a view without some objects' legs, sharing the arrays, for the
-    energy of a move against the rest of the configuration.
+    Iterating gives the family's objects in order.  Per type, a uniform
+    cell index of cell side `side` (cell_side) files each object under the
+    cells its bounds meet, with its rank in the family, so a query for the
+    objects near a box visits a few cells, whatever the family's size.  A
+    chain keeps one for its configuration and splices it as moves are
+    accepted, which moves cell entries and keeps family order: an object
+    that takes another's place takes its rank, and appended ones rank
+    after all others.  excluding() gives a view without some objects,
+    sharing the index, for the energy of a move against the rest of the
+    configuration.  The objects of one table share one grid.
     """
 
-    def __init__(self, objects):
+    def __init__(self, objects, side):
         self.objects = list(objects)
         self.left_out = ()
-        if len({o.path.slices_per_beta for o in self.objects}) > 1:
-            raise ValueError(_MIXED_SLICES)
-        by_type = {}
-        for o in self.objects:
-            by_type.setdefault(o.type_index, []).append(o)
-        self.types = {j: _TypeLegs(objs) for j, objs in by_type.items()}
+        self.inv = 1.0 / side
+        self.slices_per_beta = None
+        self.types = {}
+        self._next = len(self.objects)  # the rank of the next object appended
+        for rank, o in enumerate(self.objects):
+            self._file(o, rank)
 
     def __len__(self):
         return len(self.objects) - len(self.left_out)
@@ -230,37 +300,28 @@ class LegTable:
         view.__dict__.update(self.__dict__, left_out=tuple(objects))
         return view
 
+    def _file(self, obj, rank):
+        S = obj.path.slices_per_beta
+        if S != self.slices_per_beta:
+            if self.slices_per_beta is not None:
+                raise ValueError(_MIXED_SLICES)
+            self.slices_per_beta = S
+        T = self.types.get(obj.type_index)
+        if T is None:
+            T = self.types[obj.type_index] = _Cells(self.inv)
+        T.add(obj, rank)
+
     def splice(self, removed, added):
         """Apply a move to the family, in the order splice() gives the list."""
         splice(self.objects, removed, added)
         if len(removed) == len(added) == 1:
-            self.types[removed[0].type_index].replace(removed[0], added[0])
+            self._file(added[0], self.types[removed[0].type_index].discard(removed[0]))
             return
         for o in removed:
-            self.types[o.type_index].remove(o)
+            self.types[o.type_index].discard(o)
         for o in added:
-            if o.type_index in self.types:
-                self.types[o.type_index].append(o)
-            else:
-                self.types[o.type_index] = _TypeLegs([o])
-
-    def pairs_near(self, obj, j, reach, first=0):
-        """(obj's leg, type-j row) pairs whose boxes come within reach.
-
-        Rows of left-out objects, and rows before first, are dropped.
-        """
-        T = self.types[j]
-        _, _, lo, hi = T.legs
-        _, _, olo, ohi = obj.legs
-        near = np.maximum.reduce(np.maximum(lo - ohi[:, None], olo[:, None] - hi),
-                                 axis=-1) < reach
-        if first:
-            near[:, :first] = False
-        for o in self.left_out:
-            if o.type_index == j:
-                a, b = T.rows(o)
-                near[:, a:b] = False
-        return np.nonzero(near)
+            self._file(o, self._next)
+            self._next += 1
 
 
 def _min_segment_gap_sq(segsA, segsB):
@@ -316,43 +377,60 @@ def _record(split, A, B, e):
         parts[B] = parts.get(B, 0.0) + e
 
 
-def _near_energy(total, A, table, P, dt, conservative, split, after=None, own=False):
+def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=False):
     """total plus the energy of A's legs against table's legs within reach.
 
-    Per type j of table: the pairs of pairs_near, less the first after[j]
-    type-j objects if after is given, valued by _pair_values.  Their energy
-    enters split under split[A][A] if own, else under split[A][B] by row
-    owner B.  Stops at the first infinite total.
+    Per type j of table: the objects near A (_Cells.near), less those of
+    rank <= after, have their legs stacked in family order; the leg pairs
+    whose boxes come within reach are valued by _pair_values.  A type with
+    no such object makes no numpy call and A's legs are built only if some
+    type has one.  The energy enters split under split[A][A] if own, else
+    under split[A][B] by row owner B.  Stops at the first infinite total.
     """
-    a = A.legs
+    bounds, row = A.bounds, P[A.type_index]
     for j, T in table.types.items():
-        pot = P[A.type_index][j]
+        pot = row[j]
         if pot.is_zero():
             continue
         reach = max(pot.range, pot.hard_core) * (1.0 + _REACH_SLACK)
-        ia, ib = table.pairs_near(A, j, reach, T.start[after[j]] if after else 0)
-        if ia.size == 0:
+        near = T.near(bounds, reach, table.left_out, after)
+        if not near:
             continue
-        vals = _pair_values(pot, a, ia, T.legs, ib, conservative)
+        a = A.legs
+        b = near[0].legs if len(near) == 1 else \
+            tuple(np.concatenate(parts) for parts in zip(*(o.legs for o in near)))
+        if A.k == 1 and all(o.k == 1 for o in near):
+            # a one-leg object's leg box is its bounds, which near() tested
+            # with the same floats: every row is a pair
+            ia, ib = np.zeros(len(near), dtype=np.intp), np.arange(len(near))
+        else:
+            _, _, olo, ohi = a
+            _, _, lo, hi = b
+            ia, ib = np.nonzero(np.maximum.reduce(np.maximum(lo - ohi[:, None], olo[:, None] - hi),
+                                                  axis=-1) < reach)
+            if ia.size == 0:
+                continue
+        vals = _pair_values(pot, a, ia, b, ib, conservative)
         e = _integrated(vals, dt)
         total += e
         if own:
             _record(split, A, A, e)
         elif split is not None and e:  # per object, by row owner
-            per = np.bincount(T.start.searchsorted(ib, side="right") - 1,
+            start = np.add.accumulate([0] + [o.k for o in near])
+            per = np.bincount(start.searchsorted(ib, side="right") - 1,
                               weights=np.add.reduce(vals, axis=1)) * dt
             for o in np.flatnonzero(per).tolist():
-                _record(split, A, T.objects[o], float(per[o]))
+                _record(split, A, near[o], float(per[o]))
         if math.isinf(total):
             break
     return total
 
 
 @lru_cache(maxsize=16)
-def _still_table(external, S, beta):
-    """The external points as one-leg paths that stay put on the S-grid, stacked."""
+def _still_table(external, S, beta, side):
+    """The external points as one-leg paths that stay put on the S-grid, indexed."""
     return LegTable([OpenPath(j, BridgePath(np.tile(x, (S + 1, 1)), 1, S, beta))
-                     for j, points in enumerate(external.points) for x in points])
+                     for j, points in enumerate(external.points) for x in points], side)
 
 
 def interaction_energy(target, params, conditioning=None, external=None,
@@ -367,7 +445,9 @@ def interaction_energy(target, params, conditioning=None, external=None,
     conservative=True, anywhere along the straight segments between nodes).
     conditioning is a LegTable or any iterable of loops and paths.  Each
     target meets the later targets, the conditioning and the external points
-    in that order, each stacked per type (_near_energy, _still_table).
+    in that order, each indexed per type in a LegTable (_near_energy,
+    _still_table), so only the objects whose bounds come within reach of
+    the target's have their legs stacked and valued.
 
     split, a dict if given, receives the same energy by object pair:
     split[A][B] for target A and B a later target or a conditioning object,
@@ -379,18 +459,19 @@ def interaction_energy(target, params, conditioning=None, external=None,
     if not target:
         return 0.0
     S = target[0].path.slices_per_beta
-    if len(target) > 1 and any(o.path.slices_per_beta != S for o in target):
-        raise ValueError(_MIXED_SLICES)
+    # the later targets; their table refuses mixed grids
+    later = LegTable(target, cell_side(params)) if len(target) > 1 else None
     if conditioning and not isinstance(conditioning, LegTable):
-        conditioning = LegTable(conditioning)
-    if conditioning and any(T.legs[0].shape[1] != S for T in conditioning.types.values()):
-        raise ValueError(_MIXED_SLICES)
+        conditioning = LegTable(conditioning, cell_side(params))
+    others = []
+    if conditioning:
+        if conditioning.slices_per_beta != S:
+            raise ValueError(_MIXED_SLICES)
+        others.append((conditioning, False))
     dt = params.beta / S
     P = params.potentials
-    later = LegTable(target) if len(target) > 1 else None
-    seen = dict.fromkeys(range(params.n_types), 0)  # targets so far, by type
     total = 0.0
-    for A in target:
+    for i, A in enumerate(target):
         pot = P[A.type_index][A.type_index]
         if not pot.is_zero() and A.k > 1:
             a = A.legs
@@ -400,14 +481,12 @@ def interaction_energy(target, params, conditioning=None, external=None,
             _record(split, A, A, e)
             if math.isinf(total):
                 return math.inf
-        seen[A.type_index] += 1
-        if later:
-            total = _near_energy(total, A, later, P, dt, conservative, split, seen)
+        if later:  # the targets after A: ranks above i
+            total = _near_energy(total, A, later, P, dt, conservative, split, i)
             if math.isinf(total):
                 return math.inf
-    others = [(conditioning, False)] if conditioning else []
     if external is not None and not external.is_empty():
-        others.append((_still_table(external, S, params.beta), True))
+        others.append((_still_table(external, S, params.beta, cell_side(params)), True))
     for table, own in others:
         for A in target:
             total = _near_energy(total, A, table, P, dt, conservative, split, own=own)

@@ -148,10 +148,11 @@ class Chain:
     All randomness flows through the chain's numpy Generator, so a seed fixes
     the trajectory bit for bit.  Every move goes through one Metropolis test
     with early rejection (_try), and every accepted move changes the loop
-    list, the leg tables, the carried energies (_store) and the energy cache
-    through _commit.  The leg tables and the carried energies are built on
-    demand and rebuilt when the loop list is changed from outside; a free
-    model never builds the carried energies.  The draws of paths, anchors
+    list, its cell index (a LegTable, through which an energy call finds the
+    loops near the ones a move adds), the carried energies (_store) and the
+    energy cache through _commit.  The index and the carried energies are
+    built on demand and rebuilt when the loop list is changed from outside;
+    a free model never builds the carried energies.  The draws of paths, anchors
     and leg masses, the energy removed loops carry, the energy change and
     the box test sit in small methods,
     which the enumerable twin (surrogate) overrides for a site grid.
@@ -170,7 +171,7 @@ class Chain:
         self.config = LoopConfig(box, self.opts.slices_per_beta, [], external)
         self.sweeps_done = 0
         self.stats = {name: MoveStats() for name in self.FAMILIES}
-        self._table = None  # leg tables of config.loops, built by the first energy call
+        self._table = None  # cell index of config.loops, built by the first energy call
         self._free = params.is_free()  # every potential is zero, external points' too
         self._move_cdf = move_cdf(self.opts.move_weights).tolist()
         self._log_choices = math.log(params.n_types * box.volume * self.opts.k_max)
@@ -215,22 +216,22 @@ class Chain:
                     raise RuntimeError("carried energy drift %.3e of loop %d after %d sweeps"
                                        % (d, i, self.sweeps_done))
                 drift = max(drift, d)
-        self._legs()
+        self._loop_table()
         self._carried = store
         return drift
 
     def _stale(self):
         return self._table is None or self._table.objects != self.config.loops
 
-    def _legs(self):
-        """Per-type leg tables of config.loops, in list order.
+    def _loop_table(self):
+        """The LegTable of config.loops: the list, and its cell index per type.
 
-        _commit keeps them in step; a list changed from outside (assigned,
+        _commit keeps it in step; a list changed from outside (assigned,
         appended to, or a new config) differs from the table's copy and is
-        stacked afresh, and the carried energies are dropped with it.
+        indexed afresh, and the carried energies are dropped with it.
         """
         if self._stale():
-            self._table = LegTable(self.config.loops)
+            self._table = LegTable(self.config.loops, lps.cell_side(self.params))
             self._carried = None
         return self._table
 
@@ -240,18 +241,19 @@ class Chain:
         store[A][A] is A's own energy (its legs among themselves and against
         the external points) and store[A][B] = store[B][A] its pair energy
         with loop B; zero energies have no entry.  Rebuilt in one energy
-        call after _legs() restacks the tables; _commit keeps it in step.
+        call after _loop_table() indexes the list afresh; _commit keeps it
+        in step.
         Raises ValueError when the loop list violates a hard core: the
         energy call stops at the first violation, so that state (of zero
         weight) gets no store.
         """
-        self._legs()
+        self._loop_table()
         if self._carried is None:
             self._carried = _stored(self.config.loops, *self._evaluate(self.config.loops))
         return self._carried
 
     def _commit(self, removed, added, dh, split):
-        """Apply an accepted move to the loop list, the leg tables, the carried
+        """Apply an accepted move to the loop list, its cell index, the carried
         energies and the energy cache.
 
         dh is the energy the move adds and split its split by loop pair, both
@@ -385,6 +387,16 @@ class Chain:
 
     # -- update families -----------------------------------------------------
 
+    def _type_counts(self):
+        """The loop count of each type; a one-type model takes the list's length."""
+        loops = self.config.loops
+        if self.params.n_types == 1:
+            return [len(loops)]
+        counts = [0] * self.params.n_types
+        for lp in loops:
+            counts[lp.type_index] += 1
+        return counts
+
     def step_insert_delete(self):
         st = self.stats["insert_delete"]
         st.proposed += 1
@@ -445,12 +457,13 @@ class Chain:
         rng = self.rng
         S = self.opts.slices_per_beta
         beta = self.params.beta
-        counts = self.config.type_counts(self.params.n_types)
+        counts = self._type_counts()
         n_pairs = ordered_pair_count(counts)
         if n_pairs == 0:
             return False
         j, a, b = pick_ordered_pair(int(rng.integers(n_pairs)), counts)
-        of_type = [lp for lp in self.config.loops if lp.type_index == j]
+        loops = self.config.loops
+        of_type = loops if len(counts) == 1 else [lp for lp in loops if lp.type_index == j]
         A, B = of_type[a], of_type[b]
         k1, k2 = A.k, B.k
         k = k1 + k2
@@ -502,7 +515,7 @@ class Chain:
         log_g = leg_swap_log_ratio(self._log_leg_gauss,
                                    *(p.tolist() for p in (um, uk, u, x1)))
         # ordered same-type pairs after the split: one more loop of old's type
-        counts = self.config.type_counts(self.params.n_types)
+        counts = self._type_counts()
         counts[old.type_index] += 1
         n_pairs = ordered_pair_count(counts)
         return self._try((old,), propose, lambda dh: -merge_log_ratio(
@@ -810,7 +823,7 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
         if not bg_ok:
             vals[snap] = 0.0
             continue
-        table = None if free else chain._legs()  # background, stacked in list order
+        table = None if free else chain._loop_table()  # background, indexed in list order
         acc = 0.0
         for combo in combos:
             weight, ok, paths = _sample_terms(

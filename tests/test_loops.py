@@ -68,6 +68,24 @@ class TestBoxIndicators:
         p = lps.OpenPath(0, BridgePath(samples, 3, 2, BETA))
         assert lps.avoids_box_at_step_times([p], box0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 2, 3]))
+    def test_confined_reads_the_bounds_exactly(self, seed, d):
+        # samples on the wall, c +- half rounded, and one ulp to either side
+        g = np.random.default_rng(seed)
+        c, half = g.uniform(-5.0, 5.0, d), float(g.uniform(0.1, 3.0))
+        box = Box(tuple(c), half)
+        k, S = int(g.integers(1, 4)), int(g.integers(1, 5))
+        samples = c + g.uniform(-half, half, (k * S + 1, d))
+        wall = c + np.where(g.random(d) < 0.5, -half, half)
+        nudge = g.choice([-np.inf, 0.0, np.inf], d)
+        samples[int(g.integers(k * S + 1))] = np.where(nudge == 0.0, wall,
+                                                       np.nextafter(wall, nudge))
+        samples[-1] = samples[0]
+        obj = lps.Loop(int(g.integers(2)), BridgePath(samples, k, S, BETA))
+        want = bool(np.max(np.abs(samples - box.center_array)) <= half)
+        assert lps.confined_to_box([obj], box) == want
+
     def test_confined(self):
         box0 = Box((0.0, 0.0), 0.5)
         assert lps.confined_to_box([still_loop((0.2, 0.2), 2, 4)], box0)
@@ -281,7 +299,8 @@ class TestRangeFilter:
         # a stacked table with one more object, left out by excluding()
         extra = random_object(g.uniform(-2.0, 2.0, 2))
         at = int(g.integers(len(conditioning) + 1))
-        stacked = lps.LegTable(conditioning[:at] + [extra] + conditioning[at:])
+        stacked = lps.LegTable(conditioning[:at] + [extra] + conditioning[at:],
+                               lps.cell_side(params))
         view = stacked.excluding([extra])
         assert list(view) == conditioning
         for cond in (conditioning, view):
@@ -305,6 +324,174 @@ class TestRangeFilter:
         h = lps.interaction_energy(loops, m, external=ext)
         assert abs(h - 5 * BETA) < 1e-12  # each loop's two legs on top of each other
         assert calls == [True] * 5
+
+
+def stacked_near_energy(total, A, family, left_out, P, dt, conservative, split,
+                        after=None, own=False):
+    """_near_energy as it stood before the cell index: per type, the legs of
+    the whole family stacked in family order and every row scanned.
+
+    Rows of left-out objects, and rows of the first after[j] type-j
+    objects if after is given, are masked out.
+    """
+    by_type = {}
+    for o in family:
+        by_type.setdefault(o.type_index, []).append(o)
+    a = A.legs
+    for j, objs in by_type.items():
+        pot = P[A.type_index][j]
+        if pot.is_zero():
+            continue
+        reach = max(pot.range, pot.hard_core) * (1.0 + lps._REACH_SLACK)
+        start = np.cumsum([0] + [o.k for o in objs])
+        legs = tuple(np.concatenate(parts) for parts in zip(*(o.legs for o in objs)))
+        _, _, lo, hi = legs
+        _, _, olo, ohi = a
+        near = np.maximum.reduce(np.maximum(lo - ohi[:, None], olo[:, None] - hi),
+                                 axis=-1) < reach
+        if after:
+            near[:, :start[after[j]]] = False
+        for i, o in enumerate(objs):
+            if any(o is x for x in left_out):
+                near[:, start[i]:start[i + 1]] = False
+        ia, ib = np.nonzero(near)
+        if ia.size == 0:
+            continue
+        vals = lps._pair_values(pot, a, ia, legs, ib, conservative)
+        e = lps._integrated(vals, dt)
+        total += e
+        if own:
+            lps._record(split, A, A, e)
+        elif split is not None and e:
+            per = np.bincount(start.searchsorted(ib, side="right") - 1,
+                              weights=np.add.reduce(vals, axis=1)) * dt
+            for o in np.flatnonzero(per).tolist():
+                lps._record(split, A, objs[o], float(per[o]))
+        if math.isinf(total):
+            break
+    return total
+
+
+def stacked_energy(target, params, family, left_out, external, conservative, split):
+    """interaction_energy as it stood before the cell index (stacked_near_energy),
+    with conditioning the family less the objects left out."""
+    S = target[0].path.slices_per_beta
+    dt, P = params.beta / S, params.potentials
+    seen = dict.fromkeys(range(params.n_types), 0)
+    total = 0.0
+    for A in target:
+        pot = P[A.type_index][A.type_index]
+        if not pot.is_zero() and A.k > 1:
+            ia, ib = np.triu_indices(A.k, 1)
+            e = lps._integrated(lps._pair_values(pot, A.legs, ia, A.legs, ib, conservative), dt)
+            total += e
+            lps._record(split, A, A, e)
+            if math.isinf(total):
+                return math.inf
+        seen[A.type_index] += 1
+        if len(target) > 1:
+            total = stacked_near_energy(total, A, target, (), P, dt, conservative, split, seen)
+            if math.isinf(total):
+                return math.inf
+    still = [lps.OpenPath(j, BridgePath(np.tile(x, (S + 1, 1)), 1, S, params.beta))
+             for j, points in enumerate(external.points) for x in points]
+    for objs, out, own in ((family, left_out, False), (still, (), True)):
+        for A in target:
+            total = stacked_near_energy(total, A, objs, out, P, dt, conservative, split,
+                                        own=own)
+            if math.isinf(total):
+                return math.inf
+    return total
+
+
+class TestCellIndex:
+    """The energy through the cell index against the stacked scan of every leg.
+
+    Coordinates lie on a lattice of spacing 0.25 around the origin, so they
+    fall on cell boundaries (the conditioning is indexed with side 1, the
+    later targets and the external points with cell_side, 2), go negative,
+    and put boxes at gaps of exactly a range.  The pairs must come in the same order with
+    the same legs, and the energy and its split must be equal, not close.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 2, 3]),
+           st.sampled_from(PROFILES), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_matches_the_stacked_scan(self, seed, d, profile, conservative, core):
+        g = np.random.default_rng(seed)
+        S = int(g.choice([1, 2, 4]))
+        ranges = {(0, 0): 0.5, (0, 1): 1.0, (1, 1): 0.75}
+        pots = {key: profile_potential(profile, core * r, r) for key, r in ranges.items()}
+        params = ModelParams(d, 2, BETA, (0.5, 0.5), [[pots[(0, 0)], pots[(0, 1)]],
+                                                      [pots[(0, 1)], pots[(1, 1)]]])
+        assert lps.cell_side(params) == 2.0
+
+        def on_lattice(samples):
+            return np.round(samples * 4.0) / 4.0
+
+        def random_object():
+            j, k = int(g.integers(2)), int(g.integers(1, 7))
+            x = on_lattice(g.uniform(-3.0, 3.0, d))
+            if g.random() < 0.6:
+                return lps.Loop(j, BridgePath(on_lattice(sample_bridge(x, x, k, S, BETA, g)
+                                                         .samples), k, S, BETA))
+            end = x + g.normal(0.0, 0.5, d)
+            return lps.OpenPath(j, BridgePath(on_lattice(sample_bridge(x, end, k, S, BETA, g)
+                                                         .samples), k, S, BETA))
+
+        conditioning = [random_object() for _ in range(int(g.integers(0, 9)))]
+        target = [random_object() for _ in range(int(g.integers(1, 4)))]
+        left_out = [random_object() for _ in range(int(g.integers(0, 3)))]
+        family = list(conditioning)
+        for o in left_out:
+            family.insert(int(g.integers(len(family) + 1)), o)
+        box = Box((0.0,) * d, 1.0)
+        points = [on_lattice(g.uniform(-3.0, 3.0, (int(g.integers(0, 4)), d)))
+                  for _ in range(2)]
+        points = [p[~box.contains(p)] for p in points]  # outside the box, as required
+        external = ExternalConfiguration(box, points, max_range=math.inf)
+
+        runs = []
+        for energy in (
+                lambda split: lps.interaction_energy(
+                    target, params, conditioning=lps.LegTable(family, 1.0).excluding(left_out),
+                    external=external, conservative=conservative, split=split),
+                lambda split: stacked_energy(target, params, family, left_out, external,
+                                             conservative, split)):
+            pairs, split = [], {}
+            pair_values = lps._pair_values
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lps, "_pair_values", lambda pot, a, ia, b, ib, c: pairs.append(
+                    (a[0][ia], b[0][ib])) or pair_values(pot, a, ia, b, ib, c))
+                runs.append((energy(split), pairs, split))
+        (h, pairs, split), (want_h, want_pairs, want_split) = runs
+        assert h == want_h
+        assert split == want_split
+        assert len(pairs) == len(want_pairs)
+        for (a, b), (wa, wb) in zip(pairs, want_pairs):
+            assert np.array_equal(a, wa) and np.array_equal(b, wb)
+
+    def test_a_family_out_of_reach_builds_no_legs(self, monkeypatch):
+        # one object beyond reach in the target's own cell, one far off
+        m = one_type(square_well(1.0, 1.0))
+        target = still_loop((0.0, 0.0), 1, 4)
+        family = [still_loop((1.25, 0.0), 1, 4), still_loop((0.0, -3.0), 2, 4)]
+        table = lps.LegTable(family, lps.cell_side(m))
+        monkeypatch.setattr(lps, "_pair_values", None)  # any call fails
+        assert lps.interaction_energy([target], m, conditioning=table) == 0.0
+        assert all("legs" not in vars(o) for o in [target] + family)
+
+    def test_splice_keeps_family_order(self):
+        # a leg redraw keeps the replaced object's place; other moves append
+        objs = [still_loop((0.5 * i, 0.0), 1, 4) for i in range(4)]
+        table = lps.LegTable(objs[:3], 1.0)
+        table.splice([objs[1]], [objs[3]])
+        new = still_loop((0.25, 0.0), 1, 4)
+        table.splice([objs[0]], [])
+        table.splice([], [new])
+        assert list(table) == [objs[3], objs[2], new]
+        bounds = still_loop((0.75, 0.0), 1, 4).bounds
+        assert table.types[0].near(bounds, 1.0, (), -1) == [objs[3], objs[2], new]
 
 
 # nodes >= 0 whose cubic spline undershoots zero between 0.3 and 0.6
@@ -363,7 +550,7 @@ class TestNonNegativeEnergy:
                                                                     1, S, BETA))]
             target = [lps.Loop(int(g.integers(2)), BridgePath(np.tile(y, (S + 1, 1)),
                                                               1, S, BETA))]
-        for cond in (conditioning, lps.LegTable(conditioning)):
+        for cond in (conditioning, lps.LegTable(conditioning, lps.cell_side(params))):
             h = lps.interaction_energy(target, params, conditioning=cond,
                                        external=external, conservative=conservative)
             assert h >= 0.0  # +inf included; a NaN fails

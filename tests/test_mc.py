@@ -69,17 +69,32 @@ def drift_chain(setup, seed):
 
 
 def assert_tables_follow(chain):
-    """The chain's leg tables equal a fresh stacking of its loop list."""
-    table, fresh = chain._legs(), lps.LegTable(chain.config.loops)
-    assert table.objects == fresh.objects
+    """The chain's cell index equals a fresh build from its loop list.
+
+    The family and its grid match, and per type every cell holds the same
+    loops, ranked in the same order, as a fresh index's; the loops of a
+    type, ranked, come in list order.  Ranks themselves may differ: the
+    chain's count on from its first build.
+    """
+    table = chain._loop_table()
+    fresh = lps.LegTable(chain.config.loops, lps.cell_side(chain.params))
+    assert table.objects == fresh.objects == chain.config.loops
+    assert table.inv == fresh.inv
+    assert not fresh.objects or table.slices_per_beta == fresh.slices_per_beta
+
+    def ranked(cell):
+        return sorted(cell, key=cell.__getitem__)
+
     for j in set(table.types) | set(fresh.types):
-        if j not in fresh.types:
-            assert table.types[j].start[-1] == 0
-            continue
-        got, want = table.types[j], fresh.types[j]
-        assert got.objects == want.objects
-        assert np.array_equal(got.start, want.start)
-        assert all(np.array_equal(a, b) for a, b in zip(got.legs, want.legs))
+        got = table.types[j].cells if j in table.types else {}
+        want = fresh.types[j].cells if j in fresh.types else {}
+        assert {key: ranked(c) for key, c in got.items()} \
+            == {key: ranked(c) for key, c in want.items()}
+        ranks = {}
+        for cell in got.values():
+            for lp, rank in cell.items():
+                assert ranks.setdefault(lp, rank) == rank  # one rank per loop
+        assert ranked(ranks) == [lp for lp in chain.config.loops if lp.type_index == j]
 
 
 def removal_energies(chain, removed, added):

@@ -11,18 +11,32 @@ beside the speed.  From that state, each repeat runs --sweeps more sweeps
 on a copy of the chain, with every family's step timed; per family the
 table gives the proposals, the acceptance and the microseconds per
 proposal of the fastest repeat.  Every repeat makes the same moves.
+
+The energy rows are pair-energy evaluations against loop count: the
+Widom-Rowlinson gas at box half sides 8 and 16, the same fugacities and
+so the same density, each after 200 sweeps from empty.  Every loop gets
+one leg redrawn four times (a fixed stream), and each new loop's energy
+against the rest is evaluated as a redraw proposal does, in one energy
+call.  Each row gives the microseconds per call of the fastest of
+--repeats passes, the mean number of candidates (objects whose bounds
+come within reach) per cell-index query, and the share of queries with
+none.
 """
 
 import argparse
 import copy
 import hashlib
+import math
 import pathlib
 import sys
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 from loopgas import loops as lps, mc  # noqa: E402
+from loopgas.bridge import resample_leg  # noqa: E402
 from loopgas.model import Box, ModelParams, PairPotential, zero_potential  # noqa: E402
 
 
@@ -60,6 +74,35 @@ def timed_sweeps(base, n_sweeps):
     return spent, chain
 
 
+def energy_costs(chain, repeats):
+    """(us per energy call, mean candidates per query, share of queries with none)."""
+    rng = np.random.default_rng(0)
+    moves = [(lp, resample_leg(lp.path, int(rng.integers(lp.k)), rng))
+             for lp in chain.config.loops for _ in range(4)]
+    table = chain._loop_table()
+    best = math.inf
+    for _ in range(repeats):
+        proposals = [(lp, lps.Loop(lp.type_index, path)) for lp, path in moves]  # no geometry yet
+        t0 = time.perf_counter()
+        for lp, new in proposals:
+            chain._evaluate((new,), table.excluding((lp,)))
+        best = min(best, time.perf_counter() - t0)
+    found, near = [], lps._Cells.near
+
+    def counted(cells, *args):
+        out = near(cells, *args)
+        found.append(len(out))
+        return out
+    lps._Cells.near = counted
+    try:
+        for lp, path in moves:
+            chain._evaluate((lps.Loop(lp.type_index, path),), table.excluding((lp,)))
+    finally:
+        lps._Cells.near = near
+    return (1e6 * best / max(len(moves), 1), sum(found) / max(len(found), 1),
+            found.count(0) / max(len(found), 1))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sweeps", type=int, default=60, help="timed sweeps per repeat")
@@ -85,6 +128,16 @@ def main(argv=None):
                 1e6 * best[family] / max(proposed, 1)))
     for name, fp in prints:
         print("fingerprint %-16s %s" % (name, fp))
+    print("%-16s %5s %6s %12s %11s %13s" % ("energy", "half", "loops", "us/call",
+                                           "candidates", "no candidate"))
+    params = chains()[-1][1]
+    for half in (8.0, 16.0):
+        chain = mc.Chain(params, Box((0.0, 0.0), half), seed=37,
+                         options=mc.SamplerOptions(slices_per_beta=4))
+        chain.run(200)
+        us, mean, none = energy_costs(chain, args.repeats)
+        print("%-16s %5g %6d %12.2f %11.3f %13.3f" % (
+            "widom-rowlinson", half, len(chain.config.loops), us, mean, none))
 
 
 if __name__ == "__main__":
