@@ -12,7 +12,7 @@ law (surrogate).
 
 import io
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -26,28 +26,13 @@ def _leg_rows(k, S):
     return np.arange(S + 1) + S * np.arange(k)[:, None]
 
 
-class _once:
-    """A cached_property without its lock (CPython 3.11 takes one on every
-    first access): the value is computed on first use and stored in the
-    instance dict, where later look-ups find it before this descriptor."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 class _Legged:
     """Shared by Loop and OpenPath: a typed path, its bounds and its leg geometry.
 
-    The wrapped path is never mutated (moves build new objects), so k and
-    samples are read off it once, and each object computes its bounds and
-    its leg geometry once, on first use; the free gas never asks for the
-    legs.
+    The wrapped path is never mutated (moves build new objects), so k,
+    samples and bounds are read off it once, at construction, and each
+    object computes its leg geometry once, on first use; the free gas never
+    asks for it.
     """
 
     def __init__(self, type_index, path):
@@ -55,23 +40,18 @@ class _Legged:
         self.path = path
         self.k = path.k
         self.samples = path.samples
+        # the box of all grid samples: per axis [lo, hi], as Python floats,
+        # from one sort per axis (its first and last entries are the extremes)
+        t = path.samples.T.copy()
+        t.sort()
+        self.bounds = t[:, ::t.shape[1] - 1].tolist()
 
     @property
     def step_points(self):
         """Positions at times m*beta, m = 0..k (the leg endpoints)."""
         return self.samples[:: self.path.slices_per_beta]
 
-    @_once
-    def bounds(self):
-        """The box of all grid samples: per axis [lo, hi], as Python floats.
-
-        One sort per axis: its first and last entries are the extremes.
-        """
-        t = self.samples.T.copy()
-        t.sort()
-        return t[:, ::t.shape[1] - 1].tolist()
-
-    @_once
+    @cached_property
     def legs(self):
         """The leg geometry (mids, nodes, lo, hi), built in one step.
 
@@ -399,17 +379,12 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=Fals
         a = A.legs
         b = near[0].legs if len(near) == 1 else \
             tuple(np.concatenate(parts) for parts in zip(*(o.legs for o in near)))
-        if A.k == 1 and all(o.k == 1 for o in near):
-            # a one-leg object's leg box is its bounds, which near() tested
-            # with the same floats: every row is a pair
-            ia, ib = np.zeros(len(near), dtype=np.intp), np.arange(len(near))
-        else:
-            _, _, olo, ohi = a
-            _, _, lo, hi = b
-            ia, ib = np.nonzero(np.maximum.reduce(np.maximum(lo - ohi[:, None], olo[:, None] - hi),
-                                                  axis=-1) < reach)
-            if ia.size == 0:
-                continue
+        _, _, olo, ohi = a
+        _, _, lo, hi = b
+        ia, ib = np.nonzero(np.maximum.reduce(np.maximum(lo - ohi[:, None], olo[:, None] - hi),
+                                              axis=-1) < reach)
+        if ia.size == 0:
+            continue
         vals = _pair_values(pot, a, ia, b, ib, conservative)
         e = _integrated(vals, dt)
         total += e

@@ -82,7 +82,7 @@ def energy_costs(chain, repeats):
     table = chain._loop_table()
     best = math.inf
     for _ in range(repeats):
-        proposals = [(lp, lps.Loop(lp.type_index, path)) for lp, path in moves]  # no geometry yet
+        proposals = [(lp, lps.Loop(lp.type_index, path)) for lp, path in moves]  # no legs yet
         t0 = time.perf_counter()
         for lp, new in proposals:
             chain._evaluate((new,), table.excluding((lp,)))
