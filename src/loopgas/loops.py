@@ -365,7 +365,8 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=Fals
     whose boxes come within reach are valued by _pair_values.  A type with
     no such object makes no numpy call and A's legs are built only if some
     type has one.  The energy enters split under split[A][A] if own, else
-    under split[A][B] by row owner B.  Stops at the first infinite total.
+    under split[A][B] by row owner B.  Stops at the first infinite total,
+    before that type's energy enters split.
     """
     bounds, row = A.bounds, P[A.type_index]
     for j, T in table.types.items():
@@ -388,6 +389,8 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=Fals
         vals = _pair_values(pot, a, ia, b, ib, conservative)
         e = _integrated(vals, dt)
         total += e
+        if math.isinf(total):
+            break
         if own:
             _record(split, A, A, e)
         elif split is not None and e:  # per object, by row owner
@@ -396,8 +399,6 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=Fals
                               weights=np.add.reduce(vals, axis=1)) * dt
             for o in np.flatnonzero(per).tolist():
                 _record(split, A, near[o], float(per[o]))
-        if math.isinf(total):
-            break
     return total
 
 
@@ -518,41 +519,45 @@ def loads_config(text, max_range=0.0):
         raise ValueError("unrecognised configuration format header")
     pos = 1
 
-    def next_line():
+    def next_line(what):
         nonlocal pos
-        line = lines[pos]
+        if pos == len(lines):
+            raise ValueError("configuration ends at line %d, before its %s" % (pos, what))
         pos += 1
-        return line
+        return lines[pos - 1]
 
-    tok = next_line().split()
-    if tok[0] != "box":
-        raise ValueError("expected box record")
-    d = int(tok[1])
-    center = [float.fromhex(t) for t in tok[2:2 + d]]
-    half = float.fromhex(tok[2 + d])
+    def record(name):
+        """The fields after the name of the next line, which must be a name record."""
+        tok = next_line("%s record" % name).split()
+        if tok[:1] != [name]:
+            raise ValueError("line %d: expected a %s record" % (pos, name))
+        return tok[1:]
+
+    tok = record("box")
+    d = int(tok[0])
+    center = [float.fromhex(t) for t in tok[1:1 + d]]
+    half = float.fromhex(tok[1 + d])
     box = Box(tuple(center), half)
-    tok = next_line().split()
-    S = int(tok[1])
-    tok = next_line().split()
-    n_ext_types = int(tok[1])
+    S = int(record("slices")[0])
+    n_ext_types = int(record("external")[0])
     external = None
     if n_ext_types:
         groups = []
         for _ in range(n_ext_types):
-            cnt = int(next_line().split()[1])
-            pts = np.array([_parse_vector(next_line()) for _ in range(cnt)],
+            cnt = int(record("points")[0])
+            pts = np.array([_parse_vector(next_line("points")) for _ in range(cnt)],
                            dtype=float).reshape(cnt, d)
             groups.append(pts)
         # validate the annulus only when the caller supplies a real range
         check_range = max_range if max_range > 0 else math.inf
         external = ExternalConfiguration(box, groups, max_range=check_range)
-    n_loops = int(next_line().split()[1])
+    n_loops = int(record("loops")[0])
     loops = []
     for _ in range(n_loops):
-        tok = next_line().split()
-        tj, k, beta = int(tok[1]), int(tok[2]), float.fromhex(tok[3])
+        tok = record("loop")
+        tj, k, beta = int(tok[0]), int(tok[1]), float.fromhex(tok[2])
         n_rows = k * S + 1
-        samples = np.array([_parse_vector(next_line()) for _ in range(n_rows)])
+        samples = np.array([_parse_vector(next_line("loop samples")) for _ in range(n_rows)])
         loops.append(Loop(tj, BridgePath(samples=samples, k=k,
                                          slices_per_beta=S, beta=beta)))
     return LoopConfig(box, S, loops, external)

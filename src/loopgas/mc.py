@@ -152,10 +152,10 @@ class Chain:
     loops near the ones a move adds), the carried energies (_store) and the
     energy cache through _commit.  The index and the carried energies are
     built on demand and rebuilt when the loop list is changed from outside;
-    a free model never builds the carried energies.  The draws of paths, anchors
-    and leg masses, the energy removed loops carry, the energy change and
-    the box test sit in small methods,
-    which the enumerable twin (surrogate) overrides for a site grid.
+    a free model never builds the carried energies.  The draws of paths and
+    anchors and the loop and leg masses sit in small methods, which the
+    enumerable twin (surrogate) overrides for a site grid; it runs the rest,
+    the box test and the energy bookkeeping included, as the chain does.
     """
 
     FAMILIES = ("insert_delete", "merge_split", "redraw")  # the order of move_cdf
@@ -259,14 +259,12 @@ class Chain:
         dh is the energy the move adds and split its split by loop pair, both
         as _energy_change returns them; lps.splice gives the list order.  The
         loops removed leave the store and the added ones enter it with split;
-        a split of None (the twin's) drops the store.
+        a free model keeps no store.
         """
         lps.splice(self.config.loops, removed, added)
         if self._table is not None:
             self._table.splice(removed, added)
-        if split is None:
-            self._carried = None
-        elif self._carried is not None:
+        if self._carried is not None:
             store = self._carried
             for A in removed:
                 for B in store.pop(A):

@@ -10,13 +10,15 @@ most max_loops loops can be enumerated.
 
 The twin is an mc.Chain whose loops are Loop objects on the site positions.
 It overrides only what differs on the grid: the insertion draw (site, then
-multiplicity), the path and leg draws, the loop and leg masses fed to the
-ratios, the energy the removed loops carry and the energy change, both
-differences of cached whole-configuration energies from the production code
-on the embedded paths.  Every move, its family pick, its caps and cut
-points, its ratio, its early rejection and its acceptance test are the
+multiplicity), the path and leg draws, and the loop and leg masses fed to
+the ratios.  Every move, its family pick, its caps and cut points, its box
+test, the energy its removed loops carry and its energy change (the chain's
+store of carried energies, its cell index and per-partner split), its
+ratio, its early rejection, its acceptance test and its commit are the
 chain's own code, so flux and occupancy tests against the enumerated
-invariant law check what the continuum chain runs.
+invariant law check what the continuum chain runs.  The enumerated law
+itself takes each whole configuration's energy from interaction_energy, an
+independent reference for that bookkeeping.
 """
 
 import itertools
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import mc
 from .bridge import BridgePath
-from .loops import Loop, interaction_energy, splice
+from .loops import Loop, interaction_energy
 from .model import Box
 
 DiscreteLoop = namedtuple("DiscreteLoop", ["k", "sites"])
@@ -68,7 +70,6 @@ class DiscreteLoopGas(mc.Chain):
         self.Mpow = [np.eye(self.n_sites)]
         for _ in range(self.k_max * self.S):
             self.Mpow.append(self.Mpow[-1] @ self.M)
-        self._energy_cache = {}
 
     # -- loops as site words ------------------------------------------------------
 
@@ -105,15 +106,6 @@ class DiscreteLoopGas(mc.Chain):
         for t in range(n):
             out += math.log(self.M[dl.sites[t], dl.sites[(t + 1) % n]])
         return out
-
-    def config_energy(self, loops):
-        """Energy of a list of loops, cached by the multiset of their paths."""
-        key = canonical(lp.samples.tobytes() for lp in loops)
-        cached = self._energy_cache.get(key)
-        if cached is None:
-            cached = self._energy_cache[key] = interaction_energy(list(loops),
-                                                                  self.params)
-        return cached
 
     # -- the chain's draws on the grid ----------------------------------------------
 
@@ -160,20 +152,6 @@ class DiscreteLoopGas(mc.Chain):
     def _log_leg_gauss(self, u, v):
         return math.log(self.Mpow[self.S][self._site[u[0]], self._site[v[0]]])
 
-    def _confined(self, objects):
-        return True  # the box holds every site
-
-    def _carried_energy(self, removed):
-        rest = list(self.config.loops)
-        splice(rest, removed, ())
-        return self.config_energy(self.config.loops) - self.config_energy(rest)
-
-    def _energy_change(self, removed, added, e_old):
-        # the whole configurations' difference: e_old enters the bound only
-        new = list(self.config.loops)
-        splice(new, removed, added)
-        return self.config_energy(new) - self.config_energy(self.config.loops), None
-
     # -- exact enumeration --------------------------------------------------------
 
     def all_loops(self):
@@ -200,7 +178,7 @@ class DiscreteLoopGas(mc.Chain):
                 n_states += 1
                 if n_states > MAX_STATES:
                     raise ValueError("state space too large to enumerate")
-                h = self.config_energy([self._loop(dl) for dl in combo])
+                h = interaction_energy([self._loop(dl) for dl in combo], self.params)
                 if math.isinf(h):
                     continue
                 lw = -h

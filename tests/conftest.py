@@ -37,7 +37,10 @@ def _flux_p_value(params, family, seed, n_trials=3000):
     stationary draw and applies one move of the family; stationarity plus
     reversibility force matched counts across each unordered state pair,
     judged by a chi-square over the pairs with at least 8 transitions.  NaN
-    when no pair has that many.
+    when no pair has that many.  The draw is assigned to the loop list, so
+    the chain builds its cell index and carried energies afresh and the
+    move runs on them: a trial sees one move's energy bookkeeping, not what
+    a commit leaves for later moves.
     """
     gas = surrogate.DiscreteLoopGas(params, seed=seed)
     law = gas.enumerate_states()

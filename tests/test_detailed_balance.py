@@ -1,12 +1,14 @@
 """Reversibility checks for the update families on the enumerable twin.
 
-The discrete gas is an mc.Chain that overrides only its draws, its leg and
-loop masses, the energy removed loops carry, its energy change and its box
-test, so its moves run the chain's own step_insert_delete, _try_merge,
-_try_split and step_redraw, with the chain's pair selection and ratio
-functions, and every move is accepted by the chain's one Metropolis test
-and its early rejection, Chain._try.  A flux imbalance here would flag an
-error in the production move code or in the proposal densities fed to it.
+The discrete gas is an mc.Chain that overrides only its draws and its leg
+and loop masses, so its moves run the chain's own step_insert_delete,
+_try_merge, _try_split and step_redraw, with the chain's pair selection and
+ratio functions, box test and energy bookkeeping (the carried energies of
+Chain._store, the cell index and the per-partner split), and every move is
+accepted by the chain's one Metropolis test and its early rejection,
+Chain._try.  A flux imbalance here would flag an error in the production
+move code or in the proposal densities fed to it.  The law it is judged
+against takes each whole configuration's energy from interaction_energy.
 Each trial of the flux_p_value fixture (conftest) starts from an exact
 stationary draw, applies one move of a single family, and records the
 transition; stationarity plus reversibility force matched counts across
@@ -19,7 +21,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from loopgas import loops as lps
 from loopgas import mc, surrogate
 from loopgas.model import ModelParams, PairPotential, zero_potential
 
@@ -46,9 +47,11 @@ def merge_split_p(flux_p_value):
 
 @pytest.mark.parametrize("name", [
     "step", "step_insert_delete", "step_merge_split", "step_redraw",
-    "_try", "_try_merge", "_try_split", "_commit"])
+    "_try", "_try_merge", "_try_split", "_commit", "_carried_energy",
+    "_energy_change", "_confined", "_store", "_evaluate", "audit"])
 def test_twin_runs_the_chain_moves(name):
-    # the twin overrides draws and masses only, never a move or its test
+    # the twin overrides draws and masses only, never a move, its test or
+    # its energy bookkeeping
     assert getattr(surrogate.DiscreteLoopGas, name) is getattr(mc.Chain, name)
 
 
@@ -114,24 +117,29 @@ class TestSharedRatios:
         # accepting an insertion on the draw-first bound alone, as if the new
         # loop added no energy, must unbalance insert/delete
         assert flux_p_value(WELL, "insert_delete", seed=12) > 0.01
-        energy_change = surrogate.DiscreteLoopGas._energy_change
+        energy_change = mc.Chain._energy_change
         monkeypatch.setattr(
-            surrogate.DiscreteLoopGas, "_energy_change",
+            mc.Chain, "_energy_change",
             lambda self, removed, added, e_old:
-            energy_change(self, removed, added, e_old) if removed else (0.0, None))
+            energy_change(self, removed, added, e_old) if removed else (0.0, {}))
         assert flux_p_value(WELL, "insert_delete", seed=12) < 1e-3
 
     def test_balance_tests_see_a_bound_that_ignores_the_carried_energy(self, monkeypatch,
                                                                         flux_p_value):
         # an early-rejection bound taken as if the removed loops carried no
-        # energy rejects deletions that the full test accepts.  The twin's
-        # energy change does not read e_old, so only the bound is wrong.  On
-        # WELL every midpoint pair lies within the well, so merges and splits
-        # keep the energy and no bound error can unbalance them; the denser
-        # gas makes the deletions from two loops that the bound caps common
+        # energy rejects deletions that the full test accepts.  The energy
+        # change is recomputed with the true carried energy, so only the
+        # bound is wrong.  On WELL every midpoint pair lies within the well,
+        # so merges and splits keep the energy and no bound error can
+        # unbalance them; the denser gas makes the deletions from two loops
+        # that the bound caps common
         assert flux_p_value(DENSE_WELL, "insert_delete", seed=12) > 0.01
-        monkeypatch.setattr(surrogate.DiscreteLoopGas, "_carried_energy",
-                            lambda self, removed: 0.0)
+        carried_energy, energy_change = mc.Chain._carried_energy, mc.Chain._energy_change
+        monkeypatch.setattr(mc.Chain, "_carried_energy", lambda self, removed: 0.0)
+        monkeypatch.setattr(
+            mc.Chain, "_energy_change",
+            lambda self, removed, added, e_old:
+            energy_change(self, removed, added, carried_energy(self, removed)))
         assert flux_p_value(DENSE_WELL, "insert_delete", seed=12) < 1e-3
 
     @pytest.mark.parametrize("family", PATH_FAMILIES)
@@ -140,11 +148,13 @@ class TestSharedRatios:
         # a wrong sign of dh must unbalance the families whose energy change
         # SHORT makes nonzero; TestFluxBalance::test_path_dependent_energy
         # is the same flux unpatched
-        energy_change = surrogate.DiscreteLoopGas._energy_change
-        monkeypatch.setattr(
-            surrogate.DiscreteLoopGas, "_energy_change",
-            lambda self, removed, added, e_old:
-            (-energy_change(self, removed, added, e_old)[0], None))
+        energy_change = mc.Chain._energy_change
+
+        def flipped(self, removed, added, e_old):
+            dh, split = energy_change(self, removed, added, e_old)
+            return -dh, split
+
+        monkeypatch.setattr(mc.Chain, "_energy_change", flipped)
         assert flux_p_value(SHORT, family, seed=12) < 1e-3
 
     @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=4))
@@ -191,15 +201,6 @@ class TestLawStructure:
                            [zero_potential(), zero_potential()]])
         with pytest.raises(ValueError, match="single-type"):
             surrogate.DiscreteLoopGas(two)
-
-    def test_twin_skips_the_box_test(self, monkeypatch):
-        # the twin's box holds every site, so no move may pay for the test
-        def never(objects, box):
-            raise AssertionError("the twin tested its box")
-
-        monkeypatch.setattr(lps, "confined_to_box", never)
-        gas = surrogate.DiscreteLoopGas(WELL, seed=5)
-        assert sum(bool(gas.step()) for _ in range(2000)) > 0
 
 
 class TestErgodicOccupancy:

@@ -360,6 +360,8 @@ def stacked_near_energy(total, A, family, left_out, P, dt, conservative, split,
         vals = lps._pair_values(pot, a, ia, legs, ib, conservative)
         e = lps._integrated(vals, dt)
         total += e
+        if math.isinf(total):
+            break
         if own:
             lps._record(split, A, A, e)
         elif split is not None and e:
@@ -367,8 +369,6 @@ def stacked_near_energy(total, A, family, left_out, P, dt, conservative, split,
                               weights=np.add.reduce(vals, axis=1)) * dt
             for o in np.flatnonzero(per).tolist():
                 lps._record(split, A, objs[o], float(per[o]))
-        if math.isinf(total):
-            break
     return total
 
 
@@ -582,3 +582,35 @@ class TestSerialization:
     def test_reject_garbage(self):
         with pytest.raises(ValueError):
             lps.loads_config("not a config")
+
+    @staticmethod
+    def config_lines():
+        """A dumped config with every record: box, slices, external, points,
+        loops and loop."""
+        g = np.random.default_rng(12)
+        x = np.array([0.3, -0.2])
+        ext = ExternalConfiguration(BOX, [np.array([[8.5, 0.0]])], max_range=1.0)
+        cfg = lps.LoopConfig(BOX, 2, [lps.Loop(0, sample_bridge(x, x, 1, 2, BETA, g))], ext)
+        return lps.dumps_config(cfg).splitlines()
+
+    def test_reject_a_cut_config(self):
+        # cut after each line: a ValueError naming the line the text ends at
+        lines = self.config_lines()
+        for n in range(1, len(lines)):
+            with pytest.raises(ValueError, match="ends at line %d, before" % n):
+                lps.loads_config("\n".join(lines[:n]))
+        with pytest.raises(ValueError, match="line 7, before its loop record"):
+            lps.loads_config("\n".join(lines[:7]))
+
+    def test_reject_a_misnamed_record(self):
+        # a record whose name is off by a letter is refused, not read
+        lines = self.config_lines()
+        named = [(i, line.split()[0]) for i, line in enumerate(lines)
+                 if line.split()[0] in ("box", "slices", "external", "points", "loops", "loop")]
+        assert [name for _, name in named] == ["box", "slices", "external", "points",
+                                               "loops", "loop"]
+        for i, name in named:
+            bad = list(lines)
+            bad[i] = bad[i].replace(name, name + "z", 1)
+            with pytest.raises(ValueError, match="line %d: expected a %s record" % (i + 1, name)):
+                lps.loads_config("\n".join(bad))

@@ -5,8 +5,10 @@
 It prints the lines of each module and in total; the function parameters
 with a default, counted with ast over every def (positional defaults plus
 keyword-only defaults; lambdas are not counted); the fields of
-mc.SamplerOptions; and the config keys of experiments.SECTIONS, POTENTIAL
-and OPTIONS.
+mc.SamplerOptions; the config keys of experiments.SECTIONS, POTENTIAL and
+OPTIONS; and the mc.Chain members that the discrete twin
+(surrogate.DiscreteLoopGas) defines again, where the twin's balance tests
+run the twin's code and not the chain's.
 """
 
 import ast
@@ -17,7 +19,7 @@ from dataclasses import fields
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "loopgas"
 sys.path.insert(0, str(SRC.parent))  # the tables come from the modules counted
 
-from loopgas import experiments, mc  # noqa: E402
+from loopgas import experiments, mc, surrogate  # noqa: E402
 
 
 def defaulted_parameters(tree):
@@ -43,6 +45,9 @@ def main():
               "OPTIONS": sum(map(len, experiments.OPTIONS.values()))}
     print("config keys: %d (%s)" % (sum(tables.values()),
                                    ", ".join("%s %d" % kv for kv in tables.items())))
+    forks = sorted(set(vars(surrogate.DiscreteLoopGas)) & set(vars(mc.Chain))
+                   - {"__doc__", "__module__"})
+    print("Chain members the twin overrides: %d (%s)" % (len(forks), ", ".join(forks)))
 
 
 if __name__ == "__main__":
