@@ -13,7 +13,7 @@ law (surrogate).
 import io
 import math
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -31,8 +31,8 @@ class _Legged:
 
     The wrapped path is never mutated (moves build new objects), so k,
     samples and bounds are read off it once, at construction, and each
-    object computes its leg geometry once, on first use; the free gas never
-    asks for it.
+    object computes its leg geometry once, on first use, as numpy arrays
+    (legs) or as Python floats (leg_points); the free gas asks for neither.
     """
 
     def __init__(self, type_index, path):
@@ -64,6 +64,21 @@ class _Legged:
         nodes = self.samples[_leg_rows(self.k, self.path.slices_per_beta)]
         mids = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
         return mids, nodes, np.minimum.reduce(nodes, axis=1), np.maximum.reduce(nodes, axis=1)
+
+    @cached_property
+    def leg_points(self):
+        """Per leg, (box, mids) on Python floats: box is the leg's box of
+        nodes as bounds are given, mids its S midpoints, each a list of d
+        coordinates.  They are the doubles of legs' lo, hi and mids."""
+        S = self.path.slices_per_beta
+        mids = (0.5 * (self.samples[:-1] + self.samples[1:])).tolist()
+        if self.k == 1:
+            return ((self.bounds, mids),)
+        nodes = self.samples[_leg_rows(self.k, S)]
+        boxes = zip(np.minimum.reduce(nodes, axis=1).tolist(),
+                    np.maximum.reduce(nodes, axis=1).tolist())
+        return tuple((list(zip(lo, hi)), mids[m * S:(m + 1) * S])
+                     for m, (lo, hi) in enumerate(boxes))
 
 
 class Loop(_Legged):
@@ -162,9 +177,20 @@ def confined_to_box(objects, box):
 # the pairs, their order and so every sum are those of stacking all legs.
 # The small widening of the reach keeps that true for the segment gap, which
 # rounds to either side.
+#
+# A pure hard core (range == hard_core) without the conservative segment
+# test has V in {0, inf}: its energy is 0 or inf, and only whether some
+# midpoint pair comes closer than the core matters.  Its leg pairs, the same
+# ones in the same order, are tested on Python floats instead (_core_overlap,
+# on each object's leg_points), with the doubles numpy computes: r is the
+# square root of the squared coordinate differences summed in axis order.
+# The test stops at the first r < D and builds no numpy leg arrays.  A set of
+# more than CORE_LANE_MAX midpoint pairs goes the numpy way, which is faster
+# there (tools/move_costs.py); so does the conservative test.
 
 _MIXED_SLICES = "mixed slice counts in one energy evaluation"
 _REACH_SLACK = 1e-9  # relative widening of the reach; far above rounding
+CORE_LANE_MAX = 64  # midpoint pairs up to which a pure core is tested on Python floats
 
 
 def cell_side(params):
@@ -342,6 +368,21 @@ def _pair_values(pot, a, ia, b, ib, conservative):
     return vals
 
 
+def _core_overlap(pairs, D):
+    """Whether some leg pair (la, lb) of leg_points entries comes closer than
+    D at an equal-time midpoint: the r < D of _pair_values, on the same
+    doubles, stopping at the first."""
+    for (_, ma), (_, mb) in pairs:
+        for p, q in zip(ma, mb):
+            s = 0.0
+            for x, y in zip(p, q):
+                t = x - y
+                s += t * t
+            if math.sqrt(s) < D:
+                return True
+    return False
+
+
 def _integrated(vals, dt):
     """Energy of potential values on the grid: their sum times dt, inf if not finite."""
     total = float(np.add.reduce(vals, axis=None))
@@ -362,11 +403,12 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=Fals
 
     Per type j of table: the objects near A (_Cells.near), less those of
     rank <= after, have their legs stacked in family order; the leg pairs
-    whose boxes come within reach are valued by _pair_values.  A type with
-    no such object makes no numpy call and A's legs are built only if some
-    type has one.  The energy enters split under split[A][A] if own, else
-    under split[A][B] by row owner B.  Stops at the first infinite total,
-    before that type's energy enters split.
+    whose boxes come within reach are valued by _pair_values, or tested by
+    _core_overlap under a pure core (see above).  A type with no such object
+    makes no numpy call and A's legs are built only if some type has one.
+    The energy enters split under split[A][A] if own, else under split[A][B]
+    by row owner B.  Stops at the first infinite total, before that type's
+    energy enters split.
     """
     bounds, row = A.bounds, P[A.type_index]
     for j, T in table.types.items():
@@ -376,6 +418,14 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=Fals
         reach = max(pot.range, pot.hard_core) * (1.0 + _REACH_SLACK)
         near = T.near(bounds, reach, table.left_out, after)
         if not near:
+            continue
+        if pot.range == pot.hard_core and not conservative and \
+                A.k * sum(o.k for o in near) * A.path.slices_per_beta <= CORE_LANE_MAX:
+            legs = [lb for o in near for lb in o.leg_points]
+            if _core_overlap(((la, lb) for la in A.leg_points for lb in legs
+                              if _meets(la[0], lb[0], reach)), pot.hard_core):
+                total = math.inf
+                break
             continue
         a = A.legs
         b = near[0].legs if len(near) == 1 else \
@@ -423,7 +473,8 @@ def interaction_energy(target, params, conditioning=None, external=None,
     target meets the later targets, the conditioning and the external points
     in that order, each indexed per type in a LegTable (_near_energy,
     _still_table), so only the objects whose bounds come within reach of
-    the target's have their legs stacked and valued.
+    the target's have their legs stacked and valued, or, under a pure hard
+    core, tested on Python floats (_core_overlap).
 
     split, a dict if given, receives the same energy by object pair:
     split[A][B] for target A and B a later target or a conditioning object,
@@ -450,13 +501,18 @@ def interaction_energy(target, params, conditioning=None, external=None,
     for i, A in enumerate(target):
         pot = P[A.type_index][A.type_index]
         if not pot.is_zero() and A.k > 1:
-            a = A.legs
-            ia, ib = np.triu_indices(A.k, 1)
-            e = _integrated(_pair_values(pot, a, ia, a, ib, conservative), dt)
-            total += e
-            _record(split, A, A, e)
-            if math.isinf(total):
-                return math.inf
+            if pot.range == pot.hard_core and not conservative and \
+                    A.k * (A.k - 1) // 2 * S <= CORE_LANE_MAX:
+                if _core_overlap(combinations(A.leg_points, 2), pot.hard_core):
+                    return math.inf
+            else:
+                a = A.legs
+                ia, ib = np.triu_indices(A.k, 1)
+                e = _integrated(_pair_values(pot, a, ia, a, ib, conservative), dt)
+                total += e
+                if math.isinf(total):
+                    return math.inf
+                _record(split, A, A, e)
         if later:  # the targets after A: ranks above i
             total = _near_energy(total, A, later, P, dt, conservative, split, i)
             if math.isinf(total):

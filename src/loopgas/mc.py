@@ -36,7 +36,11 @@ energy of the loops it removes from that store and evaluates only the loops
 it adds, in one energy call whose per-partner split enters the store when
 the move is accepted.  So a deletion makes no energy call and every other
 move at most one.  This is the per-particle energy bookkeeping of Frenkel & Smit,
-Understanding Molecular Simulation, ch. 3 and App. F.
+Understanding Molecular Simulation, ch. 3 and App. F.  Under pure hard cores
+(ModelParams.is_hard_core, the Widom-Rowlinson gas among them) every state
+of nonzero weight has energy exactly 0, so every loop carries 0.0, the value
+a store would give: such a chain, like a free one, keeps no store and builds
+no split, and its energy call only tells 0 from inf.
 
 The kernel estimators draw the terms of a permutation combo as one batch
 (_sample_terms): leg by leg, the multiplicities of all terms, then one
@@ -148,11 +152,12 @@ class Chain:
     All randomness flows through the chain's numpy Generator, so a seed fixes
     the trajectory bit for bit.  Every move goes through one Metropolis test
     with early rejection (_try), and every accepted move changes the loop
-    list, its cell index (a LegTable, through which an energy call finds the
-    loops near the ones a move adds), the carried energies (_store) and the
-    energy cache through _commit.  The index and the carried energies are
-    built on demand and rebuilt when the loop list is changed from outside;
-    a free model never builds the carried energies.  The draws of paths and
+    list, its per-type lists (_typed), its cell index (a LegTable, through
+    which an energy call finds the loops near the ones a move adds), the
+    carried energies (_store) and the energy cache through _commit.  These
+    are built on demand and rebuilt when the loop list is changed from
+    outside (_in_step); a free model builds neither index nor store, and a
+    pure hard core no store.  The draws of paths and
     anchors and the loop and leg masses sit in small methods, which the
     enumerable twin (surrogate) overrides for a site grid; it runs the rest,
     the box test and the energy bookkeeping included, as the chain does.
@@ -162,6 +167,9 @@ class Chain:
     max_loops = math.inf  # no proposal leaves more loops; the twin caps its space
     _h = 0.0  # the energy cache: reseeded by audit, moved only by _commit
     _carried = None  # the energy each loop carries (_store), moved only by _commit
+    _listed = None  # the loop list as _commit left it: what the kept structures describe
+    _by_type = None  # the loops of each type in list order, with two types or more
+    _table = None  # cell index of the loop list, built by the first energy call
 
     def __init__(self, params, box, external=None, options=None, seed=None):
         self.params = params
@@ -171,8 +179,10 @@ class Chain:
         self.config = LoopConfig(box, self.opts.slices_per_beta, [], external)
         self.sweeps_done = 0
         self.stats = {name: MoveStats() for name in self.FAMILIES}
-        self._table = None  # cell index of config.loops, built by the first energy call
         self._free = params.is_free()  # every potential is zero, external points' too
+        self._pure = self._free or params.is_hard_core()  # every finite energy is 0
+        # whether the chain keeps anything beside the loop list
+        self._keeps = not self._free or params.n_types > 1
         self._move_cdf = move_cdf(self.opts.move_weights).tolist()
         self._log_choices = math.log(params.n_types * box.volume * self.opts.k_max)
         # log closed-bridge mass of a k-loop by k: log_bridge_mass(x, x, k, beta)
@@ -194,17 +204,19 @@ class Chain:
         (_store), is off its recomputation by more than tol times
         max(1, |recomputed|), or tol when only the recomputation is infinite;
         otherwise reseeds both and returns the largest drift, so tol=inf only
-        reseeds.  One energy call gives both.  A free model keeps no carried
-        energies, and neither does a state of infinite energy (see _store).
+        reseeds.  One energy call gives both.  Free and pure-core models keep
+        no carried energies, and neither does a state of infinite energy
+        (see _store).
         """
-        kept = None if self._stale() else self._carried
+        self._in_step()
+        kept = self._carried
         h, split = self._evaluate(self.config.loops)
         drift = 0.0 if h == self._h else abs(h - self._h)
         if drift > tol * (max(1.0, abs(h)) if math.isfinite(h) else 1.0):
             raise RuntimeError("energy cache drift %.3e after %d sweeps"
                                % (drift, self.sweeps_done))
         self._h = h
-        if self._free or math.isinf(h):
+        if self._pure or math.isinf(h):
             self._carried = None
             return drift
         store = _stored(self.config.loops, h, split)
@@ -216,23 +228,42 @@ class Chain:
                     raise RuntimeError("carried energy drift %.3e of loop %d after %d sweeps"
                                        % (d, i, self.sweeps_done))
                 drift = max(drift, d)
-        self._loop_table()
         self._carried = store
         return drift
 
-    def _stale(self):
-        return self._table is None or self._table.objects != self.config.loops
+    def _in_step(self):
+        """Bring what the chain keeps of the loop list in step with config.loops.
+
+        _commit keeps the per-type lists, the cell index and the store in
+        step with the list; a list changed from outside (assigned, appended
+        to, or a new config) differs from the chain's copy, so the per-type
+        lists are rebuilt and the index and store dropped, to be rebuilt on
+        demand.  A free one-type chain keeps nothing.
+        """
+        loops = self.config.loops
+        if self._keeps and self._listed != loops:
+            self._listed = list(loops)
+            self._table = self._carried = None
+            if self.params.n_types > 1:
+                self._by_type = [[] for _ in range(self.params.n_types)]
+                for lp in loops:
+                    self._by_type[lp.type_index].append(lp)
+
+    def _typed(self):
+        """The loops of each type in list order; [config.loops] for one type."""
+        if self.params.n_types == 1:
+            return [self.config.loops]
+        self._in_step()
+        return self._by_type
 
     def _loop_table(self):
-        """The LegTable of config.loops: the list, and its cell index per type.
-
-        _commit keeps it in step; a list changed from outside (assigned,
-        appended to, or a new config) differs from the table's copy and is
-        indexed afresh, and the carried energies are dropped with it.
-        """
-        if self._stale():
-            self._table = LegTable(self.config.loops, lps.cell_side(self.params))
-            self._carried = None
+        """The LegTable of config.loops: the list, and its cell index per type."""
+        self._in_step()
+        if self._table is None:
+            table = LegTable(self.config.loops, lps.cell_side(self.params))
+            if not self._keeps:
+                return table  # a free one-type chain keeps nothing
+            self._table = table
         return self._table
 
     def _store(self):
@@ -241,27 +272,32 @@ class Chain:
         store[A][A] is A's own energy (its legs among themselves and against
         the external points) and store[A][B] = store[B][A] its pair energy
         with loop B; zero energies have no entry.  Rebuilt in one energy
-        call after _loop_table() indexes the list afresh; _commit keeps it
-        in step.
+        call when _in_step drops it; _commit keeps it in step.  Free and
+        pure-core chains never ask for it.
         Raises ValueError when the loop list violates a hard core: the
         energy call stops at the first violation, so that state (of zero
         weight) gets no store.
         """
-        self._loop_table()
+        self._in_step()
         if self._carried is None:
             self._carried = _stored(self.config.loops, *self._evaluate(self.config.loops))
         return self._carried
 
     def _commit(self, removed, added, dh, split):
-        """Apply an accepted move to the loop list, its cell index, the carried
-        energies and the energy cache.
+        """Apply an accepted move to the loop list, its per-type lists, its cell
+        index, the carried energies and the energy cache.
 
         dh is the energy the move adds and split its split by loop pair, both
-        as _energy_change returns them; lps.splice gives the list order.  The
-        loops removed leave the store and the added ones enter it with split;
-        a free model keeps no store.
+        as _energy_change returns them; lps.splice gives the list order.
+        Every move removes and adds loops of one type, so one per-type list
+        changes.  The loops removed leave the store and the added ones enter
+        it with split; free and pure-core models keep no store.
         """
         lps.splice(self.config.loops, removed, added)
+        if self._listed is not None:
+            lps.splice(self._listed, removed, added)
+            if self._by_type is not None:
+                lps.splice(self._by_type[(removed or added)[0].type_index], removed, added)
         if self._table is not None:
             self._table.splice(removed, added)
         if self._carried is not None:
@@ -275,8 +311,9 @@ class Chain:
         self._h += dh
 
     def _evaluate(self, target, conditioning=None):
-        """Energy of target given conditioning and the external points, and its split."""
-        split = {}
+        """Energy of target given conditioning and the external points, and its
+        split; None for the split of a free or pure-core model."""
+        split = None if self._pure else {}
         return interaction_energy(list(target), self.params, conditioning=conditioning,
                                   external=self.config.external,
                                   conservative=self.opts.conservative_hard_core,
@@ -284,8 +321,8 @@ class Chain:
 
     def _carried_energy(self, removed):
         """Energy e_old the loops removed carry (_store), a pair among them
-        counted once; 0.0 in a free model, which keeps no store."""
-        if self._free:
+        counted once; 0.0 in a free or pure-core model, which keeps no store."""
+        if self._pure:
             return 0.0
         store = self._store()
         e_old = 0.0
@@ -301,13 +338,14 @@ class Chain:
         The loops removed take away e_old (_carried_energy), so a deletion
         makes no energy call.  added is evaluated against the rest in one
         call, whose split by loop pair is returned for _commit to store.  A
-        free model keeps no store and returns (0.0, None).
+        free model makes no call and returns (0.0, None); a pure core
+        returns no split either.
         """
         if self._free:
             return 0.0, None
-        e_new, split = 0.0, {}
+        e_new, split = 0.0, None if self._pure else {}
         if added:
-            e_new, split = self._evaluate(added, self._table.excluding(removed))
+            e_new, split = self._evaluate(added, self._loop_table().excluding(removed))
         return e_new - e_old, split
 
     def _confined(self, objects):
@@ -325,8 +363,10 @@ class Chain:
         propose() is called (see the module docstring).  propose() draws the
         loops added, which must lie in the box (_confined) and have a finite
         energy against the rest; with nothing added (a deletion) neither is
-        evaluated.
+        evaluated.  It starts by bringing the chain's structures in step with
+        the loop list (_in_step).
         """
+        self._in_step()
         e_old = self._carried_energy(removed)
         bound = log_ratio(-e_old)
         u = self.rng.random() if bound < 0 else None
@@ -384,16 +424,6 @@ class Chain:
         return -d / (2.0 * self.params.beta)
 
     # -- update families -----------------------------------------------------
-
-    def _type_counts(self):
-        """The loop count of each type; a one-type model takes the list's length."""
-        loops = self.config.loops
-        if self.params.n_types == 1:
-            return [len(loops)]
-        counts = [0] * self.params.n_types
-        for lp in loops:
-            counts[lp.type_index] += 1
-        return counts
 
     def step_insert_delete(self):
         st = self.stats["insert_delete"]
@@ -455,14 +485,13 @@ class Chain:
         rng = self.rng
         S = self.opts.slices_per_beta
         beta = self.params.beta
-        counts = self._type_counts()
+        typed = self._typed()
+        counts = [len(of_type) for of_type in typed]
         n_pairs = ordered_pair_count(counts)
         if n_pairs == 0:
             return False
         j, a, b = pick_ordered_pair(int(rng.integers(n_pairs)), counts)
-        loops = self.config.loops
-        of_type = loops if len(counts) == 1 else [lp for lp in loops if lp.type_index == j]
-        A, B = of_type[a], of_type[b]
+        A, B = typed[j][a], typed[j][b]
         k1, k2 = A.k, B.k
         k = k1 + k2
         if k > self.opts.k_max:
@@ -513,7 +542,7 @@ class Chain:
         log_g = leg_swap_log_ratio(self._log_leg_gauss,
                                    *(p.tolist() for p in (um, uk, u, x1)))
         # ordered same-type pairs after the split: one more loop of old's type
-        counts = self._type_counts()
+        counts = [len(of_type) for of_type in self._typed()]
         counts[old.type_index] += 1
         n_pairs = ordered_pair_count(counts)
         return self._try((old,), propose, lambda dh: -merge_log_ratio(

@@ -162,6 +162,12 @@ class ModelParams:
     def is_free(self):
         return all(p.is_zero() for row in self.potentials for p in row)
 
+    def is_hard_core(self):
+        """Whether every potential is zero or a pure hard core (range ==
+        hard_core), so that every energy is 0 or inf."""
+        return all(p.is_zero() or p.range == p.hard_core
+                   for row in self.potentials for p in row)
+
 
 def validate_params(m):
     """Collect human-readable violations; empty list means valid."""

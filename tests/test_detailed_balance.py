@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from loopgas import loops as lps
 from loopgas import mc, surrogate
 from loopgas.model import ModelParams, PairPotential, zero_potential
 
@@ -35,6 +36,10 @@ DENSE_WELL = ModelParams(1, 1, 1.0, (0.9,), WELL.potentials)
 SHORT = ModelParams(1, 1, 1.0, (0.4,),
                     [[PairPotential(profile="square_well", range_=0.5,
                                     height=1.2)]])
+# a pure hard core: the energy is 0 or inf, and midpoints of the sites 0.0
+# and 0.6 lie on a grid of spacing 0.3, so pairs at exactly r = D occur.
+# (At D = 0.6 every 2-loop overlaps itself and merges never succeed.)
+HARD = ModelParams(1, 1, 1.0, (0.4,), [[PairPotential(hard_core=0.3, range_=0.3)]])
 PATH_FAMILIES = ("merge_split", "redraw")
 FAMILIES = mc.Chain.FAMILIES
 
@@ -48,7 +53,7 @@ def merge_split_p(flux_p_value):
 @pytest.mark.parametrize("name", [
     "step", "step_insert_delete", "step_merge_split", "step_redraw",
     "_try", "_try_merge", "_try_split", "_commit", "_carried_energy",
-    "_energy_change", "_confined", "_store", "_evaluate", "audit"])
+    "_energy_change", "_confined", "_store", "_evaluate", "audit", "_in_step", "_typed"])
 def test_twin_runs_the_chain_moves(name):
     # the twin overrides draws and masses only, never a move, its test or
     # its energy bookkeeping
@@ -65,6 +70,33 @@ class TestFluxBalance:
     @pytest.mark.parametrize("family", PATH_FAMILIES)
     def test_path_dependent_energy(self, family, flux_p_value):
         assert flux_p_value(SHORT, family, seed=12) > 0.01
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_pure_hard_core(self, family, flux_p_value):
+        # the chain keeps no carried energies and tests the core on Python
+        # floats (loops._core_overlap)
+        assert flux_p_value(HARD, family, seed=FAMILIES.index(family) + 13) > 0.01
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_balance_tests_see_a_core_test_that_counts_a_tie(self, monkeypatch, flux_p_value,
+                                                            family):
+        # an overlap test that takes r <= D for r < D forbids the states
+        # with midpoints exactly D apart; the law is enumerated before the
+        # defect is planted, so only the moves run it
+        law = surrogate.DiscreteLoopGas(HARD, seed=0).enumerate_states()
+        monkeypatch.setattr(surrogate.DiscreteLoopGas, "enumerate_states", lambda self: law)
+
+        def at_or_below(pairs, D):
+            for (_, ma), (_, mb) in pairs:
+                for p, q in zip(ma, mb):
+                    if math.sqrt(sum((x - y) * (x - y) for x, y in zip(p, q))) <= D:
+                        return True
+            return False
+
+        monkeypatch.setattr(lps, "_core_overlap", at_or_below)
+        n_trials = 10000 if family == "merge_split" else 3000
+        assert flux_p_value(HARD, family, seed=FAMILIES.index(family) + 13,
+                            n_trials=n_trials) < 1e-3
 
 
 finite = st.floats(-30.0, 30.0, allow_nan=False)

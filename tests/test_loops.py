@@ -385,9 +385,9 @@ def stacked_energy(target, params, family, left_out, external, conservative, spl
             ia, ib = np.triu_indices(A.k, 1)
             e = lps._integrated(lps._pair_values(pot, A.legs, ia, A.legs, ib, conservative), dt)
             total += e
-            lps._record(split, A, A, e)
             if math.isinf(total):
                 return math.inf
+            lps._record(split, A, A, e)
         seen[A.type_index] += 1
         if len(target) > 1:
             total = stacked_near_energy(total, A, target, (), P, dt, conservative, split, seen)
@@ -404,6 +404,47 @@ def stacked_energy(target, params, family, left_out, external, conservative, spl
     return total
 
 
+def on_lattice(samples):
+    """Samples rounded to the lattice of spacing 0.25."""
+    return np.round(samples * 4.0) / 4.0
+
+
+def lattice_family(g, d, S, spread=3.0):
+    """Targets, a family, the objects left out of it and external points,
+    all on the lattice of spacing 0.25, anchored within spread of the
+    origin on each axis, k <= 6."""
+    def random_object():
+        j, k = int(g.integers(2)), int(g.integers(1, 7))
+        x = on_lattice(g.uniform(-spread, spread, d))
+        if g.random() < 0.6:
+            return lps.Loop(j, BridgePath(on_lattice(sample_bridge(x, x, k, S, BETA, g)
+                                                     .samples), k, S, BETA))
+        end = x + g.normal(0.0, 0.5, d)
+        return lps.OpenPath(j, BridgePath(on_lattice(sample_bridge(x, end, k, S, BETA, g)
+                                                     .samples), k, S, BETA))
+
+    conditioning = [random_object() for _ in range(int(g.integers(0, 9)))]
+    target = [random_object() for _ in range(int(g.integers(1, 4)))]
+    left_out = [random_object() for _ in range(int(g.integers(0, 3)))]
+    family = list(conditioning)
+    for o in left_out:
+        family.insert(int(g.integers(len(family) + 1)), o)
+    box = Box((0.0,) * d, 1.0)
+    points = [on_lattice(g.uniform(-spread, spread, (int(g.integers(0, 4)), d)))
+              for _ in range(2)]
+    points = [p[~box.contains(p)] for p in points]  # outside the box, as required
+    return target, family, left_out, ExternalConfiguration(box, points, max_range=math.inf)
+
+
+def two_type_params(d, profile, core):
+    """Two types with ranges 0.5, 1 (across) and 0.75, each with a core of
+    core times its range: pure hard cores at core = 1."""
+    ranges = {(0, 0): 0.5, (0, 1): 1.0, (1, 1): 0.75}
+    pots = {key: profile_potential(profile, core * r, r) for key, r in ranges.items()}
+    return ModelParams(d, 2, BETA, (0.5, 0.5), [[pots[(0, 0)], pots[(0, 1)]],
+                                                [pots[(0, 1)], pots[(1, 1)]]])
+
+
 class TestCellIndex:
     """The energy through the cell index against the stacked scan of every leg.
 
@@ -412,6 +453,8 @@ class TestCellIndex:
     later targets and the external points with cell_side, 2), go negative,
     and put boxes at gaps of exactly a range.  The pairs must come in the same order with
     the same legs, and the energy and its split must be equal, not close.
+    Pairs tested on Python floats (loops._core_overlap) are recorded as the
+    midpoints they compare, in the form _pair_values is given them.
     """
 
     @settings(max_examples=150, deadline=None)
@@ -420,36 +463,9 @@ class TestCellIndex:
     def test_matches_the_stacked_scan(self, seed, d, profile, conservative, core):
         g = np.random.default_rng(seed)
         S = int(g.choice([1, 2, 4]))
-        ranges = {(0, 0): 0.5, (0, 1): 1.0, (1, 1): 0.75}
-        pots = {key: profile_potential(profile, core * r, r) for key, r in ranges.items()}
-        params = ModelParams(d, 2, BETA, (0.5, 0.5), [[pots[(0, 0)], pots[(0, 1)]],
-                                                      [pots[(0, 1)], pots[(1, 1)]]])
+        params = two_type_params(d, profile, core)
         assert lps.cell_side(params) == 2.0
-
-        def on_lattice(samples):
-            return np.round(samples * 4.0) / 4.0
-
-        def random_object():
-            j, k = int(g.integers(2)), int(g.integers(1, 7))
-            x = on_lattice(g.uniform(-3.0, 3.0, d))
-            if g.random() < 0.6:
-                return lps.Loop(j, BridgePath(on_lattice(sample_bridge(x, x, k, S, BETA, g)
-                                                         .samples), k, S, BETA))
-            end = x + g.normal(0.0, 0.5, d)
-            return lps.OpenPath(j, BridgePath(on_lattice(sample_bridge(x, end, k, S, BETA, g)
-                                                         .samples), k, S, BETA))
-
-        conditioning = [random_object() for _ in range(int(g.integers(0, 9)))]
-        target = [random_object() for _ in range(int(g.integers(1, 4)))]
-        left_out = [random_object() for _ in range(int(g.integers(0, 3)))]
-        family = list(conditioning)
-        for o in left_out:
-            family.insert(int(g.integers(len(family) + 1)), o)
-        box = Box((0.0,) * d, 1.0)
-        points = [on_lattice(g.uniform(-3.0, 3.0, (int(g.integers(0, 4)), d)))
-                  for _ in range(2)]
-        points = [p[~box.contains(p)] for p in points]  # outside the box, as required
-        external = ExternalConfiguration(box, points, max_range=math.inf)
+        target, family, left_out, external = lattice_family(g, d, S)
 
         runs = []
         for energy in (
@@ -459,10 +475,19 @@ class TestCellIndex:
                 lambda split: stacked_energy(target, params, family, left_out, external,
                                              conservative, split)):
             pairs, split = [], {}
-            pair_values = lps._pair_values
+            pair_values, core_overlap = lps._pair_values, lps._core_overlap
+
+            def tested(leg_pairs, D):
+                leg_pairs = list(leg_pairs)
+                if leg_pairs:
+                    pairs.append(tuple(np.array([ma for (_, ma) in legs]) for legs in
+                                       zip(*leg_pairs)))
+                return core_overlap(leg_pairs, D)
+
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(lps, "_pair_values", lambda pot, a, ia, b, ib, c: pairs.append(
                     (a[0][ia], b[0][ib])) or pair_values(pot, a, ia, b, ib, c))
+                mp.setattr(lps, "_core_overlap", tested)
                 runs.append((energy(split), pairs, split))
         (h, pairs, split), (want_h, want_pairs, want_split) = runs
         assert h == want_h
@@ -470,6 +495,50 @@ class TestCellIndex:
         assert len(pairs) == len(want_pairs)
         for (a, b), (wa, wb) in zip(pairs, want_pairs):
             assert np.array_equal(a, wa) and np.array_equal(b, wb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 2, 3]))
+    def test_the_core_lane_matches_numpy(self, seed, d):
+        # pure hard cores of diameter 0.5, 1 and 0.75 on the lattice, where
+        # shifted copies put midpoints at distance exactly D (r = D is no
+        # overlap): copies of targets beside them, and open paths whose legs
+        # are copies of the first, each shifted one core further.  With every
+        # set tested on Python floats and with none, the energy and split
+        # must be the same
+        g = np.random.default_rng(seed)
+        S = int(g.choice([1, 2, 4]))
+        params = two_type_params(d, "square_well", 1.0)
+        cores = [[p.hard_core for p in row] for row in params.potentials]
+        target, family, left_out, external = lattice_family(g, d, S, spread=3.0 * d)
+
+        def shift(D):
+            v = np.zeros(d)
+            v[int(g.integers(d))] = D * g.choice([-1.0, 1.0])
+            return v
+
+        for i, A in enumerate(target):
+            if g.random() < 0.7:  # legs shifted one core apart
+                j, k = A.type_index, int(g.integers(1, 7))
+                v = shift(cores[j][j])
+                x = on_lattice(g.uniform(-3.0 * d, 3.0 * d, d))
+                leg = on_lattice(sample_bridge(x, x + v, 1, S, BETA, g).samples)
+                samples = np.concatenate([leg[:-1] + m * v for m in range(k)]
+                                         + [leg[-1:] + (k - 1) * v])
+                target[i] = A = lps.OpenPath(j, BridgePath(samples, k, S, BETA))
+            for _ in range(int(g.integers(0, 3))):  # copies one core beside A
+                j = int(g.integers(2))
+                copy = type(A)(j, BridgePath(A.samples + shift(cores[A.type_index][j]),
+                                             A.k, S, BETA))
+                family.insert(int(g.integers(len(family) + 1)), copy)
+        runs = []
+        for cap in (math.inf, -1):
+            split = {}
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lps, "CORE_LANE_MAX", cap)
+                runs.append((lps.interaction_energy(
+                    target, params, conditioning=lps.LegTable(family, 1.0).excluding(left_out),
+                    external=external, split=split), split))
+        assert runs[0] == runs[1]
 
     def test_a_family_out_of_reach_builds_no_legs(self, monkeypatch):
         # one object beyond reach in the target's own cell, one far off

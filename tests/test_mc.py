@@ -38,6 +38,7 @@ WELL = PairPotential(range_=1.0, height=0.7)
 BUMP_CORE = PairPotential(profile="smooth_bump", hard_core=0.15, range_=1.0, height=1.5)
 TABLE = PairPotential(profile="table", range_=1.0, table_r=[0.0, 0.3, 0.6, 1.0],
                       table_v=[1.2, 0.8, 0.3, 0.0])
+CORE = PairPotential(hard_core=0.3, range_=0.3)  # a pure hard core
 
 
 def dense_gas(potentials):
@@ -53,7 +54,10 @@ DRIFT_SETUPS = {
     "external-points": (dense_gas([[WELL]]),
                         {"external": [[[4.1, 0.5], [-1.0, -4.2], [0.0, 4.05]]]}),
     "two-types": (dense_gas([[WELL, BUMP_CORE], [BUMP_CORE, TABLE]]), {}),
+    "widom-rowlinson": (dense_gas([[zero_potential(), CORE], [CORE, zero_potential()]]), {}),
+    "one-type-core": (dense_gas([[CORE]]), {}),  # k_max = 4: legs of a loop overlap
 }
+SOFT_SETUPS = [name for name, (params, _) in DRIFT_SETUPS.items() if not params.is_hard_core()]
 
 
 def drift_chain(setup, seed):
@@ -69,13 +73,17 @@ def drift_chain(setup, seed):
 
 
 def assert_tables_follow(chain):
-    """The chain's cell index equals a fresh build from its loop list.
+    """The chain's per-type lists and cell index equal fresh builds from its
+    loop list.
 
-    The family and its grid match, and per type every cell holds the same
-    loops, ranked in the same order, as a fresh index's; the loops of a
-    type, ranked, come in list order.  Ranks themselves may differ: the
-    chain's count on from its first build.
+    The per-type lists hold each type's loops in list order.  The family
+    and its grid match, and per type every cell holds the same loops,
+    ranked in the same order, as a fresh index's; the loops of a type,
+    ranked, come in list order.  Ranks themselves may differ: the chain's
+    count on from its first build.
     """
+    assert chain._typed() == [[lp for lp in chain.config.loops if lp.type_index == j]
+                              for j in range(chain.params.n_types)]
     table = chain._loop_table()
     fresh = lps.LegTable(chain.config.loops, lps.cell_side(chain.params))
     assert table.objects == fresh.objects == chain.config.loops
@@ -109,15 +117,37 @@ def removal_energies(chain, removed, added):
 def assert_carried_follow(chain):
     """Every loop's stored energy equals its energy against the rest, recomputed.
 
-    The store is symmetric and holds no zero entries.
+    The store is symmetric and holds no zero entries.  Free and pure-core
+    chains keep no store.
     """
     store = chain._carried
+    if chain.params.is_hard_core():
+        assert store is None
+        return
     assert store is not None and set(store) == set(chain.config.loops)
     for lp in chain.config.loops:
         want, _ = removal_energies(chain, (lp,), ())
         got = sum(store[lp].values())
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
         assert all(e != 0.0 and store[b][lp] == e for b, e in store[lp].items())
+
+
+def assert_carried_is_the_energy_removed(chain):
+    """For each pair of loops with a pair energy, in both orders, the energy
+    the chain takes them to carry equals h(config) - h(config without them),
+    each recomputed from scratch.  Returns the number of pairs checked."""
+    kw = dict(external=chain.config.external, conservative=chain.opts.conservative_hard_core)
+    loops = chain.config.loops
+    h = lps.interaction_energy(loops, chain.params, **kw)
+    checked = 0
+    for A in loops:
+        for B in chain._store()[A]:
+            if B is not A:
+                rest = [lp for lp in loops if lp is not A and lp is not B]
+                want = h - lps.interaction_energy(rest, chain.params, **kw)
+                assert abs(chain._carried_energy((A, B)) - want) <= 1e-9 * max(1.0, h)
+                checked += 1
+    return checked
 
 
 class TestChainBasics:
@@ -265,10 +295,11 @@ class TestEnergyCache:
         def checked(chain, removed, added, carried):
             e_old, e_new = removal_energies(chain, removed, added)
             assert abs(carried - e_old) <= 1e-12 * max(1.0, e_old)
-            if len(removed) == 2:
+            if len(removed) == 2 and not pure:
                 pairs["merge"] += removed[1] in chain._store()[removed[0]]
             dh, split = energy_change(chain, removed, added, carried)
-            if len(added) == 2:
+            assert (split is None) == pure  # a pure core builds no split
+            if len(added) == 2 and not pure:
                 pairs["split"] += added[1] in split.get(added[0], ())
             if math.isinf(e_new):
                 assert dh == math.inf
@@ -277,11 +308,33 @@ class TestEnergyCache:
             moves.add((len(removed), len(added)))
             return dh, split
 
+        pure = DRIFT_SETUPS[setup][0].is_hard_core()
         monkeypatch.setattr(mc.Chain, "_energy_change", checked)
         drift_chain(setup, seed=5).run(20)
         assert moves == {(0, 1), (1, 0), (1, 1), (2, 1), (1, 2)}
-        # merges of an interacting pair, splits into two interacting loops
-        assert min(pairs.values()) > 0
+        # merges of an interacting pair, splits into two interacting loops;
+        # under pure cores no pair carries an energy
+        assert min(pairs.values()) > 0 or pure
+
+    @pytest.mark.parametrize("setup", SOFT_SETUPS)
+    def test_carried_energy_is_the_energy_removed(self, setup):
+        chain = drift_chain(setup, seed=6)
+        checked = 0
+        for _ in range(3):
+            chain.run(8)
+            checked += assert_carried_is_the_energy_removed(chain)
+        assert checked > 0, "no two loops interacted"
+
+    def test_the_removal_check_sees_a_pair_counted_twice(self, monkeypatch):
+        # a carried energy that sums every store entry of each removed loop
+        # counts the energy between them twice
+        chain = drift_chain("square-well", seed=6)
+        chain.run(8)
+        assert assert_carried_is_the_energy_removed(chain) > 0
+        monkeypatch.setattr(mc.Chain, "_carried_energy", lambda self, removed: sum(
+            e for A in removed for e in self._store()[A].values()))
+        with pytest.raises(AssertionError):
+            assert_carried_is_the_energy_removed(chain)
 
     def test_deletion_makes_no_energy_call_and_a_redraw_one(self, monkeypatch):
         chain = drift_chain("square-well", seed=3)
