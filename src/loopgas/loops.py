@@ -184,13 +184,11 @@ def confined_to_box(objects, box):
 # ones in the same order, are tested on Python floats instead (_core_overlap,
 # on each object's leg_points), with the doubles numpy computes: r is the
 # square root of the squared coordinate differences summed in axis order.
-# The test stops at the first r < D and builds no numpy leg arrays.  A set of
-# more than CORE_LANE_MAX midpoint pairs goes the numpy way, which is faster
-# there (tools/move_costs.py); so does the conservative test.
+# The test stops at the first r < D and builds no numpy leg arrays.  The
+# conservative test keeps the numpy way.
 
 _MIXED_SLICES = "mixed slice counts in one energy evaluation"
 _REACH_SLACK = 1e-9  # relative widening of the reach; far above rounding
-CORE_LANE_MAX = 64  # midpoint pairs up to which a pure core is tested on Python floats
 
 
 def cell_side(params):
@@ -356,11 +354,7 @@ def _pair_values(pot, a, ia, b, ib, conservative):
     order given, which fixes the summation order.
     """
     diff = a[0][ia] - b[0][ib]
-    r = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-    if pot.range == pot.hard_core:  # a pure hard core: evaluate's values, no masks
-        vals = np.where(r < pot.hard_core, np.inf, 0.0)
-    else:
-        vals = pot.evaluate(r)
+    vals = pot.evaluate(np.sqrt(np.add.reduce(diff * diff, axis=-1)))
     if conservative and pot.hard_core > 0:
         close = _min_segment_gap_sq(a[1][ia], b[1][ib]) < pot.hard_core ** 2
         if np.any(close):
@@ -419,8 +413,7 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=Fals
         near = T.near(bounds, reach, table.left_out, after)
         if not near:
             continue
-        if pot.range == pot.hard_core and not conservative and \
-                A.k * sum(o.k for o in near) * A.path.slices_per_beta <= CORE_LANE_MAX:
+        if pot.range == pot.hard_core and not conservative:
             legs = [lb for o in near for lb in o.leg_points]
             if _core_overlap(((la, lb) for la in A.leg_points for lb in legs
                               if _meets(la[0], lb[0], reach)), pot.hard_core):
@@ -501,8 +494,7 @@ def interaction_energy(target, params, conditioning=None, external=None,
     for i, A in enumerate(target):
         pot = P[A.type_index][A.type_index]
         if not pot.is_zero() and A.k > 1:
-            if pot.range == pot.hard_core and not conservative and \
-                    A.k * (A.k - 1) // 2 * S <= CORE_LANE_MAX:
+            if pot.range == pot.hard_core and not conservative:
                 if _core_overlap(combinations(A.leg_points, 2), pot.hard_core):
                     return math.inf
             else:

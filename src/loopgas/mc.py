@@ -167,7 +167,7 @@ class Chain:
     max_loops = math.inf  # no proposal leaves more loops; the twin caps its space
     _h = 0.0  # the energy cache: reseeded by audit, moved only by _commit
     _carried = None  # the energy each loop carries (_store), moved only by _commit
-    _listed = None  # the loop list as _commit left it: what the kept structures describe
+    _listed = None  # the loop list as _commit left it, shared with _table's objects
     _by_type = None  # the loops of each type in list order, with two types or more
     _table = None  # cell index of the loop list, built by the first energy call
 
@@ -180,7 +180,7 @@ class Chain:
         self.sweeps_done = 0
         self.stats = {name: MoveStats() for name in self.FAMILIES}
         self._free = params.is_free()  # every potential is zero, external points' too
-        self._pure = self._free or params.is_hard_core()  # every finite energy is 0
+        self._pure = params.is_hard_core()  # every finite energy is 0
         # whether the chain keeps anything beside the loop list
         self._keeps = not self._free or params.n_types > 1
         self._move_cdf = move_cdf(self.opts.move_weights).tolist()
@@ -206,9 +206,11 @@ class Chain:
         otherwise reseeds both and returns the largest drift, so tol=inf only
         reseeds.  One energy call gives both.  Free and pure-core models keep
         no carried energies, and neither does a state of infinite energy
-        (see _store).
+        (see _store); a pure core's list changed from outside is weighed at
+        its next move (_in_step).
         """
-        self._in_step()
+        if not self._pure:
+            self._in_step()
         kept = self._carried
         h, split = self._evaluate(self.config.loops)
         drift = 0.0 if h == self._h else abs(h - self._h)
@@ -238,10 +240,14 @@ class Chain:
         step with the list; a list changed from outside (assigned, appended
         to, or a new config) differs from the chain's copy, so the per-type
         lists are rebuilt and the index and store dropped, to be rebuilt on
-        demand.  A free one-type chain keeps nothing.
+        demand.  A free one-type chain keeps nothing.  A pure core, which
+        keeps no store to rebuild, weighs the new list in one energy call.
+        Raises ValueError when the list violates a hard core, as _store does.
         """
         loops = self.config.loops
         if self._keeps and self._listed != loops:
+            if self._pure and not self._free and math.isinf(self._evaluate(loops)[0]):
+                raise ValueError(_ZERO_WEIGHT)
             self._listed = list(loops)
             self._table = self._carried = None
             if self.params.n_types > 1:
@@ -263,6 +269,7 @@ class Chain:
             table = LegTable(self.config.loops, lps.cell_side(self.params))
             if not self._keeps:
                 return table  # a free one-type chain keeps nothing
+            table.objects = self._listed  # one copy, spliced through the table
             self._table = table
         return self._table
 
@@ -294,12 +301,12 @@ class Chain:
         it with split; free and pure-core models keep no store.
         """
         lps.splice(self.config.loops, removed, added)
-        if self._listed is not None:
-            lps.splice(self._listed, removed, added)
-            if self._by_type is not None:
-                lps.splice(self._by_type[(removed or added)[0].type_index], removed, added)
         if self._table is not None:
-            self._table.splice(removed, added)
+            self._table.splice(removed, added)  # and _listed, its objects
+        elif self._listed is not None:
+            lps.splice(self._listed, removed, added)
+        if self._by_type is not None:
+            lps.splice(self._by_type[(removed or added)[0].type_index], removed, added)
         if self._carried is not None:
             store = self._carried
             for A in removed:
@@ -576,6 +583,9 @@ class Chain:
         return list(self.config.loops)
 
 
+_ZERO_WEIGHT = "the loops violate a hard core: a state of zero weight"
+
+
 def _enter(store, split):
     """Enter an interaction_energy split into a store of carried energies, both ways."""
     for A, parts in split.items():
@@ -586,7 +596,7 @@ def _enter(store, split):
 def _stored(loops, h, split):
     """A store of carried energies for loops from their whole energy h and its split."""
     if math.isinf(h):
-        raise ValueError("the loops violate a hard core: a state of zero weight")
+        raise ValueError(_ZERO_WEIGHT)
     store = {lp: {} for lp in loops}
     _enter(store, split)
     return store

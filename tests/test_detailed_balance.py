@@ -81,11 +81,9 @@ class TestFluxBalance:
     def test_balance_tests_see_a_core_test_that_counts_a_tie(self, monkeypatch, flux_p_value,
                                                             family):
         # an overlap test that takes r <= D for r < D forbids the states
-        # with midpoints exactly D apart; the law is enumerated before the
-        # defect is planted, so only the moves run it
-        law = surrogate.DiscreteLoopGas(HARD, seed=0).enumerate_states()
-        monkeypatch.setattr(surrogate.DiscreteLoopGas, "enumerate_states", lambda self: law)
-
+        # with midpoints exactly D apart.  Only the energy calls of the moves
+        # run it: the law and the weighing of each start (_in_step) keep the
+        # right test, so every start is one of finite weight
         def at_or_below(pairs, D):
             for (_, ma), (_, mb) in pairs:
                 for p, q in zip(ma, mb):
@@ -93,7 +91,14 @@ class TestFluxBalance:
                         return True
             return False
 
-        monkeypatch.setattr(lps, "_core_overlap", at_or_below)
+        energy_change = mc.Chain._energy_change
+
+        def defective(self, *args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lps, "_core_overlap", at_or_below)
+                return energy_change(self, *args)
+
+        monkeypatch.setattr(mc.Chain, "_energy_change", defective)
         n_trials = 10000 if family == "merge_split" else 3000
         assert flux_p_value(HARD, family, seed=FAMILIES.index(family) + 13,
                             n_trials=n_trials) < 1e-3

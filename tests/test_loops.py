@@ -502,9 +502,9 @@ class TestCellIndex:
         # pure hard cores of diameter 0.5, 1 and 0.75 on the lattice, where
         # shifted copies put midpoints at distance exactly D (r = D is no
         # overlap): copies of targets beside them, and open paths whose legs
-        # are copies of the first, each shifted one core further.  With every
-        # set tested on Python floats and with none, the energy and split
-        # must be the same
+        # are copies of the first, each shifted one core further.  Tested on
+        # Python floats, the energy and split must be those of the stacked
+        # scan on numpy
         g = np.random.default_rng(seed)
         S = int(g.choice([1, 2, 4]))
         params = two_type_params(d, "square_well", 1.0)
@@ -530,15 +530,13 @@ class TestCellIndex:
                 copy = type(A)(j, BridgePath(A.samples + shift(cores[A.type_index][j]),
                                              A.k, S, BETA))
                 family.insert(int(g.integers(len(family) + 1)), copy)
-        runs = []
-        for cap in (math.inf, -1):
-            split = {}
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(lps, "CORE_LANE_MAX", cap)
-                runs.append((lps.interaction_energy(
-                    target, params, conditioning=lps.LegTable(family, 1.0).excluding(left_out),
-                    external=external, split=split), split))
-        assert runs[0] == runs[1]
+        split, want_split = {}, {}
+        h = lps.interaction_energy(
+            target, params, conditioning=lps.LegTable(family, 1.0).excluding(left_out),
+            external=external, split=split)
+        assert h == stacked_energy(target, params, family, left_out, external, False,
+                                   want_split)
+        assert split == want_split
 
     def test_a_family_out_of_reach_builds_no_legs(self, monkeypatch):
         # one object beyond reach in the target's own cell, one far off

@@ -399,6 +399,25 @@ class TestEnergyCache:
         with pytest.raises(ValueError, match="hard core"):
             chain._carried_energy((B,))
 
+    def test_a_pure_core_refuses_an_overlap_set_from_outside(self, tmp_path):
+        # a pure-core chain keeps no store, yet a state of zero weight set
+        # from outside, assigned or loaded, stops its first move
+        chain = drift_chain("widom-rowlinson", seed=3)
+        chain.run(5)
+        rng = np.random.default_rng(1)
+        A, B = (lps.Loop(j, sample_bridge(np.zeros(2), np.zeros(2), 1, 4, 1.0, rng))
+                for j in (0, 1))
+        chain.config.loops = chain.config.loops + [A, B]
+        path = tmp_path / "state.ckpt"
+        mc.save_checkpoint(chain, str(path))
+        assert chain.audit(tol=math.inf) == math.inf
+        with pytest.raises(ValueError, match="hard core"):
+            chain.step_redraw()
+        back = mc.load_checkpoint(str(path), chain.params, options=chain.opts)
+        assert math.isinf(back.energy)
+        with pytest.raises(ValueError, match="hard core"):
+            back.run(1)
+
 
 class TestEarlyRejection:
     def test_a_merge_rejected_early_draws_and_evaluates_nothing(self, monkeypatch):

@@ -27,17 +27,6 @@ each multiplicity 1..20 per type, anchors uniform in a box of half side
 thermal length (beta = 0.05, a smooth bump of range 1 and height 0.3,
 z = 0.8, S = 4, box half side 4, seed 5, after 300 sweeps), where most
 queries find many candidates.
-
-The lane rows time the calls of the Widom-Rowlinson gas at half side 8,
-of the same gas on the default grid (S = 32), of mid-length loops (four
-of each multiplicity 1..6 per type, half side 10, as the long loops
-otherwise) and of the long loops twice:
-each call once with every pure-core set tested on Python floats
-(loops.CORE_LANE_MAX = inf) and once with none (-1), alternating, best of
---repeats.  They are grouped by the midpoint pairs the call's sets hold
-before the leg filter, the count that CORE_LANE_MAX caps, in groups up to
-powers of 2; the cap is the largest group edge up to which the Python
-test is about as fast or faster.
 """
 
 import argparse
@@ -96,7 +85,7 @@ def energy_costs(chain, repeats):
     rng = np.random.default_rng(0)
     moves = [(lp, resample_leg(lp.path, int(rng.integers(lp.k)), rng))
              for lp in chain.config.loops for _ in range(4)]
-    table = chain._loop_table()
+    table = lps.LegTable(chain.config.loops, lps.cell_side(chain.params))
     best = math.inf
     for _ in range(repeats):
         proposals = [(lp, lps.Loop(lp.type_index, path)) for lp, path in moves]  # no legs yet
@@ -120,24 +109,17 @@ def energy_costs(chain, repeats):
             found.count(0) / max(len(found), 1))
 
 
-def wr_chain(half, S=4):
-    """The Widom-Rowlinson chain of the energy rows, after 200 sweeps from empty."""
-    chain = mc.Chain(chains()[-1][1], Box((0.0, 0.0), half), seed=37,
-                     options=mc.SamplerOptions(slices_per_beta=S))
-    chain.run(200)
-    return chain
-
-
-def long_loops(k_top=20, copies=1, half=16.0):
-    """A chain holding copies loops of each multiplicity 1..k_top and type
-    under the Widom-Rowlinson cores at S = 32, anchors uniform in the box
-    shrunk by 2 (seed 5)."""
+def long_loops():
+    """A chain holding one loop of each multiplicity 1..20 and type under
+    the Widom-Rowlinson cores at S = 32, anchors uniform in a box of half
+    side 16 shrunk by 2 (seed 5)."""
+    half = 16.0
     params = chains()[-1][1]
     chain = mc.Chain(params, Box((0.0, 0.0), half), seed=5)
     rng = np.random.default_rng(5)
     chain.config.loops = [
         lps.Loop(j, sample_bridge(x, x, k, chain.opts.slices_per_beta, params.beta, rng))
-        for k in range(1, k_top + 1) for j in (0, 1) for _ in range(copies)
+        for k in range(1, 21) for j in (0, 1)
         for x in [rng.uniform(2.0 - half, half - 2.0, 2)]]
     return chain
 
@@ -149,47 +131,6 @@ def dense_bump():
                      seed=5, options=mc.SamplerOptions(slices_per_beta=4))
     chain.run(300)
     return chain
-
-
-def lane_costs(chain, repeats):
-    """Per group of midpoint pairs: (calls, us per call tested on Python floats,
-    us per call through numpy), each call the best of repeats.
-
-    A call's midpoint pairs are its loop's k times S times the multiplicities
-    of the objects its cell-index queries find; under the Widom-Rowlinson
-    potentials that is the count CORE_LANE_MAX caps."""
-    rng = np.random.default_rng(0)
-    moves = [(lp, resample_leg(lp.path, int(rng.integers(lp.k)), rng))
-             for lp in chain.config.loops for _ in range(4)]
-    table = chain._loop_table()
-    S = chain.opts.slices_per_beta
-    cap, near = lps.CORE_LANE_MAX, lps._Cells.near
-    groups = {}
-    for lp, path in moves:
-        found = []
-        lps._Cells.near = lambda cells, *args: found.append(near(cells, *args)) or found[-1]
-        try:
-            chain._evaluate((lps.Loop(lp.type_index, path),), table.excluding((lp,)))
-        finally:
-            lps._Cells.near = near
-        n_pairs = lp.k * S * sum(o.k for objs in found for o in objs)
-        best = {}
-        try:
-            for _ in range(repeats):
-                for lps.CORE_LANE_MAX in (math.inf, -1):
-                    new = lps.Loop(lp.type_index, path)  # no geometry yet
-                    t0 = time.perf_counter()
-                    chain._evaluate((new,), table.excluding((lp,)))
-                    spent = time.perf_counter() - t0
-                    best[lps.CORE_LANE_MAX] = min(best.get(lps.CORE_LANE_MAX, math.inf), spent)
-        finally:
-            lps.CORE_LANE_MAX = cap
-        edge = 1 << (n_pairs - 1).bit_length() if n_pairs else 0
-        g = groups.setdefault(edge, [0, 0.0, 0.0])
-        g[0] += 1
-        g[1] += best[math.inf]
-        g[2] += best[-1]
-    return {edge: (n, 1e6 * a / n, 1e6 * b / n) for edge, (n, a, b) in sorted(groups.items())}
 
 
 def main(argv=None):
@@ -219,8 +160,11 @@ def main(argv=None):
         print("fingerprint %-16s %s" % (name, fp))
     print("%-16s %5s %6s %12s %11s %13s" % ("energy", "half", "loops", "us/call",
                                            "candidates", "no candidate"))
+    params = chains()[-1][1]
     for half in (8.0, 16.0):
-        chain = wr_chain(half)
+        chain = mc.Chain(params, Box((0.0, 0.0), half), seed=37,
+                         options=mc.SamplerOptions(slices_per_beta=4))
+        chain.run(200)
         us, mean, none = energy_costs(chain, args.repeats)
         print("%-16s %5g %6d %12.2f %11.3f %13.3f" % (
             "widom-rowlinson", half, len(chain.config.loops), us, mean, none))
@@ -228,14 +172,6 @@ def main(argv=None):
         us, mean, none = energy_costs(chain, args.repeats)
         print("%-16s %5g %6d %12.2f %11.3f %13.3f" % (
             name, chain.box.half_side, len(chain.config.loops), us, mean, none))
-    print("%-16s %8s %6s %14s %14s" % ("lane", "pairs<=", "calls", "us/call python",
-                                        "us/call numpy"))
-    for name, chain in (("widom-rowlinson", wr_chain(8.0)),
-                        ("wr-s32", wr_chain(8.0, S=32)),
-                        ("mid-loops-s32", long_loops(k_top=6, copies=4, half=10.0)),
-                        ("long-loops-s32", long_loops())):
-        for edge, (n, python, numpy_) in lane_costs(chain, args.repeats).items():
-            print("%-16s %8d %6d %14.2f %14.2f" % (name, edge, n, python, numpy_))
 
 
 if __name__ == "__main__":
