@@ -25,10 +25,18 @@ its full ratio, and a redraw's bound, e_old, is never < 0, so those three
 families keep their random streams.  This is the early rejection of
 Solonen et al., Bayesian Analysis 7, 715 (2012).
 
-A pick with one outcome (_index) draws nothing: the leg of a one-leg loop,
-the type of a one-type insertion, the cut of a two-leg loop, a loop among
-one.  Generator.integers(1) returns 0 without drawing, and integers(1, k)
-is 1 + integers(k - 1) draw for draw, so every stream is unchanged.
+The chain's scalar draws go through one lane (_Draws) that calls the
+bit generator's own C functions (BitGenerator.ctypes) on its own state,
+without numpy's per-call wrapper.  Its uniform() is Generator.random() and
+its index(n) is int(Generator.integers(n)), draw for draw: index runs
+numpy's bounded pick (Lemire, ACM TOMACS 29(1), 3 (2019)) on next_uint32
+for n < 2**32, hands larger n to integers itself, and draws nothing for
+n = 1, as integers(1) does (the leg of a one-leg loop, the type of a
+one-type insertion, the cut of a two-leg loop, a loop among one).  So the
+lane's draws interleave exactly with every Generator method and with a
+saved or set state, and every stream is numpy's;
+tests/test_mc.py::TestOneOutcomePicks pins this on each of numpy's bit
+generators.
 
 The chain stores the energy each loop carries: its own legs' energy and its
 nonzero pair energy with each other loop (Chain._store).  A move takes the
@@ -135,9 +143,42 @@ def pick_ordered_pair(r, counts):
     raise ValueError("pair index out of range")
 
 
-def _index(rng, n):
-    """A uniform pick from range(n), as int(rng.integers(n)); none is drawn for n = 1."""
-    return 0 if n == 1 else int(rng.integers(n))
+class _Draws:
+    """Scalar draws straight from a Generator's bit generator, draw for draw
+    as the Generator's own (see the module docstring).
+
+    It holds C pointers into the Generator's state, so a copy or an
+    unpickled lane is rebuilt on its own copy of the Generator
+    (__reduce__).  It skips the Generator's lock, so no two threads may
+    draw from one lane at once.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        ct = rng.bit_generator.ctypes
+        self._state, self._next_uint32, self._next_double = (
+            ct.state_address, ct.next_uint32, ct.next_double)
+
+    def __reduce__(self):
+        return _Draws, (self.rng,)
+
+    def uniform(self):
+        """A uniform double on [0, 1): Generator.random()."""
+        return self._next_double(self._state)
+
+    def index(self, n):
+        """A uniform pick from range(n): int(Generator.integers(n)); none is
+        drawn for n = 1."""
+        if n == 1:
+            return 0
+        if not 1 < n < 2 ** 32:
+            return int(self.rng.integers(n))
+        m = self._next_uint32(self._state) * n
+        if m & 0xFFFFFFFF < n:  # numpy's cheap bound on the rejection threshold
+            threshold = (2 ** 32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next_uint32(self._state) * n
+        return m >> 32
 
 
 def move_cdf(move_weights):
@@ -149,8 +190,9 @@ def move_cdf(move_weights):
 class Chain:
     """One Markov chain over loop configurations.
 
-    All randomness flows through the chain's numpy Generator, so a seed fixes
-    the trajectory bit for bit.  Every move goes through one Metropolis test
+    All randomness flows through the chain's numpy Generator (rng), its
+    scalar draws through the lane _Draws, so a seed fixes the trajectory bit
+    for bit.  Every move goes through one Metropolis test
     with early rejection (_try), and every accepted move changes the loop
     list, its per-type lists (_typed), its cell index (a LegTable, through
     which an energy call finds the loops near the ones a move adds), the
@@ -175,7 +217,7 @@ class Chain:
         self.params = params
         self.box = box
         self.opts = options or SamplerOptions()
-        self.rng = np.random.default_rng(seed)
+        self._draws = _Draws(np.random.default_rng(seed))
         self.config = LoopConfig(box, self.opts.slices_per_beta, [], external)
         self.sweeps_done = 0
         self.stats = {name: MoveStats() for name in self.FAMILIES}
@@ -192,6 +234,11 @@ class Chain:
                             for k in range(1, self.opts.k_max + 1)]
 
     # -- cached quantities ---------------------------------------------------
+
+    @property
+    def rng(self):
+        """The chain's numpy Generator, the one its scalar draws (_draws) come from."""
+        return self._draws.rng
 
     @property
     def energy(self):
@@ -376,7 +423,7 @@ class Chain:
         self._in_step()
         e_old = self._carried_energy(removed)
         bound = log_ratio(-e_old)
-        u = self.rng.random() if bound < 0 else None
+        u = self._draws.uniform() if bound < 0 else None
         if u is not None and u >= math.exp(bound):
             return False
         added = propose()
@@ -386,7 +433,7 @@ class Chain:
         if math.isinf(dh):
             return False
         ratio = log_ratio(dh)  # a fresh uniform only if ratio < 0 and none was drawn
-        if not (ratio >= 0 or (self.rng.random() if u is None else u) < math.exp(ratio)):
+        if not (ratio >= 0 or (self._draws.uniform() if u is None else u) < math.exp(ratio)):
             return False
         self._commit(removed, added, dh, split)
         return True
@@ -396,11 +443,10 @@ class Chain:
     def _draw_insertion(self):
         """Type, multiplicity and anchor of an insertion: uniform on its choices.
         The anchor is a list of floats, center + (u * 2 - 1) * half_side."""
-        rng, box = self.rng, self.box
-        j = _index(rng, self.params.n_types)
-        k = 1 + _index(rng, self.opts.k_max)
-        return j, k, [c + (u * 2.0 - 1.0) * box.half_side
-                      for c, u in zip(box.center, rng.random(box.dimension).tolist())]
+        draws, box = self._draws, self.box
+        j = draws.index(self.params.n_types)
+        k = 1 + draws.index(self.opts.k_max)
+        return j, k, [c + (draws.uniform() * 2.0 - 1.0) * box.half_side for c in box.center]
 
     def _loop_log_mass(self, x, k):
         """log closed-bridge mass of a k-loop anchored at x."""
@@ -435,10 +481,9 @@ class Chain:
     def step_insert_delete(self):
         st = self.stats["insert_delete"]
         st.proposed += 1
-        rng = self.rng
         params = self.params
         n = len(self.config.loops)
-        if rng.random() < 0.5:
+        if self._draws.uniform() < 0.5:
             # insertion: type, multiplicity and anchor, then (in _try) the
             # uniform and only then the path
             if n >= self.max_loops:
@@ -453,7 +498,7 @@ class Chain:
             # deletion: the exact reverse, so -dh is the energy the loop carries
             if n == 0:
                 return False
-            loop = self.config.loops[_index(rng, n)]
+            loop = self.config.loops[self._draws.index(n)]
             k, j = loop.k, loop.type_index
             log_mass = self._loop_log_mass(loop.anchor, k)
             if not self._try((loop,), lambda: (), lambda dh: -insert_log_ratio(
@@ -465,12 +510,11 @@ class Chain:
     def step_redraw(self):
         st = self.stats["redraw"]
         st.proposed += 1
-        rng = self.rng
         n = len(self.config.loops)
         if n == 0:
             return False
-        old = self.config.loops[_index(rng, n)]
-        m = _index(rng, old.k)
+        old = self.config.loops[self._draws.index(n)]
+        m = self._draws.index(old.k)
         if not self._try((old,), lambda: (Loop(old.type_index, self._redraw_leg(old.path, m)),),
                          lambda dh: -dh):
             return False
@@ -480,7 +524,7 @@ class Chain:
     def step_merge_split(self):
         st = self.stats["merge_split"]
         st.proposed += 1
-        if self.rng.random() < 0.5:
+        if self._draws.uniform() < 0.5:
             ok = self._try_merge()
         else:
             ok = self._try_split()
@@ -489,7 +533,6 @@ class Chain:
         return ok
 
     def _try_merge(self):
-        rng = self.rng
         S = self.opts.slices_per_beta
         beta = self.params.beta
         typed = self._typed()
@@ -497,7 +540,7 @@ class Chain:
         n_pairs = ordered_pair_count(counts)
         if n_pairs == 0:
             return False
-        j, a, b = pick_ordered_pair(int(rng.integers(n_pairs)), counts)
+        j, a, b = pick_ordered_pair(self._draws.index(n_pairs), counts)
         A, B = typed[j][a], typed[j][b]
         k1, k2 = A.k, B.k
         k = k1 + k2
@@ -523,17 +566,16 @@ class Chain:
             k1, k2, log_g, dh, n_pairs, n_after))
 
     def _try_split(self):
-        rng = self.rng
         S = self.opts.slices_per_beta
         beta = self.params.beta
         n = len(self.config.loops)
         if n == 0:
             return False
-        old = self.config.loops[_index(rng, n)]
+        old = self.config.loops[self._draws.index(n)]
         k = old.k
         if k < 2 or n >= self.max_loops:
             return False
-        m = 1 + _index(rng, k - 1)
+        m = 1 + self._draws.index(k - 1)
         x1 = old.anchor
         u = old.samples[m * S]
         um, uk = old.samples[(m - 1) * S], old.samples[(k - 1) * S]
@@ -558,7 +600,7 @@ class Chain:
     # -- driving -------------------------------------------------------------
 
     def step(self):
-        r = self.rng.random()
+        r = self._draws.uniform()
         if r < self._move_cdf[0]:
             return self.step_insert_delete()
         if r < self._move_cdf[1]:

@@ -127,8 +127,8 @@ class DiscreteLoopGas(mc.Chain):
         return tuple(sites)
 
     def _draw_insertion(self):
-        a = int(self.rng.integers(self.n_sites))
-        return 0, int(self.rng.integers(1, self.k_max + 1)), self.positions[a:a + 1]
+        a = self._draws.index(self.n_sites)
+        return 0, 1 + self._draws.index(self.k_max), self.positions[a:a + 1]
 
     def _loop_log_mass(self, x, k):
         a = self._site[x[0]]

@@ -465,8 +465,13 @@ class TestCellIndex:
         S = int(g.choice([1, 2, 4]))
         params = two_type_params(d, profile, core)
         assert lps.cell_side(params) == 2.0
-        target, family, left_out, external = lattice_family(g, d, S)
+        # dense draws, then sparse ones with anchors spread over 3 d, where
+        # fewer pure-core calls stop at an overlap between loops
+        for spread in (3.0, 3.0 * d):
+            self.assert_same_scan(params, conservative, *lattice_family(g, d, S, spread))
 
+    @staticmethod
+    def assert_same_scan(params, conservative, target, family, left_out, external):
         runs = []
         for energy in (
                 lambda split: lps.interaction_energy(

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 import types
 
 import numpy as np
@@ -245,10 +247,37 @@ class TestOneOutcomePicks:
             assert a.bit_generator.state == b.bit_generator.state
 
     def test_index_is_integers(self):
-        a, b = np.random.default_rng(9), np.random.default_rng(9)
-        ns = [1, 2, 1, 7, 1, 1, 40, 3]
-        assert [mc._index(a, n) for n in ns] == [int(b.integers(n)) for n in ns]
-        assert a.bit_generator.state == b.bit_generator.state
+        # the chain's draw lane against numpy's draws on a twin generator,
+        # draw for draw, with numpy's own draws interleaved on the lane's
+        # generator, on every numpy bit generator (default_rng passes a
+        # Generator through); the cached upper half of a 64-bit draw
+        # (has_uint32, uinteger) must carry across both
+        def plain(state):
+            if isinstance(state, dict):
+                return {key: plain(value) for key, value in state.items()}
+            return state.tolist() if isinstance(state, np.ndarray) else state
+
+        ns = [1, 2, 3, 7, 20, 40, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5]
+        order = np.random.default_rng(1)
+        for bits in (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                     np.random.SFC64, np.random.Philox):
+            a, b = np.random.Generator(bits(9)), np.random.Generator(bits(9))
+            draws, cached = mc._Draws(a), set()
+            for what, i in order.integers((5, len(ns)), size=(2000, 2)).tolist():
+                n = ns[i]
+                if what == 0:
+                    assert draws.index(n) == int(b.integers(n))
+                elif what == 1:
+                    assert draws.uniform() == b.random()
+                elif what == 2:
+                    assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+                elif what == 3:
+                    assert np.array_equal(a.random(2), b.random(2))
+                else:
+                    assert a.integers(n) == b.integers(n)
+                cached.add(a.bit_generator.state.get("has_uint32"))
+            assert plain(a.bit_generator.state) == plain(b.bit_generator.state)
+            assert cached == ({None} if bits is np.random.MT19937 else {0, 1})
 
 
 class TestEnergyCache:
@@ -467,6 +496,8 @@ class TestCheckpointing:
         params = well_params()
         a = make_chain(params, half_side=3.0, seed=7, slices_per_beta=4, k_max=6)
         a.run(30)
+        while a.rng.bit_generator.state["has_uint32"] != 1:
+            a.step()  # saved with half of a 64-bit draw cached for the next pick
         path = tmp_path / "state.ckpt"
         mc.save_checkpoint(a, str(path))
         b = mc.load_checkpoint(str(path), params,
@@ -475,9 +506,24 @@ class TestCheckpointing:
         assert abs(b.energy - a.energy) < 1e-9
         a.run(20)
         b.run(20)
-        assert len(a.config.loops) == len(b.config.loops)
-        for la, lb in zip(a.config.loops, b.config.loops):
-            assert np.array_equal(la.samples, lb.samples)
+        assert lps.dumps_config(b.config) == lps.dumps_config(a.config)
+        assert b.stats == a.stats
+        assert b.rng.bit_generator.state == a.rng.bit_generator.state
+
+    def test_copies_draw_from_their_own_generator(self):
+        a = make_chain(well_params(), half_side=3.0, seed=7, slices_per_beta=4, k_max=6)
+        a.run(10)
+        copies = [copy.deepcopy(a), pickle.loads(pickle.dumps(a))]
+        state = a.rng.bit_generator.state
+        for b in copies:
+            b.run(10)
+        assert a.rng.bit_generator.state == state
+        a.run(10)
+        for b in copies:
+            assert lps.dumps_config(b.config) == lps.dumps_config(a.config)
+            assert b.stats == a.stats
+        with pytest.raises(AttributeError):  # no Generator apart from the draws' own
+            a.rng = np.random.default_rng(7)
 
     def test_crash_mid_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         params = well_params()

@@ -12,6 +12,13 @@ on a copy of the chain, with every family's step timed; per family the
 table gives the proposals, the acceptance and the microseconds per
 proposal of the fastest repeat.  Every repeat makes the same moves.
 
+The draws rows time the scalar draws a proposal makes, one call at a time
+as the chain makes them, in microseconds per call, the fastest of
+--repeats passes of 200,000 calls: numpy's Generator.random() and
+int(Generator.integers(40)) beside the chain's draw lane (mc._Draws),
+whose uniform() and index(40) give the same numbers from the same
+generator.
+
 The energy rows are pair-energy evaluations against loop count: the
 Widom-Rowlinson gas at box half sides 8 and 16, the same fugacities and
 so the same density, each after 200 sweeps from empty.  Every loop gets
@@ -36,6 +43,7 @@ import math
 import pathlib
 import sys
 import time
+import timeit
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -78,6 +86,20 @@ def timed_sweeps(base, n_sweeps):
         setattr(chain, "step_" + name, step)
     chain.run(n_sweeps)
     return spent, chain
+
+
+def draw_costs(repeats):
+    """(name, us per call) of numpy's scalar draws and the chain's lane."""
+    number = 200_000
+    g = np.random.default_rng(0)
+    draws = mc._Draws(g)
+    calls = [("Generator.random()", "r()", {"r": g.random}),
+             ("int(Generator.integers(40))", "int(i(40))", {"i": g.integers}),
+             ("_Draws.uniform()", "u()", {"u": draws.uniform}),
+             ("_Draws.index(40)", "x(40)", {"x": draws.index})]
+    return [(name, 1e6 * min(timeit.repeat(stmt, globals=names, number=number,
+                                           repeat=repeats)) / number)
+            for name, stmt, names in calls]
 
 
 def energy_costs(chain, repeats):
@@ -158,6 +180,9 @@ def main(argv=None):
                 1e6 * best[family] / max(proposed, 1)))
     for name, fp in prints:
         print("fingerprint %-16s %s" % (name, fp))
+    print("%-31s %9s" % ("draws", "us/call"))
+    for name, us in draw_costs(args.repeats):
+        print("%-31s %9.3f" % (name, us))
     print("%-16s %5s %6s %12s %11s %13s" % ("energy", "half", "loops", "us/call",
                                            "candidates", "no candidate"))
     params = chains()[-1][1]
