@@ -178,14 +178,17 @@ def confined_to_box(objects, box):
 # The small widening of the reach keeps that true for the segment gap, which
 # rounds to either side.
 #
-# A pure hard core (range == hard_core) without the conservative segment
-# test has V in {0, inf}: its energy is 0 or inf, and only whether some
-# midpoint pair comes closer than the core matters.  Its leg pairs, the same
-# ones in the same order, are tested on Python floats instead (_core_overlap,
-# on each object's leg_points), with the doubles numpy computes: r is the
-# square root of the squared coordinate differences summed in axis order.
-# The test stops at the first r < D and builds no numpy leg arrays.  The
-# conservative test keeps the numpy way.
+# A model of pure hard cores (ModelParams.is_hard_core: every potential zero
+# or with range == hard_core) without the conservative segment test has
+# energies in {0, inf}: only whether some midpoint pair comes closer than
+# its core matters.  Such a model asks that one question (CoreLane.hit),
+# over the same leg pairs in the same order, on Python floats
+# (_core_overlap, on each object's leg_points) with the doubles numpy
+# computes: r is the square root of the squared coordinate differences
+# summed in axis order.  It stops at the first r < D, builds no numpy leg
+# arrays, and sums, splits and stores nothing; the chain calls it directly.
+# A mixed model's pure-core pairs are valued by _pair_values, whose 0 and
+# inf give the same totals, and the conservative test keeps the numpy way.
 
 _MIXED_SLICES = "mixed slice counts in one energy evaluation"
 _REACH_SLACK = 1e-9  # relative widening of the reach; far above rounding
@@ -249,15 +252,28 @@ class _Cells:
                 del cells[key]
         return rank
 
+    def replace(self, old, new):
+        """File new in old's place, with its rank: old's entries are kept,
+        relabelled, when new's bounds meet the same cells."""
+        keys = list(_cell_keys(new.bounds, self.inv, 0.0))
+        if keys != self.filed[old]:
+            self.add(new, self.discard(old))
+            return
+        self.filed[new] = self.filed.pop(old)
+        cells = self.cells
+        for key in keys:
+            cell = cells[key]
+            cell[new] = cell.pop(old)
+
     def near(self, bounds, reach, left_out, after):
         """The objects, ranked above after and not left out, whose bounds
         meet bounds within reach (_meets), in family order."""
-        cells, found = self.cells, {}
+        cells, found = self.cells, None
         for key in _cell_keys(bounds, self.inv, reach):
             cell = cells.get(key)
             if cell is not None:
-                found.update(cell)
-        if not found:
+                found = cell if found is None else {**found, **cell}
+        if found is None:
             return ()
         hits = [(rank, o) for o, rank in found.items()
                 if rank > after and o not in left_out and _meets(bounds, o.bounds, reach)]
@@ -316,10 +332,12 @@ class LegTable:
         T.add(obj, rank)
 
     def splice(self, removed, added):
-        """Apply a move to the family, in the order splice() gives the list."""
+        """Apply a move to the family, in the order splice() gives the list;
+        one object for one, of its type and grid, takes its cells' entries
+        and rank (_Cells.replace)."""
         splice(self.objects, removed, added)
         if len(removed) == len(added) == 1:
-            self._file(added[0], self.types[removed[0].type_index].discard(removed[0]))
+            self.types[removed[0].type_index].replace(removed[0], added[0])
             return
         for o in removed:
             self.types[o.type_index].discard(o)
@@ -396,10 +414,10 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=Fals
     """total plus the energy of A's legs against table's legs within reach.
 
     Per type j of table: the objects near A (_Cells.near), less those of
-    rank <= after, have their legs stacked in family order; the leg pairs
-    whose boxes come within reach are valued by _pair_values, or tested by
-    _core_overlap under a pure core (see above).  A type with no such object
-    makes no numpy call and A's legs are built only if some type has one.
+    rank <= after, have their legs stacked in family order, and the leg
+    pairs whose boxes come within reach are valued by _pair_values.  A type
+    with no such object makes no numpy call and A's legs are built only if
+    some type has one.
     The energy enters split under split[A][A] if own, else under split[A][B]
     by row owner B.  Stops at the first infinite total, before that type's
     energy enters split.
@@ -412,13 +430,6 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=Fals
         reach = max(pot.range, pot.hard_core) * (1.0 + _REACH_SLACK)
         near = T.near(bounds, reach, table.left_out, after)
         if not near:
-            continue
-        if pot.range == pot.hard_core and not conservative:
-            legs = [lb for o in near for lb in o.leg_points]
-            if _core_overlap(((la, lb) for la in A.leg_points for lb in legs
-                              if _meets(la[0], lb[0], reach)), pot.hard_core):
-                total = math.inf
-                break
             continue
         a = A.legs
         b = near[0].legs if len(near) == 1 else \
@@ -452,6 +463,67 @@ def _still_table(external, S, beta, side):
                      for j, points in enumerate(external.points) for x in points], side)
 
 
+class CoreLane:
+    """The energy of a model of pure hard cores, 0 or inf, asked as one
+    overlap question (hit); see the comment above.
+
+    Built once per model: cores[i][j] is None for a zero potential between
+    types i and j, else (reach, D) for its core D.
+    """
+
+    __slots__ = ("cores", "side", "beta")
+
+    def __init__(self, params):
+        self.cores = [[None if p.is_zero() else (p.hard_core * (1.0 + _REACH_SLACK), p.hard_core)
+                       for p in row] for row in params.potentials]
+        self.side, self.beta = cell_side(params), params.beta
+
+    def hit(self, target, table, left_out, external):
+        """Whether some target object overlaps: a leg pair of its own, or with
+        a later target, an object of table (None for none) less left_out, or
+        an external point, comes closer than its core at an equal-time
+        midpoint.
+
+        The leg pairs and their order are those interaction_energy values
+        (the targets in order, each against itself and the later ones, then
+        each against table, then each against the external points), tested
+        by _core_overlap up to the first overlap.
+        """
+        cores = self.cores
+        later = LegTable(target, self.side) if len(target) > 1 else None
+        for i, A in enumerate(target):
+            own = cores[A.type_index][A.type_index]
+            if own is not None and A.k > 1 and _core_overlap(combinations(A.leg_points, 2),
+                                                             own[1]):
+                return True
+            if later is not None and self._near(A, later, (), i):
+                return True
+        if table is not None and any(self._near(A, table, left_out, -1) for A in target):
+            return True
+        if external is None or external.is_empty():
+            return False
+        still = _still_table(external, target[0].path.slices_per_beta, self.beta, self.side)
+        return any(self._near(A, still, (), -1) for A in target)
+
+    def _near(self, A, table, left_out, after):
+        """Whether A overlaps a near object of table (_Cells.near) ranked
+        above after and not left out: per type, their legs stacked in family
+        order, and the leg pairs whose boxes come within reach."""
+        bounds, row = A.bounds, self.cores[A.type_index]
+        for j, T in table.types.items():
+            core = row[j]
+            if core is None:
+                continue
+            reach, D = core
+            near = T.near(bounds, reach, left_out, after)
+            if near:
+                legs = [lb for o in near for lb in o.leg_points]
+                if _core_overlap(((la, lb) for la in A.leg_points for lb in legs
+                                  if _meets(la[0], lb[0], reach)), D):
+                    return True
+        return False
+
+
 def interaction_energy(target, params, conditioning=None, external=None,
                        conservative=False, split=None):
     """Equal-time pair energy h(target | conditioning, external).
@@ -466,8 +538,9 @@ def interaction_energy(target, params, conditioning=None, external=None,
     target meets the later targets, the conditioning and the external points
     in that order, each indexed per type in a LegTable (_near_energy,
     _still_table), so only the objects whose bounds come within reach of
-    the target's have their legs stacked and valued, or, under a pure hard
-    core, tested on Python floats (_core_overlap).
+    the target's have their legs stacked and valued.  A model of pure hard
+    cores without the conservative test asks only whether some pair
+    overlaps (CoreLane.hit), on Python floats.
 
     split, a dict if given, receives the same energy by object pair:
     split[A][B] for target A and B a later target or a conditioning object,
@@ -479,8 +552,6 @@ def interaction_energy(target, params, conditioning=None, external=None,
     if not target:
         return 0.0
     S = target[0].path.slices_per_beta
-    # the later targets; their table refuses mixed grids
-    later = LegTable(target, cell_side(params)) if len(target) > 1 else None
     if conditioning and not isinstance(conditioning, LegTable):
         conditioning = LegTable(conditioning, cell_side(params))
     others = []
@@ -488,23 +559,25 @@ def interaction_energy(target, params, conditioning=None, external=None,
         if conditioning.slices_per_beta != S:
             raise ValueError(_MIXED_SLICES)
         others.append((conditioning, False))
+    if params.is_hard_core() and not conservative:
+        hit = CoreLane(params).hit(target, conditioning or None,
+                                   conditioning.left_out if conditioning else (), external)
+        return math.inf if hit else 0.0
+    # the later targets; their table refuses mixed grids
+    later = LegTable(target, cell_side(params)) if len(target) > 1 else None
     dt = params.beta / S
     P = params.potentials
     total = 0.0
     for i, A in enumerate(target):
         pot = P[A.type_index][A.type_index]
         if not pot.is_zero() and A.k > 1:
-            if pot.range == pot.hard_core and not conservative:
-                if _core_overlap(combinations(A.leg_points, 2), pot.hard_core):
-                    return math.inf
-            else:
-                a = A.legs
-                ia, ib = np.triu_indices(A.k, 1)
-                e = _integrated(_pair_values(pot, a, ia, a, ib, conservative), dt)
-                total += e
-                if math.isinf(total):
-                    return math.inf
-                _record(split, A, A, e)
+            a = A.legs
+            ia, ib = np.triu_indices(A.k, 1)
+            e = _integrated(_pair_values(pot, a, ia, a, ib, conservative), dt)
+            total += e
+            if math.isinf(total):
+                return math.inf
+            _record(split, A, A, e)
         if later:  # the targets after A: ranks above i
             total = _near_energy(total, A, later, P, dt, conservative, split, i)
             if math.isinf(total):

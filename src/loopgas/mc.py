@@ -47,8 +47,11 @@ move at most one.  This is the per-particle energy bookkeeping of Frenkel & Smit
 Understanding Molecular Simulation, ch. 3 and App. F.  Under pure hard cores
 (ModelParams.is_hard_core, the Widom-Rowlinson gas among them) every state
 of nonzero weight has energy exactly 0, so every loop carries 0.0, the value
-a store would give: such a chain, like a free one, keeps no store and builds
-no split, and its energy call only tells 0 from inf.
+a store would give: such a chain, like a free one, keeps no store, asks for
+no carried energy and builds no split.  Unless its core test is
+conservative, its energy call is one overlap question (loops.CoreLane.hit)
+of the loops it adds against its cell index less the loops it removes and
+against the external points; a free chain makes no energy call at all.
 
 The kernel estimators draw the terms of a permutation combo as one batch
 (_sample_terms): leg by leg, the multiplicities of all terms, then one
@@ -223,6 +226,9 @@ class Chain:
         self.stats = {name: MoveStats() for name in self.FAMILIES}
         self._free = params.is_free()  # every potential is zero, external points' too
         self._pure = params.is_hard_core()  # every finite energy is 0
+        # the overlap question that is a pure core's energy call
+        self._lane = lps.CoreLane(params) if self._pure and not self._free \
+            and not self.opts.conservative_hard_core else None
         # whether the chain keeps anything beside the loop list
         self._keeps = not self._free or params.n_types > 1
         self._move_cdf = move_cdf(self.opts.move_weights).tolist()
@@ -342,10 +348,13 @@ class Chain:
         index, the carried energies and the energy cache.
 
         dh is the energy the move adds and split its split by loop pair, both
-        as _energy_change returns them; lps.splice gives the list order.
-        Every move removes and adds loops of one type, so one per-type list
-        changes.  The loops removed leave the store and the added ones enter
-        it with split; free and pure-core models keep no store.
+        as _energy_change returns them; lps.splice gives the list order, in
+        which a redraw's new loop takes the old one's place, and the cell
+        index keeps the old loop's entries for it when it meets the same
+        cells (LegTable.splice).  Every move removes and adds loops of one
+        type, so one per-type list changes.  The loops removed leave the
+        store and the added ones enter it with split; free and pure-core
+        models keep no store.
         """
         lps.splice(self.config.loops, removed, added)
         if self._table is not None:
@@ -375,9 +384,8 @@ class Chain:
 
     def _carried_energy(self, removed):
         """Energy e_old the loops removed carry (_store), a pair among them
-        counted once; 0.0 in a free or pure-core model, which keeps no store."""
-        if self._pure:
-            return 0.0
+        counted once.  Free and pure-core chains keep no store and never ask
+        (_try): their loops carry 0.0."""
         store = self._store()
         e_old = 0.0
         for i, A in enumerate(removed):
@@ -392,13 +400,16 @@ class Chain:
         The loops removed take away e_old (_carried_energy), so a deletion
         makes no energy call.  added is evaluated against the rest in one
         call, whose split by loop pair is returned for _commit to store.  A
-        free model makes no call and returns (0.0, None); a pure core
-        returns no split either.
+        pure core returns no split, and unless the test is conservative its
+        call is the overlap question (lps.CoreLane.hit) against the cell
+        index less removed, with no view and no copy.  Free chains never ask
+        (_try).
         """
-        if self._free:
-            return 0.0, None
         e_new, split = 0.0, None if self._pure else {}
-        if added:
+        if added and self._lane is not None:
+            if self._lane.hit(added, self._loop_table(), removed, self.config.external):
+                e_new = math.inf
+        elif added:
             e_new, split = self._evaluate(added, self._loop_table().excluding(removed))
         return e_new - e_old, split
 
@@ -421,7 +432,7 @@ class Chain:
         the loop list (_in_step).
         """
         self._in_step()
-        e_old = self._carried_energy(removed)
+        e_old = 0.0 if self._pure else self._carried_energy(removed)
         bound = log_ratio(-e_old)
         u = self._draws.uniform() if bound < 0 else None
         if u is not None and u >= math.exp(bound):
@@ -429,7 +440,7 @@ class Chain:
         added = propose()
         if added and not self._confined(added):
             return False
-        dh, split = self._energy_change(removed, added, e_old)
+        dh, split = (0.0, None) if self._free else self._energy_change(removed, added, e_old)
         if math.isinf(dh):
             return False
         ratio = log_ratio(dh)  # a fresh uniform only if ratio < 0 and none was drawn

@@ -436,6 +436,38 @@ def lattice_family(g, d, S, spread=3.0):
     return target, family, left_out, ExternalConfiguration(box, points, max_range=math.inf)
 
 
+def cored_family(g, d, S, params, shifted=0.7):
+    """lattice_family's sparse draw with legs set just outside params' pure
+    hard cores of diameter 0.5, 1 and 0.75, where shifted copies put
+    midpoints at distance exactly D (r = D is no overlap): each target, with
+    probability shifted, becomes an open path whose legs are copies of one
+    leg, each shifted one core further, and copies of the targets sit one
+    core beside them."""
+    cores = [[p.hard_core for p in row] for row in params.potentials]
+    target, family, left_out, external = lattice_family(g, d, S, spread=3.0 * d)
+
+    def shift(D):
+        v = np.zeros(d)
+        v[int(g.integers(d))] = D * g.choice([-1.0, 1.0])
+        return v
+
+    for i, A in enumerate(target):
+        if g.random() < shifted:  # legs shifted one core apart
+            j, k = A.type_index, int(g.integers(1, 7))
+            v = shift(cores[j][j])
+            x = on_lattice(g.uniform(-3.0 * d, 3.0 * d, d))
+            leg = on_lattice(sample_bridge(x, x + v, 1, S, BETA, g).samples)
+            samples = np.concatenate([leg[:-1] + m * v for m in range(k)]
+                                     + [leg[-1:] + (k - 1) * v])
+            target[i] = A = lps.OpenPath(j, BridgePath(samples, k, S, BETA))
+        for _ in range(int(g.integers(0, 3))):  # copies one core beside A
+            j = int(g.integers(2))
+            copy = type(A)(j, BridgePath(A.samples + shift(cores[A.type_index][j]),
+                                         A.k, S, BETA))
+            family.insert(int(g.integers(len(family) + 1)), copy)
+    return target, family, left_out, external
+
+
 def two_type_params(d, profile, core):
     """Two types with ranges 0.5, 1 (across) and 0.75, each with a core of
     core times its range: pure hard cores at core = 1."""
@@ -469,6 +501,10 @@ class TestCellIndex:
         # fewer pure-core calls stop at an overlap between loops
         for spread in (3.0, 3.0 * d):
             self.assert_same_scan(params, conservative, *lattice_family(g, d, S, spread))
+        if core == 1.0:  # pure cores, every target's legs just outside
+            # them, so that more calls compare whole pair sequences
+            self.assert_same_scan(params, conservative,
+                                  *cored_family(g, d, S, params, shifted=1.0))
 
     @staticmethod
     def assert_same_scan(params, conservative, target, family, left_out, external):
@@ -504,37 +540,13 @@ class TestCellIndex:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 2, 3]))
     def test_the_core_lane_matches_numpy(self, seed, d):
-        # pure hard cores of diameter 0.5, 1 and 0.75 on the lattice, where
-        # shifted copies put midpoints at distance exactly D (r = D is no
-        # overlap): copies of targets beside them, and open paths whose legs
-        # are copies of the first, each shifted one core further.  Tested on
-        # Python floats, the energy and split must be those of the stacked
-        # scan on numpy
+        # pure hard cores with legs just outside them (cored_family).
+        # Tested on Python floats, the energy and split must be those of
+        # the stacked scan on numpy
         g = np.random.default_rng(seed)
         S = int(g.choice([1, 2, 4]))
         params = two_type_params(d, "square_well", 1.0)
-        cores = [[p.hard_core for p in row] for row in params.potentials]
-        target, family, left_out, external = lattice_family(g, d, S, spread=3.0 * d)
-
-        def shift(D):
-            v = np.zeros(d)
-            v[int(g.integers(d))] = D * g.choice([-1.0, 1.0])
-            return v
-
-        for i, A in enumerate(target):
-            if g.random() < 0.7:  # legs shifted one core apart
-                j, k = A.type_index, int(g.integers(1, 7))
-                v = shift(cores[j][j])
-                x = on_lattice(g.uniform(-3.0 * d, 3.0 * d, d))
-                leg = on_lattice(sample_bridge(x, x + v, 1, S, BETA, g).samples)
-                samples = np.concatenate([leg[:-1] + m * v for m in range(k)]
-                                         + [leg[-1:] + (k - 1) * v])
-                target[i] = A = lps.OpenPath(j, BridgePath(samples, k, S, BETA))
-            for _ in range(int(g.integers(0, 3))):  # copies one core beside A
-                j = int(g.integers(2))
-                copy = type(A)(j, BridgePath(A.samples + shift(cores[A.type_index][j]),
-                                             A.k, S, BETA))
-                family.insert(int(g.integers(len(family) + 1)), copy)
+        target, family, left_out, external = cored_family(g, d, S, params)
         split, want_split = {}, {}
         h = lps.interaction_energy(
             target, params, conditioning=lps.LegTable(family, 1.0).excluding(left_out),

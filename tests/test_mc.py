@@ -57,6 +57,10 @@ DRIFT_SETUPS = {
                         {"external": [[[4.1, 0.5], [-1.0, -4.2], [0.0, 4.05]]]}),
     "two-types": (dense_gas([[WELL, BUMP_CORE], [BUMP_CORE, TABLE]]), {}),
     "widom-rowlinson": (dense_gas([[zero_potential(), CORE], [CORE, zero_potential()]]), {}),
+    # external points of each type, 0.05 to 0.2 outside the box: within the core
+    "widom-rowlinson-external": (
+        dense_gas([[zero_potential(), CORE], [CORE, zero_potential()]]),
+        {"external": [[[4.1, 0.5], [-1.0, -4.2]], [[0.0, 4.05], [-4.2, 1.5]]]}),
     "one-type-core": (dense_gas([[CORE]]), {}),  # k_max = 4: legs of a loop overlap
 }
 SOFT_SETUPS = [name for name, (params, _) in DRIFT_SETUPS.items() if not params.is_hard_core()]
@@ -80,9 +84,10 @@ def assert_tables_follow(chain):
 
     The per-type lists hold each type's loops in list order.  The family
     and its grid match, and per type every cell holds the same loops,
-    ranked in the same order, as a fresh index's; the loops of a type,
-    ranked, come in list order.  Ranks themselves may differ: the chain's
-    count on from its first build.
+    ranked in the same order, as a fresh index's, and every loop is filed
+    under the same cells (_Cells.filed) and no other loop is; the loops of
+    a type, ranked, come in list order.  Ranks themselves may differ: the
+    chain's count on from its first build.
     """
     assert chain._typed() == [[lp for lp in chain.config.loops if lp.type_index == j]
                               for j in range(chain.params.n_types)]
@@ -100,6 +105,8 @@ def assert_tables_follow(chain):
         want = fresh.types[j].cells if j in fresh.types else {}
         assert {key: ranked(c) for key, c in got.items()} \
             == {key: ranked(c) for key, c in want.items()}
+        assert (table.types[j].filed if j in table.types else {}) \
+            == (fresh.types[j].filed if j in fresh.types else {})
         ranks = {}
         for cell in got.values():
             for lp, rank in cell.items():
@@ -364,6 +371,43 @@ class TestEnergyCache:
             e for A in removed for e in self._store()[A].values()))
         with pytest.raises(AssertionError):
             assert_carried_is_the_energy_removed(chain)
+
+    @pytest.mark.parametrize("setup", ["square-well", "one-type-core"])
+    def test_a_split_weighs_its_two_loops_against_each_other(self, setup):
+        # two one-leg loops on one spot, far from the loop they replace:
+        # each alone adds nothing, both add their pair energy, inf under
+        # the core.  A chain whose splits miss that pair accepts states of
+        # zero weight, which no flux test has resolved
+        def still(x):
+            return lps.Loop(0, BridgePath(np.tile(x, (5, 1)), 1, 4, 1.0))
+
+        chain = drift_chain(setup, seed=3)
+        chain.config.loops = [still([-3.0, -3.0])]
+        chain.audit(tol=math.inf)
+        old, pieces = chain.config.loops[0], (still([0.5, 0.5]), still([0.5, 0.5]))
+        assert [chain._energy_change((old,), (p,), 0.0)[0] for p in pieces] == [0.0, 0.0]
+        assert chain._energy_change((old,), pieces, 0.0)[0] > 0.0
+
+    def test_the_table_check_sees_a_stale_filing(self, monkeypatch):
+        # a redraw whose new loop meets the old one's cells relabels the old
+        # entries in place; one that leaves the old loop filed keeps every
+        # cell right, so only the filings tell
+        def stale(cells, old, new):
+            keys = list(lps._cell_keys(new.bounds, cells.inv, 0.0))
+            if keys != cells.filed[old]:
+                cells.add(new, cells.discard(old))
+                return
+            cells.filed[new] = cells.filed[old]
+            for key in keys:
+                cells.cells[key][new] = cells.cells[key].pop(old)
+
+        chain = drift_chain("widom-rowlinson", seed=3)
+        chain.run(5)
+        assert_tables_follow(chain)
+        monkeypatch.setattr(lps._Cells, "replace", stale)
+        chain.run(5)
+        with pytest.raises(AssertionError):
+            assert_tables_follow(chain)
 
     def test_deletion_makes_no_energy_call_and_a_redraw_one(self, monkeypatch):
         chain = drift_chain("square-well", seed=3)

@@ -23,14 +23,17 @@ The energy rows are pair-energy evaluations against loop count: the
 Widom-Rowlinson gas at box half sides 8 and 16, the same fugacities and
 so the same density, each after 200 sweeps from empty.  Every loop gets
 one leg redrawn four times (a fixed stream), and each new loop's energy
-against the rest is evaluated as a redraw proposal does, in one energy
-call.  Each row gives the microseconds per call of the fastest of
+change is taken as a redraw proposal takes it, through the chain's own
+Chain._energy_change against its cell index less the old loop (under the
+Widom-Rowlinson cores, the overlap question loops.CoreLane.hit).  Each
+row gives the microseconds per call of the fastest of
 --repeats passes, the mean number of candidates (objects whose bounds
 come within reach) per cell-index query, and the share of queries with
 none.  Two more rows take the same calls on other states: long loops
 under the Widom-Rowlinson cores on the default grid (S = 32; one loop of
 each multiplicity 1..20 per type, anchors uniform in a box of half side
-16, seed 5), and a dense one-type gas whose reach far exceeds the
+16, seed 5, each loop drawn again until it overlaps none placed before
+it), and a dense one-type gas whose reach far exceeds the
 thermal length (beta = 0.05, a smooth bump of range 1 and height 0.3,
 z = 0.8, S = 4, box half side 4, seed 5, after 300 sweeps), where most
 queries find many candidates.
@@ -105,15 +108,16 @@ def draw_costs(repeats):
 def energy_costs(chain, repeats):
     """(us per energy call, mean candidates per query, share of queries with none)."""
     rng = np.random.default_rng(0)
-    moves = [(lp, resample_leg(lp.path, int(rng.integers(lp.k)), rng))
+    moves = [(lp, resample_leg(lp.path, int(rng.integers(lp.k)), rng),
+              0.0 if chain._pure else chain._carried_energy((lp,)))
              for lp in chain.config.loops for _ in range(4)]
-    table = lps.LegTable(chain.config.loops, lps.cell_side(chain.params))
     best = math.inf
     for _ in range(repeats):
-        proposals = [(lp, lps.Loop(lp.type_index, path)) for lp, path in moves]  # no legs yet
+        proposals = [((lp,), (lps.Loop(lp.type_index, path),), e_old)  # no legs yet
+                     for lp, path, e_old in moves]
         t0 = time.perf_counter()
-        for lp, new in proposals:
-            chain._evaluate((new,), table.excluding((lp,)))
+        for removed, added, e_old in proposals:
+            chain._energy_change(removed, added, e_old)
         best = min(best, time.perf_counter() - t0)
     found, near = [], lps._Cells.near
 
@@ -123,8 +127,8 @@ def energy_costs(chain, repeats):
         return out
     lps._Cells.near = counted
     try:
-        for lp, path in moves:
-            chain._evaluate((lps.Loop(lp.type_index, path),), table.excluding((lp,)))
+        for lp, path, e_old in moves:
+            chain._energy_change((lp,), (lps.Loop(lp.type_index, path),), e_old)
     finally:
         lps._Cells.near = near
     return (1e6 * best / max(len(moves), 1), sum(found) / max(len(found), 1),
@@ -134,15 +138,23 @@ def energy_costs(chain, repeats):
 def long_loops():
     """A chain holding one loop of each multiplicity 1..20 and type under
     the Widom-Rowlinson cores at S = 32, anchors uniform in a box of half
-    side 16 shrunk by 2 (seed 5)."""
+    side 16 shrunk by 2 (seed 5); a loop that would overlap one placed
+    before it is drawn again, so that the state has nonzero weight."""
     half = 16.0
     params = chains()[-1][1]
     chain = mc.Chain(params, Box((0.0, 0.0), half), seed=5)
     rng = np.random.default_rng(5)
-    chain.config.loops = [
-        lps.Loop(j, sample_bridge(x, x, k, chain.opts.slices_per_beta, params.beta, rng))
-        for k in range(1, 21) for j in (0, 1)
-        for x in [rng.uniform(2.0 - half, half - 2.0, 2)]]
+    placed = []
+    for k in range(1, 21):
+        for j in (0, 1):
+            while True:
+                x = rng.uniform(2.0 - half, half - 2.0, 2)
+                loop = lps.Loop(j, sample_bridge(x, x, k, chain.opts.slices_per_beta,
+                                                 params.beta, rng))
+                if lps.interaction_energy([loop], params, conditioning=placed) == 0.0:
+                    break
+            placed.append(loop)
+    chain.config.loops = placed
     return chain
 
 
