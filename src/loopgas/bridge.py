@@ -51,9 +51,12 @@ def bridge_mass(x, y, k, beta):
         raise ValueError("multiplicity k must be a positive integer")
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    d = x.size
-    tau = k * beta
-    sq = float(np.sum((x - y) ** 2))
+    return _mass(float(np.sum((x - y) ** 2)), x.size, k * beta)
+
+
+def _mass(sq, d, tau):
+    """bridge_mass on Python floats: the mass over duration tau of a bridge
+    whose d-dimensional endpoints lie sq apart in squared distance."""
     return (2.0 * math.pi * tau) ** (-0.5 * d) * math.exp(-sq / (2.0 * tau))
 
 

@@ -138,6 +138,24 @@ def avoids_box_at_step_times(objects, box):
     return True
 
 
+def meeting_box(objects, box):
+    """The objects whose bounds meet the box on every axis, in order: the
+    only ones with a grid sample that can lie in it.
+
+    An object with c - hi > half or lo - c > half on some axis has
+    |s - c| > half there at every sample s, since rounding is monotone and
+    fl(c - s) = -fl(s - c) (see confined_to_box).
+    """
+    half, out = box.half_side, []
+    for obj in objects:
+        for c, (lo, hi) in zip(box.center, obj.bounds):
+            if c - hi > half or lo - c > half:
+                break
+        else:
+            out.append(obj)
+    return out
+
+
 def confined_to_box(objects, box):
     """True iff every grid sample of every object lies in the box.
 

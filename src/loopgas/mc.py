@@ -55,8 +55,17 @@ against the external points; a free chain makes no energy call at all.
 
 The kernel estimators draw the terms of a permutation combo as one batch
 (_sample_terms): leg by leg, the multiplicities of all terms, then one
-bridge batch per multiplicity.  A batch of one term draws as one term at a
-time did, so runs with one inner draw per snapshot keep their stream.
+bridge draw per multiplicity, the rows of one sample_bridges batch.  A
+group small enough for bridge's scalar walk is walked, box-tested and kept
+on Python floats, a larger one as a numpy batch, with the same doubles
+either way.  A batch of one term draws as one term at a time did, so runs
+with one inner draw per snapshot keep their stream.  Each estimator draws
+only what its value reads: the exclusion reference
+(estimate_reference_kernel) reads its paths at interior whole-beta times
+alone, so it draws whole-beta skeletons (one slice per beta) whatever S it
+is given; the nested estimator (estimate_rdm_kernel) tests only the
+background loops whose bounds meet box0, and under pure cores asks each
+term's energy as the chain's moves do.
 """
 
 import json
@@ -69,7 +78,7 @@ import numpy as np
 
 from . import loops as lps
 from .analytic import kernel_remainder
-from .bridge import (BridgePath, bridge_mass, log_bridge_mass, resample_leg,
+from .bridge import (BridgePath, _mass, _scalar, _walk, log_bridge_mass, resample_leg,
                      sample_bridge, sample_bridges)
 from .loops import LegTable, Loop, LoopConfig, OpenPath, interaction_energy
 
@@ -403,7 +412,8 @@ class Chain:
         pure core returns no split, and unless the test is conservative its
         call is the overlap question (lps.CoreLane.hit) against the cell
         index less removed, with no view and no copy.  Free chains never ask
-        (_try).
+        (_try).  The nested kernel estimator asks it for its terms' paths,
+        with nothing removed.
         """
         e_new, split = 0.0, None if self._pure else {}
         if added and self._lane is not None:
@@ -632,9 +642,6 @@ class Chain:
         for _ in range(n_sweeps):
             self.sweep()
 
-    def snapshot(self):
-        return list(self.config.loops)
-
 
 _ZERO_WEIGHT = "the loops violate a hard core: a state of zero weight"
 
@@ -755,25 +762,69 @@ def _endpoint_tables(starts, ends, params, k_max):
     y = t of type j: W sums over k = 1..k_max the terms z^k times the bridge
     mass, the exact leg weight; cdf is the cumulative importance law for k,
     the terms over W, normalised as Generator.choice normalises its p.
-    combos holds every choice of one permutation per type.
+    The terms are taken on Python floats (bridge._mass), and W is their
+    np.sum.  combos holds every choice of one permutation per type.
     """
-    tables, perms = [], []
+    tables, perms, beta = [], [], params.beta
     for j in range(params.n_types):
         xs = np.asarray(starts[j], dtype=float)
         ys = np.asarray(ends[j], dtype=float)
-        n = xs.shape[0]
+        n, z = xs.shape[0], params.fugacity[j]
         table = {}
         for l in range(n):
             for t in range(n):
-                w = np.array([params.fugacity[j] ** k
-                              * bridge_mass(xs[l], ys[t], k, params.beta)
+                x, y = xs[l], ys[t]
+                sq = float(np.sum((x - y) ** 2))  # bridge_mass's square, once per leg
+                w = np.array([z ** k * _mass(sq, x.size, k * beta)
                               for k in range(1, k_max + 1)])
                 W = float(np.sum(w))
                 cdf = (w / W).cumsum() if W > 0.0 else np.ones(1)  # never drawn from
-                table[(l, t)] = W, cdf / cdf[-1], xs[l], ys[t]
+                table[(l, t)] = W, cdf / cdf[-1], x, y
         tables.append(table)
         perms.append(permutations(range(n)))
     return tables, list(iproduct(*perms))
+
+
+def _draw_group(x, y, k, S, beta, m, rng, box0, box):
+    """m paths of one leg and multiplicity k, as sample_bridges draws them,
+    flat (each path's samples in memory order, path after path), and which
+    of them pass _sample_terms' tests (a list of bools, None when there is
+    none).
+
+    A group that takes the scalar walk (bridge._scalar) is walked in one
+    flat list of its m paths (bridge._walk) and stays on Python floats,
+    tested on the same doubles (a coordinate's largest |s - c| is
+    max(hi - c, c - lo) over its samples, as rounding is monotone).  A larger
+    group is one sample_bridges batch, tested by one max-abs reduce per box.
+    """
+    span, d = k * S, x.size
+    if not _scalar(m, span, d):
+        batch = sample_bridges(np.broadcast_to(x, (m, d)), np.broadcast_to(y, (m, d)),
+                               k, S, beta, rng)
+        ok = None
+        if box is not None:
+            ok = np.abs(batch - box.center_array).max(axis=(1, 2)) <= box.half_side
+        if box0 is not None:
+            clear = (np.abs(batch[:, S:-1:S] - box0.center_array).max(axis=2)
+                     > box0.half_side).all(axis=1)
+            ok = clear if ok is None else ok & clear
+        return batch.ravel(), None if ok is None else ok.tolist()
+    size = (span + 1) * d
+    v = (x.tolist() + [0.0] * ((span - 1) * d) + y.tolist()) * m
+    _walk(v, 0, span, beta / S, m, d, rng)
+    whole = range(S * d, span * d, S * d) if box0 is not None else ()  # interior whole-beta rows
+    if box is None and not whole:
+        return v, None
+    ok = []
+    for p in range(0, m * size, size):
+        good = box is None or all(
+            max(v[p + a:p + size:d]) - c <= box.half_side
+            and c - min(v[p + a:p + size:d]) <= box.half_side
+            for a, c in enumerate(box.center))
+        ok.append(good and all(any(abs(v[p + r + a] - c) > box0.half_side
+                                   for a, c in enumerate(box0.center))
+                               for r in whole))
+    return v, ok
 
 
 def _sample_terms(tables, combo, params, S, n, rng, box0=None, box=None):
@@ -781,42 +832,49 @@ def _sample_terms(tables, combo, params, S, n, rng, box0=None, box=None):
 
     Legs go in combo order.  Per leg, one rng.random(n) gives the n
     multiplicities by inverse CDF, the draw of rng.choice(k_max, p=terms / W),
-    and then one sample_bridges call per distinct k, in increasing k, draws
-    the paths.  With n = 1 that is one uniform and one bridge per leg, leg
-    after leg: the stream of drawing one term at a time.  A leg with W <= 0
-    ends the draw before its uniforms, and no term survives.
+    and then one draw per distinct k, in increasing k, gives the paths of
+    the terms with that k (_draw_group), the rows sample_bridges would
+    give, on Python floats for a group small enough for the scalar walk.
+    With n = 1 that is one uniform and one bridge per leg, leg after leg:
+    the stream of drawing one term at a time.  A leg with W <= 0 ends the
+    draw before its uniforms, and no term survives.
 
     Returns (weight, ok, paths).  Every term carries weight = prod W over its
-    legs (the sampled k is importance-corrected).  ok marks the terms whose
-    paths all lie in box on the grid (if given) and avoid box0 at their
-    interior whole-beta times (if given), one max-abs reduce per k group
-    each.  paths(i) gives term i's OpenPaths in leg order.
+    legs (the sampled k is importance-corrected).  ok, a bool array, marks
+    the terms whose paths all lie in box on the grid (if given) and avoid
+    box0 at their interior whole-beta times (if given).  paths(i) gives term
+    i's OpenPaths in leg order.
     """
-    weight, ok, legs = 1.0, np.ones(n, dtype=bool), []
+    weight, ok, legs, beta = 1.0, np.ones(n, dtype=bool), [], params.beta
     for j, sigma in enumerate(combo):
         for l, t in enumerate(sigma):
             W, cdf, x0, y0 = tables[j][(l, t)]
             if W <= 0.0:
                 return 0.0, np.zeros(n, dtype=bool), None
             ks = 1 + cdf.searchsorted(rng.random(n), side="right")
+            # the terms by k: rows order[cut[k - 1]:cut[k]] of the stable order
+            order = np.argsort(ks, kind="stable")
+            cut = ks[order].searchsorted(np.arange(1, cdf.size + 2)).tolist()
+            order = order.tolist()
             groups = {}
-            for k in np.unique(ks).tolist():
-                rows = np.flatnonzero(ks == k)
-                x, y = (np.broadcast_to(p, (rows.size, p.size)) for p in (x0, y0))
-                groups[k] = batch = sample_bridges(x, y, k, S, params.beta, rng)
-                if box is not None:
-                    ok[rows] &= (np.abs(batch - box.center_array).max(axis=(1, 2))
-                                 <= box.half_side)
-                if box0 is not None:
-                    ok[rows] &= (np.abs(batch[:, S:-1:S] - box0.center_array).max(axis=2)
-                                 > box0.half_side).all(axis=1)
-            legs.append((j, ks, groups))
+            for k in range(1, cdf.size + 1):
+                rows = order[cut[k - 1]:cut[k]]
+                if rows:
+                    groups[k], passed = _draw_group(x0, y0, k, S, beta, len(rows), rng,
+                                                    box0, box)
+                    if passed is not None:
+                        ok[[i for i, good in zip(rows, passed) if not good]] = False
+            legs.append((j, ks, groups, x0.size))
             weight *= W
 
     def paths(i):  # row of term i in its k group: earlier terms with that k
-        return [OpenPath(j, BridgePath(groups[ks[i]][np.count_nonzero(ks[:i] == ks[i])],
-                                       int(ks[i]), S, params.beta))
-                for j, ks, groups in legs]
+        out = []
+        for j, ks, groups, d in legs:
+            k = int(ks[i])
+            size, row = (k * S + 1) * d, np.count_nonzero(ks[:i] == k)
+            out.append(OpenPath(j, BridgePath(
+                np.reshape(groups[k][row * size:(row + 1) * size], (-1, d)), k, S, beta)))
+        return out
     return weight, ok, paths
 
 
@@ -858,6 +916,11 @@ def estimate_reference_kernel(starts, ends, params, box0, k_max=20, S=32,
     and no background enter.  Mismatched per-type endpoint counts give the
     exact zero estimate.  Each combo draws its n_samples terms in one batch
     (_sample_terms), combo after combo.
+
+    The value reads the paths only at their interior whole-beta times, so
+    they are drawn there alone: whole-beta skeletons, the bisection at one
+    slice per beta, exact in law at those times at any S.  S changes no
+    draw; it is recorded in meta.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -866,7 +929,7 @@ def estimate_reference_kernel(starts, ends, params, box0, k_max=20, S=32,
     tables, combos = _endpoint_tables(starts, ends, params, k_max)
     vals = np.zeros(n_samples)
     for combo in combos:
-        weight, ok, _ = _sample_terms(tables, combo, params, S, n_samples, rng, box0)
+        weight, ok, _ = _sample_terms(tables, combo, params, 1, n_samples, rng, box0)
         vals[ok] += weight
     value, se = batch_means(vals)
     status = "ok" if n_samples >= N_BATCHES else "insufficient_samples"
@@ -888,7 +951,11 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
     factor of the path energy given background and external points.  Per
     snapshot each combo draws its inner_per_snapshot terms in one batch
     (_sample_terms), which keeps the stream of one term at a time at n = 1.
-    Paths are drawn on the chain's grid, with the chain's k_max.
+    Paths are drawn on the chain's grid, with the chain's k_max.  Only the
+    background loops whose bounds meet box0 (loops.meeting_box) are tested
+    against it, and each term's energy is asked as the chain's moves ask
+    theirs (Chain._energy_change: a pure core's overlap question through
+    Chain._lane).
 
     With apply_exclusion=False the box0 indicators are skipped; this
     diagnostic mode turns the estimator into the plain reduced-kernel of the
@@ -901,28 +968,24 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
     if not _counts_match(starts, ends):
         return KernelEstimate(0.0, 0.0, 0, 0.0, meta={"reason": "cardinality mismatch"})
     tables, combos = _endpoint_tables(starts, ends, params, k_max)
-    ext = chain.config.external
     vals = np.empty(n_snapshots)
     for snap in range(n_snapshots):
         chain.run(thin)
-        background = chain.snapshot()
-        bg_ok = True
         if apply_exclusion:
-            anchors_clear = not box0.contains([lp.anchor for lp in background]).any()
-            bg_ok = anchors_clear and lps.avoids_box_at_step_times(background, box0)
-        if not bg_ok:
-            vals[snap] = 0.0
-            continue
-        table = None if free else chain._loop_table()  # background, indexed in list order
+            near = lps.meeting_box(chain.config.loops, box0)
+            if near and (box0.contains([lp.anchor for lp in near]).any()
+                         or not lps.avoids_box_at_step_times(near, box0)):
+                vals[snap] = 0.0
+                continue
         acc = 0.0
         for combo in combos:
             weight, ok, paths = _sample_terms(
                 tables, combo, params, S, inner_per_snapshot, rng,
                 box0 if apply_exclusion else None, chain.box)
-            for i in np.flatnonzero(ok):
-                h = 0.0 if free else interaction_energy(
-                    paths(i), params, conditioning=table, external=ext,
-                    conservative=chain.opts.conservative_hard_core)
+            for i in np.flatnonzero(ok).tolist():
+                # the paths' energy against the background and the external
+                # points, asked as a move that adds them and removes nothing
+                h = 0.0 if free else chain._energy_change((), paths(i), 0.0)[0]
                 acc += weight * math.exp(-h)
         vals[snap] = acc / inner_per_snapshot
     value, se = batch_means(vals, n_batches)

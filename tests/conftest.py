@@ -37,19 +37,24 @@ def _flux_p_value(params, family, seed, n_trials=3000):
     stationary draw and applies one move of the family; stationarity plus
     reversibility force matched counts across each unordered state pair,
     judged by a chi-square over the pairs with at least 8 transitions.  NaN
-    when no pair has that many.  The draw is assigned to the loop list, so
+    when no pair has that many.  No trial may end in a state outside the
+    enumerated law, a state of zero weight: the chi-square never sees such
+    an end, as no trial starts there.  The draw is assigned to the loop list, so
     the chain builds its cell index and carried energies afresh and the
     move runs on them: a trial sees one move's energy bookkeeping, not what
     a commit leaves for later moves.
     """
     gas = surrogate.DiscreteLoopGas(params, seed=seed)
     law = gas.enumerate_states()
+    support = {surrogate.canonical(state) for state in law}
     counts = {}
     for _ in range(n_trials):
         gas.state = list(gas.sample_state(law))
         before = surrogate.canonical(gas.state)
         getattr(gas, "step_" + family)()
         after = surrogate.canonical(gas.state)
+        assert after in support, "a %s move from %s ended in a state of zero weight, %s" % (
+            family, before, after)
         if before != after:
             counts[(before, after)] = counts.get((before, after), 0) + 1
     chi2, df = 0.0, 0

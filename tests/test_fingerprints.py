@@ -120,14 +120,16 @@ def test_bridge_laws_rows():
 
 
 def test_reference_kernel():
-    # two types, three legs: multiplicity draws, bridges and box0 exclusion
+    # two types, three legs: multiplicity draws, whole-beta skeletons and box0
+    # exclusion; the estimator draws at one slice per beta whatever S it is
+    # given, so this is the pair the draws at S = 1 gave before it did
     params = ModelParams(2, 2, 1.0, (0.5, 0.4), [[zero_potential()] * 2] * 2)
     starts = [[[0.6, 0.1], [-0.7, 0.3]], [[0.2, -0.8]]]
     ends = [[[0.5, -0.4], [-0.3, 0.9]], [[-0.6, -0.7]]]
     est = mc.estimate_reference_kernel(starts, ends, params, Box((0.0, 0.0), 0.5),
                                        k_max=6, S=4, n_samples=200,
                                        rng=np.random.default_rng(9))
-    assert (est.value, est.std_error) == (0.0005876747358451168, 1.978960442758039e-05)
+    assert (est.value, est.std_error) == (0.0005958757180892343, 1.7489951461251323e-05)
 
 
 def well_background_chain():

@@ -86,6 +86,28 @@ class TestBoxIndicators:
         want = bool(np.max(np.abs(samples - box.center_array)) <= half)
         assert lps.confined_to_box([obj], box) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 2, 3]))
+    def test_meeting_keeps_every_object_with_a_sample_inside(self, seed, d):
+        # a path around the box with one sample on the wall, c +- half
+        # rounded, or one ulp to either side, and a loop that stays at that
+        # sample: the path is kept when a sample is inside, the still loop
+        # exactly then
+        g = np.random.default_rng(seed)
+        c, half = g.uniform(-5.0, 5.0, d), float(g.uniform(0.1, 3.0))
+        box = Box(tuple(c), half)
+        k, S = int(g.integers(1, 4)), int(g.integers(1, 5))
+        samples = c + g.uniform(-3.0 * half, 3.0 * half, (k * S + 1, d))
+        wall = c + np.where(g.random(d) < 0.5, -half, half)
+        nudge = g.choice([-np.inf, 0.0, np.inf], d)
+        point = np.where(nudge == 0.0, wall, np.nextafter(wall, nudge))
+        samples[int(g.integers(k * S + 1))] = point
+        path = lps.OpenPath(0, BridgePath(samples, k, S, BETA))
+        still = still_loop(point, k, S)
+        kept = lps.meeting_box([path, still], box)
+        assert (path in kept) >= bool(box.contains(samples).any())
+        assert (still in kept) == box.contains(point)
+
     def test_confined(self):
         box0 = Box((0.0, 0.0), 0.5)
         assert lps.confined_to_box([still_loop((0.2, 0.2), 2, 4)], box0)

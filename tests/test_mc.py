@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from loopgas import analytic, mc
+from loopgas import analytic, bridge, mc
 from loopgas import loops as lps
 from loopgas.bridge import BridgePath, bridge_mass, sample_bridge
 from loopgas.model import (Box, ExternalConfiguration, ModelParams, PairPotential,
@@ -769,6 +769,51 @@ class TestReferenceKernel:
         W = sum(terms.values())
         assert abs(est.value - exact) <= 4.0 * math.sqrt(exact * (W - exact) / n)
 
+    def test_draws_do_not_depend_on_S(self):
+        # whole-beta skeletons at every S: the same draws, S only recorded
+        params = ModelParams(2, 2, 1.0, (0.5, 0.4), [[zero_potential()] * 2] * 2)
+        starts = [[[0.6, 0.1], [-0.7, 0.3]], [[0.2, -0.8]]]
+        ends = [[[0.5, -0.4], [-0.3, 0.9]], [[-0.6, -0.7]]]
+        got = {}
+        for S in (1, 2, 4, 32):
+            est = mc.estimate_reference_kernel(starts, ends, params, Box((0.0, 0.0), 0.5),
+                                               k_max=6, S=S, n_samples=200,
+                                               rng=np.random.default_rng(9))
+            assert est.meta["S"] == S
+            got[S] = (est.value, est.std_error)
+        assert len(set(got.values())) == 1
+
+    def test_law_matches_full_grid_draws(self):
+        # an independent estimate: per combo, each leg's k drawn by
+        # Generator.choice from its terms and its bridge on the full grid at
+        # S = 8, kept when it misses box0 at every interior whole-beta time
+        params = free_params(z=0.6)
+        xs = np.array([[0.1, 0.2], [-0.3, 0.0]])
+        ys = np.array([[0.2, -0.1], [-0.1, 0.35]])
+        box0, k_max, S, n = Box((0.05, 0.0), 0.4), 8, 8, 20000
+        est = mc.estimate_reference_kernel([xs], [ys], params, box0, k_max=k_max, S=32,
+                                           n_samples=n, rng=np.random.default_rng(12))
+        rng = np.random.default_rng(13)
+        vals, full = np.zeros(n), 0.0  # full: the value without exclusion
+        for sigma in itertools.permutations(range(2)):
+            weight, ok = 1.0, np.ones(n, dtype=bool)
+            for l, t in enumerate(sigma):
+                terms = np.array([0.6 ** k * bridge_mass(xs[l], ys[t], k, 1.0)
+                                  for k in range(1, k_max + 1)])
+                weight *= terms.sum()
+                ks = 1 + rng.choice(k_max, size=n, p=terms / terms.sum())
+                for k in np.unique(ks).tolist():
+                    rows = np.flatnonzero(ks == k)
+                    paths = bridge.sample_bridges(np.tile(xs[l], (rows.size, 1)),
+                                                  np.tile(ys[t], (rows.size, 1)),
+                                                  k, S, 1.0, rng)
+                    ok[rows] &= ~box0.contains(paths[:, S:-1:S]).reshape(rows.size, -1).any(1)
+            vals[ok] += weight
+            full += weight
+        mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
+        assert 0.5 * full < est.value < 0.95 * full  # the exclusion bites
+        assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se)
+
     def test_status_needs_a_sample_per_batch(self):
         params = free_params(z=0.5)
         xs, ys = [np.array([[0.0, 0.0]])], [np.array([[0.6, 0.0]])]
@@ -796,6 +841,107 @@ class TestReferenceKernel:
         est = mc.estimate_reference_kernel(xs, ys, params, Box((0.0, 0.0), 0.5))
         assert (est.value, est.std_error) == (0.0, 0.0)
         assert est.meta["reason"] == "cardinality mismatch"
+
+
+class TestSampleTerms:
+    # _sample_terms draws a k group small enough for the scalar walk on
+    # Python floats and a larger one as one sample_bridges batch.  With
+    # bridge.SCALAR_WALK_MAX at 0 every group with a walk takes the array
+    # lane, at 10**9 the float lane, and at its own value the rule picks per
+    # group; all three must give the same terms from the same draws
+    LIMITS = (0, bridge.SCALAR_WALK_MAX, 10 ** 9)
+
+    @staticmethod
+    def family(d):
+        """Two types with two legs and one, and their tables with every k
+        from 1 to 20 alike, so that both walks of a group occur."""
+        rng = np.random.default_rng(d)
+        params = ModelParams(d, 2, 0.5, (0.6, 0.9), [[zero_potential()] * 2] * 2)
+        starts = [rng.uniform(-0.5, 0.5, (2, d)), rng.uniform(-0.5, 0.5, (1, d))]
+        ends = [rng.uniform(-0.5, 0.5, (2, d)), rng.uniform(-0.5, 0.5, (1, d))]
+        tables, combos = mc._endpoint_tables(starts, ends, params, 20)
+        for table in tables:
+            for key, (W, _, x, y) in table.items():
+                table[key] = W, np.arange(1, 21) / 20, x, y
+        return params, tables, combos
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tables_take_the_terms_of_bridge_mass(self, d):
+        # the terms on Python floats are bridge_mass's doubles, and W their np.sum
+        rng = np.random.default_rng(d + 10)
+        for beta, z in ((0.05, 0.3), (1.0, 0.6), (3.0, 0.95)):
+            params = ModelParams(d, 1, beta, (z,), [[zero_potential()]])
+            xs, ys = rng.uniform(-2.0, 2.0, (2, 3, d))
+            tables, _ = mc._endpoint_tables([xs], [ys], params, 20)
+            for (l, t), (W, cdf, x, y) in tables[0].items():
+                w = np.array([z ** k * bridge_mass(xs[l], ys[t], k, beta)
+                              for k in range(1, 21)])
+                assert W == float(np.sum(w)) and np.array_equal(x, xs[l])
+                assert np.array_equal(cdf, (w / W).cumsum() / (w / W).cumsum()[-1])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("with_box, with_box0", [(False, False), (True, False),
+                                                     (False, True), (True, True)])
+    def test_the_float_and_array_lanes_agree(self, monkeypatch, d, with_box, with_box0):
+        box = Box((0.0,) * d, 3.0) if with_box else None
+        box0 = Box((0.1,) + (0.0,) * (d - 1), 0.2) if with_box0 else None
+        params, tables, combos = self.family(d)
+        seen = set()
+        for n in (0, 1, 2, 3):
+            for seed in range(6):
+                for combo in combos:
+                    runs = []
+                    for limit in self.LIMITS:
+                        monkeypatch.setattr(bridge, "SCALAR_WALK_MAX", limit)
+                        rng = np.random.default_rng(seed)
+                        weight, ok, paths = mc._sample_terms(tables, combo, params, 2, n,
+                                                             rng, box0, box)
+                        assert ok.dtype == bool and ok.shape == (n,)
+                        runs.append((weight, ok.tolist(),
+                                     [[(p.path.k, p.path.samples) for p in paths(i)]
+                                      for i in range(n)], rng.bit_generator.state))
+                    weight, ok, terms, state = runs[0]
+                    seen.update(ok)
+                    for other in runs[1:]:
+                        assert other[0] == weight and other[1] == ok and other[3] == state
+                        for mine, theirs in zip(terms, other[2]):
+                            assert [k for k, _ in mine] == [k for k, _ in theirs]
+                            assert all(np.array_equal(a, b)
+                                       for (_, a), (_, b) in zip(mine, theirs))
+        assert seen == ({True, False} if with_box or with_box0 else {True})
+
+    @staticmethod
+    def wall(s, h):
+        """A center c with fl(s - c) == h, so that s lies on the wall c + h."""
+        c = s - h
+        for _ in range(8):
+            if s - c == h:
+                return c
+            c = np.nextafter(c, -np.inf if s - c < h else np.inf)
+        raise AssertionError("no center puts %r on a wall" % s)
+
+    @pytest.mark.parametrize("which", ["box", "box0"])
+    def test_the_lanes_agree_on_the_walls(self, monkeypatch, which):
+        # a sample exactly on a wall is inside both boxes (|s - c| <= h): on
+        # box's wall the term is kept, on box0's wall (at a whole-beta time,
+        # the other axis at the center) it is dropped
+        params = free_params(z=0.6, beta=0.5)
+        tables, combos = mc._endpoint_tables([[[0.1, 0.2]]], [[[-0.3, 0.1]]], params, 3)
+        W, _, x, y = tables[0][(0, 0)]
+        tables[0][(0, 0)] = W, np.array([0.0, 0.0, 1.0]), x, y  # k = 3
+        samples = mc._sample_terms(tables, combos[0], params, 2, 1,
+                                   np.random.default_rng(4))[2](0)[0].path.samples
+        if which == "box":
+            s, h = float(samples[:, 0].max()), 6.0
+            box, box0, want = Box((self.wall(s, h), 0.0), h), None, True
+        else:
+            s, h = float(samples[2, 0]), 2.0 ** -10
+            box, box0, want = None, Box((self.wall(s, h), float(samples[2, 1])), h), False
+        for limit in self.LIMITS:
+            monkeypatch.setattr(bridge, "SCALAR_WALK_MAX", limit)
+            _, ok, _ = mc._sample_terms(tables, combos[0], params, 2, 1,
+                                        np.random.default_rng(4), box0, box)
+            assert ok.tolist() == [want]
 
 
 class TestTruncationBound:

@@ -37,6 +37,21 @@ it), and a dense one-type gas whose reach far exceeds the
 thermal length (beta = 0.05, a smooth bump of range 1 and height 0.3,
 z = 0.8, S = 4, box half side 4, seed 5, after 300 sweeps), where most
 queries find many candidates.
+
+The estimator rows time the kernel estimators' pieces on the
+Widom-Rowlinson model with the endpoint families of perfbench's wr-gas
+workload, (1, 1) and (2, 1) paths per type, uniform in box0 (half side
+0.5 at the origin, seed 3), at k_max = 20: microseconds per
+mc._sample_terms call (averaged over the family's permutation combos) at
+S = 4, with n = 2 terms tested against box0 and the box of half side 8 as
+estimate_rdm_kernel draws them, and with n = 1000 terms tested against
+box0 alone; per mc._endpoint_tables call; and per
+mc.estimate_reference_kernel call with 1000 samples and S = 4.  Each is
+the fastest of --repeats passes.  The last two rows run
+estimate_rdm_kernel on the (1, 1) family from the criterion-9 chain's
+state after 200 sweeps (16 snapshots, thin 1, 2 inner draws, on a copy of
+the chain per repeat): its snapshots per second, and the microseconds per
+snapshot spent outside the chain's sweeps.
 """
 
 import argparse
@@ -167,6 +182,65 @@ def dense_bump():
     return chain
 
 
+def best_us(call, number, repeats):
+    """Microseconds per call(seed) of the fastest of repeats passes of number calls."""
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for seed in range(number):
+            call(seed)
+        best = min(best, time.perf_counter() - t0)
+    return 1e6 * best / number
+
+
+def estimator_costs(repeats):
+    """(row name, figure, unit) of the kernel estimators' pieces (module docstring)."""
+    params = chains()[-1][1]
+    box0, box, k_max, S = Box((0.0, 0.0), 0.5), Box((0.0, 0.0), 8.0), 20, 4
+    rng = np.random.default_rng(3)
+    families = [(counts, [rng.uniform(-0.5, 0.5, (n, 2)) for n in counts],
+                 [rng.uniform(-0.5, 0.5, (n, 2)) for n in counts])
+                for counts in ((1, 1), (2, 1))]
+    rows = []
+    for counts, starts, ends in families:
+        tag = "(%d, %d)" % counts
+        tables, combos = mc._endpoint_tables(starts, ends, params, k_max)
+        for n, number, boxes in ((2, 2000, (box0, box)), (1000, 40, (box0, None))):
+            def terms(seed, n=n, boxes=boxes):
+                g = np.random.default_rng(seed)
+                for combo in combos:
+                    mc._sample_terms(tables, combo, params, S, n, g, *boxes)
+            rows.append(("sample_terms %s n=%d" % (tag, n),
+                         best_us(terms, number, repeats) / len(combos), "us/call"))
+        rows.append(("endpoint_tables %s" % tag, best_us(
+            lambda seed: mc._endpoint_tables(starts, ends, params, k_max), 500, repeats),
+            "us/call"))
+        rows.append(("reference_kernel %s" % tag, best_us(
+            lambda seed: mc.estimate_reference_kernel(
+                starts, ends, params, box0, k_max=k_max, S=S, n_samples=1000,
+                rng=np.random.default_rng(seed)), 20, repeats), "us/call"))
+    base = mc.Chain(params, box, seed=37, options=mc.SamplerOptions(slices_per_beta=S))
+    base.run(200)
+    _, starts, ends = families[0]
+    best, outside, n_snap = math.inf, math.inf, 16
+    for _ in range(repeats):
+        chain, swept = copy.deepcopy(base), [0.0]
+
+        def run(n_sweeps, run=chain.run):
+            t0 = time.perf_counter()
+            run(n_sweeps)
+            swept[0] += time.perf_counter() - t0
+        chain.run = run
+        t0 = time.perf_counter()
+        mc.estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=n_snap, thin=1,
+                               inner_per_snapshot=2)
+        spent = time.perf_counter() - t0
+        best, outside = min(best, spent), min(outside, spent - swept[0])
+    rows.append(("rdm_kernel (1, 1) snapshots", n_snap / best, "1/s"))
+    rows.append(("rdm_kernel (1, 1) estimator", 1e6 * outside / n_snap, "us/snapshot"))
+    return rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sweeps", type=int, default=60, help="timed sweeps per repeat")
@@ -209,6 +283,9 @@ def main(argv=None):
         us, mean, none = energy_costs(chain, args.repeats)
         print("%-16s %5g %6d %12.2f %11.3f %13.3f" % (
             name, chain.box.half_side, len(chain.config.loops), us, mean, none))
+    print("%-31s %12s %s" % ("estimator", "figure", "unit"))
+    for name, figure, unit in estimator_costs(args.repeats):
+        print("%-31s %12.2f %s" % (name, figure, unit))
 
 
 if __name__ == "__main__":
