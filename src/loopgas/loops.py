@@ -180,33 +180,33 @@ def confined_to_box(objects, box):
 # shared S-grid.  All unordered leg pairs count, including pairs of legs of
 # the same object (m != m'), never a leg with itself.
 #
-# Every sum runs over explicit leg pairs, each row of one leg array against
-# the same row of the other.  Pairs of distinct objects are found one way
-# (_near_energy), in two steps.  The later targets, the conditioning and the
-# external points (one-leg paths that stay put) are filed per type in a
-# LegTable, a uniform cell index of the objects' bounds; it gives the objects
-# whose bounds come within reach = max(range, hard_core) of the target's on
-# every axis, in family order.  Only their legs are stacked, and a leg there
-# is visited only when its own box comes within reach of the target leg's.
-# Both filters are exact: midpoints and segments lie in the box of their
-# nodes, V = 0 for r >= range, and the box gap bounds every computed distance
-# from below (rounding is monotone).  An object's bounds contain its legs'
-# boxes, so the first filter keeps every object the second would visit, and
-# the pairs, their order and so every sum are those of stacking all legs.
-# The small widening of the reach keeps that true for the segment gap, which
-# rounds to either side.
+# One walk (_Walk.walk) visits an energy call's leg pairs and a lane values
+# them.  Target after target, it takes the target's own legs, then the later
+# targets; then each target against the conditioning, then each against the
+# external points (one-leg paths that stay put).  All but the own legs are
+# filed per type in a LegTable, a uniform cell index of the objects' bounds;
+# it gives the objects whose bounds come within reach = max(range,
+# hard_core) of the target's on every axis, in family order, and a leg of
+# theirs is visited only when its box comes within reach of the target
+# leg's.  Both filters are exact: midpoints and segments lie in the box of
+# their nodes, V = 0 for r >= range, and the box gap bounds every computed
+# distance from below (rounding is monotone).  An object's bounds contain
+# its legs' boxes, so the first filter keeps every object the second would
+# visit, and the pairs, their order and so every sum are those of stacking
+# all legs.  The small widening of the reach keeps that true for the
+# segment gap, which rounds to either side.  The running total passes
+# through every valuation in that order, up to the first inf.
 #
-# A model of pure hard cores (ModelParams.is_hard_core: every potential zero
-# or with range == hard_core) without the conservative segment test has
-# energies in {0, inf}: only whether some midpoint pair comes closer than
-# its core matters.  Such a model asks that one question (CoreLane.hit),
-# over the same leg pairs in the same order, on Python floats
-# (_core_overlap, on each object's leg_points) with the doubles numpy
-# computes: r is the square root of the squared coordinate differences
-# summed in axis order.  It stops at the first r < D, builds no numpy leg
-# arrays, and sums, splits and stores nothing; the chain calls it directly.
-# A mixed model's pure-core pairs are valued by _pair_values, whose 0 and
-# inf give the same totals, and the conservative test keeps the numpy way.
+# SumsLane values a set of pairs on numpy leg arrays (_Legged.legs) by
+# _pair_values, and can split the energy by object pair.  A model of pure
+# hard cores (ModelParams.is_hard_core: every potential zero or with range
+# == hard_core) without the conservative segment test has energies in
+# {0, inf}: only whether some midpoint pair comes closer than its core
+# matters.  CoreLane asks that on Python floats (_core_overlap, on each
+# object's leg_points) with the doubles numpy computes, r the square root
+# of the squared coordinate differences summed in axis order, up to the
+# first r < D, and sums, splits and stores nothing.  A mixed model's
+# pure-core pairs go to SumsLane, whose 0 and inf give the same totals.
 
 _MIXED_SLICES = "mixed slice counts in one energy evaluation"
 _REACH_SLACK = 1e-9  # relative widening of the reach; far above rounding
@@ -302,41 +302,24 @@ class _Cells:
 class LegTable:
     """A family of loops and paths, indexed per type by their bounds.
 
-    Iterating gives the family's objects in order.  Per type, a uniform
-    cell index of cell side `side` (cell_side) files each object under the
-    cells its bounds meet, with its rank in the family, so a query for the
-    objects near a box visits a few cells, whatever the family's size.  A
-    chain keeps one for its configuration and splices it as moves are
-    accepted, which moves cell entries and keeps family order: an object
-    that takes another's place takes its rank, and appended ones rank
-    after all others.  excluding() gives a view without some objects,
-    sharing the index, for the energy of a move against the rest of the
-    configuration.  The objects of one table share one grid.
+    objects lists the family in order.  Per type, a uniform cell index of
+    cell side `side` (cell_side) files each object under the cells its
+    bounds meet, with its rank in the family, so a query for the objects
+    near a box visits a few cells, whatever the family's size.  A chain
+    keeps one for its configuration and splices it as moves are accepted,
+    which moves cell entries and keeps family order: an object that takes
+    another's place takes its rank, and appended ones rank after all
+    others.  The objects of one table share one grid.
     """
 
     def __init__(self, objects, side):
         self.objects = list(objects)
-        self.left_out = ()
         self.inv = 1.0 / side
         self.slices_per_beta = None
         self.types = {}
         self._next = len(self.objects)  # the rank of the next object appended
         for rank, o in enumerate(self.objects):
             self._file(o, rank)
-
-    def __len__(self):
-        return len(self.objects) - len(self.left_out)
-
-    def __iter__(self):
-        out = {id(o) for o in self.left_out}
-        return (o for o in self.objects if id(o) not in out)
-
-    def excluding(self, objects):
-        if not objects:
-            return self
-        view = object.__new__(LegTable)
-        view.__dict__.update(self.__dict__, left_out=tuple(objects))
-        return view
 
     def _file(self, obj, rank):
         S = obj.path.slices_per_beta
@@ -428,27 +411,95 @@ def _record(split, A, B, e):
         parts[B] = parts.get(B, 0.0) + e
 
 
-def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=False):
-    """total plus the energy of A's legs against table's legs within reach.
+@lru_cache(maxsize=16)
+def _still_table(external, S, beta, side):
+    """The external points as one-leg paths that stay put on the S-grid, indexed."""
+    return LegTable([OpenPath(j, BridgePath(np.tile(x, (S + 1, 1)), 1, S, beta))
+                     for j, points in enumerate(external.points) for x in points], side)
 
-    Per type j of table: the objects near A (_Cells.near), less those of
-    rank <= after, have their legs stacked in family order, and the leg
-    pairs whose boxes come within reach are valued by _pair_values.  A type
-    with no such object makes no numpy call and A's legs are built only if
-    some type has one.
-    The energy enters split under split[A][A] if own, else under split[A][B]
-    by row owner B.  Stops at the first infinite total, before that type's
-    energy enters split.
+
+class _Walk:
+    """The walk over an energy call's leg pairs (see the comment above); its
+    lane subclass values them, by _own (a target's own legs) and _against.
+
+    pairs[i][j] is None for a zero potential between types i and j, else
+    (pot, reach).  A lane keeps no per-call state.
     """
-    bounds, row = A.bounds, P[A.type_index]
-    for j, T in table.types.items():
-        pot = row[j]
-        if pot.is_zero():
-            continue
-        reach = max(pot.range, pot.hard_core) * (1.0 + _REACH_SLACK)
-        near = T.near(bounds, reach, table.left_out, after)
-        if not near:
-            continue
+
+    __slots__ = ("pairs", "side", "beta")
+
+    def __init__(self, params):
+        self.pairs = [[None if p.is_zero() else
+                       (p, max(p.range, p.hard_core) * (1.0 + _REACH_SLACK)) for p in row]
+                      for row in params.potentials]
+        self.side, self.beta = cell_side(params), params.beta
+
+    def walk(self, target, table, left_out, external, split):
+        """Energy h(target | table less left_out, external) of non-empty
+        target, with table a LegTable; split, a dict or None, as for
+        interaction_energy.  Tables on other grids are refused."""
+        S = target[0].path.slices_per_beta
+        if table.slices_per_beta not in (None, S):
+            raise ValueError(_MIXED_SLICES)
+        later = LegTable(target, self.side) if len(target) > 1 else None
+        total = 0.0
+        for i, A in enumerate(target):
+            own = self.pairs[A.type_index][A.type_index]
+            if own is not None and A.k > 1:
+                total = self._own(total, A, own[0], split)
+            if later is not None and not math.isinf(total):  # ranks above i
+                total = self._near(total, A, later, (), i, split, False)
+            if math.isinf(total):
+                return math.inf
+        others = [(table, left_out, False)]
+        if external is not None and not external.is_empty():
+            others.append((_still_table(external, S, self.beta, self.side), (), True))
+        for T, out, own in others:
+            for A in target:
+                total = self._near(total, A, T, out, -1, split, own)
+                if math.isinf(total):
+                    return math.inf
+        return total
+
+    def _near(self, total, A, table, left_out, after, split, own):
+        """total plus A's energy against the objects of table near it
+        (_Cells.near) ranked above after and not left out, type by type;
+        own enters it in split as A's own."""
+        bounds, row = A.bounds, self.pairs[A.type_index]
+        for j, T in table.types.items():
+            if row[j] is not None:
+                near = T.near(bounds, row[j][1], left_out, after)
+                if near:
+                    total = self._against(total, A, near, *row[j], split, own)
+                    if math.isinf(total):
+                        break
+        return total
+
+
+class SumsLane(_Walk):
+    """Sums of _pair_values on numpy legs, with the conservative segment test
+    if asked, split by object pair if a split is given."""
+
+    __slots__ = ("conservative",)
+
+    def __init__(self, params, conservative):
+        super().__init__(params)
+        self.conservative = conservative
+
+    def _own(self, total, A, pot, split):
+        a = A.legs
+        ia, ib = np.triu_indices(A.k, 1)
+        e = _integrated(_pair_values(pot, a, ia, a, ib, self.conservative),
+                        self.beta / A.path.slices_per_beta)
+        total += e
+        if not math.isinf(total):
+            _record(split, A, A, e)
+        return total
+
+    def _against(self, total, A, near, pot, reach, split, own):
+        """A's legs against those of near, stacked in order, over the pairs
+        whose boxes come within reach; split under [A][A] if own, else by
+        row owner.  A's legs are built only here."""
         a = A.legs
         b = near[0].legs if len(near) == 1 else \
             tuple(np.concatenate(parts) for parts in zip(*(o.legs for o in near)))
@@ -457,12 +508,13 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=Fals
         ia, ib = np.nonzero(np.maximum.reduce(np.maximum(lo - ohi[:, None], olo[:, None] - hi),
                                               axis=-1) < reach)
         if ia.size == 0:
-            continue
-        vals = _pair_values(pot, a, ia, b, ib, conservative)
+            return total
+        vals = _pair_values(pot, a, ia, b, ib, self.conservative)
+        dt = self.beta / A.path.slices_per_beta
         e = _integrated(vals, dt)
         total += e
         if math.isinf(total):
-            break
+            return total
         if own:
             _record(split, A, A, e)
         elif split is not None and e:  # per object, by row owner
@@ -471,75 +523,29 @@ def _near_energy(total, A, table, P, dt, conservative, split, after=-1, own=Fals
                               weights=np.add.reduce(vals, axis=1)) * dt
             for o in np.flatnonzero(per).tolist():
                 _record(split, A, near[o], float(per[o]))
-    return total
+        return total
 
 
-@lru_cache(maxsize=16)
-def _still_table(external, S, beta, side):
-    """The external points as one-leg paths that stay put on the S-grid, indexed."""
-    return LegTable([OpenPath(j, BridgePath(np.tile(x, (S + 1, 1)), 1, S, beta))
-                     for j, points in enumerate(external.points) for x in points], side)
+class CoreLane(_Walk):
+    """Pure hard cores as an overlap question on Python floats: inf at the
+    first midpoint pair closer than its core (_core_overlap), else 0."""
+
+    __slots__ = ()
+
+    def _own(self, total, A, pot, split):
+        return math.inf if _core_overlap(combinations(A.leg_points, 2), pot.hard_core) else total
+
+    def _against(self, total, A, near, pot, reach, split, own):
+        legs = [lb for o in near for lb in o.leg_points]
+        pairs = ((la, lb) for la in A.leg_points for lb in legs if _meets(la[0], lb[0], reach))
+        return math.inf if _core_overlap(pairs, pot.hard_core) else total
 
 
-class CoreLane:
-    """The energy of a model of pure hard cores, 0 or inf, asked as one
-    overlap question (hit); see the comment above.
-
-    Built once per model: cores[i][j] is None for a zero potential between
-    types i and j, else (reach, D) for its core D.
-    """
-
-    __slots__ = ("cores", "side", "beta")
-
-    def __init__(self, params):
-        self.cores = [[None if p.is_zero() else (p.hard_core * (1.0 + _REACH_SLACK), p.hard_core)
-                       for p in row] for row in params.potentials]
-        self.side, self.beta = cell_side(params), params.beta
-
-    def hit(self, target, table, left_out, external):
-        """Whether some target object overlaps: a leg pair of its own, or with
-        a later target, an object of table (None for none) less left_out, or
-        an external point, comes closer than its core at an equal-time
-        midpoint.
-
-        The leg pairs and their order are those interaction_energy values
-        (the targets in order, each against itself and the later ones, then
-        each against table, then each against the external points), tested
-        by _core_overlap up to the first overlap.
-        """
-        cores = self.cores
-        later = LegTable(target, self.side) if len(target) > 1 else None
-        for i, A in enumerate(target):
-            own = cores[A.type_index][A.type_index]
-            if own is not None and A.k > 1 and _core_overlap(combinations(A.leg_points, 2),
-                                                             own[1]):
-                return True
-            if later is not None and self._near(A, later, (), i):
-                return True
-        if table is not None and any(self._near(A, table, left_out, -1) for A in target):
-            return True
-        if external is None or external.is_empty():
-            return False
-        still = _still_table(external, target[0].path.slices_per_beta, self.beta, self.side)
-        return any(self._near(A, still, (), -1) for A in target)
-
-    def _near(self, A, table, left_out, after):
-        """Whether A overlaps a near object of table (_Cells.near) ranked
-        above after and not left out: per type, their legs stacked in family
-        order, and the leg pairs whose boxes come within reach."""
-        bounds, row = A.bounds, self.cores[A.type_index]
-        for j, T in table.types.items():
-            core = row[j]
-            if core is None:
-                continue
-            reach, D = core
-            near = T.near(bounds, reach, left_out, after)
-            if near:
-                legs = [lb for o in near for lb in o.leg_points]
-                if _core_overlap(((la, lb) for la in A.leg_points for lb in legs
-                                  if _meets(la[0], lb[0], reach)), D):
-                    return True
-        return False
+def energy_lane(params, conservative):
+    """CoreLane for pure hard cores without the conservative test, else SumsLane."""
+    if params.is_hard_core() and not conservative:
+        return CoreLane(params)
+    return SumsLane(params, conservative)
 
 
 def interaction_energy(target, params, conditioning=None, external=None,
@@ -552,62 +558,21 @@ def interaction_energy(target, params, conditioning=None, external=None,
     Energy internal to the conditioning is deliberately not counted.  Returns
     +inf when any hard core is violated at a quadrature node (and, with
     conservative=True, anywhere along the straight segments between nodes).
-    conditioning is a LegTable or any iterable of loops and paths.  Each
-    target meets the later targets, the conditioning and the external points
-    in that order, each indexed per type in a LegTable (_near_energy,
-    _still_table), so only the objects whose bounds come within reach of
-    the target's have their legs stacked and valued.  A model of pure hard
-    cores without the conservative test asks only whether some pair
-    overlaps (CoreLane.hit), on Python floats.
+    conditioning, any iterable of loops and paths on the targets' grid, is
+    filed in a LegTable, and the walk of params' lane (energy_lane) finds
+    and values the pairs.
 
     split, a dict if given, receives the same energy by object pair:
     split[A][B] for target A and B a later target or a conditioning object,
     and split[A][A] for A's own legs among themselves and against the
-    external points.  Only nonzero entries are made, and the returned total
-    is summed as without split.  After a violated hard core the split is
-    incomplete.
+    external points.  Only nonzero entries are made, none by CoreLane, and
+    the returned total is summed as without split.  After a violated hard
+    core the split is incomplete.
     """
     if not target:
         return 0.0
-    S = target[0].path.slices_per_beta
-    if conditioning and not isinstance(conditioning, LegTable):
-        conditioning = LegTable(conditioning, cell_side(params))
-    others = []
-    if conditioning:
-        if conditioning.slices_per_beta != S:
-            raise ValueError(_MIXED_SLICES)
-        others.append((conditioning, False))
-    if params.is_hard_core() and not conservative:
-        hit = CoreLane(params).hit(target, conditioning or None,
-                                   conditioning.left_out if conditioning else (), external)
-        return math.inf if hit else 0.0
-    # the later targets; their table refuses mixed grids
-    later = LegTable(target, cell_side(params)) if len(target) > 1 else None
-    dt = params.beta / S
-    P = params.potentials
-    total = 0.0
-    for i, A in enumerate(target):
-        pot = P[A.type_index][A.type_index]
-        if not pot.is_zero() and A.k > 1:
-            a = A.legs
-            ia, ib = np.triu_indices(A.k, 1)
-            e = _integrated(_pair_values(pot, a, ia, a, ib, conservative), dt)
-            total += e
-            if math.isinf(total):
-                return math.inf
-            _record(split, A, A, e)
-        if later:  # the targets after A: ranks above i
-            total = _near_energy(total, A, later, P, dt, conservative, split, i)
-            if math.isinf(total):
-                return math.inf
-    if external is not None and not external.is_empty():
-        others.append((_still_table(external, S, params.beta, cell_side(params)), True))
-    for table, own in others:
-        for A in target:
-            total = _near_energy(total, A, table, P, dt, conservative, split, own=own)
-            if math.isinf(total):
-                return math.inf
-    return total
+    return energy_lane(params, conservative).walk(
+        target, LegTable(conditioning or (), cell_side(params)), (), external, split)
 
 
 # --- serialisation -----------------------------------------------------------

@@ -48,10 +48,12 @@ Understanding Molecular Simulation, ch. 3 and App. F.  Under pure hard cores
 (ModelParams.is_hard_core, the Widom-Rowlinson gas among them) every state
 of nonzero weight has energy exactly 0, so every loop carries 0.0, the value
 a store would give: such a chain, like a free one, keeps no store, asks for
-no carried energy and builds no split.  Unless its core test is
-conservative, its energy call is one overlap question (loops.CoreLane.hit)
-of the loops it adds against its cell index less the loops it removes and
-against the external points; a free chain makes no energy call at all.
+no carried energy and builds no split.  A move's energy call walks the
+loops it adds against the chain's cell index, with the loops it removes
+left out, and against the external points (loops._Walk.walk), valued by
+the chain's lane: sums on numpy, or under pure cores without the
+conservative test an overlap question on Python floats (loops.CoreLane).
+A free chain makes no energy call at all.
 
 The kernel estimators draw the terms of a permutation combo as one batch
 (_sample_terms): leg by leg, the multiplicities of all terms, then one
@@ -235,9 +237,8 @@ class Chain:
         self.stats = {name: MoveStats() for name in self.FAMILIES}
         self._free = params.is_free()  # every potential is zero, external points' too
         self._pure = params.is_hard_core()  # every finite energy is 0
-        # the overlap question that is a pure core's energy call
-        self._lane = lps.CoreLane(params) if self._pure and not self._free \
-            and not self.opts.conservative_hard_core else None
+        # what values the energy of a move (_energy_change)
+        self._lane = lps.energy_lane(params, self.opts.conservative_hard_core)
         # whether the chain keeps anything beside the loop list
         self._keeps = not self._free or params.n_types > 1
         self._move_cdf = move_cdf(self.opts.move_weights).tolist()
@@ -382,12 +383,11 @@ class Chain:
             _enter(store, split)
         self._h += dh
 
-    def _evaluate(self, target, conditioning=None):
-        """Energy of target given conditioning and the external points, and its
-        split; None for the split of a free or pure-core model."""
+    def _evaluate(self, target):
+        """Energy of target given the external points, and its split; None for
+        the split of a free or pure-core model."""
         split = None if self._pure else {}
-        return interaction_energy(list(target), self.params, conditioning=conditioning,
-                                  external=self.config.external,
+        return interaction_energy(list(target), self.params, external=self.config.external,
                                   conservative=self.opts.conservative_hard_core,
                                   split=split), split
 
@@ -407,20 +407,18 @@ class Chain:
         """Energy dh that replacing the loops removed by added adds, and its split.
 
         The loops removed take away e_old (_carried_energy), so a deletion
-        makes no energy call.  added is evaluated against the rest in one
-        call, whose split by loop pair is returned for _commit to store.  A
-        pure core returns no split, and unless the test is conservative its
-        call is the overlap question (lps.CoreLane.hit) against the cell
-        index less removed, with no view and no copy.  Free chains never ask
-        (_try).  The nested kernel estimator asks it for its terms' paths,
-        with nothing removed.
+        makes no energy call.  added is walked by the chain's lane
+        (loops.energy_lane) against its cell index, with removed left out,
+        and the external points, in one call whose split by loop pair is
+        returned for _commit to store.  A pure core returns no split, and
+        unless its test is conservative the call is an overlap question on
+        Python floats (loops.CoreLane).  Free chains never ask (_try).  The
+        nested kernel estimator asks it for its terms' paths, with nothing
+        removed.
         """
-        e_new, split = 0.0, None if self._pure else {}
-        if added and self._lane is not None:
-            if self._lane.hit(added, self._loop_table(), removed, self.config.external):
-                e_new = math.inf
-        elif added:
-            e_new, split = self._evaluate(added, self._loop_table().excluding(removed))
+        split = None if self._pure else {}
+        e_new = self._lane.walk(added, self._loop_table(), removed, self.config.external,
+                                split) if added else 0.0
         return e_new - e_old, split
 
     def _confined(self, objects):
@@ -954,8 +952,7 @@ def estimate_rdm_kernel(chain, starts, ends, box0, n_snapshots=400, thin=2,
     Paths are drawn on the chain's grid, with the chain's k_max.  Only the
     background loops whose bounds meet box0 (loops.meeting_box) are tested
     against it, and each term's energy is asked as the chain's moves ask
-    theirs (Chain._energy_change: a pure core's overlap question through
-    Chain._lane).
+    theirs (Chain._energy_change, through the chain's lane).
 
     With apply_exclusion=False the box0 indicators are skipped; this
     diagnostic mode turns the estimator into the plain reduced-kernel of the

@@ -318,16 +318,16 @@ class TestRangeFilter:
                 Box((50.0, 50.0), 1.0), [[p.anchor for p in points if p.type_index == j]
                                          for j in range(2)], max_range=math.inf)
         want = brute_force_energy(target, params, conditioning + points, conservative)
-        # a stacked table with one more object, left out by excluding()
+        # and walked through a table with one more object, left out, as a
+        # chain walks its moves
         extra = random_object(g.uniform(-2.0, 2.0, 2))
         at = int(g.integers(len(conditioning) + 1))
         stacked = lps.LegTable(conditioning[:at] + [extra] + conditioning[at:],
                                lps.cell_side(params))
-        view = stacked.excluding([extra])
-        assert list(view) == conditioning
-        for cond in (conditioning, view):
-            got = lps.interaction_energy(target, params, conditioning=cond,
-                                         external=external, conservative=conservative)
+        for got in (lps.interaction_energy(target, params, conditioning=conditioning,
+                                           external=external, conservative=conservative),
+                    lps.energy_lane(params, conservative).walk(target, stacked, [extra],
+                                                                external, None)):
             if math.isinf(want):
                 assert got == math.inf
             else:
@@ -350,8 +350,10 @@ class TestRangeFilter:
 
 def stacked_near_energy(total, A, family, left_out, P, dt, conservative, split,
                         after=None, own=False):
-    """_near_energy as it stood before the cell index: per type, the legs of
-    the whole family stacked in family order and every row scanned.
+    """The walk's valuation of one target against a family on numpy
+    (loops._Walk._near with SumsLane) as it stood before the cell index: per
+    type, the legs of the whole family stacked in family order and every
+    row scanned.
 
     Rows of left-out objects, and rows of the first after[j] type-j
     objects if after is given, are masked out.
@@ -532,9 +534,8 @@ class TestCellIndex:
     def assert_same_scan(params, conservative, target, family, left_out, external):
         runs = []
         for energy in (
-                lambda split: lps.interaction_energy(
-                    target, params, conditioning=lps.LegTable(family, 1.0).excluding(left_out),
-                    external=external, conservative=conservative, split=split),
+                lambda split: lps.energy_lane(params, conservative).walk(
+                    target, lps.LegTable(family, 1.0), left_out, external, split),
                 lambda split: stacked_energy(target, params, family, left_out, external,
                                              conservative, split)):
             pairs, split = [], {}
@@ -564,27 +565,29 @@ class TestCellIndex:
     def test_the_core_lane_matches_numpy(self, seed, d):
         # pure hard cores with legs just outside them (cored_family).
         # Tested on Python floats, the energy and split must be those of
-        # the stacked scan on numpy
+        # the stacked scan on numpy, and the energy that of the sums lane
+        # walked on numpy over the same table and left-out list
         g = np.random.default_rng(seed)
         S = int(g.choice([1, 2, 4]))
         params = two_type_params(d, "square_well", 1.0)
         target, family, left_out, external = cored_family(g, d, S, params)
+        lane = lps.energy_lane(params, False)
+        assert isinstance(lane, lps.CoreLane)
         split, want_split = {}, {}
-        h = lps.interaction_energy(
-            target, params, conditioning=lps.LegTable(family, 1.0).excluding(left_out),
-            external=external, split=split)
+        h = lane.walk(target, lps.LegTable(family, 1.0), left_out, external, split)
         assert h == stacked_energy(target, params, family, left_out, external, False,
                                    want_split)
         assert split == want_split
+        assert lps.SumsLane(params, False).walk(target, lps.LegTable(family, 1.0), left_out,
+                                                external, None) == h
 
     def test_a_family_out_of_reach_builds_no_legs(self, monkeypatch):
         # one object beyond reach in the target's own cell, one far off
         m = one_type(square_well(1.0, 1.0))
         target = still_loop((0.0, 0.0), 1, 4)
         family = [still_loop((1.25, 0.0), 1, 4), still_loop((0.0, -3.0), 2, 4)]
-        table = lps.LegTable(family, lps.cell_side(m))
         monkeypatch.setattr(lps, "_pair_values", None)  # any call fails
-        assert lps.interaction_energy([target], m, conditioning=table) == 0.0
+        assert lps.interaction_energy([target], m, conditioning=family) == 0.0
         assert all("legs" not in vars(o) for o in [target] + family)
 
     def test_splice_keeps_family_order(self):
@@ -595,7 +598,7 @@ class TestCellIndex:
         new = still_loop((0.25, 0.0), 1, 4)
         table.splice([objs[0]], [])
         table.splice([], [new])
-        assert list(table) == [objs[3], objs[2], new]
+        assert table.objects == [objs[3], objs[2], new]
         bounds = still_loop((0.75, 0.0), 1, 4).bounds
         assert table.types[0].near(bounds, 1.0, (), -1) == [objs[3], objs[2], new]
 
@@ -656,9 +659,13 @@ class TestNonNegativeEnergy:
                                                                     1, S, BETA))]
             target = [lps.Loop(int(g.integers(2)), BridgePath(np.tile(y, (S + 1, 1)),
                                                               1, S, BETA))]
-        for cond in (conditioning, lps.LegTable(conditioning, lps.cell_side(params))):
-            h = lps.interaction_energy(target, params, conditioning=cond,
-                                       external=external, conservative=conservative)
+        # and walked through a table that also holds the targets, left out,
+        # as a chain walks a redraw
+        table = lps.LegTable(target + conditioning, lps.cell_side(params))
+        for h in (lps.interaction_energy(target, params, conditioning=conditioning,
+                                         external=external, conservative=conservative),
+                  lps.energy_lane(params, conservative).walk(target, table, target,
+                                                              external, None)):
             assert h >= 0.0  # +inf included; a NaN fails
 
 

@@ -62,6 +62,10 @@ DRIFT_SETUPS = {
         dense_gas([[zero_potential(), CORE], [CORE, zero_potential()]]),
         {"external": [[[4.1, 0.5], [-1.0, -4.2]], [[0.0, 4.05], [-4.2, 1.5]]]}),
     "one-type-core": (dense_gas([[CORE]]), {}),  # k_max = 4: legs of a loop overlap
+    # pure-core pairs across the types beside soft pairs within each: the
+    # sums lane values the cores, with external points of both types
+    "cross-core-wells": (dense_gas([[WELL, CORE], [CORE, WELL]]),
+                         {"external": [[[4.1, 0.5]], [[0.0, 4.05]]]}),
 }
 SOFT_SETUPS = [name for name, (params, _) in DRIFT_SETUPS.items() if not params.is_hard_core()]
 
@@ -412,10 +416,9 @@ class TestEnergyCache:
     def test_deletion_makes_no_energy_call_and_a_redraw_one(self, monkeypatch):
         chain = drift_chain("square-well", seed=3)
         chain.run(5)
-        calls = []
-        energy = mc.interaction_energy
-        monkeypatch.setattr(mc, "interaction_energy",
-                            lambda *a, **kw: calls.append(1) or energy(*a, **kw))
+        calls, lane = [], chain._lane
+        monkeypatch.setattr(chain, "_lane", types.SimpleNamespace(
+            walk=lambda *a: calls.append(1) or lane.walk(*a)))
         old = chain.config.loops[0]
         e_old = chain._carried_energy((old,))
         chain._energy_change((old,), (), e_old)
@@ -427,6 +430,7 @@ class TestEnergyCache:
     def test_free_model_stores_nothing(self, monkeypatch):
         chain = make_chain(free_params(), seed=2, slices_per_beta=4, k_max=4)
         monkeypatch.setattr(mc, "interaction_energy", None)  # any call would fail
+        monkeypatch.setattr(chain, "_lane", None)
         chain.run(20)
         assert chain.config.loops and chain._carried is None
 
@@ -508,7 +512,7 @@ class TestEarlyRejection:
             raise AssertionError("a merge rejected early drew or evaluated its move")
 
         monkeypatch.setattr(chain, "_draw_legs", never)
-        monkeypatch.setattr(mc, "interaction_energy", never)
+        monkeypatch.setattr(chain, "_lane", types.SimpleNamespace(walk=never))
         monkeypatch.setattr(lps, "confined_to_box", never)
         for _ in range(20):
             assert not chain._try_merge()

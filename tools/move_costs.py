@@ -24,12 +24,14 @@ Widom-Rowlinson gas at box half sides 8 and 16, the same fugacities and
 so the same density, each after 200 sweeps from empty.  Every loop gets
 one leg redrawn four times (a fixed stream), and each new loop's energy
 change is taken as a redraw proposal takes it, through the chain's own
-Chain._energy_change against its cell index less the old loop (under the
-Widom-Rowlinson cores, the overlap question loops.CoreLane.hit).  Each
-row gives the microseconds per call of the fastest of
---repeats passes, the mean number of candidates (objects whose bounds
-come within reach) per cell-index query, and the share of queries with
-none.  Two more rows take the same calls on other states: long loops
+Chain._energy_change: its lane walks the new loop against its cell index,
+with the old loop left out (under the Widom-Rowlinson cores the float
+lane, loops.CoreLane).  Each row gives the microseconds per call of the
+fastest of --repeats passes; for a pure-core state, the same calls with
+the chain's lane swapped for the numpy sums lane (loops.SumsLane); the
+mean number of candidates (objects whose bounds come within reach) per
+cell-index query, and the share of queries with none.  Two more rows
+take the same calls on other states: long loops
 under the Widom-Rowlinson cores on the default grid (S = 32; one loop of
 each multiplicity 1..20 per type, anchors uniform in a box of half side
 16, seed 5, each loop drawn again until it overlaps none placed before
@@ -121,19 +123,31 @@ def draw_costs(repeats):
 
 
 def energy_costs(chain, repeats):
-    """(us per energy call, mean candidates per query, share of queries with none)."""
+    """(us per energy call, the same through the sums lane for a chain on the
+    float lane or None, mean candidates per query, share of queries with none)."""
     rng = np.random.default_rng(0)
     moves = [(lp, resample_leg(lp.path, int(rng.integers(lp.k)), rng),
               0.0 if chain._pure else chain._carried_energy((lp,)))
              for lp in chain.config.loops for _ in range(4)]
-    best = math.inf
-    for _ in range(repeats):
-        proposals = [((lp,), (lps.Loop(lp.type_index, path),), e_old)  # no legs yet
-                     for lp, path, e_old in moves]
-        t0 = time.perf_counter()
-        for removed, added, e_old in proposals:
-            chain._energy_change(removed, added, e_old)
-        best = min(best, time.perf_counter() - t0)
+
+    def us_per_call():
+        best = math.inf
+        for _ in range(repeats):
+            proposals = [((lp,), (lps.Loop(lp.type_index, path),), e_old)  # no legs yet
+                         for lp, path, e_old in moves]
+            t0 = time.perf_counter()
+            for removed, added, e_old in proposals:
+                chain._energy_change(removed, added, e_old)
+            best = min(best, time.perf_counter() - t0)
+        return 1e6 * best / max(len(moves), 1)
+
+    us, sums, lane = us_per_call(), None, chain._lane
+    if isinstance(lane, lps.CoreLane):
+        chain._lane = lps.SumsLane(chain.params, False)
+        try:
+            sums = us_per_call()
+        finally:
+            chain._lane = lane
     found, near = [], lps._Cells.near
 
     def counted(cells, *args):
@@ -146,8 +160,7 @@ def energy_costs(chain, repeats):
             chain._energy_change((lp,), (lps.Loop(lp.type_index, path),), e_old)
     finally:
         lps._Cells.near = near
-    return (1e6 * best / max(len(moves), 1), sum(found) / max(len(found), 1),
-            found.count(0) / max(len(found), 1))
+    return (us, sums, sum(found) / max(len(found), 1), found.count(0) / max(len(found), 1))
 
 
 def long_loops():
@@ -269,20 +282,21 @@ def main(argv=None):
     print("%-31s %9s" % ("draws", "us/call"))
     for name, us in draw_costs(args.repeats):
         print("%-31s %9.3f" % (name, us))
-    print("%-16s %5s %6s %12s %11s %13s" % ("energy", "half", "loops", "us/call",
-                                           "candidates", "no candidate"))
+    print("%-16s %5s %6s %12s %12s %11s %13s" % ("energy", "half", "loops", "us/call",
+                                                 "sums us/call", "candidates", "no candidate"))
     params = chains()[-1][1]
+    states = []
     for half in (8.0, 16.0):
         chain = mc.Chain(params, Box((0.0, 0.0), half), seed=37,
                          options=mc.SamplerOptions(slices_per_beta=4))
         chain.run(200)
-        us, mean, none = energy_costs(chain, args.repeats)
-        print("%-16s %5g %6d %12.2f %11.3f %13.3f" % (
-            "widom-rowlinson", half, len(chain.config.loops), us, mean, none))
-    for name, chain in (("long-loops-s32", long_loops()), ("dense-bump", dense_bump())):
-        us, mean, none = energy_costs(chain, args.repeats)
-        print("%-16s %5g %6d %12.2f %11.3f %13.3f" % (
-            name, chain.box.half_side, len(chain.config.loops), us, mean, none))
+        states.append(("widom-rowlinson", chain))
+    states += [("long-loops-s32", long_loops()), ("dense-bump", dense_bump())]
+    for name, chain in states:
+        us, sums, mean, none = energy_costs(chain, args.repeats)
+        print("%-16s %5g %6d %12.2f %12s %11.3f %13.3f" % (
+            name, chain.box.half_side, len(chain.config.loops), us,
+            "-" if sums is None else "%.2f" % sums, mean, none))
     print("%-31s %12s %s" % ("estimator", "figure", "unit"))
     for name, figure, unit in estimator_costs(args.repeats):
         print("%-31s %12.2f %s" % (name, figure, unit))
