@@ -8,8 +8,10 @@ the bisection: up to SCALAR_WALK_MAX on Python floats, one coordinate at a
 time in a flat list of the batch (_flat_plan, _walk), and above it one
 depth level at a time in numpy.  Both compute every coordinate with the
 same operations in the same order, so they give the same doubles.  A
-single path or leg redraw is walked in the flat list of its own floats,
-with no batch around it (_one_path).  A batch of n uses the
+single path is walked in the flat list of its own floats, with no batch
+around it: endpoints given as lists of floats start that list as they are,
+others go through numpy once.  A leg redraw walks the leg's floats cut
+from the path's.  A batch of n uses the
 Generator's normals as n single draws in a row would, each path in the
 order of a depth-first walk that takes the right half first.
 The path measure used throughout is the non-normalised bridge measure whose
@@ -21,7 +23,13 @@ IMAGE_TOL, a slice's stay probability after the image pairs whose rest
 h^2/tau (interval width squared over slice time) puts within half an ulp.
 Each image is taken over the free term in closed form, one exponential
 whose exponent is <= 0 for endpoints inside the interval, so no term
-overflows there and nothing divides by an underflowing free term.
+overflows there and nothing divides by an underflowing free term.  The
+stay probability sums its images on two scratch arrays reused from term to
+term, the n = 0 direct image as the 1.0 it is inside the interval.  numpy's
+exp leaves its vector loop for results that are not normal doubles, so
+images with exponents below EXP_FLOOR (-708) are taken as 0, and the few
+totals below TINY_TOTAL (2^-960) are summed again with every term; the
+doubles are the plain sum's (slice_stay_probability says why).
 """
 
 import functools
@@ -69,7 +77,7 @@ def log_bridge_mass(x, y, k, beta):
     return -0.5 * d * math.log(2.0 * math.pi * tau) - sq / (2.0 * tau)
 
 
-@dataclass
+@dataclass(slots=True)
 class BridgePath:
     """Sampled bridge on the grid i*beta/S, i = 0..k*S.
 
@@ -203,55 +211,75 @@ def sample_bridges(x, y, k, S, beta, rng):
         raise ValueError("endpoint dimensions differ")
     if k < 1 or S < 1:
         raise ValueError("k and S must be positive integers")
+    if beta <= 0:
+        raise ValueError("beta must be > 0")
     samples = np.empty((x.shape[0], k * S + 1, x.shape[1]))
     samples[:, 0], samples[:, -1] = x, y
     _bisect(samples, 0, k * S, beta / S, rng)
     return samples
 
 
-def _one_path(v, lo, hi, dt, d, rng):
-    """Samples of one path from v, the flat list of its floats, with rows
-    lo+1..hi-1 drawn afresh as _bisect draws them for a batch of one; on the
-    scalar walk, in v itself, so the array is made once."""
-    if _scalar(1, hi - lo, d):
-        block = v[lo * d:(hi + 1) * d]
-        _walk(block, lo, hi, dt, 1, d, rng)
-        v[lo * d:(hi + 1) * d] = block
-        return np.array(v).reshape(-1, d)
-    samples = np.array(v).reshape(1, -1, d)
-    _bisect(samples, lo, hi, dt, rng)
-    return samples[0]
+def _floats(x):
+    """The coordinates of an endpoint as a list of Python floats: a list of
+    floats as it is, anything else through numpy."""
+    if type(x) is list:
+        for c in x:
+            if type(c) is not float:
+                break
+        else:
+            return x
+    return np.asarray(x, dtype=float).ravel().tolist()
 
 
 def sample_bridge(x, y, k, S, beta, rng):
     """Draw one bridge from x to y of duration k*beta, as sample_bridges does
     for a batch of one.
 
-    x and y are floats or vectors of d floats.  The path goes from their
-    floats to one flat list and on to one array (_one_path): on the scalar
-    walk it walks _flat_plan(0, k*S, beta/S, 1, d) in that list.
+    x and y are floats or vectors of d floats (_floats).  On the scalar walk
+    the whole path is walked in one flat list of its floats,
+    _flat_plan(0, k*S, beta/S, 1, d), and that list becomes the samples.
     """
-    xs = np.asarray(x, dtype=float).ravel().tolist()
-    ys = np.asarray(y, dtype=float).ravel().tolist()
+    xs, ys = _floats(x), _floats(y)
     if len(xs) != len(ys):
         raise ValueError("endpoint dimensions differ")
     if k < 1 or S < 1:
         raise ValueError("k and S must be positive integers")
+    if beta <= 0:
+        raise ValueError("beta must be > 0")
     d, span = len(xs), k * S
-    samples = _one_path(xs + [0.0] * ((span - 1) * d) + ys, 0, span, beta / S, d, rng)
-    return BridgePath(samples=samples, k=k, slices_per_beta=S, beta=beta)
+    v = xs + [0.0] * ((span - 1) * d) + ys
+    if _scalar(1, span, d):
+        _walk(v, 0, span, beta / S, 1, d, rng)
+        samples = np.array(v).reshape(-1, d)
+    else:
+        samples = np.array(v).reshape(1, -1, d)
+        _bisect(samples, 0, span, beta / S, rng)
+        samples = samples[0]
+    return BridgePath(samples, k, S, beta)
 
 
 def resample_leg(path, m, rng):
-    """Fresh interior for leg m of a BridgePath, endpoints kept.
+    """Fresh interior for leg m, 0 <= m < k, of a BridgePath, endpoints kept.
 
     Returns a new BridgePath; the input is not modified.  The leg is drawn
-    in the flat list of the path's floats (_one_path).
+    as _bisect draws it for a batch of one: on the scalar walk, in a flat
+    list of the leg's floats cut from those of the path and put back.
     """
-    S, d = path.slices_per_beta, path.samples.shape[1]
-    samples = _one_path(path.samples.ravel().tolist(), m * S, (m + 1) * S, path.beta / S,
-                        d, rng)
-    return BridgePath(samples=samples, k=path.k, slices_per_beta=S, beta=path.beta)
+    S, k, d = path.slices_per_beta, path.k, path.samples.shape[1]
+    if not 0 <= m < k:
+        raise ValueError("leg m = %r is not one of the k = %d legs 0..k-1" % (m, k))
+    lo, hi, dt = m * S, (m + 1) * S, path.beta / S
+    if _scalar(1, S, d):
+        v = path.samples.ravel().tolist()
+        block = v[lo * d:(hi + 1) * d]
+        _walk(block, lo, hi, dt, 1, d, rng)
+        v[lo * d:(hi + 1) * d] = block
+        samples = np.array(v).reshape(-1, d)
+    else:
+        samples = path.samples.astype(float)[None]
+        _bisect(samples, lo, hi, dt, rng)
+        samples = samples[0]
+    return BridgePath(samples, k, S, path.beta)
 
 
 def _alternating_image_sum(v, a, tau):
@@ -308,6 +336,49 @@ def max_deviation_tail(a, k, displacement, beta):
     return min(1.0, max(0.0, total / math.sqrt(2.0 * math.pi * var)))
 
 
+# An image term with an exponent below EXP_FLOOR is left out, and a total
+# below TINY_TOTAL is summed again with every term (slice_stay_probability).
+EXP_FLOOR = -708.0
+TINY_TOTAL = 2.0 ** -960
+
+
+def _image_sum(total, us, vs, h, tau, N, floor):
+    """Add slice_stay_probability's image series, pairs n = -N-1..N in its
+    order, to total, an array of the broadcast shape of us and vs.
+
+    Each image's exponent is evaluated, and exponentiated, in one of two
+    scratch arrays, with the operations and in the order of the closed
+    forms in slice_stay_probability.  The n = 0 direct image is
+    exp(+-0.0) = 1.0 at every element inside the interval and is added as
+    1.0.  An image whose exponents are not all >= floor is exponentiated
+    only where they are and is 0 elsewhere.
+    """
+    e, f = np.empty_like(total), np.empty_like(total)
+
+    def image(x):  # x is e, and f is free
+        if x.min(initial=0.0) < floor:
+            keep = np.greater_equal(x, floor, out=f, casting="unsafe")
+            np.multiply(x, keep, out=x)  # a left-out exponent becomes +-0.0
+            np.exp(x, out=x)
+            return np.multiply(x, keep, out=x)
+        return np.exp(x, out=x)
+
+    for n in range(-N - 1, N + 1):
+        nh = n * h
+        if n == 0:
+            total += 1.0
+        elif n >= -N:
+            np.add(vs, nh, out=e)
+            np.subtract(e, us, out=e)
+            np.multiply(e, -2.0 * n * h, out=e)
+            total += image(np.divide(e, tau, out=e))
+        np.add(us, nh, out=e)
+        np.multiply(e, -2.0, out=e)
+        np.multiply(e, np.add(vs, nh, out=f), out=e)
+        total -= image(np.divide(e, tau, out=e))
+    return total
+
+
 def slice_stay_probability(lo, hi, u, v, tau):
     """P(a Brownian bridge from u to v over time tau stays inside (lo, hi)).
 
@@ -323,6 +394,24 @@ def slice_stay_probability(lo, hi, u, v, tau):
     sum to at most HALF_ULP.  At r <= 0.1 the killed kernel's eigenfunction
     series bounds P below 1e-20, and 0 is returned.  u, v may be arrays
     (elementwise).  Endpoints outside the interval give probability 0.
+
+    The terms are summed in the order n = -N-1..N, direct image before
+    reflected, on two reused scratch arrays (_image_sum); the n = 0 direct
+    image is the constant 1.0.  Terms with an exponent below EXP_FLOOR are
+    left out, and the elements inside the interval whose total ends below
+    TINY_TOTAL are summed again with every term.  Together this gives the
+    doubles of the plain sum of every term.  A left-out term is below
+    exp(-708) < 2^-1021, and inside the interval an exponent below -708
+    occurs at N = 1 alone (at N >= 2, r < 10 and every exponent is above
+    -2 (N+1)^2 r > -180).  There the terms are, in order, reflected -2,
+    direct -1, reflected -1, the 1.0, reflected 0, direct 1 and reflected 1:
+    growing up to the 1.0 and falling after it, so the left-out terms come
+    first or last.  Before the 1.0 the two sums can differ only while both
+    are below 2^-965; a term t with both below a quarter of its ulp (any
+    t >= 2^-911) sets both to +-t exactly, and otherwise the 1.0 sets both
+    to 1.0.  After the 1.0 a left-out term leaves a partial sum >= 2^-967
+    unchanged, being below half its spacing, and a total below TINY_TOTAL
+    is summed again.
     """
     h = hi - lo
     us = np.asarray(u, dtype=float) - lo
@@ -335,11 +424,17 @@ def slice_stay_probability(lo, hi, u, v, tau):
     while 4.0 * math.exp(-2.0 * N * (N + 1) * r) > HALF_ULP * -math.expm1(-4.0 * (N + 1) * r):
         N += 1
     with np.errstate(over="ignore", invalid="ignore"):  # only outside the interval
-        for n in range(-N - 1, N + 1):
-            if n >= -N:
-                total += np.exp(-2.0 * n * h * (n * h + vs - us) / tau)
-            total -= np.exp(-2.0 * (us + n * h) * (vs + n * h) / tau)
-    return np.where(inside, np.clip(total, 0.0, 1.0), 0.0)
+        _image_sum(total, us, vs, h, tau, N, EXP_FLOOR)
+        again = inside & (total < TINY_TOTAL)
+        if again.any():
+            total[again] = _image_sum(np.zeros(np.count_nonzero(again)),
+                                      np.broadcast_to(us, total.shape)[again],
+                                      np.broadcast_to(vs, total.shape)[again], h, tau, N,
+                                      -math.inf)
+        # np.where(inside, np.clip(total, 0.0, 1.0), 0.0) in place: fmax and
+        # fmin take a NaN outside the interval to 0.0, so 0.0 * it is 0.0
+        np.fmin(np.fmax(total, 0.0, out=total), 1.0, out=total)
+        return np.multiply(total, inside, out=total)
 
 
 def path_stay_probability(samples_1d, lo, hi, tau_slice):

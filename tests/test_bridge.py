@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 from loopgas import bridge
+from loopgas.analytic import HALF_ULP
 from loopgas.model import Box, ModelParams, zero_potential
 
 
@@ -126,6 +129,81 @@ class TestSampleBridge:
         assert np.array_equal(q.samples[:5], p.samples[:5])
         assert np.array_equal(q.samples[8:], p.samples[8:])
         assert not np.array_equal(q.samples[5:8], p.samples[5:8])
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("m", [-3, -1, 3, 4])
+    def test_resample_leg_outside_the_legs(self, m):
+        # m = -3 once redrew rows 2..4 of this path, and -1 or k hit an IndexError
+        p = bridge.sample_bridge(np.zeros(2), np.zeros(2), 3, 4, 1.0, rng(6))
+        g = rng(7)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match=r"m = %d .* k = 3" % m):
+            bridge.resample_leg(p, m, g)
+        assert g.bit_generator.state == state
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_sample_bridge_without_positive_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be > 0"):
+            bridge.sample_bridge([0.0], [0.5], 1, 4, beta, rng())
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_sample_bridges_without_positive_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be > 0"):
+            bridge.sample_bridges(np.zeros((3, 2)), np.ones((3, 2)), 1, 4, beta, rng())
+
+
+class TestSinglePathLane:
+    # sample_bridge takes a list of Python floats as it is and sends any
+    # other endpoint through numpy: every form gives the same path and stream
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k,S", [(1, 4), (2, 4), (2, 60)])  # (2, 60): level walk at d = 3
+    def test_endpoint_forms_give_one_path(self, d, k, S):
+        x = [0.25, -1.0, 2.0][:d]
+        y = [-0.5, 3.0, 0.125][:d]
+        forms = [(x, y), ([int(c) if c == int(c) else c for c in x], y),
+                 ([np.float64(c) for c in x], [np.float64(c) for c in y]),
+                 (tuple(x), tuple(y)), (np.array(x), np.array(y)),
+                 (np.array([x]), np.array([y]))]
+        if d == 1:
+            forms.append((x[0], y[0]))
+        g_ref = rng(5)
+        want = stack_walk_bridge(np.array(x), np.array(y), k, S, 0.7, g_ref)
+        for xf, yf in forms:
+            g = rng(5)
+            got = bridge.sample_bridge(xf, yf, k, S, 0.7, g).samples
+            assert got.dtype == np.float64 and got.shape == (k * S + 1, d)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert g.bit_generator.state == g_ref.bit_generator.state
+
+    def test_endpoint_lists_are_not_changed(self):
+        x, y = [0.25, -1.0], [0.5, 0.5]
+        p = bridge.sample_bridge(x, y, 2, 4, 1.0, rng())
+        assert x == [0.25, -1.0] and y == [0.5, 0.5]
+        p.samples[0] = 9.0
+        assert x == [0.25, -1.0]
+
+    @pytest.mark.parametrize("x,y,k,S,match", [
+        ([0.0, 1.0], [0.5], 1, 4, "endpoint dimensions differ"),
+        ([0.0], np.zeros(2), 1, 4, "endpoint dimensions differ"),
+        ([0.0], [1.0], 0, 4, "k and S must be positive integers"),
+        ([0.0], [1.0], 1, 0, "k and S must be positive integers"),
+        ([0.0, "a"], [1.0, 2.0], 1, 4, "could not convert"),
+    ])
+    def test_errors_unchanged(self, x, y, k, S, match):
+        with pytest.raises(ValueError, match=match):
+            bridge.sample_bridge(x, y, k, S, 1.0, rng())
+
+    def test_bridge_path_has_slots_and_copies(self):
+        p = bridge.sample_bridge([0.25, -1.0], [0.5, 0.5], 3, 4, 0.7, rng(2))
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(AttributeError):
+            p.colour = "red"
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert type(q) is bridge.BridgePath
+            assert (q.k, q.slices_per_beta, q.beta) == (3, 4, 0.7)
+            assert np.array_equal(q.samples, p.samples)
+        assert copy.deepcopy(p).samples is not p.samples
 
 
 def stack_walk(samples, times, lo, hi, rng):
@@ -430,6 +508,147 @@ class TestStayProbability:
         x = bridge.path_stay_probability(samples[:, 0], -1.0, 1.0, 0.5)
         y = bridge.path_stay_probability(samples[:, 1], -1.0, 1.0, 0.5)
         assert abs(got - x * y) < 1e-14
+
+
+def plain_stay_probability(lo, hi, u, v, tau):
+    """slice_stay_probability as the plain sum of every image term, one
+    fresh array per operation, kept as the oracle.
+
+    Returns the probability, and for each element inside the interval the
+    unclipped total and the least exponent of its terms (NaN outside).
+    """
+    h = hi - lo
+    us = np.asarray(u, dtype=float) - lo
+    vs = np.asarray(v, dtype=float) - lo
+    inside = (us > 0) & (us < h) & (vs > 0) & (vs < h)
+    total = np.zeros(np.broadcast(us, vs).shape)
+    least = np.zeros(total.shape)
+    r, N = h * h / tau, 1
+    if r <= 0.1:
+        return total, np.where(inside, total, np.nan), np.where(inside, least, np.nan)
+    while 4.0 * math.exp(-2.0 * N * (N + 1) * r) > HALF_ULP * -math.expm1(-4.0 * (N + 1) * r):
+        N += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(-N - 1, N + 1):
+            if n >= -N:
+                x = -2.0 * n * h * (n * h + vs - us) / tau
+                total += np.exp(x)
+                least = np.minimum(least, x)
+            x = -2.0 * (us + n * h) * (vs + n * h) / tau
+            total -= np.exp(x)
+            least = np.minimum(least, x)
+    return (np.where(inside, np.clip(total, 0.0, 1.0), 0.0), np.where(inside, total, np.nan),
+            np.where(inside, least, np.nan))
+
+
+# r = h^2 / tau: 0 is returned up to 0.1; N = 1 from about 9.7 on, and
+# exponents below -708 inside the interval from about 89 on
+R_VALUES = (0.05, 0.1, 0.2, 1.0, 3.3, 9.7, 16.0, 64.0, 144.0, 180.0, 360.0, 365.0, 3000.0)
+
+
+def barrier_points(lo, h):
+    """Endpoints on the barriers, 1e-12 h on either side of each, and inside."""
+    return np.array([lo, lo + h, lo + 1e-12 * h, lo + h - 1e-12 * h, lo - 1e-12 * h,
+                     lo + h + 1e-12 * h, lo + 0.5 * h, lo + 0.999 * h, lo + 1e-7 * h])
+
+
+def endpoint_batch(g, lo, h, m):
+    """m endpoints: uniform inside, up to 0.3 h outside, at barrier_points, or
+    within h * 10^-300..h * 0.1 of the lower barrier."""
+    kind = g.integers(4, size=m)
+    return np.select([kind == 0, kind == 1, kind == 2],
+                     [g.uniform(lo, lo + h, m), g.uniform(lo - 0.3 * h, lo + 1.3 * h, m),
+                      g.choice(barrier_points(lo, h), m)],
+                     lo + h * 10.0 ** g.uniform(-300.0, -1.0, m))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestStayProbabilityOracle:
+    # the images are summed on scratch arrays, the n = 0 one as 1.0, images
+    # below exp(-708) are left out and tiny totals summed again: the doubles
+    # must be the plain sum's, bit for bit
+    def test_random_batches_give_the_plain_sums_doubles(self):
+        g = rng(21)
+        least, tiny = math.inf, 0
+        for r in R_VALUES:
+            for _ in range(3):
+                lo, h = g.uniform(-2.0, 1.0), math.exp(g.uniform(-2.0, 1.5))
+                tau = h * h / r
+                u, v = endpoint_batch(g, lo, h, 400), endpoint_batch(g, lo, h, 400)
+                grid_u, grid_v = np.meshgrid(barrier_points(lo, h), barrier_points(lo, h))
+                for a, b in ((u, v), (grid_u, grid_v), (u[:, None], v[None, :40])):
+                    want, total, lows = plain_stay_probability(lo, lo + h, a, b, tau)
+                    assert_same_bits(bridge.slice_stay_probability(lo, lo + h, a, b, tau), want)
+                    least = min(least, np.nanmin(lows, initial=0.0))
+                    tiny += np.count_nonzero((total > 0.0) & (total < bridge.TINY_TOTAL))
+        # both rules are at work: left-out images and totals summed again
+        assert least < bridge.EXP_FLOOR
+        assert tiny > 0
+
+    @pytest.mark.parametrize("r", [0.1, 3.3, 64.0, 360.0])
+    def test_scalar_u_against_array_v(self, r):
+        lo, h = -0.4, 1.3
+        tau = h * h / r
+        v = endpoint_batch(rng(4), lo, h, 500)
+        for u in barrier_points(lo, h).tolist() + [lo - 0.2 * h, lo + 0.3 * h]:
+            want, _, _ = plain_stay_probability(lo, lo + h, u, v, tau)
+            assert_same_bits(bridge.slice_stay_probability(lo, lo + h, u, v, tau), want)
+            want, _, _ = plain_stay_probability(lo, lo + h, v, u, tau)
+            assert_same_bits(bridge.slice_stay_probability(lo, lo + h, v, u, tau), want)
+
+    def test_scalars_and_empty_batches(self):
+        for u, v in ((0.1, 0.2), (-1.0, 0.2), (0.999999999999, 0.999999999999)):
+            want, _, _ = plain_stay_probability(-1.0, 1.0, u, v, 4.0 / 360.0)
+            got = bridge.slice_stay_probability(-1.0, 1.0, u, v, 4.0 / 360.0)
+            assert_same_bits(got, want)
+        assert bridge.slice_stay_probability(-1.0, 1.0, np.zeros(0), np.zeros(0), 0.01).shape == (0,)
+
+    def test_left_out_images_show_only_in_tiny_totals(self):
+        # both ends 1e-12 h above the lower barrier at r = 360: the images
+        # that remain after the 1.0 lie below exp(-708), and leaving them out
+        # changes the (subnormal) total, which is why such totals are summed again
+        lo, h, r = 0.0, 1.0, 360.0
+        us = np.full(3, 1e-12 * h)
+        vs = us * np.array([1.0, 2.0, 3.0])
+        _, want, _ = plain_stay_probability(lo, lo + h, us, vs, h * h / r)
+        assert np.all((want > 0.0) & (want < bridge.TINY_TOTAL))
+        left_out = bridge._image_sum(np.zeros(3), us, vs, h, h * h / r, 1, bridge.EXP_FLOOR)
+        assert not np.array_equal(left_out, want)
+        assert_same_bits(bridge.slice_stay_probability(lo, lo + h, us, vs, h * h / r),
+                         np.clip(want, 0.0, 1.0))
+
+    def test_images_above_the_floor_are_kept(self):
+        # after the 1.0 and reflected 0 cancel, direct 1 leaves a total near
+        # 2^-957, above TINY_TOTAL, and reflected 1 (exponent near -695) still
+        # moves it: a floor at -690 would change these doubles, -708 does not
+        lo, h, r = 0.0, 1.0, 339.2
+        us, vs = np.linspace(0.02, 0.03, 41), np.full(41, 1e-25)
+        want, total, _ = plain_stay_probability(lo, lo + h, us, vs, h * h / r)
+        assert np.all(total >= bridge.TINY_TOTAL)  # not summed again
+        assert_same_bits(bridge.slice_stay_probability(lo, lo + h, us, vs, h * h / r), want)
+        higher = bridge._image_sum(np.zeros(41), us, vs, h, h * h / r, 1, -690.0)
+        assert not np.array_equal(higher, total)
+
+    def test_exp_bits_do_not_depend_on_neighbours(self):
+        # leaving images out changes what sits beside each exponent in the
+        # array np.exp sees; every element must keep its bits
+        g = rng(3)
+        x = np.concatenate([g.uniform(-760.0, 0.0, 4000), g.uniform(-709.0, -707.0, 1000),
+                            [0.0, -0.0, -708.0, -745.2, -800.0]])
+        g.shuffle(x)
+        want = np.exp(x).view(np.int64)
+        for fill in (0.0, -0.0, -720.0, -800.0, -1.0):
+            for keep in (g.random(x.size) < 0.5, np.arange(x.size) % 2 == 0,
+                         x >= bridge.EXP_FLOOR):
+                got = np.exp(np.where(keep, x, fill)).view(np.int64)
+                assert np.array_equal(got[keep], want[keep])
+        assert np.array_equal(np.exp(x[::3]).view(np.int64), want[::3])
+        assert all(np.exp(x[i:i + 1]).view(np.int64)[0] == want[i] for i in range(0, x.size, 37))
 
 
 class TestTailEnvelope:

@@ -573,6 +573,24 @@ class TestCheckpointing:
         with pytest.raises(AttributeError):  # no Generator apart from the draws' own
             a.rng = np.random.default_rng(7)
 
+    def test_free_chain_copies_and_checkpoints_draw_alike(self, tmp_path):
+        # a free chain's insertions draw their loops through sample_bridge's
+        # list-of-floats lane, and its redraws through resample_leg
+        params, opts = free_params(), mc.SamplerOptions(slices_per_beta=4, k_max=6)
+        a = mc.Chain(params, Box((0.0, 0.0), 3.0), seed=11, options=opts)
+        a.run(20)
+        path = str(tmp_path / "free.ckpt")
+        mc.save_checkpoint(a, path)
+        copies = [copy.deepcopy(a), pickle.loads(pickle.dumps(a)),
+                  mc.load_checkpoint(path, params, options=opts)]
+        a.run(20)
+        assert a.config.loops
+        for b in copies:
+            b.run(20)
+            assert lps.dumps_config(b.config) == lps.dumps_config(a.config)
+            assert b.rng.bit_generator.state == a.rng.bit_generator.state
+            assert not any(hasattr(lp.path, "__dict__") for lp in b.config.loops)
+
     def test_crash_mid_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         params = well_params()
         opts = mc.SamplerOptions(slices_per_beta=4, k_max=6)

@@ -19,6 +19,18 @@ int(Generator.integers(40)) beside the chain's draw lane (mc._Draws),
 whose uniform() and index(40) give the same numbers from the same
 generator.
 
+The bridge rows are bridge paths per second by k, S and batch size,
+each the microseconds per call of the fastest of --repeats passes:
+bridge.sample_bridge with list-of-floats endpoints, as the chain's
+insertions pass them, at (d = 1, k = 2, S = 4) and (d = 2, k = 1, S = 4);
+bridge.resample_leg of the middle leg of a k = 3, S = 4 path in d = 2;
+bridge.sample_bridges of 1500 one-leg bridges at S = 16 in d = 1; and
+bridge.path_stay_probability on 1500 such paths (1500 x 16 slices,
+beta = 1) in (-a, a) at a = 0.5, 1.0 and 1.5, the three thresholds of
+perfbench's bridge-laws workload.  At a = 1.5 over a quarter of the
+exponents of two of the six exponentiated images lie below
+bridge.EXP_FLOOR.
+
 The energy rows are pair-energy evaluations against loop count: the
 Widom-Rowlinson gas at box half sides 8 and 16, the same fugacities and
 so the same density, each after 200 sweeps from empty.  Every loop gets
@@ -70,7 +82,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from loopgas import loops as lps, mc  # noqa: E402
-from loopgas.bridge import resample_leg, sample_bridge  # noqa: E402
+from loopgas.bridge import (path_stay_probability, resample_leg, sample_bridge,  # noqa: E402
+                            sample_bridges)
 from loopgas.model import Box, ModelParams, PairPotential, zero_potential  # noqa: E402
 
 
@@ -120,6 +133,24 @@ def draw_costs(repeats):
     return [(name, 1e6 * min(timeit.repeat(stmt, globals=names, number=number,
                                            repeat=repeats)) / number)
             for name, stmt, names in calls]
+
+
+def bridge_costs(repeats):
+    """(row name, us per call) of the bridge layer (module docstring)."""
+    g = np.random.default_rng(0)
+    leg = sample_bridge([0.0, 0.0], [0.0, 0.0], 3, 4, 1.0, g)
+    paths = sample_bridges(np.zeros((1500, 1)), np.zeros((1500, 1)), 1, 16, 1.0, g)[:, :, 0]
+    calls = [("sample_bridge d=1 k=2 S=4", 2000,
+              lambda: sample_bridge([0.0], [0.7], 2, 4, 1.0, g)),
+             ("sample_bridge d=2 k=1 S=4", 2000,
+              lambda: sample_bridge([0.5, -0.5], [0.5, -0.5], 1, 4, 1.0, g)),
+             ("resample_leg d=2 S=4", 2000, lambda: resample_leg(leg, 1, g)),
+             ("sample_bridges n=1500 k=1 S=16", 10,
+              lambda: sample_bridges(np.zeros((1500, 1)), np.zeros((1500, 1)), 1, 16, 1.0, g))]
+    calls += [("path_stay_probability a=%.1f" % a, 10,
+               lambda a=a: path_stay_probability(paths, -a, a, 1.0 / 16)) for a in (0.5, 1.0, 1.5)]
+    return [(name, 1e6 * min(timeit.repeat(call, number=number, repeat=repeats)) / number)
+            for name, number, call in calls]
 
 
 def energy_costs(chain, repeats):
@@ -282,6 +313,9 @@ def main(argv=None):
     print("%-31s %9s" % ("draws", "us/call"))
     for name, us in draw_costs(args.repeats):
         print("%-31s %9.3f" % (name, us))
+    print("%-31s %9s" % ("bridge", "us/call"))
+    for name, us in bridge_costs(args.repeats):
+        print("%-31s %9.2f" % (name, us))
     print("%-16s %5s %6s %12s %12s %11s %13s" % ("energy", "half", "loops", "us/call",
                                                  "sums us/call", "candidates", "no candidate"))
     params = chains()[-1][1]
