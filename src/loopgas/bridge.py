@@ -36,6 +36,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 from scipy.integrate import quad
@@ -198,6 +199,21 @@ def _bisect(samples, lo, hi, dt, rng):
         grid[m] = part[: m.size] + part[m.size:] + noise[level]
 
 
+def _grid(k, S, beta):
+    """k and S as Python ints, after checking that both are integers >= 1
+    (numpy's integers are taken and floats refused, as by operator.index)
+    and that beta > 0."""
+    try:
+        k, S = index(k), index(S)
+    except TypeError:
+        k = S = 0
+    if k < 1 or S < 1:
+        raise ValueError("k and S must be positive integers")
+    if beta <= 0:
+        raise ValueError("beta must be > 0")
+    return k, S
+
+
 def sample_bridges(x, y, k, S, beta, rng):
     """Draw bridges from x[i] to y[i], both of shape (n, d), of duration k*beta.
 
@@ -209,10 +225,9 @@ def sample_bridges(x, y, k, S, beta, rng):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("endpoint dimensions differ")
-    if k < 1 or S < 1:
-        raise ValueError("k and S must be positive integers")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    if x.ndim != 2:
+        raise ValueError("endpoints need shape (n, d)")
+    k, S = _grid(k, S, beta)
     samples = np.empty((x.shape[0], k * S + 1, x.shape[1]))
     samples[:, 0], samples[:, -1] = x, y
     _bisect(samples, 0, k * S, beta / S, rng)
@@ -242,10 +257,8 @@ def sample_bridge(x, y, k, S, beta, rng):
     xs, ys = _floats(x), _floats(y)
     if len(xs) != len(ys):
         raise ValueError("endpoint dimensions differ")
-    if k < 1 or S < 1:
-        raise ValueError("k and S must be positive integers")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    if type(k) is not int or type(S) is not int or k < 1 or S < 1 or beta <= 0:
+        k, S = _grid(k, S, beta)  # plain valid ints skip the call
     d, span = len(xs), k * S
     v = xs + [0.0] * ((span - 1) * d) + ys
     if _scalar(1, span, d):
@@ -266,7 +279,7 @@ def resample_leg(path, m, rng):
     list of the leg's floats cut from those of the path and put back.
     """
     S, k, d = path.slices_per_beta, path.k, path.samples.shape[1]
-    if not 0 <= m < k:
+    if not isinstance(m, (int, np.integer)) or not 0 <= m < k:
         raise ValueError("leg m = %r is not one of the k = %d legs 0..k-1" % (m, k))
     lo, hi, dt = m * S, (m + 1) * S, path.beta / S
     if _scalar(1, S, d):

@@ -184,9 +184,10 @@ def confined_to_box(objects, box):
 # them.  Target after target, it takes the target's own legs, then the later
 # targets; then each target against the conditioning, then each against the
 # external points (one-leg paths that stay put).  All but the own legs are
-# filed per type in a LegTable, a uniform cell index of the objects' bounds;
-# it gives the objects whose bounds come within reach = max(range,
-# hard_core) of the target's on every axis, in family order, and a leg of
+# filed per type in a LegTable, a uniform cell index of the objects' bounds
+# that keeps each object's rank in the family; it gives the objects
+# (LegTable.near) whose bounds come within reach = max(range, hard_core)
+# of the target's on every axis, in family order by rank, and a leg of
 # theirs is visited only when its box comes within reach of the target
 # leg's.  Both filters are exact: midpoints and segments lie in the box of
 # their nodes, V = 0 for r >= range, and the box gap bounds every computed
@@ -235,34 +236,42 @@ def _cell_keys(bounds, inv, pad):
                      for lo, hi in bounds])
 
 
-class _Cells:
-    """The objects of one type, each filed under every cell its bounds meet.
+class LegTable:
+    """A family of loops and paths, indexed per type by their bounds.
 
-    cells maps a cell, a tuple of floor(x / side) per axis computed as
-    floor(x * inv), to {object: rank}, the rank giving family order; filed
-    maps each object to its cells.  The cell of a coordinate never falls as
-    the coordinate grows, so bounds that come within reach of a query's
-    always share a cell with the query's bounds widened by reach.
+    types maps a type to its uniform cell index of cell side `side`
+    (cell_side): a dict from cell, a tuple of floor(x / side) per axis
+    computed as floor(x * inv), to {object: rank}, the rank giving family
+    order; filed maps each object to its cells.  The cell of a coordinate
+    never falls as the coordinate grows, so bounds that come within reach
+    of a query's always share a cell with the query's bounds widened by
+    reach, and near visits a few cells, whatever the family's size.  A
+    chain keeps one beside its loop list and splices both alike (splice),
+    so ranks keep the list's order.  The objects of one table share one
+    grid.
     """
 
-    __slots__ = ("inv", "cells", "filed")
+    def __init__(self, objects, side):
+        self.inv = 1.0 / side
+        self.slices_per_beta = None
+        self.types, self.filed = {}, {}
+        self._next = 0  # the rank of the next object appended
+        self.splice((), list(objects))
 
-    def __init__(self, inv):
-        self.inv, self.cells, self.filed = inv, {}, {}
-
-    def add(self, obj, rank):
-        cells = self.cells
+    def _add(self, obj, rank):
+        S = obj.path.slices_per_beta
+        if S != self.slices_per_beta:
+            if self.slices_per_beta is not None:
+                raise ValueError(_MIXED_SLICES)
+            self.slices_per_beta = S
+        cells = self.types.setdefault(obj.type_index, {})
         keys = self.filed[obj] = list(_cell_keys(obj.bounds, self.inv, 0.0))
         for key in keys:
-            cell = cells.get(key)
-            if cell is None:
-                cells[key] = {obj: rank}
-            else:
-                cell[obj] = rank
+            cells.setdefault(key, {})[obj] = rank
 
-    def discard(self, obj):
+    def _discard(self, obj):
         """Remove obj from its cells and return its rank."""
-        cells = self.cells
+        cells = self.types[obj.type_index]
         for key in self.filed.pop(obj):
             cell = cells[key]
             rank = cell.pop(obj)
@@ -270,23 +279,23 @@ class _Cells:
                 del cells[key]
         return rank
 
-    def replace(self, old, new):
-        """File new in old's place, with its rank: old's entries are kept,
-        relabelled, when new's bounds meet the same cells."""
-        keys = list(_cell_keys(new.bounds, self.inv, 0.0))
-        if keys != self.filed[old]:
-            self.add(new, self.discard(old))
+    def splice(self, removed, added):
+        """Apply a move to the family: one object for one, of its type and
+        grid, takes the other's rank; otherwise the removed objects go and
+        the added ones rank after all others."""
+        if len(removed) == len(added) == 1:
+            self._add(added[0], self._discard(removed[0]))
             return
-        self.filed[new] = self.filed.pop(old)
-        cells = self.cells
-        for key in keys:
-            cell = cells[key]
-            cell[new] = cell.pop(old)
+        for o in removed:
+            self._discard(o)
+        for o in added:
+            self._add(o, self._next)
+            self._next += 1
 
-    def near(self, bounds, reach, left_out, after):
-        """The objects, ranked above after and not left out, whose bounds
-        meet bounds within reach (_meets), in family order."""
-        cells, found = self.cells, None
+    def near(self, j, bounds, reach, left_out, after):
+        """The objects of type j, ranked above after and not left out, whose
+        bounds meet bounds within reach (_meets), in family order."""
+        cells, found = self.types[j], None
         for key in _cell_keys(bounds, self.inv, reach):
             cell = cells.get(key)
             if cell is not None:
@@ -297,54 +306,6 @@ class _Cells:
                 if rank > after and o not in left_out and _meets(bounds, o.bounds, reach)]
         hits.sort()
         return [o for _, o in hits]
-
-
-class LegTable:
-    """A family of loops and paths, indexed per type by their bounds.
-
-    objects lists the family in order.  Per type, a uniform cell index of
-    cell side `side` (cell_side) files each object under the cells its
-    bounds meet, with its rank in the family, so a query for the objects
-    near a box visits a few cells, whatever the family's size.  A chain
-    keeps one for its configuration and splices it as moves are accepted,
-    which moves cell entries and keeps family order: an object that takes
-    another's place takes its rank, and appended ones rank after all
-    others.  The objects of one table share one grid.
-    """
-
-    def __init__(self, objects, side):
-        self.objects = list(objects)
-        self.inv = 1.0 / side
-        self.slices_per_beta = None
-        self.types = {}
-        self._next = len(self.objects)  # the rank of the next object appended
-        for rank, o in enumerate(self.objects):
-            self._file(o, rank)
-
-    def _file(self, obj, rank):
-        S = obj.path.slices_per_beta
-        if S != self.slices_per_beta:
-            if self.slices_per_beta is not None:
-                raise ValueError(_MIXED_SLICES)
-            self.slices_per_beta = S
-        T = self.types.get(obj.type_index)
-        if T is None:
-            T = self.types[obj.type_index] = _Cells(self.inv)
-        T.add(obj, rank)
-
-    def splice(self, removed, added):
-        """Apply a move to the family, in the order splice() gives the list;
-        one object for one, of its type and grid, takes its cells' entries
-        and rank (_Cells.replace)."""
-        splice(self.objects, removed, added)
-        if len(removed) == len(added) == 1:
-            self.types[removed[0].type_index].replace(removed[0], added[0])
-            return
-        for o in removed:
-            self.types[o.type_index].discard(o)
-        for o in added:
-            self._file(o, self._next)
-            self._next += 1
 
 
 def _min_segment_gap_sq(segsA, segsB):
@@ -463,12 +424,12 @@ class _Walk:
 
     def _near(self, total, A, table, left_out, after, split, own):
         """total plus A's energy against the objects of table near it
-        (_Cells.near) ranked above after and not left out, type by type;
+        (LegTable.near) ranked above after and not left out, type by type;
         own enters it in split as A's own."""
         bounds, row = A.bounds, self.pairs[A.type_index]
-        for j, T in table.types.items():
+        for j in table.types:
             if row[j] is not None:
-                near = T.near(bounds, row[j][1], left_out, after)
+                near = table.near(j, bounds, row[j][1], left_out, after)
                 if near:
                     total = self._against(total, A, near, *row[j], split, own)
                     if math.isinf(total):

@@ -223,7 +223,7 @@ class Chain:
     max_loops = math.inf  # no proposal leaves more loops; the twin caps its space
     _h = 0.0  # the energy cache: reseeded by audit, moved only by _commit
     _carried = None  # the energy each loop carries (_store), moved only by _commit
-    _listed = None  # the loop list as _commit left it, shared with _table's objects
+    _listed = None  # the loop list as _commit left it, to tell an outside change
     _by_type = None  # the loops of each type in list order, with two types or more
     _table = None  # cell index of the loop list, built by the first energy call
 
@@ -326,15 +326,12 @@ class Chain:
         return self._by_type
 
     def _loop_table(self):
-        """The LegTable of config.loops: the list, and its cell index per type."""
+        """The LegTable of config.loops, the cell index per type of its loops."""
         self._in_step()
-        if self._table is None:
-            table = LegTable(self.config.loops, lps.cell_side(self.params))
-            if not self._keeps:
-                return table  # a free one-type chain keeps nothing
-            table.objects = self._listed  # one copy, spliced through the table
+        table = self._table or LegTable(self.config.loops, lps.cell_side(self.params))
+        if self._keeps:  # a free one-type chain keeps nothing
             self._table = table
-        return self._table
+        return table
 
     def _store(self):
         """The energy each loop of config.loops carries, by loop identity.
@@ -358,19 +355,19 @@ class Chain:
         index, the carried energies and the energy cache.
 
         dh is the energy the move adds and split its split by loop pair, both
-        as _energy_change returns them; lps.splice gives the list order, in
-        which a redraw's new loop takes the old one's place, and the cell
-        index keeps the old loop's entries for it when it meets the same
-        cells (LegTable.splice).  Every move removes and adds loops of one
-        type, so one per-type list changes.  The loops removed leave the
+        as _energy_change returns them; lps.splice gives the order of the
+        list and of the chain's copy (_listed), in which a redraw's new loop
+        takes the old one's place, and the cell index gives it the old
+        one's rank (LegTable.splice).  Every move removes and adds loops of
+        one type, so one per-type list changes.  The loops removed leave the
         store and the added ones enter it with split; free and pure-core
         models keep no store.
         """
         lps.splice(self.config.loops, removed, added)
-        if self._table is not None:
-            self._table.splice(removed, added)  # and _listed, its objects
-        elif self._listed is not None:
+        if self._listed is not None:
             lps.splice(self._listed, removed, added)
+        if self._table is not None:
+            self._table.splice(removed, added)
         if self._by_type is not None:
             lps.splice(self._by_type[(removed or added)[0].type_index], removed, added)
         if self._carried is not None:

@@ -51,6 +51,7 @@ class PairPotential:
         self.range = float(range_)
         self.height = float(height)
         self._spline = None
+        self.table = None  # (table_r, table_v) as tuples of floats, for "table"
         if profile == "table":
             r = np.asarray(table_r, dtype=float)
             v = np.asarray(table_v, dtype=float)
@@ -61,6 +62,7 @@ class PairPotential:
             if np.any(v < 0):
                 raise ValueError("table values must be >= 0")
             self._spline = CubicSpline(r, v, extrapolate=False)
+            self.table = (tuple(r.tolist()), tuple(v.tolist()))
         self._derivative_bounds = self._estimate_derivative_bounds()
 
     def _finite_profile(self, r):
@@ -193,7 +195,8 @@ def validate_params(m):
                 # permit equal-by-value asymmetric storage
                 a, b = P[i][j], P[j][i]
                 same = (a.profile == b.profile and a.hard_core == b.hard_core
-                        and a.range == b.range and a.height == b.height)
+                        and a.range == b.range and a.height == b.height
+                        and a.table == b.table)
                 if not same:
                     errors.append("potential table not symmetric at (%d, %d)" % (i, j))
             if P[i][j].range < P[i][j].hard_core:

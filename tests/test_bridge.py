@@ -142,6 +142,39 @@ class TestRefusals:
             bridge.resample_leg(p, m, g)
         assert g.bit_generator.state == state
 
+    @pytest.mark.parametrize("k,S", [(2.0, 4), (2.5, 4), (2, 4.0), (True, 4.5)])
+    def test_samplers_refuse_counts_that_are_not_integers(self, k, S):
+        # a float k or S once raised a TypeError from deep inside the draw
+        for draw in (lambda g: bridge.sample_bridge([0.0], [0.5], k, S, 1.0, g),
+                     lambda g: bridge.sample_bridges(np.zeros((3, 2)), np.ones((3, 2)),
+                                                     k, S, 1.0, g)):
+            g = rng(7)
+            state = g.bit_generator.state
+            with pytest.raises(ValueError, match="k and S must be positive integers"):
+                draw(g)
+            assert g.bit_generator.state == state
+
+    def test_samplers_take_numpy_integers(self):
+        k, S = np.int64(2), np.int32(4)
+        one = bridge.sample_bridge([0.0], [0.5], k, S, 1.0, rng(3)).samples
+        assert np.array_equal(one, bridge.sample_bridge([0.0], [0.5], 2, 4, 1.0, rng(3)).samples)
+        many = bridge.sample_bridges(np.zeros((3, 1)), np.ones((3, 1)), k, S, 1.0, rng(3))
+        assert np.array_equal(many, bridge.sample_bridges(np.zeros((3, 1)), np.ones((3, 1)),
+                                                          2, 4, 1.0, rng(3)))
+        p = bridge.sample_bridge(np.zeros(2), np.zeros(2), 3, 4, 1.0, rng(6))
+        assert np.array_equal(bridge.resample_leg(p, np.int64(1), rng(7)).samples,
+                              bridge.resample_leg(p, 1, rng(7)).samples)
+
+    def test_resample_leg_refuses_a_float_leg(self):
+        p = bridge.sample_bridge(np.zeros(2), np.zeros(2), 3, 4, 1.0, rng(6))
+        with pytest.raises(ValueError, match=r"m = 1.0 .* k = 3"):
+            bridge.resample_leg(p, 1.0, rng(7))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
+    def test_sample_bridges_wants_endpoints_of_shape_n_d(self, shape):
+        with pytest.raises(ValueError, match=r"endpoints need shape \(n, d\)"):
+            bridge.sample_bridges(np.zeros(shape), np.zeros(shape), 1, 4, 1.0, rng())
+
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     def test_sample_bridge_without_positive_beta(self, beta):
         with pytest.raises(ValueError, match="beta must be > 0"):

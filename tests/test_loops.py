@@ -501,6 +501,29 @@ def two_type_params(d, profile, core):
                                                 [pots[(0, 1)], pots[(1, 1)]]])
 
 
+def filing(table):
+    """A LegTable's index as plain data: its objects in rank order, and per
+    type and cell the objects filed there in rank order."""
+    ranks, cells = {}, {}
+    for j, of_type in table.types.items():
+        for key, cell in of_type.items():
+            cells[j, key] = sorted(cell, key=cell.__getitem__)
+            for o, rank in cell.items():
+                assert ranks.setdefault(o, rank) == rank  # one rank per object
+    return sorted(ranks, key=ranks.__getitem__), cells
+
+
+# 2-d bounds, [lo, hi] per axis, over a few cells of side 1
+BOUNDS = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 2.5)).map(
+    lambda t: [t[0], t[0] + t[1]]), min_size=2, max_size=2)
+
+
+def bounded(type_index, bounds):
+    """An open path of one step whose bounds are the given ones."""
+    samples = np.array([[lo for lo, _ in bounds], [hi for _, hi in bounds]])
+    return lps.OpenPath(type_index, BridgePath(samples, 1, 1, BETA))
+
+
 class TestCellIndex:
     """The energy through the cell index against the stacked scan of every leg.
 
@@ -598,9 +621,41 @@ class TestCellIndex:
         new = still_loop((0.25, 0.0), 1, 4)
         table.splice([objs[0]], [])
         table.splice([], [new])
-        assert table.objects == [objs[3], objs[2], new]
+        assert filing(table)[0] == [objs[3], objs[2], new]
         bounds = still_loop((0.75, 0.0), 1, 4).bounds
-        assert table.types[0].near(bounds, 1.0, (), -1) == [objs[3], objs[2], new]
+        assert table.near(0, bounds, 1.0, (), -1) == [objs[3], objs[2], new]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["replace", "delete", "append"]),
+                              st.integers(0, 99), st.integers(0, 1), BOUNDS,
+                              BOUNDS, st.floats(0.0, 2.0), st.integers(0, 3)),
+                    max_size=25))
+    def test_splices_match_a_scan_and_a_fresh_table(self, steps):
+        # after each move the table answers near as a scan of the family
+        # with _meets does, in family order, and files every object as a
+        # table built afresh from the family does, up to the ranks' values
+        family = []
+        table = lps.LegTable(family, 1.0)
+        for kind, pick, j, bounds, query, reach, out in steps:
+            if kind == "append" or not family:
+                removed, added = [], [bounded(j, bounds)]
+            else:
+                old = family[pick % len(family)]
+                removed = [old]
+                added = [bounded(old.type_index, bounds)] if kind == "replace" else []
+            lps.splice(family, removed, added)
+            table.splice(removed, added)
+            left_out = family[::out + 1] if out else ()
+            for t in (0, 1):
+                want = [o for o in family if o.type_index == t and o not in left_out
+                        and lps._meets(query, o.bounds, reach)]
+                assert list(table.near(t, query, reach, left_out, -1)
+                            if t in table.types else ()) == want
+            order, cells = filing(table)
+            fresh = lps.LegTable(family, 1.0)
+            assert order == filing(fresh)[0] == family
+            assert cells == filing(fresh)[1]
+            assert table.filed == fresh.filed
 
 
 # nodes >= 0 whose cubic spline undershoots zero between 0.3 and 0.6

@@ -86,36 +86,33 @@ def assert_tables_follow(chain):
     """The chain's per-type lists and cell index equal fresh builds from its
     loop list.
 
-    The per-type lists hold each type's loops in list order.  The family
-    and its grid match, and per type every cell holds the same loops,
-    ranked in the same order, as a fresh index's, and every loop is filed
-    under the same cells (_Cells.filed) and no other loop is; the loops of
-    a type, ranked, come in list order.  Ranks themselves may differ: the
+    The per-type lists hold each type's loops in list order.  The grid
+    matches a fresh index's; the loops, ranked, come in list order, each
+    with one rank; every loop is filed under the same cells (filed) as in
+    a fresh index and no other loop is; and per type every cell holds the
+    same loops, ranked in the same order.  Ranks themselves may differ: the
     chain's count on from its first build.
     """
     assert chain._typed() == [[lp for lp in chain.config.loops if lp.type_index == j]
                               for j in range(chain.params.n_types)]
     table = chain._loop_table()
     fresh = lps.LegTable(chain.config.loops, lps.cell_side(chain.params))
-    assert table.objects == fresh.objects == chain.config.loops
     assert table.inv == fresh.inv
-    assert not fresh.objects or table.slices_per_beta == fresh.slices_per_beta
+    assert not chain.config.loops or table.slices_per_beta == fresh.slices_per_beta
+    assert table.filed == fresh.filed
 
-    def ranked(cell):
-        return sorted(cell, key=cell.__getitem__)
+    def filing(t):
+        ranks, cells = {}, {}
+        for j, of_type in t.types.items():
+            for key, cell in of_type.items():
+                cells[j, key] = sorted(cell, key=cell.__getitem__)
+                for lp, rank in cell.items():
+                    assert ranks.setdefault(lp, rank) == rank  # one rank per loop
+        return sorted(ranks, key=ranks.__getitem__), cells
 
-    for j in set(table.types) | set(fresh.types):
-        got = table.types[j].cells if j in table.types else {}
-        want = fresh.types[j].cells if j in fresh.types else {}
-        assert {key: ranked(c) for key, c in got.items()} \
-            == {key: ranked(c) for key, c in want.items()}
-        assert (table.types[j].filed if j in table.types else {}) \
-            == (fresh.types[j].filed if j in fresh.types else {})
-        ranks = {}
-        for cell in got.values():
-            for lp, rank in cell.items():
-                assert ranks.setdefault(lp, rank) == rank  # one rank per loop
-        assert ranked(ranks) == [lp for lp in chain.config.loops if lp.type_index == j]
+    (order, cells), (want_order, want_cells) = filing(table), filing(fresh)
+    assert order == want_order == chain.config.loops
+    assert cells == want_cells
 
 
 def removal_energies(chain, removed, added):
@@ -393,22 +390,20 @@ class TestEnergyCache:
         assert chain._energy_change((old,), pieces, 0.0)[0] > 0.0
 
     def test_the_table_check_sees_a_stale_filing(self, monkeypatch):
-        # a redraw whose new loop meets the old one's cells relabels the old
-        # entries in place; one that leaves the old loop filed keeps every
-        # cell right, so only the filings tell
-        def stale(cells, old, new):
-            keys = list(lps._cell_keys(new.bounds, cells.inv, 0.0))
-            if keys != cells.filed[old]:
-                cells.add(new, cells.discard(old))
-                return
-            cells.filed[new] = cells.filed[old]
-            for key in keys:
-                cells.cells[key][new] = cells.cells[key].pop(old)
+        # a discard that takes the loop out of its cells but leaves its
+        # filing keeps every cell right, so only the filings tell
+        discard = lps.LegTable._discard
+
+        def stale(table, obj):
+            keys = table.filed[obj]
+            rank = discard(table, obj)
+            table.filed[obj] = keys
+            return rank
 
         chain = drift_chain("widom-rowlinson", seed=3)
         chain.run(5)
         assert_tables_follow(chain)
-        monkeypatch.setattr(lps._Cells, "replace", stale)
+        monkeypatch.setattr(lps.LegTable, "_discard", stale)
         chain.run(5)
         with pytest.raises(AssertionError):
             assert_tables_follow(chain)

@@ -97,6 +97,21 @@ class TestModelParams:
             ModelParams(2, 2, 1.0, (0.5, 0.5),
                         [[zero_potential(), a], [b, zero_potential()]])
 
+    def test_asymmetric_table_values_rejected(self):
+        # equal profile, core, range and height, but V(0.1) 1.589 one way
+        # and 8.679 the other; equal tables in two objects are accepted
+        def table(v):
+            return PairPotential("table", 0.0, 1.0, 0.0, table_r=[0.0, 0.3, 0.6, 1.0],
+                                 table_v=v)
+
+        z = zero_potential()
+        with pytest.raises(ValueError, match="symmetric"):
+            ModelParams(1, 2, 1.0, (0.5, 0.5), [[z, table([2, 1, 0.5, 0])],
+                                                [table([9, 9, 9, 0]), z]])
+        m = ModelParams(1, 2, 1.0, (0.5, 0.5), [[z, table([2, 1, 0.5, 0])],
+                                                [table([2.0, 1.0, 0.5, 0.0]), z]])
+        assert validate_params(m) == []
+
     def test_max_range_and_hard_core(self):
         hard = square_well(0.0, 0.3, hard_core=0.3)
         m = ModelParams(2, 2, 1.0, (0.5, 0.5),

@@ -179,18 +179,18 @@ def energy_costs(chain, repeats):
             sums = us_per_call()
         finally:
             chain._lane = lane
-    found, near = [], lps._Cells.near
+    found, near = [], lps.LegTable.near
 
-    def counted(cells, *args):
-        out = near(cells, *args)
+    def counted(table, *args):
+        out = near(table, *args)
         found.append(len(out))
         return out
-    lps._Cells.near = counted
+    lps.LegTable.near = counted
     try:
         for lp, path, e_old in moves:
             chain._energy_change((lp,), (lps.Loop(lp.type_index, path),), e_old)
     finally:
-        lps._Cells.near = near
+        lps.LegTable.near = near
     return (us, sums, sum(found) / max(len(found), 1), found.count(0) / max(len(found), 1))
 
 
