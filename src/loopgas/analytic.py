@@ -310,6 +310,8 @@ def dirichlet_interval_trace(half_side, beta):
     exp(-c (N+1)^2) / (1 - exp(-2c (N+1))), is below half an ulp of the sum.
     """
     L = float(half_side)
+    if not (0.0 < L < math.inf and 0.0 < beta < math.inf):  # at beta = 0 no tail falls
+        raise ValueError("half side %r and beta %r must be > 0 and finite" % (L, beta))
     c = 0.5 * beta * (math.pi / (2.0 * L)) ** 2
     total = 0.0
     for n in itertools.count(1):
@@ -320,4 +322,6 @@ def dirichlet_interval_trace(half_side, beta):
 
 def dirichlet_box_trace(half_side, beta, d):
     """Product over coordinates: trace on the d-dimensional cube."""
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError("dimension d = %r is not a positive integer" % (d,))
     return dirichlet_interval_trace(half_side, beta) ** d

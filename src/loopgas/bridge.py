@@ -46,21 +46,23 @@ from .analytic import HALF_ULP
 IMAGE_TOL = 1e-14  # _alternating_image_sum stops at terms below this
 
 
+def _endpoints(x, y, k, beta):
+    """(squared distance, d, k*beta) of a bridge_mass call, after its shape and _grid checks."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if x.shape != y.shape:
+        raise ValueError("endpoint dimensions differ")
+    k, _ = _grid(k, 1, beta)
+    return float(np.sum((x - y) ** 2)), x.size, k * beta
+
+
 def bridge_mass(x, y, k, beta):
     """Total mass of the duration-k*beta bridge measure from x to y.
 
     Equals the Gaussian transition density (2*pi*beta*k)^(-d/2) *
     exp(-|x-y|^2/(2*k*beta)) with d inferred from the endpoint vectors.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ValueError("endpoint dimensions differ")
-    if k < 1 or int(k) != k:
-        raise ValueError("multiplicity k must be a positive integer")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    return _mass(float(np.sum((x - y) ** 2)), x.size, k * beta)
+    return _mass(*_endpoints(x, y, k, beta))
 
 
 def _mass(sq, d, tau):
@@ -70,11 +72,8 @@ def _mass(sq, d, tau):
 
 
 def log_bridge_mass(x, y, k, beta):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = x.size
-    tau = k * beta
-    sq = float(np.sum((x - y) ** 2))
+    """log bridge_mass(x, y, k, beta), with the same checks."""
+    sq, d, tau = _endpoints(x, y, k, beta)
     return -0.5 * d * math.log(2.0 * math.pi * tau) - sq / (2.0 * tau)
 
 
@@ -202,15 +201,15 @@ def _bisect(samples, lo, hi, dt, rng):
 def _grid(k, S, beta):
     """k and S as Python ints, after checking that both are integers >= 1
     (numpy's integers are taken and floats refused, as by operator.index)
-    and that beta > 0."""
+    and that beta is positive and finite (NaN fails)."""
     try:
         k, S = index(k), index(S)
     except TypeError:
         k = S = 0
     if k < 1 or S < 1:
         raise ValueError("k and S must be positive integers")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be > 0 and finite, not %r" % (beta,))
     return k, S
 
 
@@ -257,7 +256,7 @@ def sample_bridge(x, y, k, S, beta, rng):
     xs, ys = _floats(x), _floats(y)
     if len(xs) != len(ys):
         raise ValueError("endpoint dimensions differ")
-    if type(k) is not int or type(S) is not int or k < 1 or S < 1 or beta <= 0:
+    if type(k) is not int or type(S) is not int or k < 1 or S < 1 or not 0.0 < beta < math.inf:
         k, S = _grid(k, S, beta)  # plain valid ints skip the call
     d, span = len(xs), k * S
     v = xs + [0.0] * ((span - 1) * d) + ys
@@ -327,7 +326,11 @@ def max_deviation_tail(a, k, displacement, beta):
     and |u| >= a forces a deviation outright.  The integrand is the law of u,
     Gaussian of mean y/k and variance (k-1)*beta/k, times the first leg's
     image sum at u (1 for |u| >= a), with a quadrature breakpoint at the mean.
+    k and beta are checked as by the samplers (_grid); a and y must be finite.
     """
+    k, _ = _grid(k, 1, beta)
+    if not math.isfinite(a) or not math.isfinite(displacement):
+        raise ValueError("a = %r and displacement %r must be finite" % (a, displacement))
     if a <= 0:
         return 1.0
     y = float(displacement)
@@ -501,8 +504,8 @@ def fit_gaussian_tail_envelope(params, box, k_max, a_grid):
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size < 2:
         raise ValueError("envelope fit needs at least two grid points")
-    if np.any(a_grid <= 0):
-        raise ValueError("deviation grid must be positive")
+    if not np.all((a_grid > 0) & (a_grid < math.inf)):
+        raise ValueError("deviation grid must be positive and finite")
     d = box.dimension
     beta = params.beta
     root_d = math.sqrt(d)

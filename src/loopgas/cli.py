@@ -34,8 +34,9 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-def _is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_num(v):  # a finite double: NaN, +-inf and ints beyond the largest double fail
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _is_int(v):
@@ -57,8 +58,9 @@ def _check_keys(section, allowed, path, errors):
     return True
 
 
-def _check_value(f, v, at, errors):
+def _check_value(f, v, at, errors, model):
     """Check one value against its table entry; False when its type is wrong."""
+    n = model.get(f.length) if isinstance(f.length, str) else f.length  # a list's length
     if f.kind in ("int", "number"):
         if not (_is_int(v) if f.kind == "int" else _is_num(v)):
             errors.append("at %s: expected %s, got %r"
@@ -81,8 +83,8 @@ def _check_value(f, v, at, errors):
         if not isinstance(v, list) or not all(_is_num(u) for u in v):
             errors.append("at %s: expected a list of numbers" % at)
             return False
-        if f.length is not None and len(v) != f.length:
-            errors.append("at %s: expected %d entries, got %d" % (at, f.length, len(v)))
+        if n is not None and len(v) != n:
+            errors.append("at %s: expected %d entries, got %d" % (at, n, len(v)))
         for i, u in enumerate(v):
             if f.max_exclusive is not None and not f.min_exclusive < u < f.max_exclusive:
                 errors.append("range violation at key %s[%d]: value %r outside "
@@ -92,9 +94,10 @@ def _check_value(f, v, at, errors):
         if (not isinstance(v, list)
                 or not all(_is_int(u) and (f.minimum is None or u >= f.minimum)
                            for u in v)
-                or (f.length is not None and len(v) != f.length)):
-            errors.append("at %s: expected %s" % (at, f.what or (
-                "non-negative integers" if f.minimum == 0 else "positive integers")))
+                or (n is not None and len(v) != n)):
+            what = f.what or ("non-negative integers" if f.minimum == 0 else "positive integers")
+            errors.append("at %s: expected %s" % (
+                at, what if n is None else "a list of length %d of %s" % (n, what)))
             return False
     elif not isinstance(v, dict if f.kind == "mapping" else list):
         errors.append("at %s: expected a %s" % (at, f.kind))
@@ -102,8 +105,9 @@ def _check_value(f, v, at, errors):
     return True
 
 
-def _check_section(spec, section, path, errors):
-    """Check one mapping against its table; returns its well-typed entries."""
+def _check_section(spec, section, path, errors, model):
+    """Check one mapping against its table; returns its well-typed entries.
+    List lengths read model, the model section's entries (None: this section's)."""
     if not _check_keys(section, spec, path, errors):
         return {}
     valid = {}
@@ -112,26 +116,19 @@ def _check_section(spec, section, path, errors):
         if key not in section:
             if f.default is REQUIRED:
                 errors.append("at %s: required field missing" % at)
-        elif _check_value(f, section[key], at, errors):
+        elif _check_value(f, section[key], at, errors, valid if model is None else model):
             valid[key] = section[key]
     return valid
-
-
-def _check_length(valid, key, n, path, errors):
-    v = valid.get(key)
-    if v is not None and n is not None and len(v) != n:
-        errors.append("at %s.%s: expected %d entries, got %d" % (path, key, n, len(v)))
 
 
 def _check_cross_fields(ok, experiment_name, errors):
     """The rules that tie one key to another; ok holds each section's well-typed keys."""
     model = ok.get("model", {})
     d, q = model.get("dimension"), model.get("n_types")
-    _check_length(model, "fugacity", q, "model", errors)
     ranges = {}  # per type pair, the range of its last entry, which build_params keeps
     for p_idx, entry in enumerate(model.get("potentials", ())):
         path = "model.potentials[%d]" % p_idx
-        pot = _check_section(POTENTIAL, entry, path, errors)
+        pot = _check_section(POTENTIAL, entry, path, errors, model)
         ranges[tuple(sorted(pot.get("types", ())))] = pot.get("range", 0.0)
         types = pot.get("types")
         if types is not None and q is not None and not all(0 <= t < q for t in types):
@@ -145,8 +142,6 @@ def _check_cross_fields(ok, experiment_name, errors):
                     errors.append("at %s.%s: required for table profiles" % (path, key))
     max_range = max(ranges.values(), default=0.0)
     geometry = ok.get("geometry", {})
-    for key in ("box0_center", "shift"):
-        _check_length(geometry, key, d, "geometry", errors)
     c0, half = geometry.get("box0_center"), geometry.get("box_half_side")
     if c0 is not None and half is not None and any(abs(x) > half for x in c0):
         errors.append("at geometry.box0_center: %s outside the box [-%r, %r]^d"
@@ -157,8 +152,6 @@ def _check_cross_fields(ok, experiment_name, errors):
                       "with a positive sum")
     external = ok.get("external", {})
     counts, points = external.get("counts"), external.get("points")
-    if counts is not None and q is not None and len(counts) != q:
-        errors.append("at external.counts: expected %d entries" % q)
     reach = min(external.get("reach", max_range), max_range)
     if counts is not None and any(counts) and points is None and reach <= 0:
         # the points are scattered within reach of the box: none can be drawn
@@ -182,8 +175,7 @@ def _check_cross_fields(ok, experiment_name, errors):
     name = declared if declared in EXPERIMENT_NAMES else experiment_name
     if "options" in experiment and name in EXPERIMENT_NAMES:
         options = _check_section(OPTIONS[name], experiment["options"],
-                                 "experiment.options", errors)
-        _check_length(options, "counts", q, "experiment.options", errors)
+                                 "experiment.options", errors, model)
         if name == "b-condition":
             opts = settings(OPTIONS[name], options)
             if opts["grid_max"] < opts["grid_min"]:
@@ -234,8 +226,10 @@ def parse_config(text, experiment_name=None):
     _check_keys(cfg, SECTIONS, "top level", errors)
     errors += ["at %s: required section missing" % name
                for name in ("model", "geometry") if name not in cfg]
-    ok = {name: _check_section(spec, cfg[name], name, errors)
-          for name, spec in SECTIONS.items() if name in cfg}
+    ok = {}
+    for name, spec in SECTIONS.items():  # model first: the others' list lengths read it
+        if name in cfg:
+            ok[name] = _check_section(spec, cfg[name], name, errors, ok.get("model"))
     _check_cross_fields(ok, experiment_name, errors)
     if errors:
         raise ConfigError(errors)

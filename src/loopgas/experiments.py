@@ -25,26 +25,30 @@ REQUIRED = object()  # default of keys a config must give
 # One config key: kind (int, number, bool, str; lists numbers, ints; list,
 # mapping), static default (None: worked out at run time), bounds, choices.
 # ints entries obey minimum, and what names their expected shape; numbers
-# entries obey the open interval (min_exclusive, max_exclusive).
+# entries obey the open interval (min_exclusive, max_exclusive).  A list's
+# length is a number or a model key, "n_types" or "dimension".
 Key = namedtuple("Key", "kind default minimum min_exclusive maximum max_exclusive "
                  "choices length what", defaults=(None,) * 8)
 
 _SAMPLER = {f.name: f.default for f in fields(mc.SamplerOptions)}
+_COUNTS = Key("ints", minimum=0, length="n_types")  # one count per type
 
 # model.potentials entries follow POTENTIAL, experiment.options OPTIONS[name]
 SECTIONS = {
     "model": {
         "dimension": Key("int", REQUIRED, minimum=1, maximum=3),
-        "n_types": Key("int", REQUIRED, minimum=1),
+        "n_types": Key("int", REQUIRED, minimum=1),  # before fugacity, whose length it is
         "beta": Key("number", REQUIRED, min_exclusive=0.0),
-        "fugacity": Key("numbers", REQUIRED, min_exclusive=0.0, max_exclusive=1.0),
+        "fugacity": Key("numbers", REQUIRED, min_exclusive=0.0, max_exclusive=1.0,
+                        length="n_types"),
         "potentials": Key("list", ()),
     },
     "geometry": {
         "box_half_side": Key("number", REQUIRED, min_exclusive=0.0),
         "box0_half_side": Key("number", 0.5, min_exclusive=0.0),
-        "box0_center": Key("numbers"), "window_half_side": Key("number", min_exclusive=0.0),
-        "shift": Key("numbers"),
+        "box0_center": Key("numbers", length="dimension"),
+        "window_half_side": Key("number", min_exclusive=0.0),
+        "shift": Key("numbers", length="dimension"),
     },
     "sampler": {
         "slices_per_beta": Key("int", _SAMPLER["slices_per_beta"], minimum=1),
@@ -57,13 +61,13 @@ SECTIONS = {
         "chains": Key("int", 1, minimum=1),
     },
     "experiment": {"name": Key("str"), "options": Key("mapping")},
-    "external": {"seed": Key("int", 0, minimum=0), "counts": Key("ints", minimum=0),
+    "external": {"seed": Key("int", 0, minimum=0), "counts": _COUNTS,
                  "reach": Key("number", minimum=0.0), "points": Key("list")},
     "output": {"checkpoint": Key("bool", False)},
 }
 
 POTENTIAL = {
-    "types": Key("ints", REQUIRED, length=2, what="two type indices"),
+    "types": Key("ints", REQUIRED, length=2, what="type indices"),
     "profile": Key("str", "square_well", choices=PROFILES),
     "hard_core": Key("number", 0.0, minimum=0.0),
     "range": Key("number", 0.0, minimum=0.0),
@@ -83,12 +87,12 @@ def _chain_run_keys(sweeps):
 OPTIONS = {
     "free-validate": _chain_run_keys(4000),
     "kernel": {
-        "counts": Key("ints", minimum=0), "n_pairs": Key("int", 2, minimum=0),
+        "counts": _COUNTS, "n_pairs": Key("int", 2, minimum=0),
         "burn_in": Key("int", 100, minimum=0), "n_snapshots": Key("int", 200, minimum=0),
         "thin": Key("int", 2, minimum=1), "inner_per_snapshot": Key("int", 2, minimum=1),
         "apply_exclusion": Key("bool", True),
     },
-    "q-kernel": {"counts": Key("ints", minimum=0), "n_pairs": Key("int", 2, minimum=0),
+    "q-kernel": {"counts": _COUNTS, "n_pairs": Key("int", 2, minimum=0),
                  "n_samples": Key("int", 2000, minimum=0)},
     "density": _chain_run_keys(2000),
     "k-tail": {"k0": Key("ints", (4, 9, 16), minimum=1), **_chain_run_keys(4000)},
@@ -103,7 +107,7 @@ OPTIONS = {
     },
     "analytic": {
         "points_per_axis": Key("int", 4, minimum=2), "n_samples": Key("int", 300, minimum=0),
-        "counts": Key("ints", minimum=0),
+        "counts": _COUNTS,
         "envelope_grid": Key("numbers", (1.0, 2.0, 3.0, 4.0)),
         "growth_family": Key("str", "linear", choices=_GROWTH),
         "growth_grid_max": Key("number", 10.0, minimum=1.0),
@@ -211,11 +215,15 @@ def build_external(cfg, box, params):
         # seeded uniform scatter on the annulus within interaction reach
         per_type = [[] for _ in range(params.n_types)]
         for j, cnt in enumerate(ext["counts"] or ()):
-            while len(per_type[j]) < cnt:
-                u = box.center + (rng.random(box.dimension) * 2.0 - 1.0) \
-                    * (box.half_side + reach)
-                if not box.contains(u) and box.euclidean_distance(u) <= reach:
-                    per_type[j].append(u)
+            for _ in range(cnt):
+                for _ in range(10 ** 5):  # a draw hits the shell with chance ~ d*reach/L
+                    u = box.center + (rng.random(box.dimension) * 2.0 - 1.0) \
+                        * (box.half_side + reach)
+                    if not box.contains(u) and box.euclidean_distance(u) <= reach:
+                        per_type[j].append(u)
+                        break
+                else:
+                    raise ValueError("no point within external reach %r in 10^5 draws" % reach)
     return ExternalConfiguration(box, per_type, max_range=params.max_range)
 
 

@@ -210,10 +210,10 @@ class Chain:
     with early rejection (_try), and every accepted move changes the loop
     list, its per-type lists (_typed), its cell index (a LegTable, through
     which an energy call finds the loops near the ones a move adds), the
-    carried energies (_store) and the energy cache through _commit.  These
-    are built on demand and rebuilt when the loop list is changed from
-    outside (_in_step); a free model builds neither index nor store, and a
-    pure hard core no store.  The draws of paths and
+    carried energies (_store) and the energy cache through _commit.  A loop
+    list changed from outside gets new per-type lists and index at once and
+    a new store on demand (_in_step); a free model builds neither index nor
+    store, and a pure hard core no store.  The draws of paths and
     anchors and the loop and leg masses sit in small methods, which the
     enumerable twin (surrogate) overrides for a site grid; it runs the rest,
     the box test and the energy bookkeeping included, as the chain does.
@@ -225,7 +225,7 @@ class Chain:
     _carried = None  # the energy each loop carries (_store), moved only by _commit
     _listed = None  # the loop list as _commit left it, to tell an outside change
     _by_type = None  # the loops of each type in list order, with two types or more
-    _table = None  # cell index of the loop list, built by the first energy call
+    _table = None  # cell index of the loop list, built by _in_step; None when free
 
     def __init__(self, params, box, external=None, options=None, seed=None):
         self.params = params
@@ -302,9 +302,10 @@ class Chain:
         _commit keeps the per-type lists, the cell index and the store in
         step with the list; a list changed from outside (assigned, appended
         to, or a new config) differs from the chain's copy, so the per-type
-        lists are rebuilt and the index and store dropped, to be rebuilt on
-        demand.  A free one-type chain keeps nothing.  A pure core, which
-        keeps no store to rebuild, weighs the new list in one energy call.
+        lists and the index (none for a free model) are rebuilt and the store
+        dropped, to be rebuilt on demand.  A free one-type chain keeps
+        nothing.  A pure core, which keeps no store, weighs the new list in
+        one energy call.
         Raises ValueError when the list violates a hard core, as _store does.
         """
         loops = self.config.loops
@@ -312,7 +313,8 @@ class Chain:
             if self._pure and not self._free and math.isinf(self._evaluate(loops)[0]):
                 raise ValueError(_ZERO_WEIGHT)
             self._listed = list(loops)
-            self._table = self._carried = None
+            self._carried = None
+            self._table = None if self._free else LegTable(loops, lps.cell_side(self.params))
             if self.params.n_types > 1:
                 self._by_type = [[] for _ in range(self.params.n_types)]
                 for lp in loops:
@@ -324,14 +326,6 @@ class Chain:
             return [self.config.loops]
         self._in_step()
         return self._by_type
-
-    def _loop_table(self):
-        """The LegTable of config.loops, the cell index per type of its loops."""
-        self._in_step()
-        table = self._table or LegTable(self.config.loops, lps.cell_side(self.params))
-        if self._keeps:  # a free one-type chain keeps nothing
-            self._table = table
-        return table
 
     def _store(self):
         """The energy each loop of config.loops carries, by loop identity.
@@ -414,13 +408,10 @@ class Chain:
         removed.
         """
         split = None if self._pure else {}
-        e_new = self._lane.walk(added, self._loop_table(), removed, self.config.external,
+        self._in_step()
+        e_new = self._lane.walk(added, self._table, removed, self.config.external,
                                 split) if added else 0.0
         return e_new - e_old, split
-
-    def _confined(self, objects):
-        """Whether every object lies in the box at every grid time."""
-        return lps.confined_to_box(objects, self.box)
 
     def _try(self, removed, propose, log_ratio):
         """Metropolis test of replacing the loops removed by propose(); commits
@@ -431,10 +422,10 @@ class Chain:
         grows; its value at dh = -e_old (_carried_energy) bounds it, and when
         that bound is < 0 the uniform is drawn first and may reject before
         propose() is called (see the module docstring).  propose() draws the
-        loops added, which must lie in the box (_confined) and have a finite
-        energy against the rest; with nothing added (a deletion) neither is
-        evaluated.  It starts by bringing the chain's structures in step with
-        the loop list (_in_step).
+        loops added, which must lie in the box (loops.confined_to_box) and
+        have a finite energy against the rest; with nothing added (a
+        deletion) neither is evaluated.  It starts by bringing the chain's
+        structures in step with the loop list (_in_step).
         """
         self._in_step()
         e_old = 0.0 if self._pure else self._carried_energy(removed)
@@ -443,7 +434,7 @@ class Chain:
         if u is not None and u >= math.exp(bound):
             return False
         added = propose()
-        if added and not self._confined(added):
+        if added and not lps.confined_to_box(added, self.box):
             return False
         dh, split = (0.0, None) if self._free else self._energy_change(removed, added, e_old)
         if math.isinf(dh):

@@ -40,12 +40,12 @@ class PairPotential:
                  height=1.0, table_r=None, table_v=None):
         if profile not in PROFILES:
             raise ValueError("unknown potential profile %r" % (profile,))
-        if hard_core < 0:
+        if not hard_core >= 0:  # NaN fails each test
             raise ValueError("hard_core must be >= 0")
-        if range_ < hard_core:
-            raise ValueError("range must be >= hard_core")
-        if height < 0:
-            raise ValueError("height must be >= 0 (repulsive interactions only)")
+        if not hard_core <= range_ < math.inf:
+            raise ValueError("range must be finite and >= hard_core")
+        if not 0 <= height < math.inf:
+            raise ValueError("height must be finite and >= 0 (repulsive interactions only)")
         self.profile = profile
         self.hard_core = float(hard_core)
         self.range = float(range_)
@@ -57,9 +57,9 @@ class PairPotential:
             v = np.asarray(table_v, dtype=float)
             if r.ndim != 1 or r.shape != v.shape or r.size < 4:
                 raise ValueError("table profile needs matching 1-d grids with >= 4 points")
-            if np.any(np.diff(r) <= 0):
+            if not np.all(np.diff(r) > 0):
                 raise ValueError("table radial grid must be strictly increasing")
-            if np.any(v < 0):
+            if not np.all(v >= 0):
                 raise ValueError("table values must be >= 0")
             self._spline = CubicSpline(r, v, extrapolate=False)
             self.table = (tuple(r.tolist()), tuple(v.tolist()))
@@ -174,12 +174,12 @@ class ModelParams:
 def validate_params(m):
     """Collect human-readable violations; empty list means valid."""
     errors = []
-    if m.dimension < 1:
-        errors.append("dimension must be >= 1")
+    if not isinstance(m.dimension, (int, np.integer)) or m.dimension < 1:
+        errors.append("dimension must be an integer >= 1")
     if m.n_types < 1:
         errors.append("number of types must be >= 1")
-    if not (m.beta > 0):
-        errors.append("beta must be > 0")
+    if not 0.0 < m.beta < math.inf:
+        errors.append("beta must be > 0 and finite")
     if len(m.fugacity) != m.n_types:
         errors.append("need exactly one fugacity per type")
     for j, z in enumerate(m.fugacity):
@@ -199,8 +199,6 @@ def validate_params(m):
                         and a.table == b.table)
                 if not same:
                     errors.append("potential table not symmetric at (%d, %d)" % (i, j))
-            if P[i][j].range < P[i][j].hard_core:
-                errors.append("potential (%d, %d) has range < hard core" % (i, j))
     return errors
 
 
@@ -218,9 +216,9 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "half_side", float(self.half_side))
-        if self.half_side <= 0:
-            raise ValueError("box half side must be > 0")
         center = np.array(self.center)
+        if not 0.0 < self.half_side < math.inf or not np.isfinite(center).all():
+            raise ValueError("box needs a finite center and a half side > 0 and finite")
         center.flags.writeable = False
         object.__setattr__(self, "center_array", center)
 
@@ -267,9 +265,11 @@ class ExternalConfiguration:
         self.points = []
         for j, pts in enumerate(points_by_type):
             arr = np.asarray(pts, dtype=float).reshape(-1, box.dimension)
+            if not np.isfinite(arr).all():
+                raise ValueError("external point of type %d is not finite" % j)
             if np.any(box.contains(arr)):
                 raise ValueError("external point of type %d lies inside the box" % j)
-            if np.any(box.euclidean_distance(arr) > max_range):
+            if not np.all(box.euclidean_distance(arr) <= max_range):
                 raise ValueError(
                     "external point of type %d is beyond interaction range of the box" % j)
             self.points.append(arr)

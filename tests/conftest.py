@@ -4,9 +4,13 @@ Acceptance tests record one line per criterion through the record_criterion
 fixture; the terminal summary prints them after the run so the pass/fail
 status of every criterion is visible in one block.  The flux_p_value fixture
 is the stationary flux-balance test on the enumerable twin, shared by
-criterion 7 and the detailed-balance tests.  Property tests run under a
+criterion 7 and the detailed-balance tests.  The deadline fixture makes a
+call that once ran forever fail instead.  Property tests run under a
 derandomised hypothesis profile, so every run draws the same examples.
 """
+
+import contextlib
+import signal
 
 import pytest
 from hypothesis import settings
@@ -74,6 +78,27 @@ def _flux_p_value(params, family, seed, n_trials=3000):
 @pytest.fixture(scope="session")
 def flux_p_value():
     return _flux_p_value
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once it has run for seconds of wall
+    time (a SIGALRM interval timer, so only in the main thread)."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %g s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="session")
+def deadline():
+    return _deadline
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -283,3 +283,17 @@ class TestGrowthHelpers:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             analytic.growth_family("cubic", 1)
+
+
+class TestDirichletTraceRefusals:
+    @pytest.mark.parametrize("L,beta", [(1.0, 0.0), (1.0, math.nan), (1.0, math.inf),
+                                        (0.0, 1.0), (math.nan, 1.0), (-1.0, 1.0)])
+    def test_refuses_what_has_no_trace(self, deadline, L, beta):
+        # at beta = 0 every term is 1.0 and the series once never stopped
+        with deadline(3.0), pytest.raises(ValueError, match="must be > 0 and finite"):
+            analytic.dirichlet_box_trace(L, beta, 1)
+
+    @pytest.mark.parametrize("d", [0, -1, 2.5, 2.0, math.nan])
+    def test_refuses_a_dimension_that_is_not_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match="not a positive integer"):
+            analytic.dirichlet_box_trace(1.0, 1.0, d)

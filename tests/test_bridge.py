@@ -701,3 +701,55 @@ class TestTailEnvelope:
         box = Box((0.0, 0.0), 1.0)
         with pytest.raises(ValueError, match="two grid points"):
             bridge.fit_gaussian_tail_envelope(params, box, 1, (1.0,))
+
+
+class TestOneRuleForKAndBeta:
+    # the masses and the deviation tail check k and beta as the samplers do
+    # (bridge._grid); NaN and inf fail every test
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, 0, -1, math.nan])
+    def test_masses_refuse_what_the_samplers_refuse(self, k):
+        for mass in (bridge.bridge_mass, bridge.log_bridge_mass):
+            with pytest.raises(ValueError, match="k and S must be positive integers"):
+                mass([0.0], [1.0], k, 1.0)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_masses_and_samplers_refuse_beta(self, beta):
+        for call in (lambda: bridge.bridge_mass([0.0], [1.0], 1, beta),
+                     lambda: bridge.log_bridge_mass([0.0], [1.0], 1, beta),
+                     lambda: bridge.sample_bridge([0.0], [0.5], 1, 4, beta, rng()),
+                     lambda: bridge.sample_bridges(np.zeros((2, 1)), np.ones((2, 1)), 1, 4,
+                                                   beta, rng())):
+            with pytest.raises(ValueError, match="beta must be > 0"):
+                call()
+
+    def test_log_bridge_mass_refuses_endpoints_of_two_shapes(self):
+        # it once broadcast them: -1.919, where bridge_mass raised
+        with pytest.raises(ValueError, match="endpoint dimensions differ"):
+            bridge.log_bridge_mass([0.0], [1.0, 1.0], 1, 1.0)
+
+    def test_masses_take_numpy_integers(self):
+        x, y = np.array([0.2, -0.4]), np.array([1.0, 0.3])
+        for mass in (bridge.bridge_mass, bridge.log_bridge_mass):
+            assert mass(x, y, np.int64(3), 0.7) == mass(x, y, 3, 0.7)
+
+    @pytest.mark.parametrize("a,k,y,beta", [
+        (math.nan, 1, 0.0, 1.0), (1.0, 1, 0.0, math.nan), (math.inf, 1, 0.0, 1.0),
+        (1.0, 1, math.nan, 1.0), (1.0, 2, math.inf, 1.0), (1.0, 1, 0.0, 0.0)])
+    def test_deviation_tail_refuses_non_finite_input(self, deadline, a, k, y, beta):
+        # NaN or inf a once kept the image sum from ever meeting its stop test
+        with deadline(3.0), pytest.raises(ValueError, match="must be"):
+            bridge.max_deviation_tail(a, k, y, beta)
+
+    @pytest.mark.parametrize("k", [0, 2.5, 2.0])
+    def test_deviation_tail_wants_an_integer_k(self, k):
+        # k = 0 once divided by zero, and k = 2.5 returned 0.5496
+        with pytest.raises(ValueError, match="k and S must be positive integers"):
+            bridge.max_deviation_tail(1.0, k, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_envelope_fit_refuses_a_non_finite_grid(self, deadline, bad):
+        params = ModelParams(2, 1, 1.0, (0.5,), [[zero_potential()]])
+        box = Box((0.0, 0.0), 1.0)
+        with deadline(3.0), pytest.raises(ValueError, match="positive and finite"):
+            bridge.fit_gaussian_tail_envelope(params, box, 2, (1.0, bad, 3.0))

@@ -167,6 +167,90 @@ geometry:
         assert errs == ["config must be a mapping of sections"]
 
 
+class TestFiniteNumbers:
+    # every number of a config, in a list or an external point too, must be
+    # a finite double: NaN fails every bound (nan < 0 is false)
+
+    @pytest.mark.parametrize("text,key", [
+        (MINIMAL.replace("beta: 1.0", "beta: .nan"), "model.beta"),
+        (MINIMAL.replace("beta: 1.0", "beta: .inf"), "model.beta"),
+        (MINIMAL.replace("[0.5]", "[.nan]"), "model.fugacity"),
+        (MINIMAL.replace("5.0", "-.inf"), "geometry.box_half_side"),
+        (MINIMAL + "  box0_center: [.nan, 0.0]\n", "geometry.box0_center"),
+        (MINIMAL + "sampler:\n  move_weights: [1, .nan, 1]\n", "sampler.move_weights"),
+        (MINIMAL + "external:\n  points: [[[5.5, .nan]]]\n", "external.points"),
+        (MINIMAL + "external:\n  reach: .inf\n", "external.reach"),
+        (MINIMAL + "experiment:\n  name: analytic\n  options:\n"
+         "    envelope_grid: [1.0, .nan]\n", "experiment.options.envelope_grid"),
+        (B_CONDITION.replace("c: 1.0", "c: .nan"), "experiment.options.c"),
+    ], ids=["nan-beta", "inf-beta", "nan-fugacity", "minus-inf-half-side", "nan-center",
+            "nan-move-weight", "nan-external-point", "inf-reach", "nan-envelope-grid",
+            "nan-growth-constant"])
+    def test_non_finite_numbers_refused(self, text, key):
+        assert any(key in e for e in errors_of(text))
+
+    def test_nan_height_is_refused(self):
+        # it once turned the square well into a hard core of its range,
+        # while the model read as no hard core
+        text = MINIMAL.replace("geometry:", "  potentials:\n    - {types: [0, 0], profile: "
+                               "square_well, range: 0.8, height: .nan}\ngeometry:")
+        assert any("model.potentials[0].height" in e for e in errors_of(text))
+
+    def test_ints_beyond_the_largest_double_are_not_numbers(self):
+        assert cli._is_num(10 ** 308) and not cli._is_num(10 ** 309)
+        assert not any(map(cli._is_num, (math.nan, math.inf, -math.inf, True)))
+
+    @pytest.mark.parametrize("options", [
+        "    deviation_thresholds: [.nan]\n", "    displacement: .nan\n"])
+    def test_bridge_laws_exits_two(self, tmp_path, capsys, deadline, options):
+        # both once ran forever: the deviation tail's image sum never stopped
+        path = tmp_path / "b.yaml"
+        path.write_text(MINIMAL + "experiment:\n  options:\n" + options)
+        with deadline(5.0):
+            code = cli.main(["bridge-laws", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: at experiment.options." in capsys.readouterr().err
+
+
+class TestLengthsNamedByModelKeys:
+    # fugacity and every counts list take one entry per type, box0_center
+    # and shift one per axis, as the table says (Key.length)
+
+    @pytest.mark.parametrize("text,message", [
+        (MINIMAL.replace("[0.5]", "[0.5, 0.5]"), "model.fugacity: expected 1 entries, got 2"),
+        (MINIMAL + "  shift: [1.0]\n", "geometry.shift: expected 2 entries, got 1"),
+        (MINIMAL + "external:\n  counts: [1, 1]\n",
+         "external.counts: expected a list of length 1 of non-negative integers"),
+        (MINIMAL + "experiment:\n  name: kernel\n  options:\n    counts: [1, 1]\n",
+         "experiment.options.counts: expected a list of length 1 of non-negative integers"),
+        (MINIMAL.replace("geometry:", "  potentials:\n    - {types: [0]}\ngeometry:"),
+         "model.potentials[0].types: expected a list of length 2 of type indices"),
+    ], ids=["fugacity", "shift", "external-counts", "option-counts", "potential-types"])
+    def test_wrong_lengths(self, text, message):
+        assert any(message in e for e in errors_of(text))
+
+    def test_lengths_follow_the_model_given(self):
+        text = MINIMAL.replace("n_types: 1", "n_types: 2").replace("[0.5]", "[0.5, 0.5]")
+        cli.parse_config(text + "  box0_center: [0.0, 0.0]\nexternal:\n  counts: [0, 0]\n")
+        # with no well-typed n_types there is no length to hold a list to
+        errs = errors_of(MINIMAL.replace("n_types: 1", "n_types: x").replace(
+            "[0.5]", "[0.5, 0.5]"))
+        assert not any("model.fugacity" in e for e in errs)
+
+
+def test_a_reach_too_small_to_hit_exits_two(tmp_path, capsys, deadline):
+    # the points are drawn from a cube around the box and kept in its shell
+    # of width reach: at 1e-12 none lands, and the draw once ran forever
+    path = tmp_path / "r.yaml"
+    path.write_text(DENSITY.replace("geometry:", "  potentials:\n    - {types: [0, 0], "
+                                    "range: 0.3, height: 1.0}\ngeometry:")
+                    + "external:\n  counts: [1]\n  reach: 1.0e-12\n")
+    with deadline(5.0):
+        code = cli.main(["density", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert "external reach 1e-12" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.yaml")), ids=lambda p: p.name)
 def test_example_config_parses(path):
     cli.parse_config(path.read_text())

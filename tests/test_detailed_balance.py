@@ -53,7 +53,7 @@ def merge_split_p(flux_p_value):
 @pytest.mark.parametrize("name", [
     "step", "step_insert_delete", "step_merge_split", "step_redraw",
     "_try", "_try_merge", "_try_split", "_commit", "_carried_energy",
-    "_energy_change", "_confined", "_store", "_evaluate", "audit", "_in_step", "_typed"])
+    "_energy_change", "_store", "_evaluate", "audit", "_in_step", "_typed"])
 def test_twin_runs_the_chain_moves(name):
     # the twin overrides draws and masses only, never a move, its test or
     # its energy bookkeeping

@@ -95,7 +95,8 @@ def assert_tables_follow(chain):
     """
     assert chain._typed() == [[lp for lp in chain.config.loops if lp.type_index == j]
                               for j in range(chain.params.n_types)]
-    table = chain._loop_table()
+    chain._in_step()
+    table = chain._table
     fresh = lps.LegTable(chain.config.loops, lps.cell_side(chain.params))
     assert table.inv == fresh.inv
     assert not chain.config.loops or table.slices_per_beta == fresh.slices_per_beta

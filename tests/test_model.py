@@ -185,3 +185,41 @@ class TestExternalConfiguration:
     def test_empty_external(self):
         box = Box((0.0, 0.0), 1.0)
         assert ExternalConfiguration(box, [np.zeros((0, 2))] * 2, 0.0).is_empty()
+
+
+class TestNaNFailsEveryCheck:
+    @pytest.mark.parametrize("kwargs", [
+        {"hard_core": math.nan, "range_": 1.0}, {"range_": math.nan},
+        {"range_": math.inf}, {"height": math.nan}, {"height": math.inf},
+        {"profile": "table", "range_": 1.5, "table_r": [0.0, 0.5, 1.0, 1.5],
+         "table_v": [1.0, math.nan, 0.5, 0.0]}])
+    def test_pair_potential(self, kwargs):
+        with pytest.raises(ValueError):
+            PairPotential(**kwargs)
+
+    def test_nan_height_is_not_a_hard_core(self):
+        # a NaN height once made the well's energy inf inside its range
+        with pytest.raises(ValueError, match="height"):
+            square_well(height=math.nan, range_=0.8)
+
+    @pytest.mark.parametrize("center,half", [((0.0,), math.nan), ((0.0,), math.inf),
+                                             ((math.nan,), 1.0), ((0.0, -math.inf), 1.0)])
+    def test_box(self, center, half):
+        with pytest.raises(ValueError, match="box needs"):
+            Box(center, half)
+
+    @pytest.mark.parametrize("point", [[math.nan, 0.0], [1.5, math.inf]])
+    def test_external_points(self, point):
+        box = Box((0.0, 0.0), 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            ExternalConfiguration(box, [np.array([point])], max_range=math.inf)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_model_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be > 0 and finite"):
+            ModelParams(1, 1, beta, (0.5,))
+
+    @pytest.mark.parametrize("d", [2.5, math.nan, 0])
+    def test_model_dimension(self, d):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            ModelParams(d, 1, 1.0, (0.5,))

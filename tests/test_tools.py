@@ -6,16 +6,33 @@ A tool is loaded by path, as a script, and its cheapest rows run once.
 import importlib.util
 import math
 import pathlib
+import re
 import time
 
-MOVE_COSTS = pathlib.Path(__file__).resolve().parents[1] / "tools" / "move_costs.py"
+TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
 
-def load_move_costs():
-    spec = importlib.util.spec_from_file_location("move_costs", MOVE_COSTS)
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / ("%s.py" % name))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_move_costs():
+    return load_tool("move_costs")
+
+
+def test_src_stats_prints_its_figures(capsys):
+    # change-log entries quote these lines: each must carry integer counts
+    load_tool("src_stats").main()
+    out = capsys.readouterr().out
+    assert re.search(r"^total +\d+ lines +\d+ defaults$", out, re.M)
+    assert re.search(r"^mc\.py +\d+ lines +\d+ defaults$", out, re.M)
+    assert re.search(r"^SamplerOptions fields: \d+$", out, re.M)
+    assert re.search(r"^config keys: \d+ \(SECTIONS \d+, POTENTIAL \d+, OPTIONS \d+\)$",
+                     out, re.M)
+    assert re.search(r"^Chain members the twin overrides: \d+ \(", out, re.M)
 
 
 def test_move_costs_bridge_rows_run():
